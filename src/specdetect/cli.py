@@ -237,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to the JSON configuration")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="master RNG seed override")
-        p.add_argument("--threads", type=int, default=os.cpu_count(),
-                       help="parallelism hint; results are independent of it")
         p.add_argument("--solver", choices=["diagreg", "collocation"], default=None)
         if name == "classical-lss":
             p.add_argument("--list", action="store_true", help="list catalog test ids")
@@ -279,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
             "seed": args.seed,
             "tool_version": __version__,
             "duration_s": time.time() - started,
-            "config": _load_config(args.config) if args.config else {},
+            "config": config,
         }
         write_json(out_dir / "manifest.json", manifest)
         log.debug("%s finished in %.3f s, outputs in %s",

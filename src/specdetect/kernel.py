@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
+from scipy.linalg import lapack
 
 from .mp import StieltjesCurve
 from .weak_derivative import SignedMeasureCdf
@@ -34,6 +35,14 @@ __all__ = [
 
 REGIME_SUBCRITICAL = "subcritical-solvable"
 REGIME_SUPERCRITICAL = "supercritical-full-power"
+
+# the standard library's normal law: scipy.stats would cost most of the
+# package's import time for these two calls
+_STD_NORMAL = NormalDist()
+
+# rows per block when the kernel matrix is built or restored: the block
+# temporaries stay at 64 x N, so the matrix itself is the only N x N array
+_ROWS = 64
 
 
 def _kernel_from_v(vx: complex, vy: complex) -> float:
@@ -87,6 +96,12 @@ class KernelMatrix:
     def inner(self, g: np.ndarray, j: np.ndarray) -> float:
         return float(np.sum(self.weights * g * j))
 
+    def regularized(self) -> np.ndarray:
+        """Copy of the entries with the ridge added on the diagonal."""
+        A = self.entries.copy()
+        A[np.diag_indices_from(A)] += self.ridge
+        return A
+
     def to_rows(self):
         for i in range(self.size):
             yield self.entries[i, :].tolist()
@@ -98,18 +113,27 @@ class KernelMatrix:
         write_csv(path, [f"x={format(x, '.8g')}" for x in self.grid], self.to_rows())
 
 
-def _raw_kernel_matrix(curve: StieltjesCurve, c1: float) -> np.ndarray:
-    v = curve.v
-    im = v.imag
-    diff2 = np.abs(v[:, None] - v[None, :]) ** 2
-    np.fill_diagonal(diff2, 1.0)
-    K = np.log1p(4.0 * np.outer(im, im) / diff2) / (2.0 * math.pi**2)
-    n = K.shape[0]
-    diag = np.empty(n)
-    diag[0] = c1 * K[0, 1]
-    idx = np.arange(1, n)
-    diag[1:] = c1 * K[idx, idx - 1]
-    np.fill_diagonal(K, diag)
+def _weighted_kernel_matrix(curve: StieltjesCurve, c1: float, sq: np.ndarray) -> np.ndarray:
+    """sqrt(w_i) k(x_i, x_j) sqrt(w_j), diagonal by the neighbor rule, built in row blocks."""
+    re, im = curve.v.real, curve.v.imag
+    n = re.size
+    K = np.empty((n, n))
+    for r0 in range(0, n, _ROWS):
+        rows = np.arange(r0, min(r0 + _ROWS, n))
+        # |v_i - v_j|^2 from the real and imaginary differences
+        diff2 = np.subtract.outer(re[rows], re)
+        diff2 *= diff2
+        block = np.subtract.outer(im[rows], im)
+        block *= block
+        diff2 += block
+        diff2[rows - r0, rows] = 1.0
+        np.multiply.outer(4.0 * im[rows], im, out=block)
+        block /= diff2
+        np.log1p(block, out=block)
+        block /= 2.0 * math.pi**2
+        block[rows - r0, rows] = c1 * block[rows - r0, np.where(rows == 0, 1, rows - 1)]
+        block *= np.outer(sq[rows], sq)
+        K[rows] = block
     return K
 
 
@@ -132,10 +156,9 @@ def _trapezoid_weights(curve: StieltjesCurve) -> np.ndarray:
 def assemble_diagreg(curve: StieltjesCurve, c1: float = 1.5,
                      ridge_coeff: float = 1e-4) -> KernelMatrix:
     """Assemble the weighted kernel matrix with neighbor-diagonal rule and ridge."""
-    raw = _raw_kernel_matrix(curve, c1)
     w = _trapezoid_weights(curve)
     sq = np.sqrt(w)
-    entries = raw * np.outer(sq, sq)
+    entries = _weighted_kernel_matrix(curve, c1, sq)
     ridge = ridge_coeff * float(np.trace(entries)) / entries.shape[0]
     return KernelMatrix(
         grid=curve.grid.copy(),
@@ -157,18 +180,44 @@ class SolvedDerivative:
     condition_number: float | None = None
 
 
+def solve_regularized(K: KernelMatrix, rhs: np.ndarray) -> np.ndarray:
+    """Solve (K + r I) u = rhs for one right-hand side or a column of them.
+
+    K is symmetric, so its transpose is the same matrix in Fortran order.
+    LAPACK's symmetric indefinite solver factors that in place from one
+    triangle and leaves the strict other triangle intact, which then
+    restores the entries: no second N x N array is made.
+    """
+    A = K.entries
+    n = A.shape[0]
+    diag = A.diagonal().copy()
+    A[np.diag_indices(n)] += K.ridge
+    try:
+        lwork = int(lapack.dsysv_lwork(n, lower=1)[0])
+        _, _, u, info = lapack.dsysv(A.T, rhs, lwork=lwork, lower=1, overwrite_a=1)
+    finally:
+        # the factor overwrote the upper triangle and the diagonal: mirror
+        # the intact lower triangle back and put the saved diagonal back
+        for r0 in range(0, n, _ROWS):
+            r1 = min(r0 + _ROWS, n)
+            A[r0:r1, r1:] = A[r1:, r0:r1].T
+            block = A[r0:r1, r0:r1]
+            upper = np.triu_indices(r1 - r0, 1)
+            block[upper] = block.T[upper]
+        A[np.diag_indices(n)] = diag
+    if info != 0:  # pragma: no cover - the ridge prevents a singular system
+        raise RuntimeError(f"regularized kernel system is singular (LAPACK info {info})")
+    return u
+
+
 def solve_diagreg(K: KernelMatrix, delta: SignedMeasureCdf) -> SolvedDerivative:
     """Solve (K + r I) g = -Delta in function values."""
     if delta.grid.shape != K.grid.shape or not np.allclose(delta.grid, K.grid):
         raise ValueError("delta is not on the kernel grid")
     sq = np.sqrt(K.weights)
-    A = K.entries + K.ridge * np.eye(K.size)
     rhs = -sq * delta.cdf
-    try:
-        u = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - ridge prevents this
-        raise RuntimeError(f"regularized kernel system is singular: {exc}") from exc
-    resid = float(np.linalg.norm(A @ u - rhs))
+    u = solve_regularized(K, rhs)
+    resid = float(np.linalg.norm(K.entries @ u + K.ridge * u - rhs))
     return SolvedDerivative(grid=K.grid.copy(), values=u / sq, residual_norm=resid,
                             method="diagreg")
 
@@ -280,7 +329,7 @@ def power_from_efficacy(theta: float, alpha: float) -> float:
     """Asymptotic power Phi(z_alpha + theta), z_alpha the alpha quantile."""
     if math.isinf(theta):
         return 1.0
-    return float(norm.cdf(norm.ppf(alpha) + abs(theta)))
+    return _STD_NORMAL.cdf(_STD_NORMAL.inv_cdf(alpha) + abs(theta))
 
 
 def efficacy_report(mu: float, sigma2: float, alpha: float,

@@ -40,6 +40,9 @@ __all__ = [
 # reported converged only when it lands below the contract tolerance
 _NEWTON_TOL = 1e-13
 _CONVERGED_RESID = 1e-8
+# element budget of one (points x atoms) block in the atom sums; blocks keep
+# the complex temporaries near 1 MB each on bulks with hundreds of atoms
+_BLOCK_ELEMENTS = 1 << 16
 
 
 class SilversteinError(RuntimeError):
@@ -51,18 +54,53 @@ def _check_bulk(H: AtomicMeasure) -> None:
         raise ValueError("population spectrum delta_0 is degenerate and not supported")
 
 
-def _sums(H: AtomicMeasure, v: complex) -> tuple[complex, complex]:
-    """First and second integrands of the fixed-point equation at v."""
-    den = 1.0 + H.atoms * v
-    s1 = np.sum(H.weights * H.atoms / den)
-    s2 = np.sum(H.weights * H.atoms**2 / den**2)
-    return s1, s2
+def _blocks(n: int, H: AtomicMeasure):
+    step = max(1, _BLOCK_ELEMENTS // H.n_atoms)
+    return (slice(i, i + step) for i in range(0, n, step))
+
+
+def _sums(H: AtomicMeasure, v: np.ndarray, orders: tuple[int, ...] = (1, 2)) -> list[np.ndarray]:
+    """Integrands of the fixed-point equation at each entry of the 1-d array v.
+
+    Order 1 is ``sum w t/(1+tv)``, order 2 is ``sum w t^2/(1+tv)^2``; the
+    sums run over (points x atoms) blocks.  Each row is reduced exactly
+    as a single point would be, so real v gives bit-identical values.
+    """
+    numerators = [H.weights * H.atoms**k for k in orders]
+    out = [np.empty(v.shape, dtype=np.result_type(v, 1.0)) for _ in orders]
+    for sl in _blocks(v.size, H):
+        den = 1.0 + np.multiply.outer(v[sl], H.atoms)
+        for o, num, k in zip(out, numerators, orders):
+            o[sl] = np.sum(num / (den if k == 1 else den**2), axis=1)
+    return out
+
+
+def _residual(H: AtomicMeasure, gamma: float, z, v: np.ndarray) -> np.ndarray:
+    return -1.0 / v - z + gamma * _sums(H, v, (1,))[0]
 
 
 def silverstein_residual(H: AtomicMeasure, gamma: float, z: complex, v: complex) -> complex:
     """Defect of v in the fixed-point equation at z (zero at a solution)."""
-    s1, _ = _sums(H, v)
-    return -1.0 / v - z + gamma * s1
+    return _residual(H, gamma, z, np.array([v]))[0]
+
+
+def _derivative(H: AtomicMeasure, gamma: float, v: np.ndarray) -> tuple[np.ndarray, dict]:
+    """dv/dz at each entry of v, plus {index: error} where it is undefined."""
+    with np.errstate(all="ignore"):
+        d = 1.0 / v**2 - gamma * _sums(H, v, (2,))[0]
+        vp = 1.0 / d
+    near_pole = np.empty(v.size, dtype=bool)
+    for sl in _blocks(v.size, H):
+        near_pole[sl] = np.any(np.abs(1.0 + np.multiply.outer(v[sl], H.atoms)) < 1e-14, axis=1)
+    errors: dict = {}
+    for i in np.flatnonzero((v == 0) | near_pole | (np.abs(d) < 1e-14)):
+        if v[i] == 0:
+            errors[i] = ValueError("derivative map undefined at v = 0")
+        elif near_pole[i]:
+            errors[i] = ValueError("derivative map evaluated at a pole 1 + t*v = 0")
+        else:
+            errors[i] = SilversteinError("derivative map denominator vanished (support edge)")
+    return vp, errors
 
 
 def derivative_map(H: AtomicMeasure, gamma: float, v: complex) -> complex:
@@ -72,62 +110,95 @@ def derivative_map(H: AtomicMeasure, gamma: float, v: complex) -> complex:
     ``v'(z) = [1/v^2 - gamma * sum w t^2/(1+tv)^2]^-1``.  The denominator
     vanishes exactly at support edges, where the derivative blows up.
     """
-    if v == 0:
-        raise ValueError("derivative map undefined at v = 0")
-    den = 1.0 + H.atoms * v
-    if np.any(np.abs(den) < 1e-14):
-        raise ValueError("derivative map evaluated at a pole 1 + t*v = 0")
-    _, s2 = _sums(H, v)
-    d = 1.0 / v**2 - gamma * s2
-    if abs(d) < 1e-14:
-        raise SilversteinError("derivative map denominator vanished (support edge)")
-    return 1.0 / d
+    vp, errors = _derivative(H, gamma, np.array([complex(v)]))
+    if errors:
+        raise errors[0]
+    return vp[0]
 
 
-def _newton(H: AtomicMeasure, gamma: float, z: complex, v0: complex, tol: float = _NEWTON_TOL,
-            max_iter: int = 80) -> tuple[complex, float]:
-    """Newton iteration on the fixed-point defect, damped to stay in C+."""
-    v = v0
+def _newton(H: AtomicMeasure, gamma: float, z: np.ndarray, v0: np.ndarray,
+            tol: float = _NEWTON_TOL, max_iter: int = 80) -> tuple[np.ndarray, np.ndarray]:
+    """Newton iteration on the fixed-point defect for every entry at once.
+
+    Each entry stops on its own once its residual is below ``tol``, its
+    step stalls or leaves the finite numbers; entries with Im z > 0 have
+    their steps halved until they stay in C+.  Returns the best iterate
+    of each entry and its residual modulus.
+    """
+    v = np.array(v0, dtype=complex)
+    best_v = v.copy()
+    best_r = np.full(v.size, np.inf)
+    upper = z.imag > 0
+    act = np.arange(v.size)
     with np.errstate(all="ignore"):
-        best_v, best_r = v, abs(silverstein_residual(H, gamma, z, v))
         for _ in range(max_iter):
-            r = silverstein_residual(H, gamma, z, v)
-            ar = abs(r)
-            if not math.isfinite(ar):
-                v = best_v
+            if act.size == 0:
                 break
-            if ar < best_r:
-                best_v, best_r = v, ar
-            if ar < tol:
-                return v, ar
-            den = 1.0 + H.atoms * v
-            rp = 1.0 / v**2 - gamma * np.sum(H.weights * H.atoms**2 / den**2)
-            if rp == 0 or not np.isfinite(rp):
-                break
+            va, za = v[act], z[act]
+            s1, s2 = _sums(H, va)
+            r = -1.0 / va - za + gamma * s1
+            ar = np.abs(r)
+            better = ar < best_r[act]
+            best_v[act[better]] = va[better]
+            best_r[act[better]] = ar[better]
+            rp = 1.0 / va**2 - gamma * s2
             step = r / rp
-            vn = v - step
+            go = np.isfinite(ar) & (ar >= tol) & (rp != 0) & np.isfinite(rp)
+            vn = va - step
             # for z strictly above the axis the root lies in C+: damp any
             # step that would cross into the lower half plane
-            k = 0
-            while z.imag > 0 and vn.imag <= 0 and k < 50:
-                step *= 0.5
-                vn = v - step
-                k += 1
-            if vn == v or not np.isfinite(abs(vn)):
-                break
-            v = vn
+            low = go & upper[act] & (vn.imag <= 0)
+            for _ in range(50):
+                if not low.any():
+                    break
+                step[low] *= 0.5
+                vn[low] = va[low] - step[low]
+                low &= vn.imag <= 0
+            go &= (vn != va) & np.isfinite(np.abs(vn))
+            v[act[go]] = vn[go]
+            act = act[go]
     return best_v, best_r
 
 
-def _fixed_point(H: AtomicMeasure, gamma: float, z: complex, v0: complex, n_iter: int = 60) -> complex:
+def _fixed_point(H: AtomicMeasure, gamma: float, z: np.ndarray, v0: np.ndarray,
+                 n_iter: int = 60) -> np.ndarray:
     v = v0
-    for _ in range(n_iter):
-        s1, _ = _sums(H, v)
-        denom = -z + gamma * s1
-        if denom == 0:
-            break
-        v = 1.0 / denom
+    with np.errstate(all="ignore"):
+        for _ in range(n_iter):
+            denom = -z + gamma * _sums(H, v, (1,))[0]
+            # an entry whose denominator vanished keeps its value, and so
+            # meets the same zero on every later pass
+            v = np.where(denom == 0, v, 1.0 / denom)
     return v
+
+
+def _solve(H: AtomicMeasure, gamma: float, z: np.ndarray, v0: np.ndarray | None,
+           tol: float) -> tuple[np.ndarray, dict]:
+    """Roots at every z, plus {index: message} for entries that failed."""
+    with np.errstate(all="ignore"):
+        if v0 is None:
+            v0 = np.where(z != 0, -1.0 / z, 1j)
+            v0 = np.where((z.imag > 0) & (v0.imag <= 0), v0.real + 1e-8j, v0)
+            v0 = _fixed_point(H, gamma, z, v0)
+        v, resid = _newton(H, gamma, z, v0)
+        retry = np.flatnonzero(resid > tol)
+        if retry.size:
+            # one retry from a fresh contraction run before giving up
+            zr = z[retry]
+            v_retry = _fixed_point(H, gamma, zr, np.where(zr != 0, -1.0 / zr + 1e-6j, 1e-6j), 200)
+            v_retry, resid_retry = _newton(H, gamma, zr, v_retry)
+            won = resid_retry < resid[retry]
+            v[retry[won]] = v_retry[won]
+            resid[retry[won]] = resid_retry[won]
+    errors = {}
+    for i in np.flatnonzero((resid > tol) | ((z.imag > 0) & (v.imag < 0))):
+        zi = complex(z[i])
+        if resid[i] > tol:
+            errors[i] = (f"no convergence at z={zi!r}: residual {resid[i]:.3e} > {tol:.1e}; "
+                         "retry with a larger imaginary offset")
+        else:
+            errors[i] = f"root left the upper half plane at z={zi!r}"
+    return v, errors
 
 
 def solve_silverstein(H: AtomicMeasure, gamma: float, z: complex, v0: complex | None = None,
@@ -146,27 +217,11 @@ def solve_silverstein(H: AtomicMeasure, gamma: float, z: complex, v0: complex | 
     _check_bulk(H)
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    z = complex(z)
-    if v0 is None:
-        v0 = -1.0 / z if z != 0 else complex(0.0, 1.0)
-        if z.imag > 0 and v0.imag <= 0:
-            v0 = complex(v0.real, 1e-8)
-        v0 = _fixed_point(H, gamma, z, v0)
-    v, resid = _newton(H, gamma, z, v0)
-    if resid > tol:
-        # one retry from a fresh contraction run before giving up
-        v_retry = _fixed_point(H, gamma, z, -1.0 / z + 1e-6j if z != 0 else 1e-6j, 200)
-        v_retry, resid_retry = _newton(H, gamma, z, v_retry)
-        if resid_retry < resid:
-            v, resid = v_retry, resid_retry
-    if resid > tol:
-        raise SilversteinError(
-            f"no convergence at z={z!r}: residual {resid:.3e} > {tol:.1e}; "
-            "retry with a larger imaginary offset"
-        )
-    if z.imag > 0 and v.imag < 0:
-        raise SilversteinError(f"root left the upper half plane at z={z!r}")
-    return v
+    v, errors = _solve(H, gamma, np.array([complex(z)]),
+                       None if v0 is None else np.array([complex(v0)]), tol)
+    if errors:
+        raise SilversteinError(errors[0])
+    return complex(v[0])
 
 
 # ----------------------------------------------------------------------
@@ -214,22 +269,26 @@ class SupportSet:
 
 
 def _inverse_map(H: AtomicMeasure, gamma: float):
-    atoms = H.atoms
-    weights = H.weights
+    """x(v) and x'(v) of the real inverse map, elementwise on 1-d arrays of v."""
 
-    def x_of_v(v: float) -> float:
-        return -1.0 / v + gamma * float(np.sum(weights * atoms / (1.0 + atoms * v)))
+    def x_of_v(v: np.ndarray) -> np.ndarray:
+        return -1.0 / v + gamma * _sums(H, v, (1,))[0]
 
-    def xp_of_v(v: float) -> float:
-        return 1.0 / v**2 - gamma * float(np.sum(weights * atoms**2 / (1.0 + atoms * v) ** 2))
+    def xp_of_v(v: np.ndarray) -> np.ndarray:
+        return 1.0 / v**2 - gamma * _sums(H, v, (2,))[0]
 
     return x_of_v, xp_of_v
+
+
+def _at(f, v: float) -> float:
+    """One real point of an array map."""
+    return float(f(np.array([v]))[0])
 
 
 def _bisect_sign_change(f, a: float, b: float, fa_sign: float, max_iter: int = 200) -> float:
     for _ in range(max_iter):
         m = 0.5 * (a + b)
-        fm = f(m)
+        fm = _at(f, m)
         if fm == 0.0:
             return m
         if math.copysign(1.0, fm) == fa_sign:
@@ -245,9 +304,11 @@ def support_intervals(H: AtomicMeasure, gamma: float, samples_per_interval: int 
     """Support of the limiting distribution from the real inverse map.
 
     On the real v-line, x(v) = -1/v + gamma * sum w t/(1+tv) is increasing
-    exactly on the complement of the support image.  Critical points of
-    x(v) between consecutive poles v = -1/t_i are located by bisection on
-    x'(v); the images of the increasing branches are the gaps.
+    exactly on the complement of the support image.  x'(v) is evaluated
+    on all ``samples_per_interval`` samples of each v-interval between
+    consecutive poles v = -1/t_i in one array call; each sign change is
+    refined by bisection on x'(v), and the images of the increasing
+    branches are the gaps.
     """
     _check_bulk(H)
     if gamma <= 0:
@@ -282,12 +343,9 @@ def support_intervals(H: AtomicMeasure, gamma: float, samples_per_interval: int 
     branches: list[tuple[float, float]] = []
     for lo, hi in segments:
         vv = sample(lo, hi)
-        fp = np.array([xp_of_v(v) for v in vv])
-        signs = np.sign(fp)
-        zeros: list[float] = []
-        for i in range(len(vv) - 1):
-            if signs[i] != 0 and signs[i] * signs[i + 1] < 0:
-                zeros.append(_bisect_sign_change(xp_of_v, vv[i], vv[i + 1], signs[i]))
+        signs = np.sign(xp_of_v(vv))
+        crossings = np.flatnonzero((signs[:-1] != 0) & (signs[:-1] * signs[1:] < 0))
+        zeros = [_bisect_sign_change(xp_of_v, vv[i], vv[i + 1], signs[i]) for i in crossings]
         pts = [lo, *zeros, hi]
         for i in range(len(pts) - 1):
             a, b = pts[i], pts[i + 1]
@@ -297,14 +355,14 @@ def support_intervals(H: AtomicMeasure, gamma: float, samples_per_interval: int 
                 probe = a + 2.0 * max(abs(a), 1.0)
             else:
                 probe = 0.5 * (a + b)
-            if xp_of_v(probe) > 0:
+            if _at(xp_of_v, probe) > 0:
                 branches.append((a, b))
 
     # image of each increasing branch is a gap in the support
     complement: list[tuple[float, float, float, float]] = []  # (x_lo, x_hi, v_lo, v_hi)
     for a, b in branches:
-        xa = 0.0 if math.isinf(a) else (-math.inf if a == 0.0 else x_of_v(a))
-        xb = 0.0 if math.isinf(b) else (math.inf if b == 0.0 else x_of_v(b))
+        xa = 0.0 if math.isinf(a) else (-math.inf if a == 0.0 else _at(x_of_v, a))
+        xb = 0.0 if math.isinf(b) else (math.inf if b == 0.0 else _at(x_of_v, b))
         if xa <= xb:
             complement.append((xa, xb, a, b))
         else:
@@ -352,6 +410,35 @@ def support_intervals(H: AtomicMeasure, gamma: float, samples_per_interval: int 
     )
 
 
+def _real_limit(H: AtomicMeasure, gamma: float, x: np.ndarray, v0: np.ndarray, eta0,
+                eps1: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Array core of :func:`solve_real_limit`; ``eta0`` is a scalar or one per point.
+
+    Every point halves its own eta until its own increment drops below
+    ``eps1``; converged points are frozen while the rest descend.
+    """
+    v = np.array(v0, dtype=complex)
+    eta = np.array(np.broadcast_to(eta0, x.shape), dtype=float)
+    increment = np.full(x.size, np.inf)
+    act = np.arange(x.size)
+    for k in range(60):
+        if act.size == 0:
+            break
+        v_new, _ = _newton(H, gamma, x[act] + 1j * eta[act], v[act])
+        if k > 0:
+            increment[act] = np.abs(v_new - v[act])
+        v[act] = v_new
+        act = act[~(increment[act] < eps1)]
+        eta[act] *= 0.5
+    z = x.astype(complex)
+    v_polish, resid = _newton(H, gamma, z, v)
+    guard = np.where(np.isfinite(increment), np.maximum(10.0 * increment, 1e-6), 1e-6)
+    keep = (v_polish.imag > 0) & (np.abs(v_polish - v) < guard) & (resid < _CONVERGED_RESID)
+    v_polish[~keep] = v[~keep]
+    resid[~keep] = np.abs(_residual(H, gamma, z[~keep], v[~keep]))
+    return v_polish, resid, increment
+
+
 def solve_real_limit(H: AtomicMeasure, gamma: float, x: float, v0: complex,
                      eta0: float, eps1: float) -> tuple[complex, float, float]:
     """Real-axis boundary value of v at x inside the support.
@@ -361,24 +448,9 @@ def solve_real_limit(H: AtomicMeasure, gamma: float, x: float, v0: complex,
     Newton step at eta = 0 unless that jumps to a different root.
     Returns (v, residual at eta=0, last increment of the eta limit).
     """
-    v = v0
-    v_old = None
-    eta = eta0
-    increment = math.inf
-    for _ in range(60):
-        v, _ = _newton(H, gamma, complex(x, eta), v)
-        if v_old is not None:
-            increment = abs(v - v_old)
-            if increment < eps1:
-                break
-        v_old = v
-        eta *= 0.5
-    v_polish, resid = _newton(H, gamma, complex(x, 0.0), v)
-    guard = max(10.0 * increment, 1e-6) if math.isfinite(increment) else 1e-6
-    if v_polish.imag > 0 and abs(v_polish - v) < guard and resid < _CONVERGED_RESID:
-        return v_polish, resid, increment
-    resid = abs(silverstein_residual(H, gamma, complex(x, 0.0), v))
-    return v, resid, increment
+    v, resid, increment = _real_limit(H, gamma, np.array([float(x)]), np.array([complex(v0)]),
+                                      eta0, eps1)
+    return complex(v[0]), float(resid[0]), float(increment[0])
 
 
 def solve_real_outside(H: AtomicMeasure, gamma: float, support: SupportSet, x: float) -> float:
@@ -400,15 +472,15 @@ def solve_real_outside(H: AtomicMeasure, gamma: float, support: SupportSet, x: f
             # shrink infinite / pole ends to finite brackets
             if math.isinf(lo):
                 lo = hi - 1.0
-                while x_of_v(lo) > x:
+                while _at(x_of_v, lo) > x:
                     lo = hi - 2 * (hi - lo)
             span = hi - lo
             a = lo + 1e-13 * max(span, 1.0)
             b = hi - 1e-13 * max(span, 1.0)
-            fa = x_of_v(a) - x
+            fa = _at(x_of_v, a) - x
             for _ in range(300):
                 m = 0.5 * (a + b)
-                fm = x_of_v(m) - x
+                fm = _at(x_of_v, m) - x
                 if fm == 0:
                     return m
                 if math.copysign(1.0, fm) == math.copysign(1.0, fa):
@@ -427,7 +499,13 @@ def solve_real_outside(H: AtomicMeasure, gamma: float, support: SupportSet, x: f
 
 @dataclass
 class StieltjesCurve:
-    """v and v' on a dense in-support grid, plus the support itself."""
+    """v and v' on a dense in-support grid, plus the support itself.
+
+    ``edge_samples[(j, "lo"|"hi")]`` holds (distances ascending, v, v') at
+    1/64, 1/16 and 1/4 of the way from that edge of interval j to its
+    nearest grid point; ``edge_failures`` lists (x, reason) for each edge
+    whose samples could not be solved, which is then left unrefined.
+    """
 
     gamma: float
     grid: np.ndarray
@@ -439,6 +517,8 @@ class StieltjesCurve:
     dropped: list[tuple[float, str]] = field(default_factory=list)
     epsilon: float = 5e-6
     atom_at_zero: float = 0.0  # mass of the limiting law at 0
+    edge_samples: dict = field(default_factory=dict)
+    edge_failures: list[tuple[float, str]] = field(default_factory=list)
 
     @property
     def density(self) -> np.ndarray:
@@ -469,16 +549,72 @@ class StieltjesCurve:
             )
 
 
+def _real_points(H: AtomicMeasure, gamma: float, x: np.ndarray, v0: np.ndarray, eta0,
+                 eps1: float, min_imag: float) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Real-axis limits and v' at x; {index: reason} for points that failed.
+
+    A point fails when its eta=0 residual exceeds 1e-8, when Im v is below
+    ``min_imag`` or when the derivative map is undefined there.
+    """
+    v, resid, _ = _real_limit(H, gamma, x, v0, eta0, eps1)
+    failed = {i: f"residual {resid[i]:.2e}"
+              for i in np.flatnonzero((resid > _CONVERGED_RESID) | (v.imag < min_imag))}
+    ok = np.setdiff1d(np.arange(x.size), list(failed))
+    vp = np.full(x.size, np.nan, dtype=complex)
+    vp[ok], errors = _derivative(H, gamma, v[ok])
+    failed.update({ok[i]: str(exc) for i, exc in errors.items()})
+    return v, vp, failed
+
+
+def _edge_samples(H: AtomicMeasure, gamma: float, grid: np.ndarray, v: np.ndarray,
+                  interval_id: np.ndarray, support: SupportSet,
+                  eps1: float) -> tuple[dict, list[tuple[float, str]]]:
+    """v and v' at sub-cell distances from each support edge.
+
+    The boundary value of v exists up to the edges; three direct solves
+    per edge pin down the tail of a sqrt-singular density far better than
+    extrapolation from the grid.  All edges step toward their edge
+    together, each warm-started from its previous sample; an edge stops
+    at its first failure.
+    """
+    keys, edge, near = [], [], []
+    for j, (lo, hi) in enumerate(support.intervals):
+        idx = np.flatnonzero(interval_id == j)
+        if idx.size:
+            keys += [(j, "lo"), (j, "hi")]
+            edge += [lo, hi]
+            near += [idx[0], idx[-1]]
+    edge = np.array(edge)
+    inward = np.array([1.0 if side == "lo" else -1.0 for _, side in keys])
+    dists = np.abs(grid[near] - edge)[:, None] * np.array([1.0 / 64.0, 1.0 / 16.0, 1.0 / 4.0])
+    vs = np.empty(dists.shape, dtype=complex)
+    vps = np.empty(dists.shape, dtype=complex)
+    warm = v[near]
+    failures: dict[int, tuple[float, str]] = {}
+    for col in (2, 1, 0):  # walk toward the edge
+        live = np.setdiff1d(np.arange(len(keys)), list(failures))
+        x = edge[live] + inward[live] * dists[live, col]
+        vs[live, col], vps[live, col], failed = _real_points(
+            H, gamma, x, warm[live], dists[live, col], eps1, 0.0)
+        failures.update({live[i]: (float(x[i]), reason) for i, reason in failed.items()})
+        warm = vs[:, col]
+    samples = {keys[e]: (dists[e], vs[e], vps[e]) for e in range(len(keys)) if e not in failures}
+    return samples, [failures[e] for e in sorted(failures)]
+
+
 def stieltjes_grid(H: AtomicMeasure, gamma: float, points_per_interval: int = 1000,
                    epsilon: float = 5e-6, support: SupportSet | None = None) -> StieltjesCurve:
     """Evaluate v on uniform midpoint grids inside each support interval.
 
-    Per grid point the real-axis value is the limit of solves at
-    x + i*eta over the geometric sequence eta_0 * 2^-k, stopped once
-    successive values differ by less than eps1 = max(1e-8, 1e-2*epsilon);
-    a final Newton polish at eta = 0 then drives the residual to machine
-    precision.  Points whose residual stays above 1e-8 are dropped and
-    recorded, never interpolated.
+    All grid points are solved together by one array Newton.  Each point
+    starts from a contraction run at x + i*eta_0, then takes the limit
+    over the geometric sequence eta_0 * 2^-k, stopped once its successive
+    values differ by less than eps1 = max(1e-8, 1e-2*epsilon); a final
+    Newton polish at eta = 0 then drives the residual to machine
+    precision.  Points whose residual stays above 1e-8, or where v' is
+    undefined, are dropped and recorded with the reason, never
+    interpolated.  The same solver also samples v and v' at sub-cell
+    distances from every support edge (``edge_samples``).
     """
     if points_per_interval < 16:
         raise ValueError("points_per_interval must be at least 16")
@@ -491,54 +627,40 @@ def stieltjes_grid(H: AtomicMeasure, gamma: float, points_per_interval: int = 10
     span = support.intervals[-1][1] - support.intervals[0][0]
     eta0 = 1e-2 * span
 
-    xs_all: list[float] = []
-    vs_all: list[complex] = []
-    vp_all: list[complex] = []
-    ids_all: list[int] = []
-    width_all: list[float] = []
-    dropped: list[tuple[float, str]] = []
+    cells = np.array([(hi - lo) / points_per_interval for lo, hi in support.intervals])
+    xs = np.concatenate([lo + (np.arange(points_per_interval) + 0.5) * cell
+                         for (lo, _), cell in zip(support.intervals, cells)])
+    ids = np.repeat(np.arange(cells.size), points_per_interval)
 
-    v_carry: complex | None = None
-    for j, (lo, hi) in enumerate(support.intervals):
-        cell = (hi - lo) / points_per_interval
-        xs = lo + (np.arange(points_per_interval) + 0.5) * cell
-        for x in xs:
-            try:
-                v_start = v_carry if v_carry is not None else None
-                v = solve_silverstein(H, gamma, complex(x, eta0), v0=v_start, tol=1e-10)
-                v_final, resid_final, _ = solve_real_limit(H, gamma, float(x), v,
-                                                           eta0 * 0.5, eps1)
-                if resid_final > _CONVERGED_RESID or v_final.imag < -1e-10:
-                    dropped.append((float(x), f"residual {resid_final:.2e}"))
-                    continue
-                vp = derivative_map(H, gamma, v_final)
-            except (SilversteinError, ValueError) as exc:
-                dropped.append((float(x), str(exc)))
-                continue
-            xs_all.append(float(x))
-            vs_all.append(v_final)
-            vp_all.append(vp)
-            ids_all.append(j)
-            width_all.append(cell)
-            v_carry = v_final
-
-    if not xs_all:
+    v_start, failed = _solve(H, gamma, xs + 1j * eta0, None, 1e-10)
+    ok = np.setdiff1d(np.arange(xs.size), list(failed))
+    v = np.full(xs.size, np.nan, dtype=complex)
+    vp = np.full(xs.size, np.nan, dtype=complex)
+    v[ok], vp[ok], failed_real = _real_points(H, gamma, xs[ok], v_start[ok], eta0 * 0.5, eps1,
+                                              -1e-10)
+    failed.update({ok[i]: reason for i, reason in failed_real.items()})
+    if len(failed) == xs.size:
         raise SilversteinError("all grid points failed to converge")
+    keep = np.setdiff1d(np.arange(xs.size), list(failed))
+    edge_samples, edge_failures = _edge_samples(H, gamma, xs[keep], v[keep], ids[keep],
+                                                support, eps1)
     # fraction of zero sample eigenvalues: population null directions plus
     # any rank deficit when the dimension exceeds the sample size
     w0 = float(np.sum(H.weights[H.atoms == 0.0]))
     atom0 = max(0.0, 1.0 - min(1.0 - w0, 1.0 / gamma))
     return StieltjesCurve(
         gamma=gamma,
-        grid=np.array(xs_all),
-        v=np.array(vs_all),
-        v_prime=np.array(vp_all),
+        grid=xs[keep],
+        v=v[keep],
+        v_prime=vp[keep],
         support=support,
-        interval_id=np.array(ids_all),
-        cell_widths=np.array(width_all),
-        dropped=dropped,
+        interval_id=ids[keep],
+        cell_widths=cells[ids[keep]],
+        dropped=[(float(xs[i]), failed[i]) for i in sorted(failed)],
         epsilon=epsilon,
         atom_at_zero=atom0,
+        edge_samples=edge_samples,
+        edge_failures=edge_failures,
     )
 
 

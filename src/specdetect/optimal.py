@@ -25,9 +25,10 @@ from .kernel import (
     efficacy_report,
     solve_collocation,
     solve_diagreg,
+    solve_regularized,
 )
 from .measures import AtomicMeasure
-from .mp import StieltjesCurve, stieltjes_grid
+from .mp import StieltjesCurve, SupportSet, stieltjes_grid
 from .weak_derivative import (
     SignedMeasureCdf,
     SpikeClassification,
@@ -215,6 +216,25 @@ def _prepare(model: SpikedModel, config: AlgoConfig,
     return curve
 
 
+def surrogate_spike(model: SpikedModel, classification: SpikeClassification,
+                    config: AlgoConfig, support: SupportSet) -> float | None:
+    """Location s_minus of the subcritical surrogate that replaces G1, or None.
+
+    The rule fires for a single supercritical spike (h = 1) whose sample
+    location lies above the top edge and whose location is below s_plus:
+    just past the uppermost threshold the n^-1/2 bump width badly
+    overstates the actual fluctuation of the escaping eigenvalue.  A
+    spike escaping below the bulk keeps its bump.
+    """
+    if model.h != 1 or model.G1.n_atoms != 1 or not classification.any_supercritical:
+        return None
+    a_pt = support.upper_pt_threshold
+    rec = classification.supercritical[0]
+    if rec.psi > support.intervals[-1][1] and rec.location < config.s_plus(model.gamma, a_pt):
+        return config.s_minus(a_pt)
+    return None
+
+
 def lss_above_pt(model: SpikedModel, classification: SpikeClassification,
                  config: AlgoConfig, curve: StieltjesCurve) -> LssFunction:
     """Bump statistic for spikes whose sample location escapes the bulk.
@@ -285,21 +305,13 @@ def optimal_lss(model: SpikedModel, config: AlgoConfig | None = None,
     cls1 = classify_spikes(model.H, model.gamma, model.G1, curve.support)
 
     if cls1.any_supercritical:
-        a_pt = curve.support.upper_pt_threshold
-        if model.h == 1 and model.G1.n_atoms == 1:
-            # surrogate rule for a single spike just past the uppermost
-            # threshold, where the n^-1/2 bump width badly overstates the
-            # actual fluctuation of the escaping eigenvalue
-            rec = cls1.supercritical[0]
-            top_edge = curve.support.intervals[-1][1]
-            s1 = float(model.G1.atoms[0])
-            if rec.psi > top_edge and s1 < config.s_plus(model.gamma, a_pt):
-                surrogate = AtomicMeasure.point_mass(config.s_minus(a_pt))
-                sub_model = replace(model, G1=surrogate)
-                phi, _ = _below_pt(sub_model, config, curve)
-                report = efficacy_report(math.inf, 0.0, config.alpha,
-                                         regime=REGIME_SUPERCRITICAL)
-                return phi, report
+        s_sur = surrogate_spike(model, cls1, config, curve.support)
+        if s_sur is not None:
+            sub_model = replace(model, G1=AtomicMeasure.point_mass(s_sur))
+            phi, _ = _below_pt(sub_model, config, curve)
+            report = efficacy_report(math.inf, 0.0, config.alpha,
+                                     regime=REGIME_SUPERCRITICAL)
+            return phi, report
         phi = lss_above_pt(model, cls1, config, curve)
         report = efficacy_report(math.inf, 0.0, config.alpha, regime=REGIME_SUPERCRITICAL)
         return phi, report
@@ -356,12 +368,10 @@ def optimal_ls3(model: SpikedModel, config: AlgoConfig | None = None,
     def project(u: np.ndarray) -> np.ndarray:
         return u - d_vec * (d_vec @ u) / d_norm2
 
-    A = K.entries - np.outer(d_vec, d_vec @ K.entries) / d_norm2
-    A = A - (A @ np.outer(d_vec, d_vec)) / d_norm2
-    A = A + K.ridge * np.eye(K.size)
-    rhs = -project(sq * delta.cdf)
-    u = np.linalg.solve(A, rhs)
-    u = project(u)
+    # the projected system (P K P + r I) u = -P b with P = I - d d^T/|d|^2
+    # is (K + r I) u = -P b + lam d with d^T u = 0: one factor, two columns
+    u_b, u_d = solve_regularized(K, np.column_stack([-project(sq * delta.cdf), d_vec])).T
+    u = project(u_b - (d_vec @ u_b) / (d_vec @ u_d) * u_d)
     g = u / sq
     phi = integrate_derivative(curve, g)
     report = _report_from_g(K, g, delta, model.h, config.alpha)

@@ -18,7 +18,8 @@ from scipy.linalg import cho_factor, cho_solve, toeplitz
 from .kernel import assemble_diagreg
 from .measures import AtomicMeasure
 from .mp import stieltjes_grid
-from .optimal import AlgoConfig, LssFunction, SpikedModel, integrate_derivative, lss_above_pt, optimal_lss
+from .optimal import (AlgoConfig, LssFunction, SpikedModel, integrate_derivative, lss_above_pt,
+                      optimal_lss, surrogate_spike)
 from .weak_derivative import classify_spikes, delta_diff
 
 __all__ = [
@@ -222,7 +223,7 @@ def power_experiment(config: SimConfig, algo: AlgoConfig | None = None) -> Power
     curve = stieltjes_grid(H, gamma, points_per_interval=algo.points_per_interval,
                            epsilon=algo.epsilon)
     K = assemble_diagreg(curve, c1=algo.c1, ridge_coeff=algo.ridge_coeff)
-    cho = cho_factor(K.entries + K.ridge * np.eye(K.size), lower=True)
+    cho = cho_factor(K.regularized(), lower=True)
     sq = np.sqrt(K.weights)
     G0 = AtomicMeasure.point_mass(config.null_spike)
     cls_null = classify_spikes(H, gamma, G0, curve.support)
@@ -235,9 +236,9 @@ def power_experiment(config: SimConfig, algo: AlgoConfig | None = None) -> Power
         model = SpikedModel(H=H, G0=G0, G1=G1, gamma=gamma, h=h, n=config.n)
         cls1 = classify_spikes(H, gamma, G1, curve.support)
         if cls1.any_supercritical:
-            if h == 1 and spike < algo.s_plus(gamma, a_pt):
-                G1s = AtomicMeasure.point_mass(algo.s_minus(a_pt))
-                delta = delta_diff(H, G0, G1s, gamma, curve)
+            s_sur = surrogate_spike(model, cls1, algo, curve.support)
+            if s_sur is not None:
+                delta = delta_diff(H, G0, AtomicMeasure.point_mass(s_sur), gamma, curve)
                 g = cho_solve(cho, -sq * delta.cdf) / sq
                 return integrate_derivative(curve, g), True
             return lss_above_pt(model, cls1, algo, curve), True

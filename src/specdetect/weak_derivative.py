@@ -330,42 +330,13 @@ def _edge_refinements(H: AtomicMeasure, G: AtomicMeasure, gamma: float,
                       curve: StieltjesCurve) -> tuple[dict, list[str]]:
     """Density samples at sub-cell distances from each support edge.
 
-    The boundary value of v exists up to the edges; three direct solves
-    per edge pin down the tail of the singular density far better than
-    extrapolation from the grid.  Failures are recorded and skipped.
+    Evaluates s from the v and v' the curve stored at each edge
+    (``curve.edge_samples``); edges whose samples failed are recorded as
+    gaps and left unrefined.
     """
-    from .mp import solve_real_limit  # local import to avoid cycle at module load
-
-    refinements: dict = {}
-    gaps: list[str] = []
-    eps1 = max(1e-8, 1e-2 * curve.epsilon)
-    for j in range(curve.n_intervals):
-        sl = curve.interval_slice(j)
-        lo, hi = curve.support.intervals[j]
-        for side, edge, idx in (("lo", lo, sl.start), ("hi", hi, sl.stop - 1)):
-            x_near = curve.grid[idx]
-            h_edge = abs(x_near - edge)
-            dists = h_edge * np.array([1.0 / 64.0, 1.0 / 16.0, 1.0 / 4.0])
-            vals = []
-            v_warm = curve.v[idx]
-            ok = True
-            for dist in dists[::-1]:  # walk toward the edge, warm starting
-                x = edge + dist if side == "lo" else edge - dist
-                try:
-                    v, resid, _ = solve_real_limit(H, gamma, float(x), v_warm,
-                                                   eta0=dist, eps1=eps1)
-                    if resid > 1e-8 or v.imag < 0:
-                        raise ValueError(f"residual {resid:.2e}")
-                    vp = derivative_map(H, gamma, v)
-                    s = -gamma * vp * _nu_integral(H, G, np.array([v]))[0]
-                    vals.append(s.imag / math.pi)
-                    v_warm = v
-                except Exception as exc:
-                    gaps.append(f"edge refinement failed at x={x:.6g}: {exc}")
-                    ok = False
-                    break
-            if ok:
-                refinements[(j, side)] = (dists, np.array(vals[::-1]))
+    refinements = {key: (dists, (-gamma * vp * _nu_integral(H, G, v)).imag / math.pi)
+                   for key, (dists, v, vp) in curve.edge_samples.items()}
+    gaps = [f"edge refinement failed at x={x:.6g}: {reason}" for x, reason in curve.edge_failures]
     return refinements, gaps
 
 

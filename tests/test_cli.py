@@ -48,7 +48,7 @@ class TestSpectrum:
             "points_per_interval": 120,
         })
         out = tmp_path / "out"
-        assert run_cli(["spectrum", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+        assert run_cli(["spectrum", "--config", cfg, "--out", str(out)]) == 0
         assert len(read_json(out / "support.json")["intervals"]) == 2
 
     def test_missing_weights_exits_2(self, tmp_path, capsys):
@@ -202,6 +202,18 @@ class TestManifestReplay:
         b = (out2 / "stieltjes_curve.csv").read_bytes()
         assert a == b
         assert (out1 / "support.json").read_bytes() == (out2 / "support.json").read_bytes()
+
+    def test_manifest_records_the_config_that_ran(self, tmp_path):
+        cfg = write_config(tmp_path / "sim.json", {"eigenvalues": [1.0] * 10, "n": 20, "seed": 1})
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert run_cli(["simulate", "--config", cfg, "--out", str(out1), "--seed", "7"]) == 0
+        manifest = read_json(out1 / "manifest.json")
+        assert manifest["config"]["seed"] == 7
+        # the recorded config replays the run without the override
+        replay_cfg = write_config(tmp_path / "replay.json", manifest["config"])
+        assert run_cli(["simulate", "--config", replay_cfg, "--out", str(out2)]) == 0
+        a = (out1 / "sample_eigenvalues.csv").read_bytes()
+        assert a == (out2 / "sample_eigenvalues.csv").read_bytes()
 
 
 class TestEntryPoint:

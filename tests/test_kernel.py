@@ -50,6 +50,19 @@ class TestAssembly:
             1e-4 * np.trace(mp_kernel.entries) / mp_kernel.size)
         assert mp_kernel.diag_rule["c1"] == 1.5
 
+    def test_in_place_solve_matches_dense_and_restores_entries(self, two_atom_curve_01):
+        # the split two-atom kernel is indefinite, so this also covers a
+        # matrix that Cholesky would reject
+        from specdetect.kernel import solve_regularized
+
+        K = sd.assemble_diagreg(two_atom_curve_01)
+        before = K.entries.copy()
+        rhs = np.random.default_rng(3).standard_normal((K.size, 2))
+        u = solve_regularized(K, rhs)
+        assert np.array_equal(K.entries, before)
+        dense = np.linalg.solve(before + K.ridge * np.eye(K.size), rhs)
+        assert np.max(np.abs(u - dense)) <= 1e-10 * np.max(np.abs(dense))
+
     def test_ridged_matrix_psd(self, mp_kernel):
         eigs = np.linalg.eigvalsh(mp_kernel.entries + mp_kernel.ridge * np.eye(mp_kernel.size))
         assert eigs[0] >= -1e-8 * np.trace(mp_kernel.entries)

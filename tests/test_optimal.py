@@ -5,6 +5,7 @@ import pytest
 
 import specdetect as sd
 from oracles import mad, normalize_curve, omh_lss
+from specdetect.optimal import surrogate_spike
 
 
 GAMMA = 0.5
@@ -312,3 +313,20 @@ class TestScaleInvariantVariant:
         phi, rep = sd.optimal_ls3(unit_model_factory(3.0, n=500), CFG)
         assert rep.regime == "supercritical-full-power"
         assert rep.power == 1.0
+
+
+class TestSurrogateRule:
+    """The one rule that optimal_lss and power_experiment share."""
+
+    @pytest.mark.parametrize("spike, expected", [(1.8, 0.99 * (1 + math.sqrt(0.5))),
+                                                 (3.0, None), (0.2, None)])
+    def test_fires_only_just_above_the_upper_threshold(self, mp_unit, mp_curve, spike, expected):
+        model = sd.SpikedModel(H=mp_unit, G0=mp_unit, G1=sd.AtomicMeasure.point_mass(spike),
+                               gamma=0.5)
+        cls1 = sd.classify_spikes(mp_unit, 0.5, model.G1, mp_curve.support)
+        assert cls1.any_supercritical
+        got = surrogate_spike(model, cls1, sd.AlgoConfig(), mp_curve.support)
+        if expected is None:
+            assert got is None
+        else:
+            assert got == pytest.approx(expected, rel=1e-8)

@@ -177,3 +177,23 @@ class TestPowerExperiment:
         se = math.sqrt(0.05 * 0.95 / cfg.n_reps)
         assert abs(curve.realized_level_top - 0.05) <= 3 * se
         assert 0.0 <= curve.power_lss[0] <= 1.0
+
+    def test_downward_spike_gets_the_bump_optimal_lss_builds(self):
+        # spike 0.2 escapes below the unit bulk (psi = 0.075 < 0.0858): the
+        # surrogate rule is for spikes past the upper edge only, so the
+        # sweep must build the same bump as optimal_lss.  The upward
+        # surrogate has no power here (0.0); the bump, whose half-width
+        # reaches into the bulk edge, detects the spike most of the time
+        cfg = sd.SimConfig(
+            population={"kind": "atoms", "eigenvalues": [1.0], "multiplicities": [249]},
+            n=500, n_reps=100, alpha=0.05, seed=31, spike_grid=(0.2,),
+        )
+        H = sd.AtomicMeasure.uniform(cfg.bulk_eigenvalues())
+        model = sd.SpikedModel(H=H, G0=sd.AtomicMeasure.point_mass(1.0),
+                               G1=sd.AtomicMeasure.point_mass(0.2), gamma=cfg.gamma, n=cfg.n)
+        phi, report = sd.optimal_lss(model)
+        assert report.regime == "supercritical-full-power"
+        assert "epanechnikov-bump" in phi.segments
+        curve = sd.power_experiment(cfg)
+        assert curve.supercritical[0]
+        assert curve.power_lss[0] >= 0.5

@@ -75,7 +75,7 @@ def _algo_config(config: dict, solver_override: str | None) -> AlgoConfig:
         kwargs["solver"] = solver_override
     try:
         return AlgoConfig(**kwargs)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid algorithm config: {exc}")
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import solve
 
 from .mp import StieltjesCurve
 from .weak_derivative import SignedMeasureCdf
@@ -40,7 +40,7 @@ REGIME_SUPERCRITICAL = "supercritical-full-power"
 # package's import time for these two calls
 _STD_NORMAL = NormalDist()
 
-# rows per block when the kernel matrix is built or restored: the block
+# rows per block when the kernel matrix is built: the block
 # temporaries stay at 64 x N, so the matrix itself is the only N x N array
 _ROWS = 64
 
@@ -183,31 +183,11 @@ class SolvedDerivative:
 def solve_regularized(K: KernelMatrix, rhs: np.ndarray) -> np.ndarray:
     """Solve (K + r I) u = rhs for one right-hand side or a column of them.
 
-    K is symmetric, so its transpose is the same matrix in Fortran order.
-    LAPACK's symmetric indefinite solver factors that in place from one
-    triangle and leaves the strict other triangle intact, which then
-    restores the entries: no second N x N array is made.
+    K is symmetric but may be indefinite (a split support gives negative
+    eigenvalues below the ridge), so this uses the symmetric indefinite
+    factorization, not Cholesky.
     """
-    A = K.entries
-    n = A.shape[0]
-    diag = A.diagonal().copy()
-    A[np.diag_indices(n)] += K.ridge
-    try:
-        lwork = int(lapack.dsysv_lwork(n, lower=1)[0])
-        _, _, u, info = lapack.dsysv(A.T, rhs, lwork=lwork, lower=1, overwrite_a=1)
-    finally:
-        # the factor overwrote the upper triangle and the diagonal: mirror
-        # the intact lower triangle back and put the saved diagonal back
-        for r0 in range(0, n, _ROWS):
-            r1 = min(r0 + _ROWS, n)
-            A[r0:r1, r1:] = A[r1:, r0:r1].T
-            block = A[r0:r1, r0:r1]
-            upper = np.triu_indices(r1 - r0, 1)
-            block[upper] = block.T[upper]
-        A[np.diag_indices(n)] = diag
-    if info != 0:  # pragma: no cover - the ridge prevents a singular system
-        raise RuntimeError(f"regularized kernel system is singular (LAPACK info {info})")
-    return u
+    return solve(K.regularized(), rhs, assume_a="sym", overwrite_a=True)
 
 
 def solve_diagreg(K: KernelMatrix, delta: SignedMeasureCdf) -> SolvedDerivative:
@@ -327,6 +307,8 @@ class EfficacyReport:
 
 def power_from_efficacy(theta: float, alpha: float) -> float:
     """Asymptotic power Phi(z_alpha + theta), z_alpha the alpha quantile."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
     if math.isinf(theta):
         return 1.0
     return _STD_NORMAL.cdf(_STD_NORMAL.inv_cdf(alpha) + abs(theta))

@@ -95,6 +95,10 @@ class AlgoConfig:
     collocation_nodes: int = 150
     alpha: float = 0.05
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha must be in (0, 1)")
+
     @property
     def epsilon1(self) -> float:
         return max(1e-8, self.c0 * self.epsilon)

@@ -112,6 +112,19 @@ class TestOptimalLss:
         ours = ours / np.max(np.abs(ours))
         assert float(np.mean(np.abs(ours - ref))) <= 1e-2
 
+    def test_alpha_outside_unit_interval_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "lss.json", {
+            "H": {"atoms": [1.0], "weights": [1.0]},
+            "G0": {"atoms": [1.0], "weights": [1.0]},
+            "G1": {"atoms": [1.6], "weights": [1.0]},
+            "gamma": 0.5,
+            "config": {"alpha": 1.0},
+        })
+        out = tmp_path / "out"
+        assert run_cli(["optimal-lss", "--config", cfg, "--out", str(out)]) == 2
+        assert "alpha must be in (0, 1)" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
 
 class TestClassical:
     def test_list_prints_all_ten(self, capsys):

@@ -50,12 +50,13 @@ class TestAssembly:
             1e-4 * np.trace(mp_kernel.entries) / mp_kernel.size)
         assert mp_kernel.diag_rule["c1"] == 1.5
 
-    def test_in_place_solve_matches_dense_and_restores_entries(self, two_atom_curve_01):
+    def test_regularized_solve_matches_dense_on_indefinite_kernel(self, two_atom_curve_01):
         # the split two-atom kernel is indefinite, so this also covers a
         # matrix that Cholesky would reject
         from specdetect.kernel import solve_regularized
 
         K = sd.assemble_diagreg(two_atom_curve_01)
+        assert np.linalg.eigvalsh(K.entries)[0] < -100 * K.ridge
         before = K.entries.copy()
         rhs = np.random.default_rng(3).standard_normal((K.size, 2))
         u = solve_regularized(K, rhs)

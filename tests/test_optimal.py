@@ -5,6 +5,7 @@ import pytest
 
 import specdetect as sd
 from oracles import mad, normalize_curve, omh_lss
+from specdetect.kernel import power_from_efficacy
 from specdetect.optimal import surrogate_spike
 
 
@@ -44,6 +45,13 @@ class TestConfig:
         a_pt = 1 + math.sqrt(GAMMA)
         assert cfg.s_minus(a_pt) == pytest.approx(0.99 * a_pt)
         assert cfg.s_plus(GAMMA, a_pt) == pytest.approx(0.75 * (1 + math.sqrt(GAMMA)) * a_pt)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be in"):
+            sd.AlgoConfig(alpha=alpha)
+        with pytest.raises(ValueError, match="alpha must be in"):
+            power_from_efficacy(1.0, alpha)
 
 
 class TestSpikedModel:
@@ -300,6 +308,28 @@ class TestScaleInvariantVariant:
         dd = K.inner(kinv_d, d_vec)
         predicted = math.sqrt(max(rep_u.efficacy**2 - cross**2 / dd, 0.0))
         assert rep_s.efficacy == pytest.approx(predicted, rel=0.05)
+
+    def test_matches_dense_projected_solve_on_indefinite_kernel(self):
+        # unit-mean two-atom bulk: its split-support kernel has negative
+        # eigenvalues far below the ridge, where (K + r I) is indefinite
+        H = sd.AtomicMeasure(np.array([0.5, 1.5]), np.array([0.5, 0.5]))
+        curve = sd.stieltjes_grid(H, 0.1, points_per_interval=600)
+        K = sd.assemble_diagreg(curve)
+        assert np.linalg.eigvalsh(K.entries)[0] < -100 * K.ridge
+        model = sd.SpikedModel(H=H, G0=H, G1=sd.AtomicMeasure.point_mass(1.8), gamma=0.1)
+        phi, rep = sd.optimal_ls3(model, CFG, curve=curve)
+        assert rep.regime == "subcritical-solvable"
+        # the projected system (P K P + r I) u = -P b, solved densely
+        delta = sd.delta_diff(H, H, model.G1, 0.1, curve)
+        sq = np.sqrt(K.weights)
+        d_vec = sq * curve.grid * curve.density
+        P = np.eye(K.size) - np.outer(d_vec, d_vec) / (d_vec @ d_vec)
+        u = P @ np.linalg.solve(P @ K.entries @ P + K.ridge * np.eye(K.size),
+                                -P @ (sq * delta.cdf))
+        g = u / sq
+        assert np.max(np.abs(phi.derivative - g)) <= 1e-10 * np.max(np.abs(g))
+        mu = -model.h * K.inner(g, delta.cdf)
+        assert rep.efficacy == pytest.approx(mu / math.sqrt(K.quadratic_form(g)), rel=1e-10)
 
     def test_rescales_nonunit_mean(self, two_atom):
         # population mean 2: the variant standardizes internally

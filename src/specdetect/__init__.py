@@ -24,7 +24,6 @@ from .kernel import (
     KernelMatrix,
     SolvedDerivative,
     assemble_diagreg,
-    kernel_eval,
     lss_moments,
     solve_collocation,
     solve_diagreg,

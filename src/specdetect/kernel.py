@@ -26,7 +26,6 @@ __all__ = [
     "KernelMatrix",
     "EfficacyReport",
     "SolvedDerivative",
-    "kernel_eval",
     "assemble_diagreg",
     "solve_diagreg",
     "solve_collocation",
@@ -43,29 +42,6 @@ _STD_NORMAL = NormalDist()
 # rows per block when the kernel matrix is built: the block
 # temporaries stay at 64 x N, so the matrix itself is the only N x N array
 _ROWS = 64
-
-
-def _kernel_from_v(vx: complex, vy: complex) -> float:
-    num = 4.0 * vx.imag * vy.imag
-    den = abs(vx - vy) ** 2
-    if den == 0.0:
-        return math.inf
-    return math.log1p(num / den) / (2.0 * math.pi**2)
-
-
-def kernel_eval(curve: StieltjesCurve, x: float, y: float) -> float:
-    """Kernel value at (x, y) using nearest-grid lookups of v.
-
-    Returns 0 when either argument is outside the support; raises on the
-    diagonal, where the caller must apply a diagonal rule.
-    """
-    if x == y:
-        raise ValueError("kernel is singular on the diagonal; use a diagonal rule")
-    if not curve.support.contains(x) or not curve.support.contains(y):
-        return 0.0
-    vx = curve.v[curve.nearest_index(x)]
-    vy = curve.v[curve.nearest_index(y)]
-    return _kernel_from_v(vx, vy)
 
 
 @dataclass
@@ -101,16 +77,6 @@ class KernelMatrix:
         A = self.entries.copy()
         A[np.diag_indices_from(A)] += self.ridge
         return A
-
-    def to_rows(self):
-        for i in range(self.size):
-            yield self.entries[i, :].tolist()
-
-    def to_csv(self, path) -> None:
-        """Dump the full matrix for inspection, one grid row per line."""
-        from .io import write_csv
-
-        write_csv(path, [f"x={format(x, '.8g')}" for x in self.grid], self.to_rows())
 
 
 def _weighted_kernel_matrix(curve: StieltjesCurve, c1: float, sq: np.ndarray) -> np.ndarray:

@@ -29,7 +29,6 @@ __all__ = [
     "derivative_map",
     "support_intervals",
     "stieltjes_grid",
-    "esd_density",
     "esd_moment",
     "esd_expectation",
     "forward_moments",
@@ -533,9 +532,6 @@ class StieltjesCurve:
     def n_intervals(self) -> int:
         return len(self.support.intervals)
 
-    def nearest_index(self, x: float) -> int:
-        return int(np.argmin(np.abs(self.grid - x)))
-
     def to_rows(self):
         """Rows for CSV export: x, re_v, im_v, re_vp, im_vp, in_support."""
         for i in range(self.grid.size):
@@ -667,10 +663,6 @@ def stieltjes_grid(H: AtomicMeasure, gamma: float, points_per_interval: int = 10
 # ----------------------------------------------------------------------
 # integration against the limiting distribution
 # ----------------------------------------------------------------------
-
-def esd_density(curve: StieltjesCurve) -> np.ndarray:
-    return curve.density
-
 
 def _interval_quad(curve: StieltjesCurve, values: np.ndarray) -> float:
     """Trapezoid of ``values`` over the grid, intervals closed by zero anchors."""

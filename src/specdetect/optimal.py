@@ -11,16 +11,15 @@ identity-direction D(x) = x * density(x).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .kernel import (
-    REGIME_SUBCRITICAL,
     REGIME_SUPERCRITICAL,
     EfficacyReport,
     KernelMatrix,
-    SolvedDerivative,
     assemble_diagreg,
     efficacy_report,
     solve_collocation,
@@ -194,32 +193,6 @@ def integrate_derivative(curve: StieltjesCurve, g: np.ndarray) -> LssFunction:
     )
 
 
-def _solve_derivative(curve: StieltjesCurve, K: KernelMatrix, delta: SignedMeasureCdf,
-                      config: AlgoConfig) -> SolvedDerivative:
-    if config.solver == "diagreg":
-        return solve_diagreg(K, delta)
-    if config.solver == "collocation":
-        return solve_collocation(curve, delta, coarse_grid_size=config.collocation_nodes,
-                                 epsilon1=config.epsilon1, c1=config.c1)
-    raise ValueError(f"unknown solver '{config.solver}'")
-
-
-def _report_from_g(K: KernelMatrix, g: np.ndarray, delta: SignedMeasureCdf, h: int,
-                   alpha: float, regime: str = REGIME_SUBCRITICAL) -> EfficacyReport:
-    mu = -h * K.inner(g, delta.cdf)
-    sigma2 = K.quadratic_form(g)
-    return efficacy_report(mu, sigma2, alpha, regime=regime)
-
-
-def _prepare(model: SpikedModel, config: AlgoConfig,
-             curve: StieltjesCurve | None) -> StieltjesCurve:
-    if curve is None:
-        curve = stieltjes_grid(model.H, model.gamma,
-                               points_per_interval=config.points_per_interval,
-                               epsilon=config.epsilon)
-    return curve
-
-
 def surrogate_spike(model: SpikedModel, classification: SpikeClassification,
                     config: AlgoConfig, support: SupportSet) -> float | None:
     """Location s_minus of the subcritical surrogate that replaces G1, or None.
@@ -301,35 +274,7 @@ def optimal_lss(model: SpikedModel, config: AlgoConfig | None = None,
     subcritical surrogate s_minus to avoid the finite-sample power drop
     right above the threshold.
     """
-    config = config or AlgoConfig()
-    curve = _prepare(model, config, curve)
-    cls0 = classify_spikes(model.H, model.gamma, model.G0, curve.support)
-    if cls0.any_supercritical:
-        raise ValueError("null spike distribution G0 must be fully subcritical")
-    cls1 = classify_spikes(model.H, model.gamma, model.G1, curve.support)
-
-    if cls1.any_supercritical:
-        s_sur = surrogate_spike(model, cls1, config, curve.support)
-        if s_sur is not None:
-            sub_model = replace(model, G1=AtomicMeasure.point_mass(s_sur))
-            phi, _ = _below_pt(sub_model, config, curve)
-            report = efficacy_report(math.inf, 0.0, config.alpha,
-                                     regime=REGIME_SUPERCRITICAL)
-            return phi, report
-        phi = lss_above_pt(model, cls1, config, curve)
-        report = efficacy_report(math.inf, 0.0, config.alpha, regime=REGIME_SUPERCRITICAL)
-        return phi, report
-    return _below_pt(model, config, curve)
-
-
-def _below_pt(model: SpikedModel, config: AlgoConfig,
-              curve: StieltjesCurve) -> tuple[LssFunction, EfficacyReport]:
-    delta = delta_diff(model.H, model.G0, model.G1, model.gamma, curve)
-    K = assemble_diagreg(curve, c1=config.c1, ridge_coeff=config.ridge_coeff)
-    solved = _solve_derivative(curve, K, delta, config)
-    phi = integrate_derivative(curve, solved.values)
-    report = _report_from_g(K, solved.values, delta, model.h, config.alpha)
-    return phi, report
+    return _build(model, config or AlgoConfig(), curve, _configured_solve)
 
 
 def optimal_ls3(model: SpikedModel, config: AlgoConfig | None = None,
@@ -339,9 +284,14 @@ def optimal_ls3(model: SpikedModel, config: AlgoConfig | None = None,
 
     Works at the unit-mean normalization; models with a different
     population mean are rescaled internally and the returned function is
-    meant to be applied to standardized eigenvalues.
+    meant to be applied to standardized eigenvalues.  The regime and the
+    surrogate rule are those of ``optimal_lss``; the constrained system
+    has a diagreg solve only.
     """
     config = config or AlgoConfig()
+    if config.solver != "diagreg":
+        raise ValueError(f"the scale-invariant statistic has no '{config.solver}' solve; "
+                         "use solver 'diagreg'")
     m1 = model.H.moment(1)
     if abs(m1 - 1.0) > 1e-12:
         scale = 1.0 / m1
@@ -354,15 +304,56 @@ def optimal_ls3(model: SpikedModel, config: AlgoConfig | None = None,
             n=model.n,
         )
         curve = None
-    curve = _prepare(model, config, curve)
+    return _build(model, config, curve, _projected_solve)
+
+
+def _build(model: SpikedModel, config: AlgoConfig, curve: StieltjesCurve | None,
+           solve: Callable[[StieltjesCurve, KernelMatrix, SignedMeasureCdf, AlgoConfig],
+                           np.ndarray]) -> tuple[LssFunction, EfficacyReport]:
+    """The statistic path shared by ``optimal_lss`` and ``optimal_ls3``.
+
+    Builds the curve when none is given, rejects a supercritical G0 and
+    decides the regime from G1.  Below the transition, and for the
+    surrogate that replaces a spike just above it, ``solve`` returns the
+    derivative from the kernel system and it is integrated; any other
+    supercritical G1 gets the bump construction.
+    """
+    if curve is None:
+        curve = stieltjes_grid(model.H, model.gamma,
+                               points_per_interval=config.points_per_interval,
+                               epsilon=config.epsilon)
+    if classify_spikes(model.H, model.gamma, model.G0, curve.support).any_supercritical:
+        raise ValueError("null spike distribution G0 must be fully subcritical")
     cls1 = classify_spikes(model.H, model.gamma, model.G1, curve.support)
     if cls1.any_supercritical:
-        phi = lss_above_pt(model, cls1, config, curve)
         report = efficacy_report(math.inf, 0.0, config.alpha, regime=REGIME_SUPERCRITICAL)
-        return phi, report
+        s_sur = surrogate_spike(model, cls1, config, curve.support)
+        if s_sur is None:
+            return lss_above_pt(model, cls1, config, curve), report
+        model = replace(model, G1=AtomicMeasure.point_mass(s_sur))
 
     delta = delta_diff(model.H, model.G0, model.G1, model.gamma, curve)
     K = assemble_diagreg(curve, c1=config.c1, ridge_coeff=config.ridge_coeff)
+    g = solve(curve, K, delta, config)
+    if not cls1.any_supercritical:
+        report = efficacy_report(-model.h * K.inner(g, delta.cdf), K.quadratic_form(g),
+                                 config.alpha)
+    return integrate_derivative(curve, g), report
+
+
+def _configured_solve(curve: StieltjesCurve, K: KernelMatrix, delta: SignedMeasureCdf,
+                      config: AlgoConfig) -> np.ndarray:
+    if config.solver == "diagreg":
+        return solve_diagreg(K, delta).values
+    if config.solver == "collocation":
+        return solve_collocation(curve, delta, coarse_grid_size=config.collocation_nodes,
+                                 epsilon1=config.epsilon1, c1=config.c1).values
+    raise ValueError(f"unknown solver '{config.solver}'")
+
+
+def _projected_solve(curve: StieltjesCurve, K: KernelMatrix, delta: SignedMeasureCdf,
+                     config: AlgoConfig) -> np.ndarray:
+    """Derivative of the equation projected off the identity direction D."""
     sq = np.sqrt(K.weights)
     d_vec = sq * curve.grid * curve.density
     d_norm2 = float(d_vec @ d_vec)
@@ -376,7 +367,4 @@ def optimal_ls3(model: SpikedModel, config: AlgoConfig | None = None,
     # is (K + r I) u = -P b + lam d with d^T u = 0: one factor, two columns
     u_b, u_d = solve_regularized(K, np.column_stack([-project(sq * delta.cdf), d_vec])).T
     u = project(u_b - (d_vec @ u_b) / (d_vec @ u_d) * u_d)
-    g = u / sq
-    phi = integrate_derivative(curve, g)
-    report = _report_from_g(K, g, delta, model.h, config.alpha)
-    return phi, report
+    return u / sq

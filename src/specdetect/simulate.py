@@ -3,9 +3,9 @@
 Data are drawn in the population eigenbasis (the eigenvalue distribution
 of the sample covariance is rotation invariant), null critical values are
 empirical quantiles from a calibration half of the null replicates, and
-power is the rejection fraction on alternative replicates.  The bump/
-integral-equation statistic is rebuilt per alternative spike while the
-bulk curve and kernel factorization are shared across the sweep.
+power is the rejection fraction on alternative replicates.  Each
+alternative spike's statistic is built by ``optimal_lss`` on the one
+bulk curve that the sweep shares.
 """
 from __future__ import annotations
 
@@ -13,14 +13,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, toeplitz
+# cho_factor and cho_solve are unused here; perfbench/spans.py looks both
+# names up on this module, so they stay until its span list drops them
+from scipy.linalg import cho_factor, cho_solve, toeplitz  # noqa: F401
 
-from .kernel import assemble_diagreg
+from .kernel import REGIME_SUPERCRITICAL
 from .measures import AtomicMeasure
 from .mp import stieltjes_grid
-from .optimal import (AlgoConfig, LssFunction, SpikedModel, integrate_derivative, lss_above_pt,
-                      optimal_lss, surrogate_spike)
-from .weak_derivative import classify_spikes, delta_diff
+from .optimal import AlgoConfig, LssFunction, SpikedModel, optimal_lss
 
 __all__ = [
     "SimConfig",
@@ -222,32 +222,13 @@ def power_experiment(config: SimConfig, algo: AlgoConfig | None = None) -> Power
     gamma = config.gamma
     curve = stieltjes_grid(H, gamma, points_per_interval=algo.points_per_interval,
                            epsilon=algo.epsilon)
-    K = assemble_diagreg(curve, c1=algo.c1, ridge_coeff=algo.ridge_coeff)
-    cho = cho_factor(K.regularized(), lower=True)
-    sq = np.sqrt(K.weights)
     G0 = AtomicMeasure.point_mass(config.null_spike)
-    cls_null = classify_spikes(H, gamma, G0, curve.support)
-    if cls_null.any_supercritical:
-        raise ValueError("null spike is supercritical; the null model is misspecified")
-    a_pt = curve.support.upper_pt_threshold
-
-    def build_phi(spike: float) -> tuple[LssFunction, bool]:
-        G1 = AtomicMeasure.point_mass(spike)
-        model = SpikedModel(H=H, G0=G0, G1=G1, gamma=gamma, h=h, n=config.n)
-        cls1 = classify_spikes(H, gamma, G1, curve.support)
-        if cls1.any_supercritical:
-            s_sur = surrogate_spike(model, cls1, algo, curve.support)
-            if s_sur is not None:
-                delta = delta_diff(H, G0, AtomicMeasure.point_mass(s_sur), gamma, curve)
-                g = cho_solve(cho, -sq * delta.cdf) / sq
-                return integrate_derivative(curve, g), True
-            return lss_above_pt(model, cls1, algo, curve), True
-        if algo.solver == "diagreg":
-            delta = delta_diff(H, G0, G1, gamma, curve)
-            g = cho_solve(cho, -sq * delta.cdf) / sq
-            return integrate_derivative(curve, g), False
-        phi, _ = optimal_lss(model, algo, curve=curve)
-        return phi, False
+    spikes = np.asarray(config.spike_grid, dtype=float)
+    # every statistic is built before any replicate is drawn, so a
+    # supercritical null spike fails before the sampling starts
+    built = [optimal_lss(SpikedModel(H=H, G0=G0, G1=AtomicMeasure.point_mass(float(s)),
+                                     gamma=gamma, h=h, n=config.n), algo, curve=curve)
+             for s in spikes]
 
     # replicate data: null (2x for calibration + held-out level) and per-spike alternatives
     master = np.random.SeedSequence(config.seed)
@@ -263,18 +244,16 @@ def power_experiment(config: SimConfig, algo: AlgoConfig | None = None) -> Power
     crit_top = top_info[-1]
     level_top = float(np.mean([reject_top(v) for v in lam1_null[config.n_reps:]]))
 
-    spikes = np.asarray(config.spike_grid, dtype=float)
     power_lss = np.empty_like(spikes)
     power_top = np.empty_like(spikes)
     se_lss = np.empty_like(spikes)
     se_top = np.empty_like(spikes)
     crit_lss = np.empty_like(spikes)
-    supercrit = np.zeros(spikes.size, dtype=bool)
+    supercrit = np.array([report.regime == REGIME_SUPERCRITICAL for _, report in built],
+                         dtype=bool)
     level_lss_accum = []
 
-    for i, s in enumerate(spikes):
-        phi, is_super = build_phi(float(s))
-        supercrit[i] = is_super
+    for i, (s, (phi, _)) in enumerate(zip(spikes, built)):
         t_null = np.array([apply_lss(phi, e) for e in null_eigs])
         reject_lss, lss_info = _make_rejector(t_null[:config.n_reps], config.alpha,
                                               config.two_sided)
@@ -314,7 +293,7 @@ def power_experiment(config: SimConfig, algo: AlgoConfig | None = None) -> Power
         realized_level_top=level_top,
         critical_lss=crit_lss,
         critical_top=crit_top,
-        pt_threshold=a_pt,
+        pt_threshold=curve.support.upper_pt_threshold,
         seed=config.seed,
         alpha=config.alpha,
         supercritical=supercrit,

@@ -130,14 +130,15 @@ def classify_spikes(H: AtomicMeasure, gamma: float, G: AtomicMeasure,
 # Stieltjes transform of the derivative
 # ----------------------------------------------------------------------
 
-def _nu_integral(H: AtomicMeasure, G: AtomicMeasure, v: np.ndarray) -> np.ndarray:
-    """integral t/(1+tv) d(G-H)(t) evaluated elementwise in v."""
-    out = np.zeros_like(v, dtype=complex)
+def _st_from_v(H: AtomicMeasure, G: AtomicMeasure, gamma: float, v: np.ndarray,
+               vp) -> np.ndarray:
+    """s = -gamma v' integral t/(1+tv) d(G-H)(t), elementwise in v and v'."""
+    nu = np.zeros_like(v, dtype=complex)
     for t, u in zip(G.atoms, G.weights):
-        out += u * t / (1.0 + t * v)
+        nu += u * t / (1.0 + t * v)
     for t, w in zip(H.atoms, H.weights):
-        out -= w * t / (1.0 + t * v)
-    return out
+        nu -= w * t / (1.0 + t * v)
+    return -gamma * vp * nu
 
 
 def near_pole_mask(H: AtomicMeasure, G: AtomicMeasure, curve: StieltjesCurve,
@@ -158,7 +159,7 @@ def weak_derivative_st(H: AtomicMeasure, G: AtomicMeasure, curve: StieltjesCurve
     """
     if near_pole_mask(H, G, curve, pole_tol).any():
         raise ValueError("near-pole: 1 + t*v vanished on the grid")
-    return -curve.gamma * curve.v_prime * _nu_integral(H, G, curve.v)
+    return _st_from_v(H, G, curve.gamma, curve.v, curve.v_prime)
 
 
 def weak_derivative_st_at(H: AtomicMeasure, G: AtomicMeasure, gamma: float, z: complex,
@@ -176,7 +177,7 @@ def weak_derivative_st_at(H: AtomicMeasure, G: AtomicMeasure, gamma: float, z: c
     else:
         v = solve_silverstein(H, gamma, z)
     vp = derivative_map(H, gamma, v)
-    return complex(-gamma * vp * _nu_integral(H, G, np.array([v]))[0])
+    return complex(_st_from_v(H, G, gamma, np.array([v]), vp)[0])
 
 
 def point_mass_residue(H: AtomicMeasure, G: AtomicMeasure, gamma: float, x: float,
@@ -334,7 +335,7 @@ def _edge_refinements(H: AtomicMeasure, G: AtomicMeasure, gamma: float,
     (``curve.edge_samples``); edges whose samples failed are recorded as
     gaps and left unrefined.
     """
-    refinements = {key: (dists, (-gamma * vp * _nu_integral(H, G, v)).imag / math.pi)
+    refinements = {key: (dists, _st_from_v(H, G, gamma, v, vp).imag / math.pi)
                    for key, (dists, v, vp) in curve.edge_samples.items()}
     gaps = [f"edge refinement failed at x={x:.6g}: {reason}" for x, reason in curve.edge_failures]
     return refinements, gaps
@@ -353,8 +354,7 @@ def weak_derivative_cdf(H: AtomicMeasure, G: AtomicMeasure, gamma: float,
         raise ValueError("gamma does not match the curve")
     classification = classify_spikes(H, gamma, G, curve.support)
     pole_points = near_pole_mask(H, G, curve)
-    st = -gamma * curve.v_prime * _nu_integral(H, G, curve.v)
-    dens = st.imag / math.pi
+    dens = _st_from_v(H, G, gamma, curve.v, curve.v_prime).imag / math.pi
     gaps = []
     if pole_points.any():
         # excluded from integration, never interpolated

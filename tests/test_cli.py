@@ -125,6 +125,20 @@ class TestOptimalLss:
         assert "alpha must be in (0, 1)" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    def test_scale_invariant_collocation_fails_without_output(self, tmp_path):
+        cfg = write_config(tmp_path / "lss.json", {
+            "H": {"atoms": [1.0], "weights": [1.0]},
+            "G0": {"atoms": [1.0], "weights": [1.0]},
+            "G1": {"atoms": [1.6], "weights": [1.0]},
+            "gamma": 0.5,
+            "scale_invariant": True,
+            "config": {"points_per_interval": 300},
+        })
+        out = tmp_path / "out"
+        assert run_cli(["optimal-lss", "--config", cfg, "--out", str(out),
+                        "--solver", "collocation"]) != 0
+        assert not (out / "lss.csv").exists()
+
 
 class TestClassical:
     def test_list_prints_all_ten(self, capsys):

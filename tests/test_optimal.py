@@ -344,6 +344,32 @@ class TestScaleInvariantVariant:
         assert rep.regime == "supercritical-full-power"
         assert rep.power == 1.0
 
+    def test_supercritical_null_rejected(self, mp_unit, mp_curve):
+        model = sd.SpikedModel(H=mp_unit, G0=sd.AtomicMeasure.point_mass(3.0),
+                               G1=sd.AtomicMeasure.point_mass(1.2), gamma=GAMMA)
+        with pytest.raises(ValueError, match="G0"):
+            sd.optimal_ls3(model, CFG, curve=mp_curve)
+
+    def test_collocation_rejected(self, unit_model_factory, mp_curve):
+        # the constrained system has no collocation form
+        with pytest.raises(ValueError, match="diagreg"):
+            sd.optimal_ls3(unit_model_factory(1.6), sd.AlgoConfig(solver="collocation"),
+                           curve=mp_curve)
+
+    def test_surrogate_rule_as_in_optimal_lss(self, unit_model_factory, mp_curve):
+        # 1.8 lies between the threshold 1.707 and s_plus 2.19: the
+        # surrogate is solved under the constraint instead of a bump
+        model = unit_model_factory(1.8)
+        phi, rep = sd.optimal_ls3(model, CFG, curve=mp_curve)
+        _, rep_u = sd.optimal_lss(model, CFG, curve=mp_curve)
+        assert rep.regime == rep_u.regime == "supercritical-full-power"
+        assert "epanechnikov-bump" not in phi.segments
+        K = sd.assemble_diagreg(mp_curve)
+        d_vec = mp_curve.grid * mp_curve.density
+        inner = float(np.sum(K.weights * phi.derivative * d_vec))
+        scale = float(np.linalg.norm(phi.derivative) * np.linalg.norm(d_vec))
+        assert abs(inner) <= 1e-8 * max(scale, 1.0)
+
 
 class TestSurrogateRule:
     """The one rule that optimal_lss and power_experiment share."""

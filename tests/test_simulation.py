@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import specdetect as sd
+from specdetect import simulate
 
 
 class TestAr1Eigenvalues:
@@ -197,3 +198,31 @@ class TestPowerExperiment:
         curve = sd.power_experiment(cfg)
         assert curve.supercritical[0]
         assert curve.power_lss[0] >= 0.5
+
+    def test_split_support_sweep(self):
+        # the two-interval bulk's kernel matrix is indefinite (smallest
+        # eigenvalue -8.1e-4 against a ridge of 6.3e-7), which a Cholesky
+        # factor rejects; 1.8 escapes into the gap, 2.5 stays inside
+        cfg = sd.SimConfig(
+            population={"kind": "atoms", "eigenvalues": [1.0, 3.0], "multiplicities": [125, 124]},
+            n=1250, n_reps=100, alpha=0.05, seed=7, spike_grid=(1.8, 2.5),
+            points_per_interval=300,
+        )
+        curve = sd.power_experiment(cfg)
+        assert curve.supercritical.tolist() == [True, False]
+        for arr in (curve.power_lss, curve.power_top):
+            assert ((0.0 <= arr) & (arr <= 1.0)).all()
+        assert curve.power_lss[1] > curve.power_top[1]
+
+    def test_supercritical_null_fails_before_sampling(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(simulate, "sample_eigenvalues", no_draws)
+        cfg = sd.SimConfig(
+            population={"kind": "atoms", "eigenvalues": [1.0], "multiplicities": [99]},
+            n=200, n_reps=100, alpha=0.05, seed=1, spike_grid=(1.3,), null_spike=3.0,
+            points_per_interval=300,
+        )
+        with pytest.raises(ValueError, match="G0"):
+            sd.power_experiment(cfg)

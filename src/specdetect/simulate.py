@@ -196,14 +196,20 @@ def _upper_critical(null_stats: np.ndarray, alpha: float) -> float:
 
 
 def _make_rejector(null_stats: np.ndarray, alpha: float, two_sided: bool):
-    """Rejection rule calibrated on the null sample; one-sided upper by
-    default, equal-tailed two-sided behind the flag."""
+    """Rejection rule calibrated on the null sample, applied to an array of
+    statistics; one-sided upper by default, equal-tailed two-sided behind
+    the flag."""
     if not two_sided:
         crit = _upper_critical(null_stats, alpha)
         return (lambda s: s > crit), (crit,)
     hi = _upper_critical(null_stats, alpha / 2.0)
     lo = -_upper_critical(-null_stats, alpha / 2.0)
-    return (lambda s: (s > hi) or (s < lo)), (lo, hi)
+    return (lambda s: (s > hi) | (s < lo)), (lo, hi)
+
+
+def _draw(pop: np.ndarray, n: int, seeds) -> np.ndarray:
+    """One replicate per seed: the (r, p) array of ascending sample eigenvalues."""
+    return np.array([sample_eigenvalues(pop, n, np.random.default_rng(s)) for s in seeds])
 
 
 def power_experiment(config: SimConfig, algo: AlgoConfig | None = None) -> PowerCurve:
@@ -216,6 +222,7 @@ def power_experiment(config: SimConfig, algo: AlgoConfig | None = None) -> Power
     """
     bulk = np.sort(config.bulk_eigenvalues())
     h = config.h
+    reps = config.n_reps
     algo = algo or AlgoConfig(points_per_interval=config.points_per_interval,
                               solver=config.solver)
     H = AtomicMeasure.uniform(bulk)
@@ -229,56 +236,30 @@ def power_experiment(config: SimConfig, algo: AlgoConfig | None = None) -> Power
     built = [optimal_lss(SpikedModel(H=H, G0=G0, G1=AtomicMeasure.point_mass(float(s)),
                                      gamma=gamma, h=h, n=config.n), algo, curve=curve)
              for s in spikes]
+    supercrit = np.array([report.regime == REGIME_SUPERCRITICAL for _, report in built],
+                         dtype=bool)
 
-    # replicate data: null (2x for calibration + held-out level) and per-spike alternatives
+    # null replicates: the first half calibrates, the second gives the held-out level
     master = np.random.SeedSequence(config.seed)
-    n_null = 2 * config.n_reps
-    null_seeds = master.spawn(n_null)
-    null_pop = np.concatenate([bulk, np.full(h, config.null_spike)])
-    null_eigs = [sample_eigenvalues(null_pop, config.n, np.random.default_rng(s))
-                 for s in null_seeds]
-
-    lam1_null = np.array([e[-1] for e in null_eigs])
-    reject_top, top_info = _make_rejector(lam1_null[:config.n_reps], config.alpha,
-                                          config.two_sided)
-    crit_top = top_info[-1]
-    level_top = float(np.mean([reject_top(v) for v in lam1_null[config.n_reps:]]))
+    null_eigs = _draw(np.concatenate([bulk, np.full(h, config.null_spike)]), config.n,
+                      master.spawn(2 * reps))
+    lam1_null = null_eigs[:, -1]
+    reject_top, top_info = _make_rejector(lam1_null[:reps], config.alpha, config.two_sided)
+    level_top = float(np.mean(reject_top(lam1_null[reps:])))
 
     power_lss = np.empty_like(spikes)
     power_top = np.empty_like(spikes)
-    se_lss = np.empty_like(spikes)
-    se_top = np.empty_like(spikes)
     crit_lss = np.empty_like(spikes)
-    supercrit = np.array([report.regime == REGIME_SUPERCRITICAL for _, report in built],
-                         dtype=bool)
-    level_lss_accum = []
-
+    levels = np.empty_like(spikes)
     for i, (s, (phi, _)) in enumerate(zip(spikes, built)):
-        t_null = np.array([apply_lss(phi, e) for e in null_eigs])
-        reject_lss, lss_info = _make_rejector(t_null[:config.n_reps], config.alpha,
-                                              config.two_sided)
+        t_null = phi(null_eigs).sum(axis=1)
+        reject_lss, lss_info = _make_rejector(t_null[:reps], config.alpha, config.two_sided)
         crit_lss[i] = lss_info[-1]
-        level_lss_accum.append(float(np.mean([reject_lss(v)
-                                              for v in t_null[config.n_reps:]])))
+        levels[i] = np.mean(reject_lss(t_null[reps:]))
+        alt_eigs = _draw(np.concatenate([bulk, np.full(h, s)]), config.n, master.spawn(reps))
+        power_lss[i] = np.count_nonzero(reject_lss(phi(alt_eigs).sum(axis=1))) / reps
+        power_top[i] = np.count_nonzero(reject_top(alt_eigs[:, -1])) / reps
 
-        alt_pop = np.concatenate([bulk, np.full(h, float(s))])
-        alt_seeds = master.spawn(config.n_reps)
-        rej_lss = 0
-        rej_top = 0
-        for sd in alt_seeds:
-            eigs = sample_eigenvalues(alt_pop, config.n, np.random.default_rng(sd))
-            if reject_lss(apply_lss(phi, eigs)):
-                rej_lss += 1
-            if reject_top(eigs[-1]):
-                rej_top += 1
-        p_hat = rej_lss / config.n_reps
-        q_hat = rej_top / config.n_reps
-        power_lss[i] = p_hat
-        power_top[i] = q_hat
-        se_lss[i] = math.sqrt(p_hat * (1 - p_hat) / config.n_reps)
-        se_top[i] = math.sqrt(q_hat * (1 - q_hat) / config.n_reps)
-
-    levels = np.asarray(level_lss_accum)
     # bump statistics are degenerate (identically zero) under the null, so
     # the level is meaningful only where the solve route was used
     sub = ~supercrit
@@ -287,12 +268,12 @@ def power_experiment(config: SimConfig, algo: AlgoConfig | None = None) -> Power
         spikes=spikes,
         power_lss=power_lss,
         power_top=power_top,
-        se_lss=se_lss,
-        se_top=se_top,
+        se_lss=np.sqrt(power_lss * (1 - power_lss) / reps),
+        se_top=np.sqrt(power_top * (1 - power_top) / reps),
         realized_level_lss=level_lss,
         realized_level_top=level_top,
         critical_lss=crit_lss,
-        critical_top=crit_top,
+        critical_top=top_info[-1],
         pt_threshold=curve.support.upper_pt_threshold,
         seed=config.seed,
         alpha=config.alpha,

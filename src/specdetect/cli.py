@@ -23,7 +23,7 @@ from .classical import catalog_ids, equivalent_lss, evaluate_statistic
 from .io import read_json, write_csv, write_json
 from .measures import AtomicMeasure
 from .mp import stieltjes_grid
-from .optimal import AlgoConfig, SpikedModel, optimal_lss, optimal_ls3
+from .optimal import SOLVERS, AlgoConfig, SpikedModel, optimal_lss, optimal_ls3
 from .simulate import SimConfig, power_experiment, sample_eigenvalues
 from .weak_derivative import weak_derivative_cdf
 
@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to the JSON configuration")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="master RNG seed override")
-        p.add_argument("--solver", choices=["diagreg", "collocation"], default=None)
+        p.add_argument("--solver", choices=SOLVERS, default=None)
         if name == "classical-lss":
             p.add_argument("--list", action="store_true", help="list catalog test ids")
     return parser

@@ -384,6 +384,10 @@ def support_intervals(H: AtomicMeasure, gamma: float, samples_per_interval: int 
 
     if not intervals:
         raise SilversteinError("support detection produced no intervals")
+    # an infinite end means a sign change of x'(v) fell between two samples
+    if not np.all(np.isfinite(intervals)):
+        raise SilversteinError(f"support detection produced a non-finite interval end "
+                               f"{intervals} for a bulk of {H.n_atoms} atoms at gamma={gamma:g}")
 
     # population-spike windows: s = -1/v over each increasing branch.  The
     # map s(v) is increasing on any zero-free v-interval; branches with

@@ -51,6 +51,14 @@ SEG_BETWEEN = "between-bulk-linear"
 SEG_OUTSIDE = "outside-constant"
 SEG_BUMP = "epanechnikov-bump"
 
+SOLVERS = ("diagreg", "collocation")
+
+
+def check_solver(solver: str) -> None:
+    """Reject a solver name that no kernel solve implements."""
+    if solver not in SOLVERS:
+        raise ValueError(f"unknown solver '{solver}'; expected one of {', '.join(SOLVERS)}")
+
 
 @dataclass(frozen=True)
 class SpikedModel:
@@ -97,6 +105,7 @@ class AlgoConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
+        check_solver(self.solver)
 
     @property
     def epsilon1(self) -> float:
@@ -343,12 +352,10 @@ def _build(model: SpikedModel, config: AlgoConfig, curve: StieltjesCurve | None,
 
 def _configured_solve(curve: StieltjesCurve, K: KernelMatrix, delta: SignedMeasureCdf,
                       config: AlgoConfig) -> np.ndarray:
-    if config.solver == "diagreg":
-        return solve_diagreg(K, delta).values
     if config.solver == "collocation":
         return solve_collocation(curve, delta, coarse_grid_size=config.collocation_nodes,
                                  epsilon1=config.epsilon1, c1=config.c1).values
-    raise ValueError(f"unknown solver '{config.solver}'")
+    return solve_diagreg(K, delta).values
 
 
 def _projected_solve(curve: StieltjesCurve, K: KernelMatrix, delta: SignedMeasureCdf,

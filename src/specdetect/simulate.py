@@ -20,7 +20,7 @@ from scipy.linalg import cho_factor, cho_solve, toeplitz  # noqa: F401
 from .kernel import REGIME_SUPERCRITICAL
 from .measures import AtomicMeasure
 from .mp import stieltjes_grid
-from .optimal import AlgoConfig, LssFunction, SpikedModel, optimal_lss
+from .optimal import AlgoConfig, LssFunction, SpikedModel, check_solver, optimal_lss
 
 __all__ = [
     "SimConfig",
@@ -49,8 +49,12 @@ def sample_eigenvalues(pop_eigs, n: int, seed) -> np.ndarray:
     """Ascending eigenvalues of the sample covariance of n Gaussian draws.
 
     ``seed`` may be an int, a SeedSequence or a Generator; results are
-    deterministic given the seed.  The data matrix is formed in the
-    population eigenbasis as Z * diag(sqrt(pop_eigs)).
+    deterministic given the seed.  For n >= p the eigenvalues are those of
+    M M^T / n with M = diag(sqrt(pop_eigs)) L, where L is the Bartlett
+    (1933) factor of a W_p(n, I) matrix: lower triangular, sqrt(chi2_{n-i})
+    on the diagonal and N(0, 1) below it.  For p > n they are those of
+    the n x n gram X X^T / n of X = Z diag(sqrt(pop_eigs)), preceded by
+    p - n exact zeros.
     """
     pop = np.asarray(pop_eigs, dtype=float)
     if np.any(pop < 0):
@@ -59,10 +63,15 @@ def sample_eigenvalues(pop_eigs, n: int, seed) -> np.ndarray:
         raise ValueError("sample size must be positive")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     p = pop.size
-    z = rng.standard_normal((n, p))
-    x = z * np.sqrt(pop)[None, :]
-    gram = (x.T @ x) / n
-    return np.linalg.eigvalsh(gram)
+    root = np.sqrt(pop)
+    if n >= p:
+        m = np.zeros((p, p))
+        m[np.tri(p, k=-1, dtype=bool)] = rng.standard_normal(p * (p - 1) // 2)
+        np.fill_diagonal(m, np.sqrt(rng.chisquare(n - np.arange(p))))
+        m *= root[:, None]
+        return np.linalg.eigvalsh(m @ m.T / n)
+    x = rng.standard_normal((n, p)) * root
+    return np.concatenate([np.zeros(p - n), np.linalg.eigvalsh(x @ x.T / n)])
 
 
 def apply_lss(phi: LssFunction, eigenvalues) -> float:
@@ -101,6 +110,7 @@ class SimConfig:
             raise ValueError("need at least 100 replicates")
         if self.noise != "gaussian":
             raise ValueError("only gaussian noise is shipped")
+        check_solver(self.solver)
 
     def bulk_eigenvalues(self) -> np.ndarray:
         kind = self.population.get("kind")
@@ -114,7 +124,15 @@ class SimConfig:
 
     @property
     def p(self) -> int:
-        return self.bulk_eigenvalues().size + self.h
+        """Full dimension, read from ``population`` without building the bulk."""
+        pop = self.population
+        kind = pop.get("kind")
+        if kind == "ar1":
+            return int(pop["p"]) + self.h
+        if kind == "atoms":
+            mult = pop.get("multiplicities", 1)
+            return int(np.sum(np.broadcast_to(mult, len(pop["eigenvalues"])))) + self.h
+        raise ValueError(f"unknown population kind '{kind}'")
 
     @property
     def gamma(self) -> float:

@@ -62,3 +62,12 @@ def normalize_curve(values: np.ndarray) -> np.ndarray:
 
 def mad(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean(np.abs(np.asarray(a) - np.asarray(b))))
+
+
+def direct_sample_eigenvalues(pop_eigs, n: int, seed) -> np.ndarray:
+    """Ascending eigenvalues of X^T X / n with X = Z diag(sqrt(pop_eigs)),
+    Z an n x p matrix of standard normals drawn first from ``seed``."""
+    pop = np.asarray(pop_eigs, dtype=float)
+    z = np.random.default_rng(seed).standard_normal((n, pop.size))
+    x = z * np.sqrt(pop)
+    return np.linalg.eigvalsh(x.T @ x / n)

@@ -125,6 +125,19 @@ class TestOptimalLss:
         assert "alpha must be in (0, 1)" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    def test_unknown_solver_in_config_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "lss.json", {
+            "H": {"atoms": [1.0], "weights": [1.0]},
+            "G0": {"atoms": [1.0], "weights": [1.0]},
+            "G1": {"atoms": [1.6], "weights": [1.0]},
+            "gamma": 0.5,
+            "config": {"solver": "typo"},
+        })
+        out = tmp_path / "out"
+        assert run_cli(["optimal-lss", "--config", cfg, "--out", str(out)]) == 2
+        assert "unknown solver 'typo'" in capsys.readouterr().err
+        assert not (out / "lss.csv").exists()
+
     def test_scale_invariant_collocation_fails_without_output(self, tmp_path):
         cfg = write_config(tmp_path / "lss.json", {
             "H": {"atoms": [1.0], "weights": [1.0]},
@@ -213,6 +226,18 @@ class TestPowerCommand:
         meta = read_json(out / "power_metadata.json")
         assert meta["seed"] == 31337
         assert "pt_threshold" in meta
+
+
+    def test_unknown_solver_in_config_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "pw.json", {
+            "population": {"kind": "ar1", "rho": 0.7, "p": 59},
+            "n": 120, "n_reps": 100, "alpha": 0.05, "seed": 31337,
+            "spike_grid": [2.0], "points_per_interval": 200, "solver": "typo",
+        })
+        out = tmp_path / "out"
+        assert run_cli(["power", "--config", cfg, "--out", str(out)]) == 2
+        assert "unknown solver 'typo'" in capsys.readouterr().err
+        assert not (out / "power_curve.csv").exists()
 
 
 class TestManifestReplay:

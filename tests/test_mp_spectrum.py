@@ -102,6 +102,22 @@ class TestSupport:
         sup = sd.support_intervals(mp_unit, 0.5)
         assert sup.upper_pt_threshold == pytest.approx(1.0 + math.sqrt(0.5), abs=1e-8)
 
+    @pytest.mark.parametrize("atoms, gamma", [([1.0, 1.0001], 1e-9), ([1.0, 1.00000001], 1e-12)])
+    def test_non_finite_interval_end_raises(self, atoms, gamma):
+        # nearly coincident atoms at tiny gamma: the sign change of x'(v)
+        # next to the top pole falls between samples and the upper edge is lost
+        H = sd.AtomicMeasure(np.array(atoms), np.array([0.5, 0.5]))
+        msg = f"non-finite interval end .* 2 atoms at gamma={gamma:g}"
+        with pytest.raises(sd.SilversteinError, match=msg):
+            sd.support_intervals(H, gamma)
+        with pytest.raises(sd.SilversteinError, match=msg):
+            sd.stieltjes_grid(H, gamma, points_per_interval=50)
+
+    def test_spike_windows_keep_their_infinite_end(self, mp_unit):
+        s_lo, s_hi, x_lo, x_hi = sd.support_intervals(mp_unit, 0.5).spike_windows[-1]
+        assert s_lo == pytest.approx(1.0 + math.sqrt(0.5), abs=1e-8)
+        assert math.isinf(s_hi) and math.isinf(x_hi) and math.isfinite(x_lo)
+
 
 class TestStieltjesGrid:
     def test_residuals_within_contract(self, mp_unit, mp_curve):

@@ -46,6 +46,13 @@ class TestConfig:
         assert cfg.s_minus(a_pt) == pytest.approx(0.99 * a_pt)
         assert cfg.s_plus(GAMMA, a_pt) == pytest.approx(0.75 * (1 + math.sqrt(GAMMA)) * a_pt)
 
+    def test_unknown_solver_rejected(self):
+        # the bump route never reaches a kernel solve, so the name is checked here
+        with pytest.raises(ValueError, match="unknown solver 'typo'"):
+            sd.AlgoConfig(solver="typo")
+        for solver in ("diagreg", "collocation"):
+            assert sd.AlgoConfig(solver=solver).solver == solver
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
         with pytest.raises(ValueError, match="alpha must be in"):

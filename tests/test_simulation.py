@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import specdetect as sd
+from oracles import direct_sample_eigenvalues
 from specdetect import simulate
 
 
@@ -52,6 +53,60 @@ class TestSampleEigenvalues:
         se = np.std(means, ddof=1) / math.sqrt(reps)
         assert abs(np.mean(means) - np.mean(pop)) <= 3 * se
 
+    @pytest.mark.parametrize("p, n", [(30, 60), (30, 30), (40, 25)])
+    def test_replay_bit_identical(self, p, n):
+        pop = np.linspace(0.5, 2.0, p)
+        a = sd.sample_eigenvalues(pop, n, np.random.SeedSequence(3))
+        b = sd.sample_eigenvalues(pop, n, np.random.default_rng(np.random.SeedSequence(3)))
+        assert a.shape == (p,)
+        assert np.array_equal(a, b)
+
+    def test_bartlett_matches_direct_draws_in_distribution(self):
+        # Bartlett (n >= p) against Z diag(sqrt(pop)): the mean and variance
+        # of the trace and of the top eigenvalue agree within MC error.  Over
+        # 20 master seeds these z-scores had max |z| 2.14; 4 is the bound
+        p, n, reps = 40, 80, 3000
+        pop = np.linspace(0.5, 3.0, p)
+
+        def draws(sampler, key):
+            seeds = np.random.SeedSequence((2024, key)).spawn(reps)
+            eigs = np.array([sampler(pop, n, s) for s in seeds])
+            return eigs.sum(axis=1), eigs[:, -1]
+
+        def var_se(v):
+            c = v - v.mean()
+            return math.sqrt((np.mean(c**4) - v.var(ddof=1) ** 2 * (reps - 3) / (reps - 1)) / reps)
+
+        ours = draws(sd.sample_eigenvalues, 1)
+        ref = draws(direct_sample_eigenvalues, 2)
+        for x, y in zip(ours, ref):
+            se_mean = math.sqrt((x.var(ddof=1) + y.var(ddof=1)) / reps)
+            assert abs(x.mean() - y.mean()) <= 4 * se_mean
+            assert abs(x.var(ddof=1) - y.var(ddof=1)) <= 4 * math.hypot(var_se(x), var_se(y))
+        # the trace has the closed-form mean sum(pop) and variance 2 sum(pop^2) / n
+        trace_sd = math.sqrt(2 * np.sum(pop**2) / n)
+        assert abs(ours[0].mean() - pop.sum()) <= 4 * trace_sd / math.sqrt(reps)
+
+    def test_square_case(self):
+        # n = p: the last Bartlett diagonal entry is a chi-square with 1 degree of freedom
+        pop = np.linspace(0.5, 2.0, 20)
+        eigs = sd.sample_eigenvalues(pop, 20, seed=4)
+        assert eigs.shape == (20,)
+        assert np.all(np.isfinite(eigs)) and np.all(eigs > 0)
+        assert (np.diff(eigs) >= 0).all()
+
+    def test_wide_case_pads_exact_zeros(self):
+        # p > n: the n x n gram of the same z as the p x p route, below p - n zeros
+        p, n = 60, 25
+        pop = np.linspace(0.5, 2.0, p)
+        for seed in range(5):
+            eigs = sd.sample_eigenvalues(pop, n, seed=seed)
+            ref = direct_sample_eigenvalues(pop, n, seed=seed)
+            assert eigs.shape == (p,)
+            assert np.count_nonzero(eigs == 0.0) == p - n
+            assert np.array_equal(eigs[:p - n], np.zeros(p - n))
+            assert np.allclose(eigs[p - n:], ref[p - n:], rtol=0.0, atol=1e-12)
+
     @pytest.mark.slow
     def test_empirical_distribution_close_to_limit(self, mp_unit, mp_curve):
         # Kolmogorov distance between the empirical spectrum at p=250,
@@ -96,6 +151,27 @@ class TestSimConfig:
                            n_reps=100, alpha=0.05, seed=1, spike_grid=(2.0,))
         assert cfg.p == 50
         assert cfg.gamma == 0.5
+
+    def test_unknown_solver_rejected(self):
+        with pytest.raises(ValueError, match="unknown solver 'typo'"):
+            sd.SimConfig(population={"kind": "ar1", "rho": 0.5, "p": 49}, n=100,
+                         n_reps=100, alpha=0.05, seed=1, spike_grid=(2.0,), solver="typo")
+
+    def test_dimension_read_without_building_the_bulk(self, monkeypatch):
+        def no_bulk(*args, **kwargs):
+            raise AssertionError("the AR(1) bulk was built")
+
+        monkeypatch.setattr(simulate, "ar1_eigenvalues", no_bulk)
+        cfg = sd.SimConfig(population={"kind": "ar1", "rho": 0.5, "p": 49}, n=100,
+                           n_reps=100, alpha=0.05, seed=1, spike_grid=(2.0,))
+        assert (cfg.p, cfg.gamma) == (50, 0.5)
+        atoms = sd.SimConfig(
+            population={"kind": "atoms", "eigenvalues": [1.0, 3.0], "multiplicities": [10, 12]},
+            n=46, n_reps=100, alpha=0.05, seed=1, spike_grid=(2.0,), h=2)
+        assert (atoms.p, atoms.gamma) == (24, 24 / 46)
+        plain = sd.SimConfig(population={"kind": "atoms", "eigenvalues": [1.0, 2.0, 3.0]},
+                             n=8, n_reps=100, alpha=0.05, seed=1, spike_grid=(2.0,))
+        assert plain.p == plain.bulk_eigenvalues().size + 1 == 4
 
     def test_atoms_population(self):
         cfg = sd.SimConfig(
@@ -213,6 +289,24 @@ class TestPowerExperiment:
         for arr in (curve.power_lss, curve.power_top):
             assert ((0.0 <= arr) & (arr <= 1.0)).all()
         assert curve.power_lss[1] > curve.power_top[1]
+
+    def test_one_draw_per_replicate_and_one_bulk(self, small_config, monkeypatch):
+        counts = {"draws": 0, "bulks": 0}
+        draw, bulk = simulate.sample_eigenvalues, simulate.ar1_eigenvalues
+
+        def counted_draw(*args, **kwargs):
+            counts["draws"] += 1
+            return draw(*args, **kwargs)
+
+        def counted_bulk(*args, **kwargs):
+            counts["bulks"] += 1
+            return bulk(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "sample_eigenvalues", counted_draw)
+        monkeypatch.setattr(simulate, "ar1_eigenvalues", counted_bulk)
+        sd.power_experiment(small_config)
+        reps = small_config.n_reps
+        assert counts == {"draws": (2 + len(small_config.spike_grid)) * reps, "bulks": 1}
 
     def test_supercritical_null_fails_before_sampling(self, monkeypatch):
         def no_draws(*args, **kwargs):

@@ -275,8 +275,8 @@ def power_experiment(config: SimConfig, algo: AlgoConfig | None = None) -> Power
         crit_lss[i] = lss_info[-1]
         levels[i] = np.mean(reject_lss(t_null[reps:]))
         alt_eigs = _draw(np.concatenate([bulk, np.full(h, s)]), config.n, master.spawn(reps))
-        power_lss[i] = np.count_nonzero(reject_lss(phi(alt_eigs).sum(axis=1))) / reps
-        power_top[i] = np.count_nonzero(reject_top(alt_eigs[:, -1])) / reps
+        power_lss[i] = np.mean(reject_lss(phi(alt_eigs).sum(axis=1)))
+        power_top[i] = np.mean(reject_top(alt_eigs[:, -1]))
 
     # bump statistics are degenerate (identically zero) under the null, so
     # the level is meaningful only where the solve route was used

@@ -290,6 +290,49 @@ class TestPowerExperiment:
             assert ((0.0 <= arr) & (arr <= 1.0)).all()
         assert curve.power_lss[1] > curve.power_top[1]
 
+    @pytest.mark.parametrize("two_sided", [False, True])
+    def test_matches_per_replicate_loop(self, small_config, two_sided):
+        # the sweep evaluates statistics and rejection rules on whole replicate
+        # arrays; the loop it replaced, one apply_lss per replicate, is the
+        # reference, and the arithmetic is the same, so the curves are equal
+        cfg = sd.SimConfig.from_dict({**small_config.to_dict(), "two_sided": two_sided})
+        curve = sd.power_experiment(cfg)
+        reps, alpha = cfg.n_reps, cfg.alpha
+        bulk = np.sort(cfg.bulk_eigenvalues())
+        H = sd.AtomicMeasure.uniform(bulk)
+        shared = sd.stieltjes_grid(H, cfg.gamma, points_per_interval=cfg.points_per_interval)
+        master = np.random.SeedSequence(cfg.seed)
+
+        def draws(spike, count):
+            pop = np.append(bulk, spike)
+            return [sd.sample_eigenvalues(pop, cfg.n, np.random.default_rng(s))
+                    for s in master.spawn(count)]
+
+        def rule(null):
+            order = np.sort(null)
+            if not two_sided:
+                crit = order[math.ceil((1 - alpha) * (reps + 1)) - 1]
+                return (lambda t: t > crit), crit
+            k = math.ceil((1 - alpha / 2) * (reps + 1)) - 1
+            lo, hi = -np.sort(-null)[k], order[k]
+            return (lambda t: t > hi or t < lo), hi
+
+        null = draws(cfg.null_spike, 2 * reps)
+        reject_top, crit_top = rule(np.array([e[-1] for e in null[:reps]]))
+        assert crit_top == curve.critical_top
+        for i, spike in enumerate(cfg.spike_grid):
+            model = sd.SpikedModel(H=H, G0=sd.AtomicMeasure.point_mass(cfg.null_spike),
+                                   G1=sd.AtomicMeasure.point_mass(spike), gamma=cfg.gamma,
+                                   n=cfg.n)
+            phi, _ = sd.optimal_lss(model, sd.AlgoConfig(points_per_interval=300), curve=shared)
+            t_null = np.array([sd.apply_lss(phi, e) for e in null])
+            reject, crit = rule(t_null[:reps])
+            assert crit == curve.critical_lss[i]
+            assert np.mean([reject(t) for t in t_null[reps:]]) == curve.level_lss_per_spike[i]
+            alt = draws(spike, reps)
+            assert np.mean([reject(sd.apply_lss(phi, e)) for e in alt]) == curve.power_lss[i]
+            assert np.mean([reject_top(e[-1]) for e in alt]) == curve.power_top[i]
+
     def test_one_draw_per_replicate_and_one_bulk(self, small_config, monkeypatch):
         counts = {"draws": 0, "bulks": 0}
         draw, bulk = simulate.sample_eigenvalues, simulate.ar1_eigenvalues

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
-from scipy.linalg import solve
+from scipy.linalg import block_diag, solve
 
 from .mp import StieltjesCurve
 from .weak_derivative import SignedMeasureCdf
@@ -168,6 +168,20 @@ def solve_diagreg(K: KernelMatrix, delta: SignedMeasureCdf) -> SolvedDerivative:
                             method="diagreg")
 
 
+def _hats(xs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Hat functions on ``nodes`` at each x, one column per node.
+
+    Each x has weight t = (x - x_k)/(x_{k+1} - x_k) on the right node of
+    its cell and 1 - t on the left one, in the arithmetic of np.interp.
+    """
+    k = np.clip(np.searchsorted(nodes, xs, side="right") - 1, 0, nodes.size - 2)
+    t = np.where(xs >= nodes[-1], 1.0, 1.0 / (nodes[k + 1] - nodes[k]) * (xs - nodes[k]))
+    hats = np.zeros((xs.size, nodes.size))
+    hats[np.arange(xs.size), k] = 1.0 - t
+    hats[np.arange(xs.size), k + 1] = t
+    return hats
+
+
 def solve_collocation(curve: StieltjesCurve, delta: SignedMeasureCdf,
                       coarse_grid_size: int = 150, epsilon1: float = 1e-8,
                       c1: float = 1.5, max_condition: float = 1e13) -> SolvedDerivative:
@@ -196,7 +210,6 @@ def solve_collocation(curve: StieltjesCurve, delta: SignedMeasureCdf,
         idx = sl.start + np.unique(np.round(np.linspace(0, n_j - 1, take)).astype(int))
         coarse_idx.append(idx)
     nodes = np.concatenate(coarse_idx)
-    I = nodes.size
 
     v = curve.v
     im = v.imag
@@ -206,27 +219,12 @@ def solve_collocation(curve: StieltjesCurve, delta: SignedMeasureCdf,
     finite = diff2 > 0
     rows[finite] = np.log1p(4.0 * np.outer(im[nodes], im)[finite] / diff2[finite]) / (2.0 * math.pi**2)
     rows[~finite] = np.nan
-    for r in range(I):
-        bad = ~np.isfinite(rows[r])
-        if bad.any():
-            rows[r, bad] = c1 * np.nanmax(rows[r])
+    rows = np.where(np.isfinite(rows), rows, c1 * np.nanmax(rows, axis=1, keepdims=True))
 
-    # hat-function basis per interval on the coarse nodes
-    A = np.zeros((I, I))
-    col = 0
-    for j, idx in enumerate(coarse_idx):
-        sl = curve.interval_slice(j)
-        xs_dense = curve.grid[sl]
-        xs_nodes = curve.grid[idx]
-        n_nodes = idx.size
-        hats = np.zeros((xs_dense.size, n_nodes))
-        for i in range(n_nodes):
-            e = np.zeros(n_nodes)
-            e[i] = 1.0
-            hats[:, i] = np.interp(xs_dense, xs_nodes, e)
-        contrib = (rows[:, sl] * dense_w[sl][None, :]) @ hats
-        A[:, col:col + n_nodes] = contrib
-        col += n_nodes
+    # hat-function basis per interval on the coarse nodes, one column per node
+    hats = block_diag(*[_hats(curve.grid[curve.interval_slice(j)], curve.grid[idx])
+                        for j, idx in enumerate(coarse_idx)])
+    A = (rows * dense_w) @ hats
 
     cond = float(np.linalg.cond(A))
     if not math.isfinite(cond) or cond > max_condition:
@@ -234,14 +232,7 @@ def solve_collocation(curve: StieltjesCurve, delta: SignedMeasureCdf,
     coeffs = np.linalg.solve(A, -delta.cdf[nodes])
     resid = float(np.linalg.norm(A @ coeffs - (-delta.cdf[nodes])))
 
-    g = np.zeros_like(curve.grid)
-    col = 0
-    for j, idx in enumerate(coarse_idx):
-        sl = curve.interval_slice(j)
-        n_nodes = idx.size
-        g[sl] = np.interp(curve.grid[sl], curve.grid[idx], coeffs[col:col + n_nodes])
-        col += n_nodes
-    return SolvedDerivative(grid=curve.grid.copy(), values=g, residual_norm=resid,
+    return SolvedDerivative(grid=curve.grid.copy(), values=hats @ coeffs, residual_norm=resid,
                             method="collocation", condition_number=cond)
 
 
@@ -297,29 +288,27 @@ def efficacy_report(mu: float, sigma2: float, alpha: float,
                           alpha=alpha, regime=regime)
 
 
-def finite_difference_derivative(grid: np.ndarray, values: np.ndarray,
-                                 interval_id: np.ndarray) -> np.ndarray:
-    """Per-interval finite differences: central inside, one-sided at the ends."""
-    out = np.empty_like(values)
-    for j in np.unique(interval_id):
-        idx = np.flatnonzero(interval_id == j)
-        x = grid[idx]
-        f = values[idx]
-        d = np.gradient(f, x)
-        out[idx] = d
-    return out
+def derivative_efficacy(K: KernelMatrix, g: np.ndarray, delta: SignedMeasureCdf, h: int,
+                        alpha: float) -> EfficacyReport:
+    """Report of the statistic whose derivative on the grid is g.
+
+    mu = -h * integral g(x) Delta(x) dx and sigma^2 the kernel quadratic
+    form in g, both over the support grid.
+    """
+    return efficacy_report(-h * K.inner(g, delta.cdf), K.quadratic_form(g), alpha)
 
 
 def lss_moments(curve: StieltjesCurve, K: KernelMatrix, phi, delta: SignedMeasureCdf,
                 h: int, alpha: float = 0.05) -> EfficacyReport:
     """Mean shift and variance of the statistic built from phi.
 
-    mu = -h * integral phi'(x) Delta(x) dx and sigma^2 the kernel
-    quadratic form in phi', both over the support grid; phi may be an
-    LssFunction or any callable evaluable on the grid.
+    phi' is taken by finite differences on each support interval, central
+    inside and one-sided at the ends; phi may be an LssFunction or any
+    callable evaluable on the grid.
     """
     values = phi(curve.grid) if callable(phi) else np.asarray(phi, dtype=float)
-    g = finite_difference_derivative(curve.grid, values, curve.interval_id)
-    mu = -h * K.inner(g, delta.cdf)
-    sigma2 = K.quadratic_form(g)
-    return efficacy_report(mu, sigma2, alpha)
+    g = np.empty_like(values)
+    for j in np.unique(curve.interval_id):
+        sl = curve.interval_slice(j)
+        g[sl] = np.gradient(values[sl], curve.grid[sl])
+    return derivative_efficacy(K, g, delta, h, alpha)

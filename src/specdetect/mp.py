@@ -61,16 +61,18 @@ def _blocks(n: int, H: AtomicMeasure):
 def _sums(H: AtomicMeasure, v: np.ndarray, orders: tuple[int, ...] = (1, 2)) -> list[np.ndarray]:
     """Integrands of the fixed-point equation at each entry of the 1-d array v.
 
-    Order 1 is ``sum w t/(1+tv)``, order 2 is ``sum w t^2/(1+tv)^2``; the
-    sums run over (points x atoms) blocks.  Each row is reduced exactly
-    as a single point would be, so real v gives bit-identical values.
+    Order k (1, 2 or 3) is ``sum w t^k/(1+tv)^k``; the sums run over
+    (points x atoms) blocks.  Each row is reduced exactly as a single
+    point would be, so real v gives bit-identical values.
     """
     numerators = [H.weights * H.atoms**k for k in orders]
     out = [np.empty(v.shape, dtype=np.result_type(v, 1.0)) for _ in orders]
     for sl in _blocks(v.size, H):
         den = 1.0 + np.multiply.outer(v[sl], H.atoms)
         for o, num, k in zip(out, numerators, orders):
-            o[sl] = np.sum(num / (den if k == 1 else den**2), axis=1)
+            # the cube by multiplication: den**3 goes through pow, which is
+            # some 100x slower on negative reals
+            o[sl] = np.sum(num / (den if k == 1 else den**2 if k == 2 else den**2 * den), axis=1)
     return out
 
 
@@ -279,35 +281,50 @@ def _inverse_map(H: AtomicMeasure, gamma: float):
     return x_of_v, xp_of_v
 
 
-def _at(f, v: float) -> float:
-    """One real point of an array map."""
-    return float(f(np.array([v]))[0])
+def _bisect(f, neg: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Sign change of f in every bracket at once, to the last float.
+
+    f is an elementwise map of 1-d arrays that is negative next to
+    ``neg[i]`` and positive next to ``pos[i]`` (either may be the larger
+    end).  f is evaluated strictly inside the brackets only, so an end may
+    be a pole or zero.  Each bracket halves until its midpoint rounds to
+    one of its ends.
+    """
+    neg = np.array(neg, dtype=float)
+    pos = np.array(pos, dtype=float)
+    act = np.arange(neg.size)
+    with np.errstate(all="ignore"):
+        while True:
+            mid = 0.5 * (neg[act] + pos[act])
+            inside = (mid != neg[act]) & (mid != pos[act])
+            act, mid = act[inside], mid[inside]
+            if act.size == 0:
+                return 0.5 * (neg + pos)
+            below = f(mid) < 0
+            neg[act[below]] = mid[below]
+            pos[act[~below]] = mid[~below]
 
 
-def _bisect_sign_change(f, a: float, b: float, fa_sign: float, max_iter: int = 200) -> float:
-    for _ in range(max_iter):
-        m = 0.5 * (a + b)
-        fm = _at(f, m)
-        if fm == 0.0:
-            return m
-        if math.copysign(1.0, fm) == fa_sign:
-            a = m
-        else:
-            b = m
-        if abs(b - a) <= 1e-13 * max(1.0, abs(m)):
-            break
-    return 0.5 * (a + b)
-
-
-def support_intervals(H: AtomicMeasure, gamma: float, samples_per_interval: int = 800) -> SupportSet:
+def support_intervals(H: AtomicMeasure, gamma: float) -> SupportSet:
     """Support of the limiting distribution from the real inverse map.
 
-    On the real v-line, x(v) = -1/v + gamma * sum w t/(1+tv) is increasing
-    exactly on the complement of the support image.  x'(v) is evaluated
-    on all ``samples_per_interval`` samples of each v-interval between
-    consecutive poles v = -1/t_i in one array call; each sign change is
-    refined by bisection on x'(v), and the images of the increasing
-    branches are the gaps.
+    On the real v-line, x(v) = -1/v + gamma * sum w t/(1+tv) has
+    x'(v) = (1 - g(v))/v^2 with g(v) = gamma * sum w (tv/(1+tv))^2, and the
+    images of its increasing branches (g < 1) are the gaps of the support.
+    Every term of g is convex in v < 0 (Silverstein & Choi 1995), which
+    fixes the number of edges, the zeros of x', on each v-segment:
+
+    - between consecutive poles v = -1/t_i, g -> +inf at both ends: two
+      edges if the minimum of g is below one, none otherwise;
+    - on (-1/t_max, 0), g falls from +inf to 0: one edge;
+    - on (-inf, -1/t_min), g rises from gamma' to +inf, and on v > 0 from 0
+      to gamma', where gamma' is gamma times the mass of the positive
+      atoms: one edge on the first if gamma' < 1, on the second if
+      gamma' > 1.
+
+    One array bisection of g' finds the minimum on every segment between
+    poles, and a second one of x' finds every edge.  Each edge lies
+    strictly inside its segment, so every interval end is finite.
     """
     _check_bulk(H)
     if gamma <= 0:
@@ -315,57 +332,43 @@ def support_intervals(H: AtomicMeasure, gamma: float, samples_per_interval: int 
     x_of_v, xp_of_v = _inverse_map(H, gamma)
     pos = H.atoms > 0
     poles = np.sort(-1.0 / H.atoms[pos])
-    t_max = float(H.atoms.max())
-    upper_bound = (1.0 + math.sqrt(gamma)) ** 2 * t_max
+    t_min = float(H.atoms[pos].min())
+    g_inf = gamma * (1.0 - float(np.sum(H.weights[~pos])))
+    upper_bound = (1.0 + math.sqrt(gamma)) ** 2 * float(H.atoms.max())
 
-    # v-intervals between consecutive poles, plus the two unbounded ends
-    # and the positive axis (poles are all negative, 0 is always a pole)
-    segments: list[tuple[float, float]] = [(-math.inf, poles[0])]
-    for i in range(len(poles) - 1):
-        segments.append((poles[i], poles[i + 1]))
-    segments.append((poles[-1], 0.0))
-    segments.append((0.0, math.inf))
+    def g_slope(v: np.ndarray) -> np.ndarray:  # g'(v) / (2 gamma)
+        s2, s3 = _sums(H, v, (2, 3))
+        return v * (s2 - v * s3)
 
-    def sample(lo: float, hi: float) -> np.ndarray:
-        if math.isinf(lo):
-            off = np.geomspace(1e-9 * max(abs(hi), 1e-12), 1e5 * max(1.0, abs(hi)), samples_per_interval)
-            return (hi - off)[::-1]
-        if math.isinf(hi):
-            base = 1.0 / t_max
-            off = np.geomspace(1e-12 * base, 1e8 * base, samples_per_interval)
-            return lo + off
-        width = hi - lo
-        u = np.linspace(0.0, 1.0, samples_per_interval)[1:-1]
-        clustered = 0.5 * (1.0 + np.tanh(3.0 * (2.0 * u - 1.0)) / math.tanh(3.0))
-        return lo + clustered * width
+    v_min = _bisect(g_slope, poles[:-1], poles[1:])
+    split = xp_of_v(v_min) > 0
+    # brackets (x' < 0 end, x' > 0 end) of every edge, in increasing v.
+    # Past the stand-ins for the infinite ends, g is bounded by
+    # gamma' (t_min v/(1 + t_min v))^2, which is below one (v < 0) or
+    # above one (v > 0) there.
+    neg = [np.column_stack([poles[:-1], poles[1:]])[split].ravel(), poles[-1:]]
+    pos_ = [np.repeat(v_min[split], 2), [0.0]]
+    if g_inf < 1.0:
+        neg.insert(0, poles[:1])
+        pos_.insert(0, [-2.0 / ((1.0 - math.sqrt(g_inf)) * t_min)])
+    if g_inf > 1.0:
+        neg.append([2.0 / ((math.sqrt(g_inf) - 1.0) * t_min)])
+        pos_.append([0.0])
+    v_edge = _bisect(xp_of_v, np.concatenate(neg), np.concatenate(pos_))
+    v_e, x_e = v_edge.tolist(), x_of_v(v_edge).tolist()
 
-    branches: list[tuple[float, float]] = []
-    for lo, hi in segments:
-        vv = sample(lo, hi)
-        signs = np.sign(xp_of_v(vv))
-        crossings = np.flatnonzero((signs[:-1] != 0) & (signs[:-1] * signs[1:] < 0))
-        zeros = [_bisect_sign_change(xp_of_v, vv[i], vv[i + 1], signs[i]) for i in crossings]
-        pts = [lo, *zeros, hi]
-        for i in range(len(pts) - 1):
-            a, b = pts[i], pts[i + 1]
-            if math.isinf(a):
-                probe = b - 2.0 * max(abs(b), 1.0)
-            elif math.isinf(b):
-                probe = a + 2.0 * max(abs(a), 1.0)
-            else:
-                probe = 0.5 * (a + b)
-            if _at(xp_of_v, probe) > 0:
-                branches.append((a, b))
-
-    # image of each increasing branch is a gap in the support
-    complement: list[tuple[float, float, float, float]] = []  # (x_lo, x_hi, v_lo, v_hi)
-    for a, b in branches:
-        xa = 0.0 if math.isinf(a) else (-math.inf if a == 0.0 else _at(x_of_v, a))
-        xb = 0.0 if math.isinf(b) else (math.inf if b == 0.0 else _at(x_of_v, b))
-        if xa <= xb:
-            complement.append((xa, xb, a, b))
-        else:
-            complement.append((xb, xa, b, a))
+    # increasing branches (x_lo, x_hi, v_lo, v_hi).  On v > 0, x rises from
+    # -inf to the edge, or to 0 when there is none.  For v < 0 the branch
+    # ends are the edges in pairs, with v = -inf (x = 0) in front when
+    # gamma' < 1 and v = 0- (x = +inf) at the back.
+    if g_inf > 1.0:
+        complement = [(-math.inf, x_e.pop(), 0.0, v_e.pop())]
+    else:
+        complement = [(-math.inf, 0.0, 0.0, math.inf)]
+    lead = 1 if g_inf < 1.0 else 0
+    v_b = [-math.inf] * lead + v_e + [0.0]
+    x_b = [0.0] * lead + x_e + [math.inf]
+    complement += [(x_b[i], x_b[i + 1], v_b[i], v_b[i + 1]) for i in range(0, len(v_b), 2)]
     complement.sort()
 
     intervals: list[tuple[float, float]] = []
@@ -378,16 +381,8 @@ def support_intervals(H: AtomicMeasure, gamma: float, samples_per_interval: int 
             intervals.append((cursor, x_lo))
             edge_v.append((cursor_v, v_lo))
         cursor, cursor_v = x_hi, v_hi
-    if cursor < upper_bound:
-        intervals.append((cursor, upper_bound))
-        edge_v.append((cursor_v, math.nan))
-
     if not intervals:
         raise SilversteinError("support detection produced no intervals")
-    # an infinite end means a sign change of x'(v) fell between two samples
-    if not np.all(np.isfinite(intervals)):
-        raise SilversteinError(f"support detection produced a non-finite interval end "
-                               f"{intervals} for a bulk of {H.n_atoms} atoms at gamma={gamma:g}")
 
     # population-spike windows: s = -1/v over each increasing branch.  The
     # map s(v) is increasing on any zero-free v-interval; branches with
@@ -461,38 +456,19 @@ def solve_real_outside(H: AtomicMeasure, gamma: float, support: SupportSet, x: f
 
     Uses the branch structure recorded in the support set: x lies in the
     image of exactly one increasing branch of the inverse map, and v(x) is
-    found by bisection of x(v) = x there.
+    found there by bisection of x(-1/s) = x in s = -1/v, which rises with v.
     """
     if support.contains(x):
         raise ValueError(f"x={x} lies inside the support; no real-axis value exists")
     x_of_v, _ = _inverse_map(H, gamma)
     for s_lo, s_hi, x_lo, x_hi in support.spike_windows:
         if x_lo < x < x_hi:
-            # v endpoints of this branch: s = -1/v
-            v_a = -1.0 / s_lo if s_lo > 0 else -math.inf
-            v_b = -1.0 / s_hi if math.isfinite(s_hi) else 0.0
-            lo, hi = min(v_a, v_b), max(v_a, v_b)
-            # shrink infinite / pole ends to finite brackets
-            if math.isinf(lo):
-                lo = hi - 1.0
-                while _at(x_of_v, lo) > x:
-                    lo = hi - 2 * (hi - lo)
-            span = hi - lo
-            a = lo + 1e-13 * max(span, 1.0)
-            b = hi - 1e-13 * max(span, 1.0)
-            fa = _at(x_of_v, a) - x
-            for _ in range(300):
-                m = 0.5 * (a + b)
-                fm = _at(x_of_v, m) - x
-                if fm == 0:
-                    return m
-                if math.copysign(1.0, fm) == math.copysign(1.0, fa):
-                    a, fa = m, fm
-                else:
-                    b = m
-                if abs(b - a) < 1e-15 * max(1.0, abs(m)):
-                    break
-            return 0.5 * (a + b)
+            # bisect in s = -1/v, over which x rises through the branch;
+            # s = 0 stands for v = -inf, and on the top branch x(s) > s
+            # closes the bracket at s = x
+            s = _bisect(lambda s: x_of_v(-1.0 / s) - x, [s_lo],
+                        [s_hi if math.isfinite(s_hi) else x])
+            return float(-1.0 / s[0])
     raise ValueError(f"x={x} not located in any complement gap")
 
 
@@ -535,6 +511,16 @@ class StieltjesCurve:
     @property
     def n_intervals(self) -> int:
         return len(self.support.intervals)
+
+    def require_complete(self) -> None:
+        """Raise ValueError naming the dropped grid points, if any.
+
+        Quadrature on the grid would bridge each hole with a widened cell.
+        """
+        if self.dropped:
+            xs = ", ".join(str(float(x)) for x, _ in self.dropped)
+            raise ValueError(f"curve has {len(self.dropped)} non-converged points (x = {xs}); "
+                             "refusing to integrate")
 
     def to_rows(self):
         """Rows for CSV export: x, re_v, im_v, re_vp, im_vp, in_support."""
@@ -709,8 +695,7 @@ def esd_moment(curve: StieltjesCurve, H: AtomicMeasure, k: int) -> float:
     """
     if k not in (1, 2, 3, 4):
         raise ValueError("moment order restricted to 1..4")
-    if curve.dropped:
-        raise ValueError(f"curve has {len(curve.dropped)} non-converged points; refusing to integrate")
+    curve.require_complete()
     return esd_expectation(curve, lambda x: x**k, f_at_zero=0.0)
 
 

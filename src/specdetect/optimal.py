@@ -21,6 +21,7 @@ from .kernel import (
     EfficacyReport,
     KernelMatrix,
     assemble_diagreg,
+    derivative_efficacy,
     efficacy_report,
     solve_collocation,
     solve_diagreg,
@@ -321,16 +322,18 @@ def _build(model: SpikedModel, config: AlgoConfig, curve: StieltjesCurve | None,
                            np.ndarray]) -> tuple[LssFunction, EfficacyReport]:
     """The statistic path shared by ``optimal_lss`` and ``optimal_ls3``.
 
-    Builds the curve when none is given, rejects a supercritical G0 and
-    decides the regime from G1.  Below the transition, and for the
-    surrogate that replaces a spike just above it, ``solve`` returns the
-    derivative from the kernel system and it is integrated; any other
-    supercritical G1 gets the bump construction.
+    Builds the curve when none is given, refuses one with dropped grid
+    points, rejects a supercritical G0 and decides the regime from G1.
+    Below the transition, and for the surrogate that replaces a spike just
+    above it, ``solve`` returns the derivative from the kernel system and
+    it is integrated; any other supercritical G1 gets the bump
+    construction.
     """
     if curve is None:
         curve = stieltjes_grid(model.H, model.gamma,
                                points_per_interval=config.points_per_interval,
                                epsilon=config.epsilon)
+    curve.require_complete()
     if classify_spikes(model.H, model.gamma, model.G0, curve.support).any_supercritical:
         raise ValueError("null spike distribution G0 must be fully subcritical")
     cls1 = classify_spikes(model.H, model.gamma, model.G1, curve.support)
@@ -345,8 +348,7 @@ def _build(model: SpikedModel, config: AlgoConfig, curve: StieltjesCurve | None,
     K = assemble_diagreg(curve, c1=config.c1, ridge_coeff=config.ridge_coeff)
     g = solve(curve, K, delta, config)
     if not cls1.any_supercritical:
-        report = efficacy_report(-model.h * K.inner(g, delta.cdf), K.quadratic_form(g),
-                                 config.alpha)
+        report = derivative_efficacy(K, g, delta, model.h, config.alpha)
     return integrate_derivative(curve, g), report
 
 

@@ -74,9 +74,12 @@ def sample_eigenvalues(pop_eigs, n: int, seed) -> np.ndarray:
     return np.concatenate([np.zeros(p - n), np.linalg.eigvalsh(x @ x.T / n)])
 
 
-def apply_lss(phi: LssFunction, eigenvalues) -> float:
-    """Statistic sum_i phi(lambda_i) with phi's interpolation/extension rules."""
-    return float(np.sum(phi(np.asarray(eigenvalues, dtype=float))))
+def apply_lss(phi: LssFunction, eigenvalues):
+    """Statistic sum_i phi(lambda_i) with phi's interpolation/extension rules.
+
+    One value for a 1-d array of eigenvalues, one per row of an (r, p) array.
+    """
+    return np.sum(phi(np.asarray(eigenvalues, dtype=float)), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -98,7 +101,6 @@ class SimConfig:
     spike_grid: tuple[float, ...]
     h: int = 1
     null_spike: float = 1.0
-    noise: str = "gaussian"
     solver: str = "diagreg"
     points_per_interval: int = 1000
     two_sided: bool = False
@@ -108,8 +110,6 @@ class SimConfig:
             raise ValueError("alpha must be in (0, 1)")
         if self.n_reps < 100:
             raise ValueError("need at least 100 replicates")
-        if self.noise != "gaussian":
-            raise ValueError("only gaussian noise is shipped")
         check_solver(self.solver)
 
     def bulk_eigenvalues(self) -> np.ndarray:
@@ -148,7 +148,6 @@ class SimConfig:
             "spike_grid": list(self.spike_grid),
             "h": self.h,
             "null_spike": self.null_spike,
-            "noise": self.noise,
             "solver": self.solver,
             "points_per_interval": self.points_per_interval,
             "two_sided": self.two_sided,
@@ -160,9 +159,12 @@ class SimConfig:
         for key in required:
             if key not in payload:
                 raise KeyError(f"simulation config is missing required field '{key}'")
+        # manifests of earlier versions name the noise law; gaussian is the only one
+        if payload.get("noise", "gaussian") != "gaussian":
+            raise ValueError(f"unknown noise '{payload['noise']}'; only gaussian noise is shipped")
         kwargs = {k: payload[k] for k in required}
         kwargs["spike_grid"] = tuple(float(s) for s in kwargs["spike_grid"])
-        for opt in ("h", "null_spike", "noise", "solver", "points_per_interval", "two_sided"):
+        for opt in ("h", "null_spike", "solver", "points_per_interval", "two_sided"):
             if opt in payload:
                 kwargs[opt] = payload[opt]
         return cls(**kwargs)
@@ -270,12 +272,12 @@ def power_experiment(config: SimConfig, algo: AlgoConfig | None = None) -> Power
     crit_lss = np.empty_like(spikes)
     levels = np.empty_like(spikes)
     for i, (s, (phi, _)) in enumerate(zip(spikes, built)):
-        t_null = phi(null_eigs).sum(axis=1)
+        t_null = apply_lss(phi, null_eigs)
         reject_lss, lss_info = _make_rejector(t_null[:reps], config.alpha, config.two_sided)
         crit_lss[i] = lss_info[-1]
         levels[i] = np.mean(reject_lss(t_null[reps:]))
         alt_eigs = _draw(np.concatenate([bulk, np.full(h, s)]), config.n, master.spawn(reps))
-        power_lss[i] = np.mean(reject_lss(phi(alt_eigs).sum(axis=1)))
+        power_lss[i] = np.mean(reject_lss(apply_lss(phi, alt_eigs)))
         power_top[i] = np.mean(reject_top(alt_eigs[:, -1]))
 
     # bump statistics are degenerate (identically zero) under the null, so

@@ -103,15 +103,18 @@ class TestSupport:
         assert sup.upper_pt_threshold == pytest.approx(1.0 + math.sqrt(0.5), abs=1e-8)
 
     @pytest.mark.parametrize("atoms, gamma", [([1.0, 1.0001], 1e-9), ([1.0, 1.00000001], 1e-12)])
-    def test_non_finite_interval_end_raises(self, atoms, gamma):
-        # nearly coincident atoms at tiny gamma: the sign change of x'(v)
-        # next to the top pole falls between samples and the upper edge is lost
+    def test_close_atoms_at_tiny_gamma(self, atoms, gamma):
+        # the minimum of g between the two poles decides the split: below
+        # one for the first bulk, far above it for the second
+        expected = {1e-9: [(0.9999512, 1.0000382), (1.0000618, 1.0001488)],
+                    1e-12: [(0.999998, 1.000002)]}[gamma]
         H = sd.AtomicMeasure(np.array(atoms), np.array([0.5, 0.5]))
-        msg = f"non-finite interval end .* 2 atoms at gamma={gamma:g}"
-        with pytest.raises(sd.SilversteinError, match=msg):
-            sd.support_intervals(H, gamma)
-        with pytest.raises(sd.SilversteinError, match=msg):
-            sd.stieltjes_grid(H, gamma, points_per_interval=50)
+        sup = sd.support_intervals(H, gamma)
+        assert np.allclose(sup.intervals, expected, rtol=0.0, atol=1e-7)
+        curve = sd.stieltjes_grid(H, gamma, points_per_interval=200, support=sup)
+        assert curve.dropped == [] and curve.edge_failures == []
+        assert sd.esd_moment(curve, H, 1) == pytest.approx(sd.forward_moments(H, gamma, 1)[0],
+                                                           rel=1e-3)
 
     def test_spike_windows_keep_their_infinite_end(self, mp_unit):
         s_lo, s_hi, x_lo, x_hi = sd.support_intervals(mp_unit, 0.5).spike_windows[-1]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -142,6 +143,19 @@ class TestSubcriticalBranch:
                                G1=sd.AtomicMeasure.point_mass(1.2), gamma=GAMMA)
         with pytest.raises(ValueError):
             sd.optimal_lss(model, CFG)
+
+    @pytest.mark.parametrize("build", [sd.optimal_lss, sd.optimal_ls3])
+    def test_curve_with_dropped_point_refused(self, unit_model_factory, mp_curve, build):
+        # the trapezoid weights would bridge the hole with one wide cell
+        hole = mp_curve.grid.size // 2
+        keep = np.arange(mp_curve.grid.size) != hole
+        x = float(mp_curve.grid[hole])
+        holed = dataclasses.replace(
+            mp_curve, grid=mp_curve.grid[keep], v=mp_curve.v[keep],
+            v_prime=mp_curve.v_prime[keep], interval_id=mp_curve.interval_id[keep],
+            cell_widths=mp_curve.cell_widths[keep], dropped=[(x, "residual 1.00e-03")])
+        with pytest.raises(ValueError, match=rf"1 non-converged points \(x = {x!r}\)"):
+            build(unit_model_factory(1.6), CFG, curve=holed)
 
     def test_power_monotone_in_spike(self, unit_model_factory, mp_curve):
         powers = []

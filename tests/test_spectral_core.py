@@ -20,6 +20,20 @@ REF = np.load(Path(__file__).parent / "data" / "reference_curves.npz")
 CASES = {name: (H, gamma, kw, spike) for name, H, gamma, kw, spike in cases()}
 
 
+def rel_err(a, ref) -> float:
+    """Largest relative difference from ref; inf where a zero or a non-finite
+    entry (nan, +-inf) of ref is not matched exactly."""
+    a, ref = np.asarray(a, dtype=float), np.asarray(ref, dtype=float)
+    assert a.shape == ref.shape
+    finite = np.isfinite(ref)
+    if not np.array_equal(a[~finite], ref[~finite], equal_nan=True):
+        return np.inf
+    diff = np.abs(a[finite] - ref[finite])
+    scale = np.abs(ref[finite])
+    rel = np.divide(diff, scale, out=np.where(diff == 0, 0.0, np.inf), where=scale > 0)
+    return float(np.max(rel, initial=0.0))
+
+
 @pytest.fixture(scope="module")
 def curves():
     return {name: sd.stieltjes_grid(H, gamma, **kw) for name, (H, gamma, kw, _) in CASES.items()}
@@ -29,7 +43,7 @@ def curves():
 class TestAgainstScalarSolver:
     def test_grid_v_and_v_prime(self, curves, name):
         curve = curves[name]
-        assert np.array_equal(curve.grid, REF[f"{name}/grid"])
+        assert rel_err(curve.grid, REF[f"{name}/grid"]) <= 1e-14
         assert np.array_equal(curve.interval_id, REF[f"{name}/interval_id"])
         assert np.max(np.abs(curve.v - REF[f"{name}/v"])) <= 1e-12
         vp = REF[f"{name}/v_prime"]
@@ -39,13 +53,16 @@ class TestAgainstScalarSolver:
         assert [x for x, _ in curves[name].dropped] == REF[f"{name}/dropped_x"].tolist()
         assert [r for _, r in curves[name].dropped] == REF[f"{name}/dropped_reason"].tolist()
 
-    def test_support_set_is_identical(self, curves, name):
+    def test_support_set_matches(self, curves, name):
+        # the recorded edges are bisection midpoints to within
+        # 1e-13 * max(1, |v|); x is stationary in v there, so the interval
+        # ends agree to round-off
         sup = curves[name].support
-        assert np.array_equal(np.array(sup.intervals), REF[f"{name}/intervals"])
-        assert np.array_equal(np.array(sup.enclosing_interval), REF[f"{name}/enclosing_interval"])
-        assert np.array_equal(np.array(sup.edge_v), REF[f"{name}/edge_v"], equal_nan=True)
-        assert np.array_equal(np.array(sup.spike_windows).reshape(-1, 4),
-                              REF[f"{name}/spike_windows"])
+        assert rel_err(sup.intervals, REF[f"{name}/intervals"]) <= 1e-14
+        assert rel_err(sup.enclosing_interval, REF[f"{name}/enclosing_interval"]) <= 1e-14
+        assert rel_err(sup.edge_v, REF[f"{name}/edge_v"]) <= 2e-13
+        windows = np.reshape(sup.spike_windows, (-1, 4))
+        assert rel_err(windows, REF[f"{name}/spike_windows"]) <= 2e-13
 
 
 @pytest.mark.parametrize("name", ["two_atom", "ar1", "unit"])
@@ -96,10 +113,12 @@ def test_single_point_wrappers_agree_with_the_grid(two_atom, two_atom_curve_01):
 
 def test_failed_edge_sample_leaves_its_edge_unrefined():
     # the lower edge sits at 1.3e-7, where the derivative map is undefined at
-    # the first sample toward it; the scalar solver recorded the same gap
+    # the first sample toward it; the scalar solver recorded the same gap.
+    # The second interval, the bulk of the atom at 1, holds half the mass.
     H = sd.AtomicMeasure(np.array([1e-6, 1.0]), np.array([0.5, 0.5]))
     curve = sd.stieltjes_grid(H, 0.5, points_per_interval=100)
-    assert set(curve.edge_samples) == {(0, "hi")}
+    assert set(curve.edge_samples) == {(0, "hi"), (1, "lo"), (1, "hi")}
+    assert sd.esd_moment(curve, H, 1) == pytest.approx(sd.forward_moments(H, 0.5, 1)[0], rel=1e-3)
     cdf = sd.weak_derivative_cdf(H, sd.AtomicMeasure.point_mass(2.0), 0.5, curve)
     assert cdf.gaps == ["edge refinement failed at x=1.34516e-07: "
                         "derivative map denominator vanished (support edge)"]

@@ -62,3 +62,40 @@ def test_derivative_cdf_has_zero_total_mass(bulk):
     assert cdf.point_masses == []
     assert cdf.gaps == []
     assert abs(cdf.total_mass) <= 1e-2
+
+
+@st.composite
+def edge_bulks(draw):
+    """Bulks that stress the support search: a pair of atoms as close as
+    1e-8 relative, a null direction, and gamma from 1e-8 up to 4."""
+    t = draw(st.floats(0.5, 4.0))
+    atoms = [t]
+    if draw(st.booleans()):
+        atoms.append(t * (1.0 + 10.0 ** -draw(st.integers(1, 8))))
+    if draw(st.booleans()):
+        atoms.append(t + draw(st.floats(0.1, 3.0)))
+    if draw(st.booleans()):
+        atoms.append(0.0)
+    weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=len(atoms),
+                                     max_size=len(atoms))))
+    gamma = 10.0 ** draw(st.floats(-8.0, 0.6))
+    return sd.AtomicMeasure(np.array(atoms), weights / weights.sum()), gamma
+
+
+def one_minus_g(H, gamma, v):
+    """v^2 x'(v) = 1 - gamma * sum w (tv/(1+tv))^2, summed directly."""
+    return 1.0 - gamma * float(np.sum(H.weights * (H.atoms * v / (1.0 + H.atoms * v)) ** 2))
+
+
+@PROPERTY
+@given(edge_bulks())
+def test_edges_are_zeros_of_x_prime_and_gaps_rise(bulk):
+    # at an edge found to the last float, |1 - g| is about 1e-16/sqrt(gamma w):
+    # 2e-11 at the smallest gamma drawn here
+    H, gamma = bulk
+    sup = sd.support_intervals(H, gamma)
+    edges = np.array(sup.edge_v)
+    for v in edges[np.isfinite(edges)]:
+        assert abs(one_minus_g(H, gamma, v)) <= 1e-10
+    for (_, v_a), (v_b, _) in zip(sup.edge_v[:-1], sup.edge_v[1:]):
+        assert one_minus_g(H, gamma, 0.5 * (v_a + v_b)) > 0

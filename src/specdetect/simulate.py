@@ -74,7 +74,7 @@ def sample_eigenvalues(pop_eigs, n: int, seed) -> np.ndarray:
     return np.concatenate([np.zeros(p - n), np.linalg.eigvalsh(x @ x.T / n)])
 
 
-def apply_lss(phi: LssFunction, eigenvalues):
+def apply_lss(phi: LssFunction, eigenvalues) -> float | np.ndarray:
     """Statistic sum_i phi(lambda_i) with phi's interpolation/extension rules.
 
     One value for a 1-d array of eigenvalues, one per row of an (r, p) array.

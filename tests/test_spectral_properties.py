@@ -90,8 +90,9 @@ def one_minus_g(H, gamma, v):
 @PROPERTY
 @given(edge_bulks())
 def test_edges_are_zeros_of_x_prime_and_gaps_rise(bulk):
-    # at an edge found to the last float, |1 - g| is about 1e-16/sqrt(gamma w):
-    # 2e-11 at the smallest gamma drawn here
+    # at an edge found to the last float, |1 - g| grows as gamma shrinks:
+    # up to 4e-10 at gamma = 1e-12, and at most 1.1e-11 over 1500 draws of
+    # these bulks, whose gamma stays at 1e-8 or more
     H, gamma = bulk
     sup = sd.support_intervals(H, gamma)
     edges = np.array(sup.edge_v)

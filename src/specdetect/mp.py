@@ -61,18 +61,26 @@ def _blocks(n: int, H: AtomicMeasure):
 def _sums(H: AtomicMeasure, v: np.ndarray, orders: tuple[int, ...] = (1, 2)) -> list[np.ndarray]:
     """Integrands of the fixed-point equation at each entry of the 1-d array v.
 
-    Order k (1, 2 or 3) is ``sum w t^k/(1+tv)^k``; the sums run over
-    (points x atoms) blocks.  Each row is reduced exactly as a single
-    point would be, so real v gives bit-identical values.
+    Order k (1, 2 or 3, ascending in ``orders``) is ``sum w t^k/(1+tv)^k``.
+    Per (points x atoms) block, R = 1/(1 + v t) is formed once and order k
+    is the matrix-vector product R^k @ (w t^k).  BLAS reduces a row in an
+    order that depends on the block's shape and the thread count, so a
+    value agrees with a single-point call to round-off, not bit for bit.
     """
     numerators = [H.weights * H.atoms**k for k in orders]
     out = [np.empty(v.shape, dtype=np.result_type(v, 1.0)) for _ in orders]
     for sl in _blocks(v.size, H):
-        den = 1.0 + np.multiply.outer(v[sl], H.atoms)
+        r = np.multiply.outer(v[sl], H.atoms)
+        r += 1.0
+        np.reciprocal(r, out=r)
+        rk, k_done = r, 1
         for o, num, k in zip(out, numerators, orders):
-            # the cube by multiplication: den**3 goes through pow, which is
+            # powers by multiplication: R**3 goes through pow, which is
             # some 100x slower on negative reals
-            o[sl] = np.sum(num / (den if k == 1 else den**2 if k == 2 else den**2 * den), axis=1)
+            for _ in range(k - k_done):
+                rk = rk * r
+            k_done = k
+            o[sl] = rk @ num
     return out
 
 
@@ -163,13 +171,25 @@ def _newton(H: AtomicMeasure, gamma: float, z: np.ndarray, v0: np.ndarray,
 
 def _fixed_point(H: AtomicMeasure, gamma: float, z: np.ndarray, v0: np.ndarray,
                  n_iter: int = 60) -> np.ndarray:
-    v = v0
+    """Contraction v <- 1/(-z + gamma * sum w t/(1+tv)) for every entry at once.
+
+    Each entry stops on its own once its step is at most 1e-13 of its new
+    value, or once its denominator vanishes, where it keeps its value;
+    no entry takes more than ``n_iter`` steps.
+    """
+    v = np.array(v0, dtype=complex)
+    act = np.arange(v.size)
     with np.errstate(all="ignore"):
         for _ in range(n_iter):
-            denom = -z + gamma * _sums(H, v, (1,))[0]
-            # an entry whose denominator vanished keeps its value, and so
-            # meets the same zero on every later pass
-            v = np.where(denom == 0, v, 1.0 / denom)
+            if act.size == 0:
+                break
+            va = v[act]
+            denom = -z[act] + gamma * _sums(H, va, (1,))[0]
+            # an entry whose denominator vanished keeps its value, a zero
+            # step, and so stops
+            vn = np.where(denom == 0, va, 1.0 / denom)
+            v[act] = vn
+            act = act[~(np.abs(vn - va) <= 1e-13 * np.abs(vn))]
     return v
 
 
@@ -469,6 +489,11 @@ def solve_real_outside(H: AtomicMeasure, gamma: float, support: SupportSet, x: f
             s = _bisect(lambda s: x_of_v(-1.0 / s) - x, [s_lo],
                         [s_hi if math.isfinite(s_hi) else x])
             return float(-1.0 / s[0])
+    v_lo = support.edge_v[0][0]
+    if x < support.intervals[0][0] and 0.0 < v_lo < math.inf:
+        # gamma' > 1: below the bulk x rises from -inf (v = 0+) to the
+        # lowest edge on the v > 0 branch
+        return float(_bisect(lambda v: x_of_v(v) - x, [0.0], [v_lo])[0])
     raise ValueError(f"x={x} not located in any complement gap")
 
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import AtomicMeasure
-from .mp import StieltjesCurve, SupportSet, derivative_map, solve_silverstein, solve_real_outside
+from .mp import (StieltjesCurve, SupportSet, _sums, derivative_map, solve_silverstein,
+                 solve_real_outside)
 
 __all__ = [
     "SpikeRecord",
@@ -133,11 +134,7 @@ def classify_spikes(H: AtomicMeasure, gamma: float, G: AtomicMeasure,
 def _st_from_v(H: AtomicMeasure, G: AtomicMeasure, gamma: float, v: np.ndarray,
                vp) -> np.ndarray:
     """s = -gamma v' integral t/(1+tv) d(G-H)(t), elementwise in v and v'."""
-    nu = np.zeros_like(v, dtype=complex)
-    for t, u in zip(G.atoms, G.weights):
-        nu += u * t / (1.0 + t * v)
-    for t, w in zip(H.atoms, H.weights):
-        nu -= w * t / (1.0 + t * v)
+    nu = _sums(G, v, (1,))[0] - _sums(H, v, (1,))[0]
     return -gamma * vp * nu
 
 

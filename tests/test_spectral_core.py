@@ -108,8 +108,9 @@ AR1 = sd.AtomicMeasure.uniform(sd.ar1_eigenvalues(0.7, 249))
 @pytest.mark.parametrize("orders", [(1,), (2,), (1, 2), (2, 3)])
 @pytest.mark.parametrize("kind", ["complex", "real"])
 def test_atom_sums_match_an_exact_per_atom_sum(orders, kind):
-    # 1000 points over 249 atoms span four blocks; the real points cross
-    # the poles -1/t, so a sum is measured against its absolute terms
+    # 1000 points over 249 atoms span four blocks.  Terms cancel (real v
+    # crosses the poles -1/t, complex terms differ in phase), so a sum's
+    # error is measured against the sum of its absolute terms
     v = np.linspace(-3.0, 1.0, 1000)
     if kind == "complex":
         v = v + 1j * np.linspace(1e-3, 1.0, 1000)

@@ -22,7 +22,7 @@ from . import __version__
 from .classical import catalog_ids, equivalent_lss, evaluate_statistic
 from .io import read_json, write_csv, write_json
 from .measures import AtomicMeasure
-from .mp import stieltjes_grid
+from .mp import StieltjesCurve, stieltjes_grid
 from .optimal import SOLVERS, AlgoConfig, SpikedModel, optimal_lss, optimal_ls3
 from .simulate import SimConfig, power_experiment, sample_eigenvalues
 from .weak_derivative import weak_derivative_cdf
@@ -104,26 +104,24 @@ def _curve_outputs(curve, out: OutputTracker) -> None:
     write_json(out.path("support.json"), curve.support.to_dict())
 
 
-def cmd_spectrum(config: dict, out: OutputTracker, args) -> None:
+def _curve(config: dict) -> tuple[AtomicMeasure, float, StieltjesCurve]:
+    """H, gamma and the curve of H; top-level "epsilon", "points_per_interval" override "config"."""
     _require(config, "gamma")
     H = _measure(config, "H")
     gamma = float(config["gamma"])
     algo = _algo_config(config, None)
     epsilon = float(config.get("epsilon", algo.epsilon))
     ppi = int(config.get("points_per_interval", algo.points_per_interval))
-    curve = stieltjes_grid(H, gamma, points_per_interval=ppi, epsilon=epsilon)
-    _curve_outputs(curve, out)
+    return H, gamma, stieltjes_grid(H, gamma, points_per_interval=ppi, epsilon=epsilon)
+
+
+def cmd_spectrum(config: dict, out: OutputTracker, args) -> None:
+    _curve_outputs(_curve(config)[2], out)
 
 
 def cmd_weak_derivative(config: dict, out: OutputTracker, args) -> None:
-    _require(config, "gamma")
-    H = _measure(config, "H")
     G = _measure(config, "G")
-    gamma = float(config["gamma"])
-    algo = _algo_config(config, None)
-    epsilon = float(config.get("epsilon", algo.epsilon))
-    ppi = int(config.get("points_per_interval", algo.points_per_interval))
-    curve = stieltjes_grid(H, gamma, points_per_interval=ppi, epsilon=epsilon)
+    H, gamma, curve = _curve(config)
     cdf = weak_derivative_cdf(H, G, gamma, curve)
     write_csv(out.path("weak_derivative.csv"), ["x", "density", "cdf"], cdf.to_rows())
     write_json(out.path("point_masses.json"), {
@@ -175,13 +173,9 @@ def cmd_classical(config: dict, out: OutputTracker, args) -> None:
         for test_id in catalog_ids():
             print(test_id)
         return
-    _require(config, "test_id", "gamma")
-    H = _measure(config, "H")
-    gamma = float(config["gamma"])
+    _require(config, "test_id")
+    H, gamma, curve = _curve(config)
     params = config.get("parameters", {})
-    algo = _algo_config(config, None)
-    ppi = int(config.get("points_per_interval", algo.points_per_interval))
-    curve = stieltjes_grid(H, gamma, points_per_interval=ppi, epsilon=algo.epsilon)
     try:
         phi = equivalent_lss(config["test_id"], H, gamma, curve, **params)
     except (KeyError, ValueError) as exc:

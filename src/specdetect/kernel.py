@@ -19,7 +19,7 @@ from statistics import NormalDist
 import numpy as np
 from scipy.linalg import block_diag, solve
 
-from .mp import StieltjesCurve
+from .mp import StieltjesCurve, _eps1
 from .weak_derivative import SignedMeasureCdf
 
 __all__ = [
@@ -195,7 +195,7 @@ def solve_collocation(curve: StieltjesCurve, delta: SignedMeasureCdf,
     """
     if delta.grid.shape != curve.grid.shape or not np.allclose(delta.grid, curve.grid):
         raise ValueError("delta is not on the curve grid")
-    resolved = max(1e-8, 1e-2 * curve.epsilon)
+    resolved = _eps1(curve.epsilon)
     if resolved > epsilon1 * (1.0 + 1e-12):
         raise ValueError(
             f"curve resolved to {resolved:.1e} but collocation accuracy {epsilon1:.1e} "

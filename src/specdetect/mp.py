@@ -53,9 +53,22 @@ def _check_bulk(H: AtomicMeasure) -> None:
         raise ValueError("population spectrum delta_0 is degenerate and not supported")
 
 
-def _blocks(n: int, H: AtomicMeasure):
-    step = max(1, _BLOCK_ELEMENTS // H.n_atoms)
+def _blocks(n: int, n_atoms: int):
+    step = max(1, _BLOCK_ELEMENTS // n_atoms)
     return (slice(i, i + step) for i in range(0, n, step))
+
+
+def _eps1(epsilon: float) -> float:
+    """Increment of v at which the imaginary-offset limit stops, for accuracy ``epsilon``."""
+    return max(1e-8, 1e-2 * epsilon)
+
+
+def _near_pole(atoms: np.ndarray, v: np.ndarray, tol: float) -> np.ndarray:
+    """Entries of the 1-d array v where some 1 + t*v, t in ``atoms``, is within ``tol`` of 0."""
+    out = np.empty(v.size, dtype=bool)
+    for sl in _blocks(v.size, atoms.size):
+        out[sl] = np.any(np.abs(1.0 + np.multiply.outer(v[sl], atoms)) < tol, axis=1)
+    return out
 
 
 def _sums(H: AtomicMeasure, v: np.ndarray, orders: tuple[int, ...] = (1, 2)) -> list[np.ndarray]:
@@ -69,7 +82,7 @@ def _sums(H: AtomicMeasure, v: np.ndarray, orders: tuple[int, ...] = (1, 2)) -> 
     """
     numerators = [H.weights * H.atoms**k for k in orders]
     out = [np.empty(v.shape, dtype=np.result_type(v, 1.0)) for _ in orders]
-    for sl in _blocks(v.size, H):
+    for sl in _blocks(v.size, H.n_atoms):
         r = np.multiply.outer(v[sl], H.atoms)
         r += 1.0
         np.reciprocal(r, out=r)
@@ -98,9 +111,7 @@ def _derivative(H: AtomicMeasure, gamma: float, v: np.ndarray) -> tuple[np.ndarr
     with np.errstate(all="ignore"):
         d = 1.0 / v**2 - gamma * _sums(H, v, (2,))[0]
         vp = 1.0 / d
-    near_pole = np.empty(v.size, dtype=bool)
-    for sl in _blocks(v.size, H):
-        near_pole[sl] = np.any(np.abs(1.0 + np.multiply.outer(v[sl], H.atoms)) < 1e-14, axis=1)
+    near_pole = _near_pole(H.atoms, v, 1e-14)
     errors: dict = {}
     for i in np.flatnonzero((v == 0) | near_pole | (np.abs(d) < 1e-14)):
         if v[i] == 0:
@@ -265,8 +276,8 @@ class SupportSet:
     edge_v: tuple[tuple[float, float], ...] = field(default=())
     spike_windows: tuple[tuple[float, float, float, float], ...] = field(default=())
 
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return any(l - tol <= x <= u + tol for l, u in self.intervals)
+    def contains(self, x: float) -> bool:
+        return any(l <= x <= u for l, u in self.intervals)
 
     def distance(self, x: float) -> float:
         """Distance from x to the union of support intervals (0 inside)."""
@@ -634,7 +645,7 @@ def stieltjes_grid(H: AtomicMeasure, gamma: float, points_per_interval: int = 10
     _check_bulk(H)
     if support is None:
         support = support_intervals(H, gamma)
-    eps1 = max(1e-8, 1e-2 * epsilon)
+    eps1 = _eps1(epsilon)
     span = support.intervals[-1][1] - support.intervals[0][0]
     eta0 = 1e-2 * span
 

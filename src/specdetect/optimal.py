@@ -28,7 +28,7 @@ from .kernel import (
     solve_regularized,
 )
 from .measures import AtomicMeasure
-from .mp import StieltjesCurve, SupportSet, stieltjes_grid
+from .mp import StieltjesCurve, SupportSet, _eps1, stieltjes_grid
 from .weak_derivative import (
     SignedMeasureCdf,
     SpikeClassification,
@@ -92,7 +92,6 @@ class AlgoConfig:
     """Algorithmic constants; defaults follow the standard parameter table."""
 
     epsilon: float = 5e-6
-    c0: float = 1e-2
     c1: float = 1.5
     ridge_coeff: float = 1e-4
     n_sd: float = 3.0
@@ -110,7 +109,7 @@ class AlgoConfig:
 
     @property
     def epsilon1(self) -> float:
-        return max(1e-8, self.c0 * self.epsilon)
+        return _eps1(self.epsilon)
 
     def s_plus(self, gamma: float, a_pt: float) -> float:
         return self.s_plus_coeff * (1.0 + math.sqrt(gamma)) * a_pt

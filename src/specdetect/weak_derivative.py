@@ -10,7 +10,8 @@ closed form
 which is evaluated here on the grid of a precomputed curve.  Inside the
 bulk the derivative has a density pi^-1 Im(s); each supercritical spike
 s_j of G additionally contributes an exact point mass gamma*u_j at its
-sample location psi(s_j).
+sample location psi(s_j) = x(-1/s_j), x the real inverse map.  The
+derivative is linear in G, so Delta is one pass over G1 - G0: H cancels.
 """
 from __future__ import annotations
 
@@ -20,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import AtomicMeasure
-from .mp import (StieltjesCurve, SupportSet, _sums, derivative_map, solve_silverstein,
-                 solve_real_outside)
+from .mp import (StieltjesCurve, SupportSet, _inverse_map, _near_pole, _sums, derivative_map,
+                 solve_silverstein, solve_real_outside)
 
 __all__ = [
     "SpikeRecord",
@@ -30,7 +31,6 @@ __all__ = [
     "spike_forward_map",
     "spike_forward_map_prime",
     "classify_spikes",
-    "near_pole_mask",
     "weak_derivative_st",
     "weak_derivative_st_at",
     "weak_derivative_cdf",
@@ -41,22 +41,28 @@ __all__ = [
 _POLE_TOL = 1e-12
 
 
-def spike_forward_map(H: AtomicMeasure, gamma: float, s: float) -> float:
-    """Sample-spike location psi(s) = s * [1 + gamma * sum w_i t_i/(s - t_i)]."""
+def _on_atom(H: AtomicMeasure, s: float, tol: float) -> bool:
+    """Whether the spike s > 0 lies within tol * max(1, s) of an atom of H."""
+    return bool(_near_pole(H.atoms, np.array([-1.0 / s]), tol * max(1.0, 1.0 / s))[0])
+
+
+def _spike_v(H: AtomicMeasure, s: float) -> np.ndarray:
+    """v = -1/s, at which x(v) = psi(s); refuses a spike on an atom of H (a pole)."""
     if s <= 0:
         raise ValueError("spike location must be positive")
-    diffs = s - H.atoms
-    if np.any(np.abs(diffs) < _POLE_TOL * max(1.0, s)):
+    if _on_atom(H, s, _POLE_TOL):
         raise ValueError(f"spike s={s} coincides with a population atom (pole)")
-    return float(s * (1.0 + gamma * np.sum(H.weights * H.atoms / diffs)))
+    return np.array([-1.0 / s])
+
+
+def spike_forward_map(H: AtomicMeasure, gamma: float, s: float) -> float:
+    """Sample-spike location psi(s) = x(-1/s) = s * [1 + gamma * sum w_i t_i/(s - t_i)]."""
+    return float(_inverse_map(H, gamma)[0](_spike_v(H, s))[0])
 
 
 def spike_forward_map_prime(H: AtomicMeasure, gamma: float, s: float) -> float:
-    """Analytic derivative psi'(s) = 1 - gamma * sum w_i t_i^2/(s - t_i)^2."""
-    diffs = s - H.atoms
-    if np.any(np.abs(diffs) < _POLE_TOL * max(1.0, s)):
-        raise ValueError(f"spike s={s} coincides with a population atom (pole)")
-    return float(1.0 - gamma * np.sum(H.weights * H.atoms**2 / diffs**2))
+    """Analytic derivative psi'(s) = x'(-1/s)/s^2 = 1 - gamma * sum w_i t_i^2/(s - t_i)^2."""
+    return float(_inverse_map(H, gamma)[1](_spike_v(H, s))[0] / s**2)
 
 
 @dataclass(frozen=True)
@@ -83,47 +89,27 @@ class SpikeClassification:
 
 
 def classify_spikes(H: AtomicMeasure, gamma: float, G: AtomicMeasure,
-                    support: SupportSet, cell_width: float = 0.0) -> SpikeClassification:
+                    support: SupportSet) -> SpikeClassification:
     """Classify each atom of G as sub- or supercritical.
 
     A spike is supercritical when it falls in one of the support set's
-    spike windows, i.e. when its sample location psi(s) escapes the bulk.
-    The window test is robust for bulks with many tightly packed atoms,
-    where evaluating psi at a spike buried inside the bulk is meaningless.
-    ``cell_width`` > 0 additionally demands psi beyond the edge by that
-    margin; the default trusts the located edges, since psi - edge shrinks
-    quadratically at the threshold and any sample-space margin would mask
-    the near-threshold surrogate handling.
+    spike windows and psi(s) lies outside the support, with no margin:
+    psi - edge shrinks quadratically at the threshold.  The window test
+    stays robust for tightly packed atoms, where psi of a spike buried in
+    the bulk is meaningless; psi is still recorded for reporting wherever
+    the spike is more than 1e-9 from every atom.
     """
     records = []
-    for s, u in zip(G.atoms, G.weights):
+    for s, u in zip(G.atoms.tolist(), G.weights.tolist()):
         in_window = any(s_lo < s < s_hi for s_lo, s_hi, _, _ in support.spike_windows)
         psi = psi_p = math.nan
-        sd = None
-        supercritical = False
-        if in_window:
-            psi = spike_forward_map(H, gamma, float(s))
-            psi_p = spike_forward_map_prime(H, gamma, float(s))
-            supercritical = support.distance(psi) > cell_width
-            if supercritical:
-                sd = math.sqrt(max(2.0 * s**2 * psi_p, 0.0))
-        else:
-            # psi is still well defined away from the atoms; record it for
-            # reporting but the classification stands
-            min_gap = float(np.min(np.abs(s - H.atoms)))
-            if min_gap > 1e-9 * max(1.0, s):
-                psi = spike_forward_map(H, gamma, float(s))
-                psi_p = spike_forward_map_prime(H, gamma, float(s))
-        records.append(
-            SpikeRecord(
-                location=float(s),
-                weight=float(u),
-                psi=psi,
-                psi_prime=psi_p,
-                supercritical=supercritical,
-                asy_sd=sd,
-            )
-        )
+        if in_window or s <= 0 or not _on_atom(H, s, 1e-9):
+            psi = spike_forward_map(H, gamma, s)
+            psi_p = spike_forward_map_prime(H, gamma, s)
+        supercritical = in_window and support.distance(psi) > 0
+        records.append(SpikeRecord(
+            location=s, weight=u, psi=psi, psi_prime=psi_p, supercritical=supercritical,
+            asy_sd=math.sqrt(max(2.0 * s**2 * psi_p, 0.0)) if supercritical else None))
     return SpikeClassification(records=tuple(records))
 
 
@@ -131,30 +117,19 @@ def classify_spikes(H: AtomicMeasure, gamma: float, G: AtomicMeasure,
 # Stieltjes transform of the derivative
 # ----------------------------------------------------------------------
 
-def _st_from_v(H: AtomicMeasure, G: AtomicMeasure, gamma: float, v: np.ndarray,
+def _st_from_v(minus: AtomicMeasure, plus: AtomicMeasure, gamma: float, v: np.ndarray,
                vp) -> np.ndarray:
-    """s = -gamma v' integral t/(1+tv) d(G-H)(t), elementwise in v and v'."""
-    nu = _sums(G, v, (1,))[0] - _sums(H, v, (1,))[0]
+    """s = -gamma v' integral t/(1+tv) d(plus - minus)(t), elementwise in v and v'."""
+    nu = _sums(plus, v, (1,))[0] - _sums(minus, v, (1,))[0]
     return -gamma * vp * nu
 
 
-def near_pole_mask(H: AtomicMeasure, G: AtomicMeasure, curve: StieltjesCurve,
-                   pole_tol: float = 1e-12) -> np.ndarray:
-    """Grid points where some 1 + t*v(x_m) is within ``pole_tol`` of zero."""
-    mask = np.zeros(curve.grid.size, dtype=bool)
-    for t in np.concatenate([H.atoms, G.atoms]):
-        mask |= np.abs(1.0 + t * curve.v) < pole_tol
-    return mask
-
-
-def weak_derivative_st(H: AtomicMeasure, G: AtomicMeasure, curve: StieltjesCurve,
-                       pole_tol: float = 1e-12) -> np.ndarray:
+def weak_derivative_st(H: AtomicMeasure, G: AtomicMeasure, curve: StieltjesCurve) -> np.ndarray:
     """s(x_m) on the curve's grid from the stored v and v'.
 
-    Raises if any 1 + t*v(x_m) is within ``pole_tol`` of zero, which marks
-    a sample spike sitting on the grid.
+    Raises if any 1 + t*v(x_m) is within 1e-12 of zero: a sample spike on the grid.
     """
-    if near_pole_mask(H, G, curve, pole_tol).any():
+    if _near_pole(np.concatenate([H.atoms, G.atoms]), curve.v, _POLE_TOL).any():
         raise ValueError("near-pole: 1 + t*v vanished on the grid")
     return _st_from_v(H, G, curve.gamma, curve.v, curve.v_prime)
 
@@ -272,27 +247,24 @@ def _edge_region_masses(xs: np.ndarray, fs: np.ndarray, edge: float, inward: int
     else:
         g0 = g[0] - u[0] * (g[1] - g[0]) / (u[1] - u[0])
         tail = 0.5 * (g0 + g[0]) * u[0]
-    if inward > 0:
-        return tail, cells
-    return tail, cells[::-1]
+    return tail, (cells if inward > 0 else cells[::-1])
 
 
 def _integrate_signed_density(curve: StieltjesCurve, dens: np.ndarray,
                               point_masses: list[tuple[float, float]],
-                              refinements: dict | None = None) -> tuple[np.ndarray, float]:
+                              refinements: dict) -> tuple[np.ndarray, float]:
     """Cumulative integral of a signed density with sqrt-singular edges.
 
     Interior cells use the trapezoid rule.  Near each support edge the
     density behaves like c/sqrt(dist); plain trapezoid there loses mass
     of order sqrt(cell), so the edge regions are integrated in the
-    sqrt-distance variable, optionally helped by refined sub-cell samples
-    keyed by (interval index, "lo"|"hi") in ``refinements``.  Point
-    masses located below a grid point are added as exact jumps.
+    sqrt-distance variable, helped by refined sub-cell samples keyed by
+    (interval index, "lo"|"hi") in ``refinements`` where present.  Point
+    masses located below a grid point are added as exact jumps.  Returns
+    the cdf and the mass between the last grid point and the top edge.
     """
-    refinements = refinements or {}
     cdf = np.zeros_like(dens)
     acc = 0.0
-    right_tail = 0.0
     masses_left = sorted(point_masses)
     for j in range(curve.n_intervals):
         sl = curve.interval_slice(j)
@@ -302,8 +274,7 @@ def _integrate_signed_density(curve: StieltjesCurve, dens: np.ndarray,
         # fold in point masses lying below this interval (gaps, or below the bulk)
         while masses_left and masses_left[0][0] < lo:
             acc += masses_left.pop(0)[1]
-        n = xs.size
-        n_corr = min(48, max(1, (n - 1) // 4))
+        n_corr = min(48, max(1, (xs.size - 1) // 4))
         left_tail, left_cells = _edge_region_masses(xs, fs, lo, +1, n_cells=n_corr,
                                                     refined=refinements.get((j, "lo")))
         tail_r, right_cells = _edge_region_masses(xs, fs, hi, -1, n_cells=n_corr,
@@ -314,21 +285,18 @@ def _integrate_signed_density(curve: StieltjesCurve, dens: np.ndarray,
         acc += left_tail
         cdf[sl.start] = acc
         cdf[sl.start + 1:sl.stop] = acc + np.cumsum(cells)
-        acc = cdf[sl.stop - 1]
-        if j == curve.n_intervals - 1:
-            right_tail = tail_r
-        else:
-            acc += tail_r  # mass between the last grid point and the gap edge
-            # plus the symmetric tail entering the next interval is added
-            # on the next pass via its own left_tail
-    return cdf, right_tail
+        # mass between the last grid point and the gap edge; the tail entering
+        # the next interval is its own left_tail
+        acc = cdf[sl.stop - 1] + tail_r
+    return cdf, tail_r
 
 
 def _edge_refinements(H: AtomicMeasure, G: AtomicMeasure, gamma: float,
                       curve: StieltjesCurve) -> tuple[dict, list[str]]:
     """Density samples at sub-cell distances from each support edge.
 
-    Evaluates s from the v and v' the curve stored at each edge
+    Evaluates s of the derivative toward G - H (any pair of measures)
+    from the v and v' the curve stored at each edge
     (``curve.edge_samples``); edges whose samples failed are recorded as
     gaps and left unrefined.
     """
@@ -338,54 +306,51 @@ def _edge_refinements(H: AtomicMeasure, G: AtomicMeasure, gamma: float,
     return refinements, gaps
 
 
+def _signed_cdf(minus: AtomicMeasure, plus: AtomicMeasure, gamma: float, curve: StieltjesCurve,
+                masses: list[tuple[float, float]]) -> SignedMeasureCdf:
+    """Distribution function of the derivative toward the signed measure plus - minus.
+
+    The density is pi^-1 Im(s), set to 0 with a gap at grid points near a
+    pole of s, never interpolated.  ``masses`` are the exact (location,
+    weight) point masses of the escaped spikes, placed analytically.
+    """
+    if abs(gamma - curve.gamma) > 1e-12:
+        raise ValueError("gamma does not match the curve")
+    with np.errstate(divide="ignore", invalid="ignore"):  # at a pole; zeroed below
+        dens = _st_from_v(minus, plus, gamma, curve.v, curve.v_prime).imag / math.pi
+    poles = _near_pole(np.concatenate([minus.atoms, plus.atoms]), curve.v, _POLE_TOL)
+    dens[poles] = 0.0
+    gaps = [f"near-pole grid point excluded at x={x:.8g}" for x in curve.grid[poles]]
+    refinements, edge_gaps = _edge_refinements(minus, plus, gamma, curve)
+    cdf, right_tail = _integrate_signed_density(curve, dens, masses, refinements)
+    return SignedMeasureCdf(grid=curve.grid.copy(), density=dens, cdf=cdf,
+                            point_masses=sorted(masses), right_tail=right_tail,
+                            gaps=gaps + edge_gaps)
+
+
+def _escaped(H: AtomicMeasure, gamma: float, G: AtomicMeasure, support: SupportSet,
+             sign: float = 1.0) -> list[tuple[float, float]]:
+    """(psi(s_j), sign * gamma * u_j) for each supercritical atom s_j of G."""
+    return [(r.psi, sign * gamma * r.weight)
+            for r in classify_spikes(H, gamma, G, support).supercritical]
+
+
 def weak_derivative_cdf(H: AtomicMeasure, G: AtomicMeasure, gamma: float,
                         curve: StieltjesCurve) -> SignedMeasureCdf:
     """Distribution function of the derivative of the forward map at H toward G.
 
-    The density inside the bulk is pi^-1 Im(s); each supercritical atom
-    s_j of G (weight u_j) contributes an exact point mass gamma*u_j at
-    its sample location psi(s_j), placed analytically rather than
-    detected numerically.
+    Each supercritical atom s_j of G (weight u_j) contributes the point
+    mass gamma*u_j at its sample location psi(s_j); the bulk H adds none.
     """
-    if abs(gamma - curve.gamma) > 1e-12:
-        raise ValueError("gamma does not match the curve")
-    classification = classify_spikes(H, gamma, G, curve.support)
-    pole_points = near_pole_mask(H, G, curve)
-    dens = _st_from_v(H, G, gamma, curve.v, curve.v_prime).imag / math.pi
-    gaps = []
-    if pole_points.any():
-        # excluded from integration, never interpolated
-        dens = np.where(pole_points, 0.0, dens)
-        for x in curve.grid[pole_points]:
-            gaps.append(f"near-pole grid point excluded at x={x:.8g}")
-    masses = [(r.psi, gamma * r.weight) for r in classification.supercritical]
-    masses.sort()
-    refinements, edge_gaps = _edge_refinements(H, G, gamma, curve)
-    gaps.extend(edge_gaps)
-    cdf, right_tail = _integrate_signed_density(curve, dens, masses, refinements)
-    return SignedMeasureCdf(
-        grid=curve.grid.copy(),
-        density=dens,
-        cdf=cdf,
-        point_masses=masses,
-        right_tail=right_tail,
-        gaps=gaps,
-    )
+    return _signed_cdf(H, G, gamma, curve, _escaped(H, gamma, G, curve.support))
 
 
 def delta_diff(H: AtomicMeasure, G0: AtomicMeasure, G1: AtomicMeasure, gamma: float,
                curve: StieltjesCurve) -> SignedMeasureCdf:
-    """Difference of the two derivative distribution functions on a shared grid."""
-    d1 = weak_derivative_cdf(H, G1, gamma, curve)
-    d0 = weak_derivative_cdf(H, G0, gamma, curve)
-    if d1.grid.shape != d0.grid.shape or not np.array_equal(d1.grid, d0.grid):
-        raise ValueError("grids of the two derivative cdfs do not match")
-    masses = sorted(d1.point_masses + [(loc, -w) for loc, w in d0.point_masses])
-    return SignedMeasureCdf(
-        grid=d1.grid,
-        density=d1.density - d0.density,
-        cdf=d1.cdf - d0.cdf,
-        point_masses=masses,
-        right_tail=d1.right_tail - d0.right_tail,
-        gaps=d1.gaps + d0.gaps,
-    )
+    """Derivative toward G1 minus the derivative toward G0, as one pass over G1 - G0.
+
+    H cancels from the density; the point masses are +gamma*u at each
+    supercritical atom of G1 and -gamma*u at each of G0.
+    """
+    masses = _escaped(H, gamma, G1, curve.support) + _escaped(H, gamma, G0, curve.support, -1.0)
+    return _signed_cdf(G0, G1, gamma, curve, masses)

@@ -71,3 +71,14 @@ def direct_sample_eigenvalues(pop_eigs, n: int, seed) -> np.ndarray:
     z = np.random.default_rng(seed).standard_normal((n, pop.size))
     x = z * np.sqrt(pop)
     return np.linalg.eigvalsh(x.T @ x / n)
+
+
+def spike_forward_map(atoms, weights, gamma: float, s: float) -> tuple[float, float]:
+    """psi(s) and psi'(s) of a discrete bulk, each from one exactly rounded sum.
+
+    psi(s) = s * [1 + gamma * sum w t/(s - t)] and
+    psi'(s) = 1 - gamma * sum w t^2/(s - t)^2.
+    """
+    terms = [(w * t / (s - t), w * t * t / (s - t) ** 2) for t, w in zip(atoms, weights)]
+    return (s * (1.0 + gamma * math.fsum(a for a, _ in terms)),
+            1.0 - gamma * math.fsum(b for _, b in terms))

@@ -138,6 +138,19 @@ class TestOptimalLss:
         assert "unknown solver 'typo'" in capsys.readouterr().err
         assert not (out / "lss.csv").exists()
 
+    def test_removed_c0_field_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "lss.json", {
+            "H": {"atoms": [1.0], "weights": [1.0]},
+            "G0": {"atoms": [1.0], "weights": [1.0]},
+            "G1": {"atoms": [1.6], "weights": [1.0]},
+            "gamma": 0.5,
+            "config": {"c0": 1e-2},
+        })
+        out = tmp_path / "out"
+        assert run_cli(["optimal-lss", "--config", cfg, "--out", str(out)]) == 2
+        assert "invalid algorithm config" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_scale_invariant_collocation_fails_without_output(self, tmp_path):
         cfg = write_config(tmp_path / "lss.json", {
             "H": {"atoms": [1.0], "weights": [1.0]},
@@ -178,6 +191,29 @@ class TestClassical:
             "gamma": 0.5,
         })
         assert run_cli(["classical-lss", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("spectrum", {}),
+    ("weak-derivative", {"G": {"atoms": [1.6], "weights": [1.0]}}),
+    ("classical-lss", {"test_id": "john-sphericity"}),
+])
+def test_top_level_epsilon_reaches_the_curve(tmp_path, monkeypatch, command, extra):
+    import specdetect.cli as cli
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append((kwargs["epsilon"], kwargs["points_per_interval"]))
+        return stieltjes_grid(*args, **kwargs)
+
+    stieltjes_grid = cli.stieltjes_grid
+    monkeypatch.setattr(cli, "stieltjes_grid", spy)
+    cfg = write_config(tmp_path / "c.json", {
+        "H": {"atoms": [1.0], "weights": [1.0]}, "gamma": 0.5,
+        "epsilon": 2e-5, "points_per_interval": 100, "config": {"epsilon": 1e-6}, **extra,
+    })
+    assert run_cli([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert seen == [(2e-5, 100)]
 
 
 class TestSimulate:

@@ -30,7 +30,7 @@ class TestConfig:
     def test_defaults_follow_parameter_table(self):
         cfg = sd.AlgoConfig()
         assert cfg.epsilon == 5e-6
-        assert cfg.c0 == 1e-2
+        assert cfg.epsilon1 == pytest.approx(5e-8, rel=1e-12)  # 1e-2 * epsilon
         assert cfg.c1 == 1.5
         assert cfg.ridge_coeff == 1e-4
         assert cfg.n_sd == 3

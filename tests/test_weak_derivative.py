@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import oracles
 import specdetect as sd
 
 
@@ -158,3 +160,59 @@ class TestDeltaDiff:
         d01 = sd.delta_diff(mp_unit, G0, G1, GAMMA, mp_curve)
         d10 = sd.delta_diff(mp_unit, G1, G0, GAMMA, mp_curve)
         assert np.max(np.abs(d01.cdf + d10.cdf)) < 1e-14
+
+    def test_one_pass_equals_the_difference_of_two_cdfs(self, two_atom, two_atom_curve_01):
+        # G0 in the gap window and G1 above the bulk: both escape, so the
+        # merged point masses carry both signs
+        G0, G1 = sd.AtomicMeasure.point_mass(1.5), sd.AtomicMeasure.point_mass(5.0)
+        d = sd.delta_diff(two_atom, G0, G1, 0.1, two_atom_curve_01)
+        c0 = sd.weak_derivative_cdf(two_atom, G0, 0.1, two_atom_curve_01)
+        c1 = sd.weak_derivative_cdf(two_atom, G1, 0.1, two_atom_curve_01)
+        scale = np.max(np.abs(d.cdf))
+        assert np.max(np.abs(d.cdf - (c1.cdf - c0.cdf))) <= 1e-13 * scale
+        assert abs(d.right_tail - (c1.right_tail - c0.right_tail)) <= 1e-13 * scale
+        (loc0, w0), = c0.point_masses
+        (loc1, w1), = c1.point_masses
+        assert d.point_masses == [(loc0, -w0), (loc1, w1)]
+        assert w0 == w1 == pytest.approx(0.1, abs=1e-15)
+
+
+def _spikes_off_the_atoms(H, support):
+    """Five points inside each spike window (an infinite end capped at
+    2 t_max), and the midpoints of atom gaps wider than 2e-3: every spike
+    is at least 1e-3 from every atom."""
+    t = np.sort(H.atoms)
+    spikes = [s for lo, hi, _, _ in support.spike_windows
+              for s in np.linspace(lo, min(hi, 2.0 * t[-1]), 7)[1:-1]]
+    mids = 0.5 * (t[1:] + t[:-1])
+    return spikes + mids[np.diff(t) > 2e-3].tolist()
+
+
+@pytest.mark.parametrize("bulk", ["two_atom", "ar1"])
+def test_psi_and_its_derivative_match_the_explicit_sums(bulk, two_atom):
+    if bulk == "two_atom":
+        H, gamma = two_atom, 0.1
+    else:
+        H, gamma = sd.AtomicMeasure.uniform(sd.ar1_eigenvalues(0.7, 249)), 0.5
+    spikes = _spikes_off_the_atoms(H, sd.support_intervals(H, gamma))
+    assert len(spikes) >= 10
+    for s in spikes:
+        psi, psi_p = oracles.spike_forward_map(H.atoms, H.weights, gamma, s)
+        assert abs(sd.spike_forward_map(H, gamma, s) - psi) <= 1e-12 * abs(psi), s
+        assert abs(sd.spike_forward_map_prime(H, gamma, s) - psi_p) <= 1e-12 * abs(psi_p), s
+
+
+class TestNearPole:
+    def test_grid_point_on_a_pole_is_excluded(self, mp_unit, mp_curve):
+        # v(x_m) = -1/s puts the sample spike of G on grid point m
+        s, m = 1.6, mp_curve.grid.size // 3
+        curve = dataclasses.replace(mp_curve, v=mp_curve.v.copy())
+        curve.v[m] = -1.0 / s
+        G = sd.AtomicMeasure.point_mass(s)
+        cdf = sd.weak_derivative_cdf(mp_unit, G, GAMMA, curve)
+        assert cdf.density[m] == 0.0
+        assert np.all(np.isfinite(cdf.cdf))
+        assert cdf.gaps == [f"near-pole grid point excluded at x={curve.grid[m]:.8g}"]
+        assert sd.delta_diff(mp_unit, mp_unit, G, GAMMA, curve).gaps == cdf.gaps
+        with pytest.raises(ValueError, match="near-pole"):
+            sd.weak_derivative_st(mp_unit, G, curve)

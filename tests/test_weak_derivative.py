@@ -203,11 +203,13 @@ def test_psi_and_its_derivative_match_the_explicit_sums(bulk, two_atom):
 
 
 class TestNearPole:
-    def test_grid_point_on_a_pole_is_excluded(self, mp_unit, mp_curve):
-        # v(x_m) = -1/s puts the sample spike of G on grid point m
+    @pytest.mark.parametrize("offset", [0.0, 5e-13])
+    def test_grid_point_on_a_pole_is_excluded(self, mp_unit, mp_curve, offset):
+        # v(x_m) = -1/s puts the sample spike of G on grid point m; the
+        # offset leaves |1 + s v| = 5e-13, inside the 1e-12 tolerance
         s, m = 1.6, mp_curve.grid.size // 3
         curve = dataclasses.replace(mp_curve, v=mp_curve.v.copy())
-        curve.v[m] = -1.0 / s
+        curve.v[m] = -(1.0 + offset) / s
         G = sd.AtomicMeasure.point_mass(s)
         cdf = sd.weak_derivative_cdf(mp_unit, G, GAMMA, curve)
         assert cdf.density[m] == 0.0

@@ -11,13 +11,11 @@ __version__ = "0.1.0"
 
 from .classical import (
     TestCatalogEntry,
-    catalog,
     catalog_ids,
     equivalent_lss,
     evaluate_statistic,
     linearize,
     omh_z,
-    polynomial_entry,
 )
 from .kernel import (
     EfficacyReport,
@@ -76,14 +74,14 @@ from .weak_derivative import (
 )
 
 __all__ = [
-    "TestCatalogEntry", "catalog", "catalog_ids", "equivalent_lss", "evaluate_statistic",
-    "linearize", "omh_z", "polynomial_entry", "EfficacyReport", "KernelMatrix", "SolvedDerivative",
-    "assemble_diagreg", "lss_moments", "solve_collocation", "solve_diagreg", "AtomicMeasure",
-    "SilversteinError", "StieltjesCurve", "SupportSet", "derivative_map", "esd_expectation",
-    "esd_moment", "forward_moments", "silverstein_residual", "solve_real_outside",
-    "solve_silverstein", "stieltjes_grid", "support_intervals", "AlgoConfig", "LssFunction",
-    "SpikedModel", "epanechnikov", "integrate_derivative", "lss_above_pt", "optimal_ls3",
-    "optimal_lss", "PowerCurve", "SimConfig", "apply_lss", "ar1_eigenvalues", "power_experiment",
+    "TestCatalogEntry", "catalog_ids", "equivalent_lss", "evaluate_statistic", "linearize",
+    "omh_z", "EfficacyReport", "KernelMatrix", "SolvedDerivative", "assemble_diagreg",
+    "lss_moments", "solve_collocation", "solve_diagreg", "AtomicMeasure", "SilversteinError",
+    "StieltjesCurve", "SupportSet", "derivative_map", "esd_expectation", "esd_moment",
+    "forward_moments", "silverstein_residual", "solve_real_outside", "solve_silverstein",
+    "stieltjes_grid", "support_intervals", "AlgoConfig", "LssFunction", "SpikedModel",
+    "epanechnikov", "integrate_derivative", "lss_above_pt", "optimal_ls3", "optimal_lss",
+    "PowerCurve", "SimConfig", "apply_lss", "ar1_eigenvalues", "power_experiment",
     "sample_eigenvalues", "SignedMeasureCdf", "SpikeClassification", "SpikeRecord",
     "classify_spikes", "delta_diff", "point_mass_residue", "spike_forward_map",
     "spike_forward_map_prime", "weak_derivative_cdf", "weak_derivative_st",

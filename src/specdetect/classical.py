@@ -10,7 +10,7 @@ statistics to a single equivalent one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,12 +21,10 @@ from .optimal import SEG_OUTSIDE, SEG_SUPPORT, LssFunction
 
 __all__ = [
     "TestCatalogEntry",
-    "catalog",
     "catalog_ids",
     "equivalent_lss",
     "evaluate_statistic",
     "linearize",
-    "polynomial_entry",
     "omh_z",
 ]
 
@@ -48,10 +46,9 @@ class TestCatalogEntry:
     """One classical test: original statistic plus equivalent-LSS builder."""
 
     test_id: str
-    null_kind: str  # "identity" or "sphericity"
     build: Callable[..., Callable[[np.ndarray], np.ndarray]]
     original: Callable[..., float]
-    needs: tuple[str, ...] = field(default=())  # required parameter names
+    needs: tuple[str, ...] = ()  # required parameter names
 
 
 def _entry_definitions() -> list[TestCatalogEntry]:
@@ -112,25 +109,14 @@ def _entry_definitions() -> list[TestCatalogEntry]:
             return -np.log(arg)
         return phi
 
-    def omh_identity_stat(eigs, n, params):
-        gamma = eigs.size / n
-        return float(np.sum(omh_identity_lss(None, gamma, params)(eigs)))
-
     def omh_sphericity_lss(m, gamma, params):
-        t = params["t"]
-        z = omh_z(t, gamma)
-        def phi(x):
-            x = np.asarray(x, dtype=float)
-            arg = z - x
-            if np.any(arg <= 0):
-                raise ValueError("z(t) - x must stay positive: spike is supercritical "
-                                 "for this grid")
-            return -np.log(arg) - ((t - 1.0) / gamma) * x
-        return phi
+        slope = (params["t"] - 1.0) / gamma
+        phi = omh_identity_lss(m, gamma, params)
+        return lambda x: phi(x) - slope * np.asarray(x, dtype=float)
 
-    def omh_sphericity_stat(eigs, n, params):
-        gamma = eigs.size / n
-        return float(np.sum(omh_sphericity_lss(None, gamma, params)(eigs)))
+    def on_sample(build):
+        # the statistic is the sum of the equivalent LSS at gamma = p/n
+        return lambda eigs, n, params: float(np.sum(build(None, eigs.size / n, params)(eigs)))
 
     def reg_lrt_lss(m, gamma, params):
         lam = params["lam"]
@@ -143,59 +129,47 @@ def _entry_definitions() -> list[TestCatalogEntry]:
         return float(np.sum(eigs) - np.sum(np.log(eigs + lam)))
 
     return [
-        TestCatalogEntry("lrt-identity", "identity", lrt_identity_lss, lrt_identity_stat),
-        TestCatalogEntry("mauchly", "sphericity", mauchly_lss, mauchly_stat),
-        TestCatalogEntry("john-identity", "identity", john_identity_lss, john_identity_stat),
-        TestCatalogEntry("john-sphericity", "sphericity", john_sphericity_lss, john_sphericity_stat),
-        TestCatalogEntry("nagao", "identity", nagao_lss, nagao_stat),
-        TestCatalogEntry("ledoit-wolf", "identity", ledoit_wolf_lss, ledoit_wolf_stat),
-        TestCatalogEntry("fisher-2010", "sphericity", fisher_lss, fisher_stat),
-        TestCatalogEntry("omh-identity", "identity", omh_identity_lss, omh_identity_stat,
+        TestCatalogEntry("lrt-identity", lrt_identity_lss, lrt_identity_stat),
+        TestCatalogEntry("mauchly", mauchly_lss, mauchly_stat),
+        TestCatalogEntry("john-identity", john_identity_lss, john_identity_stat),
+        TestCatalogEntry("john-sphericity", john_sphericity_lss, john_sphericity_stat),
+        TestCatalogEntry("nagao", nagao_lss, nagao_stat),
+        TestCatalogEntry("ledoit-wolf", ledoit_wolf_lss, ledoit_wolf_stat),
+        TestCatalogEntry("fisher-2010", fisher_lss, fisher_stat),
+        TestCatalogEntry("omh-identity", omh_identity_lss, on_sample(omh_identity_lss),
                          needs=("t",)),
-        TestCatalogEntry("omh-sphericity", "sphericity", omh_sphericity_lss, omh_sphericity_stat,
+        TestCatalogEntry("omh-sphericity", omh_sphericity_lss, on_sample(omh_sphericity_lss),
                          needs=("t",)),
-        TestCatalogEntry("regularized-lrt", "identity", reg_lrt_lss, reg_lrt_stat,
-                         needs=("lam",)),
+        TestCatalogEntry("regularized-lrt", reg_lrt_lss, reg_lrt_stat, needs=("lam",)),
     ]
 
 
 _CATALOG = {e.test_id: e for e in _entry_definitions()}
 
 
-def catalog() -> dict[str, TestCatalogEntry]:
-    return dict(_CATALOG)
-
-
 def catalog_ids() -> list[str]:
     return list(_CATALOG)
 
 
-def polynomial_entry(coefficients) -> TestCatalogEntry:
-    """Custom degree-4 polynomial statistic sum_k c_k x^k.
-
-    Covers moment-based tests whose published coefficients must be
-    supplied by the user; not part of the named catalog.
-    """
-    c = np.asarray(coefficients, dtype=float)
-    if c.size != 5:
-        raise ValueError("expected five coefficients c_0..c_4")
-
-    def build(m, gamma, params):
-        return lambda x: np.polyval(c[::-1], np.asarray(x, dtype=float))
-
-    def stat(eigs, n, params):
-        return float(np.sum(np.polyval(c[::-1], eigs)))
-
-    return TestCatalogEntry("polynomial", "identity", build, stat)
-
-
-def _resolve_entry(entry: TestCatalogEntry | str) -> TestCatalogEntry:
+def _resolve_entry(entry: TestCatalogEntry | str, params: dict) -> TestCatalogEntry:
+    """The catalog entry named by ``entry`` (or ``entry`` itself), given all it needs."""
     if isinstance(entry, str):
         try:
-            return _CATALOG[entry]
+            entry = _CATALOG[entry]
         except KeyError:
             raise KeyError(f"unknown test id '{entry}'; known: {catalog_ids()}") from None
+    for name in entry.needs:
+        if name not in params:
+            raise ValueError(f"test '{entry.test_id}' requires parameter '{name}'")
     return entry
+
+
+def _on_curve(phi: Callable[[np.ndarray], np.ndarray], curve: StieltjesCurve) -> LssFunction:
+    """phi on the curve's grid, held at its end values out to the enclosing interval."""
+    a, b = curve.support.enclosing_interval
+    return LssFunction(grid=np.concatenate([[a], curve.grid, [b]]),
+                       values=np.pad(phi(curve.grid), 1, mode="edge"),
+                       segments=[SEG_OUTSIDE] + [SEG_SUPPORT] * curve.grid.size + [SEG_OUTSIDE])
 
 
 def equivalent_lss(entry: TestCatalogEntry | str, H: AtomicMeasure, gamma: float,
@@ -206,29 +180,14 @@ def equivalent_lss(entry: TestCatalogEntry | str, H: AtomicMeasure, gamma: float
     from (H, gamma) so the catalog algebra (e.g. the sphericity LRT
     reducing to the identity LRT at unit mean) holds to round-off.
     """
-    entry = _resolve_entry(entry)
-    for name in entry.needs:
-        if name not in params:
-            raise ValueError(f"test '{entry.test_id}' requires parameter '{name}'")
-    m = forward_moments(H, gamma, 4)
-    phi = entry.build(m, gamma, params)
-    a, b = curve.support.enclosing_interval
-    grid = np.concatenate([[a], curve.grid, [b]])
-    values = np.concatenate([phi(np.array([curve.grid[0]])),
-                             phi(curve.grid),
-                             phi(np.array([curve.grid[-1]]))])
-    segments = [SEG_OUTSIDE] + [SEG_SUPPORT] * curve.grid.size + [SEG_OUTSIDE]
-    return LssFunction(grid=grid, values=values, segments=segments)
+    entry = _resolve_entry(entry, params)
+    return _on_curve(entry.build(forward_moments(H, gamma, 4), gamma, params), curve)
 
 
 def evaluate_statistic(entry: TestCatalogEntry | str, eigenvalues, n: int, **params) -> float:
     """Original-form statistic on a set of sample eigenvalues."""
-    entry = _resolve_entry(entry)
-    for name in entry.needs:
-        if name not in params:
-            raise ValueError(f"test '{entry.test_id}' requires parameter '{name}'")
-    eigs = np.asarray(eigenvalues, dtype=float)
-    return entry.original(eigs, n, params)
+    entry = _resolve_entry(entry, params)
+    return entry.original(np.asarray(eigenvalues, dtype=float), n, params)
 
 
 def linearize(y_gradient: Callable[[float, float], tuple[float, float]],
@@ -249,17 +208,7 @@ def linearize(y_gradient: Callable[[float, float], tuple[float, float]],
     a1 = esd_expectation(curve, phi, f_at_zero=phi_at_zero)
     a2 = esd_expectation(curve, psi, f_at_zero=psi_at_zero)
     d1, d2 = y_gradient(a1, a2)
-    lo, hi = curve.support.enclosing_interval
-
-    def j(x):
-        return d1 * phi(np.asarray(x, dtype=float)) + d2 * psi(np.asarray(x, dtype=float))
-
-    grid = np.concatenate([[lo], curve.grid, [hi]])
-    values = np.concatenate([j(np.array([curve.grid[0]])), j(curve.grid),
-                             j(np.array([curve.grid[-1]]))])
-    if sigma_check is not None:
-        sigma2 = sigma_check(values[1:-1])
-        if sigma2 <= 0:
-            raise ValueError("linearized statistic has zero asymptotic variance")
-    segments = [SEG_OUTSIDE] + [SEG_SUPPORT] * curve.grid.size + [SEG_OUTSIDE]
-    return LssFunction(grid=grid, values=values, segments=segments)
+    j = _on_curve(lambda x: d1 * phi(x) + d2 * psi(x), curve)
+    if sigma_check is not None and sigma_check(j.values[1:-1]) <= 0:
+        raise ValueError("linearized statistic has zero asymptotic variance")
+    return j

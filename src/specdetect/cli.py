@@ -24,7 +24,7 @@ from .io import read_json, write_csv, write_json
 from .measures import AtomicMeasure
 from .mp import StieltjesCurve, stieltjes_grid
 from .optimal import SOLVERS, AlgoConfig, SpikedModel, optimal_lss, optimal_ls3
-from .simulate import SimConfig, power_experiment, sample_eigenvalues
+from .simulate import SimConfig, _draw, _population_eigenvalues, power_experiment
 from .weak_derivative import weak_derivative_cdf
 
 log = logging.getLogger("specdetect")
@@ -157,8 +157,6 @@ def cmd_power(config: dict, out: OutputTracker, args) -> None:
         sim = SimConfig.from_dict(config)
     except (KeyError, ValueError) as exc:
         raise ConfigError(str(exc))
-    if args.seed is not None:
-        sim = SimConfig.from_dict({**sim.to_dict(), "seed": args.seed})
     if args.solver:
         sim = SimConfig.from_dict({**sim.to_dict(), "solver": args.solver})
     curve = power_experiment(sim)
@@ -191,22 +189,14 @@ def cmd_classical(config: dict, out: OutputTracker, args) -> None:
 def cmd_simulate(config: dict, out: OutputTracker, args) -> None:
     _require(config, "n", "seed")
     if "population" in config:
-        sim_fields = {"population": config["population"], "n": config["n"],
-                      "n_reps": config.get("n_reps", 100), "alpha": config.get("alpha", 0.05),
-                      "seed": config["seed"], "spike_grid": config.get("spike_grid", [1.0])}
-        sim = SimConfig.from_dict(sim_fields)
-        pop = np.sort(sim.bulk_eigenvalues())
+        pop = _population_eigenvalues(config["population"])
     elif "eigenvalues" in config:
-        pop = np.sort(np.asarray(config["eigenvalues"], dtype=float))
+        pop = np.asarray(config["eigenvalues"], dtype=float)
     else:
         raise ConfigError("config is missing required field 'population' (or 'eigenvalues')")
-    seed = int(args.seed if args.seed is not None else config["seed"])
-    n_reps = int(config.get("n_reps", 1))
-    master = np.random.SeedSequence(seed)
-    rows = []
-    for rep, child in enumerate(master.spawn(n_reps)):
-        eigs = sample_eigenvalues(pop, int(config["n"]), np.random.default_rng(child))
-        rows.extend((rep, i, val) for i, val in enumerate(eigs))
+    master = np.random.SeedSequence(int(config["seed"]))
+    draws = _draw(np.sort(pop), int(config["n"]), master.spawn(int(config.get("n_reps", 1))))
+    rows = [(rep, i, val) for rep, eigs in enumerate(draws) for i, val in enumerate(eigs)]
     write_csv(out.path("sample_eigenvalues.csv"), ["replicate", "index", "eigenvalue"], rows)
 
 

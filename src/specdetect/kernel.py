@@ -13,7 +13,7 @@ discretization and a hat-function collocation scheme on a coarser grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -59,7 +59,6 @@ class KernelMatrix:
     entries: np.ndarray
     weights: np.ndarray
     ridge: float
-    diag_rule: dict = field(default_factory=dict)
 
     @property
     def size(self) -> int:
@@ -79,24 +78,34 @@ class KernelMatrix:
         return A
 
 
+def _kernel_rows(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """k(x_i, x_j) for each i in ``rows`` and every grid point j.
+
+    |v_i - v_j|^2 is formed from the real and imaginary differences; an
+    entry with v_i = v_j (the diagonal) is left non-finite for the caller's
+    diagonal rule.
+    """
+    re, im = v.real, v.imag
+    diff2 = np.subtract.outer(re[rows], re)
+    diff2 *= diff2
+    block = np.subtract.outer(im[rows], im)
+    block *= block
+    diff2 += block
+    np.multiply.outer(4.0 * im[rows], im, out=block)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        block /= diff2
+    np.log1p(block, out=block)
+    block /= 2.0 * math.pi**2
+    return block
+
+
 def _weighted_kernel_matrix(curve: StieltjesCurve, c1: float, sq: np.ndarray) -> np.ndarray:
     """sqrt(w_i) k(x_i, x_j) sqrt(w_j), diagonal by the neighbor rule, built in row blocks."""
-    re, im = curve.v.real, curve.v.imag
-    n = re.size
+    n = curve.grid.size
     K = np.empty((n, n))
     for r0 in range(0, n, _ROWS):
         rows = np.arange(r0, min(r0 + _ROWS, n))
-        # |v_i - v_j|^2 from the real and imaginary differences
-        diff2 = np.subtract.outer(re[rows], re)
-        diff2 *= diff2
-        block = np.subtract.outer(im[rows], im)
-        block *= block
-        diff2 += block
-        diff2[rows - r0, rows] = 1.0
-        np.multiply.outer(4.0 * im[rows], im, out=block)
-        block /= diff2
-        np.log1p(block, out=block)
-        block /= 2.0 * math.pi**2
+        block = _kernel_rows(curve.v, rows)
         block[rows - r0, rows] = c1 * block[rows - r0, np.where(rows == 0, 1, rows - 1)]
         block *= np.outer(sq[rows], sq)
         K[rows] = block
@@ -131,7 +140,6 @@ def assemble_diagreg(curve: StieltjesCurve, c1: float = 1.5,
         entries=entries,
         weights=w,
         ridge=ridge,
-        diag_rule={"c1": c1, "rule": "neighbor", "ridge_coeff": ridge_coeff},
     )
 
 
@@ -142,7 +150,6 @@ class SolvedDerivative:
     grid: np.ndarray
     values: np.ndarray
     residual_norm: float
-    method: str
     condition_number: float | None = None
 
 
@@ -164,8 +171,7 @@ def solve_diagreg(K: KernelMatrix, delta: SignedMeasureCdf) -> SolvedDerivative:
     rhs = -sq * delta.cdf
     u = solve_regularized(K, rhs)
     resid = float(np.linalg.norm(K.entries @ u + K.ridge * u - rhs))
-    return SolvedDerivative(grid=K.grid.copy(), values=u / sq, residual_norm=resid,
-                            method="diagreg")
+    return SolvedDerivative(grid=K.grid.copy(), values=u / sq, residual_norm=resid)
 
 
 def _hats(xs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -211,15 +217,10 @@ def solve_collocation(curve: StieltjesCurve, delta: SignedMeasureCdf,
         coarse_idx.append(idx)
     nodes = np.concatenate(coarse_idx)
 
-    v = curve.v
-    im = v.imag
     # kernel rows between collocation nodes and the dense grid
-    diff2 = np.abs(v[nodes, None] - v[None, :]) ** 2
-    rows = np.empty_like(diff2)
-    finite = diff2 > 0
-    rows[finite] = np.log1p(4.0 * np.outer(im[nodes], im)[finite] / diff2[finite]) / (2.0 * math.pi**2)
-    rows[~finite] = np.nan
-    rows = np.where(np.isfinite(rows), rows, c1 * np.nanmax(rows, axis=1, keepdims=True))
+    rows = _kernel_rows(curve.v, nodes)
+    rows[~np.isfinite(rows)] = np.nan
+    rows = np.where(np.isnan(rows), c1 * np.nanmax(rows, axis=1, keepdims=True), rows)
 
     # hat-function basis per interval on the coarse nodes, one column per node
     hats = block_diag(*[_hats(curve.grid[curve.interval_slice(j)], curve.grid[idx])
@@ -233,7 +234,7 @@ def solve_collocation(curve: StieltjesCurve, delta: SignedMeasureCdf,
     resid = float(np.linalg.norm(A @ coeffs - (-delta.cdf[nodes])))
 
     return SolvedDerivative(grid=curve.grid.copy(), values=hats @ coeffs, residual_norm=resid,
-                            method="collocation", condition_number=cond)
+                            condition_number=cond)
 
 
 # ----------------------------------------------------------------------
@@ -252,14 +253,7 @@ class EfficacyReport:
     regime: str = REGIME_SUBCRITICAL
 
     def to_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "sigma": self.sigma,
-            "efficacy": self.efficacy,
-            "power": self.power,
-            "alpha": self.alpha,
-            "regime": self.regime,
-        }
+        return asdict(self)
 
 
 def power_from_efficacy(theta: float, alpha: float) -> float:

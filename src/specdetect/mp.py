@@ -71,7 +71,7 @@ def _near_pole(atoms: np.ndarray, v: np.ndarray, tol: float) -> np.ndarray:
     return out
 
 
-def _sums(H: AtomicMeasure, v: np.ndarray, orders: tuple[int, ...] = (1, 2)) -> list[np.ndarray]:
+def _sums(H: AtomicMeasure, v: np.ndarray, orders: tuple[int, ...]) -> list[np.ndarray]:
     """Integrands of the fixed-point equation at each entry of the 1-d array v.
 
     Order k (1, 2 or 3, ascending in ``orders``) is ``sum w t^k/(1+tv)^k``.
@@ -97,19 +97,27 @@ def _sums(H: AtomicMeasure, v: np.ndarray, orders: tuple[int, ...] = (1, 2)) -> 
     return out
 
 
-def _residual(H: AtomicMeasure, gamma: float, z, v: np.ndarray) -> np.ndarray:
-    return -1.0 / v - z + gamma * _sums(H, v, (1,))[0]
+def _inverse_map(H: AtomicMeasure, gamma: float, v: np.ndarray, z=0.0,
+                 orders: tuple[int, ...] = (1,)) -> list[np.ndarray]:
+    """The inverse map at each entry of the 1-d array v, from one call of the atom sums.
+
+    Order 1 is x(v) - z with x(v) = -1/v + gamma * sum w t/(1+tv), the
+    defect of v in the fixed-point equation at z; order 2 is its slope
+    x'(v) = 1/v^2 - gamma * sum w t^2/(1+tv)^2.
+    """
+    return [-1.0 / v - z + gamma * s if k == 1 else 1.0 / v**2 - gamma * s
+            for k, s in zip(orders, _sums(H, v, orders))]
 
 
 def silverstein_residual(H: AtomicMeasure, gamma: float, z: complex, v: complex) -> complex:
     """Defect of v in the fixed-point equation at z (zero at a solution)."""
-    return _residual(H, gamma, z, np.array([v]))[0]
+    return _inverse_map(H, gamma, np.array([v]), z)[0][0]
 
 
 def _derivative(H: AtomicMeasure, gamma: float, v: np.ndarray) -> tuple[np.ndarray, dict]:
     """dv/dz at each entry of v, plus {index: error} where it is undefined."""
     with np.errstate(all="ignore"):
-        d = 1.0 / v**2 - gamma * _sums(H, v, (2,))[0]
+        d = _inverse_map(H, gamma, v, orders=(2,))[0]
         vp = 1.0 / d
     near_pole = _near_pole(H.atoms, v, 1e-14)
     errors: dict = {}
@@ -155,13 +163,11 @@ def _newton(H: AtomicMeasure, gamma: float, z: np.ndarray, v0: np.ndarray,
             if act.size == 0:
                 break
             va, za = v[act], z[act]
-            s1, s2 = _sums(H, va)
-            r = -1.0 / va - za + gamma * s1
+            r, rp = _inverse_map(H, gamma, va, za, (1, 2))
             ar = np.abs(r)
             better = ar < best_r[act]
             best_v[act[better]] = va[better]
             best_r[act[better]] = ar[better]
-            rp = 1.0 / va**2 - gamma * s2
             step = r / rp
             go = np.isfinite(ar) & (ar >= tol) & (rp != 0) & np.isfinite(rp)
             vn = va - step
@@ -300,18 +306,6 @@ class SupportSet:
         }
 
 
-def _inverse_map(H: AtomicMeasure, gamma: float):
-    """x(v) and x'(v) of the real inverse map, elementwise on 1-d arrays of v."""
-
-    def x_of_v(v: np.ndarray) -> np.ndarray:
-        return -1.0 / v + gamma * _sums(H, v, (1,))[0]
-
-    def xp_of_v(v: np.ndarray) -> np.ndarray:
-        return 1.0 / v**2 - gamma * _sums(H, v, (2,))[0]
-
-    return x_of_v, xp_of_v
-
-
 def _bisect(f, neg: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """Sign change of f in every bracket at once, to the last float.
 
@@ -360,7 +354,10 @@ def support_intervals(H: AtomicMeasure, gamma: float) -> SupportSet:
     _check_bulk(H)
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    x_of_v, xp_of_v = _inverse_map(H, gamma)
+
+    def xp_of_v(v: np.ndarray) -> np.ndarray:
+        return _inverse_map(H, gamma, v, orders=(2,))[0]
+
     pos = H.atoms > 0
     poles = np.sort(-1.0 / H.atoms[pos])
     t_min = float(H.atoms[pos].min())
@@ -386,7 +383,7 @@ def support_intervals(H: AtomicMeasure, gamma: float) -> SupportSet:
         neg.append([2.0 / ((math.sqrt(g_inf) - 1.0) * t_min)])
         pos_.append([0.0])
     v_edge = _bisect(xp_of_v, np.concatenate(neg), np.concatenate(pos_))
-    v_e, x_e = v_edge.tolist(), x_of_v(v_edge).tolist()
+    v_e, x_e = v_edge.tolist(), _inverse_map(H, gamma, v_edge)[0].tolist()
 
     # increasing branches (x_lo, x_hi, v_lo, v_hi).  On v > 0, x rises from
     # -inf to the edge, or to 0 when there is none.  For v < 0 the branch
@@ -464,7 +461,7 @@ def _real_limit(H: AtomicMeasure, gamma: float, x: np.ndarray, v0: np.ndarray, e
     guard = np.where(np.isfinite(increment), np.maximum(10.0 * increment, 1e-6), 1e-6)
     keep = (v_polish.imag > 0) & (np.abs(v_polish - v) < guard) & (resid < _CONVERGED_RESID)
     v_polish[~keep] = v[~keep]
-    resid[~keep] = np.abs(_residual(H, gamma, z[~keep], v[~keep]))
+    resid[~keep] = np.abs(_inverse_map(H, gamma, v[~keep], z[~keep])[0])
     return v_polish, resid, increment
 
 
@@ -491,20 +488,19 @@ def solve_real_outside(H: AtomicMeasure, gamma: float, support: SupportSet, x: f
     """
     if support.contains(x):
         raise ValueError(f"x={x} lies inside the support; no real-axis value exists")
-    x_of_v, _ = _inverse_map(H, gamma)
     for s_lo, s_hi, x_lo, x_hi in support.spike_windows:
         if x_lo < x < x_hi:
             # bisect in s = -1/v, over which x rises through the branch;
             # s = 0 stands for v = -inf, and on the top branch x(s) > s
             # closes the bracket at s = x
-            s = _bisect(lambda s: x_of_v(-1.0 / s) - x, [s_lo],
+            s = _bisect(lambda s: _inverse_map(H, gamma, -1.0 / s, x)[0], [s_lo],
                         [s_hi if math.isfinite(s_hi) else x])
             return float(-1.0 / s[0])
     v_lo = support.edge_v[0][0]
     if x < support.intervals[0][0] and 0.0 < v_lo < math.inf:
         # gamma' > 1: below the bulk x rises from -inf (v = 0+) to the
         # lowest edge on the v > 0 branch
-        return float(_bisect(lambda v: x_of_v(v) - x, [0.0], [v_lo])[0])
+        return float(_bisect(lambda v: _inverse_map(H, gamma, v, x)[0], [0.0], [v_lo])[0])
     raise ValueError(f"x={x} not located in any complement gap")
 
 
@@ -625,7 +621,7 @@ def _edge_samples(H: AtomicMeasure, gamma: float, grid: np.ndarray, v: np.ndarra
 
 
 def stieltjes_grid(H: AtomicMeasure, gamma: float, points_per_interval: int = 1000,
-                   epsilon: float = 5e-6, support: SupportSet | None = None) -> StieltjesCurve:
+                   epsilon: float = 5e-6) -> StieltjesCurve:
     """Evaluate v on uniform midpoint grids inside each support interval.
 
     All grid points are solved together by one array Newton.  Each point
@@ -642,9 +638,7 @@ def stieltjes_grid(H: AtomicMeasure, gamma: float, points_per_interval: int = 10
         raise ValueError("points_per_interval must be at least 16")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    _check_bulk(H)
-    if support is None:
-        support = support_intervals(H, gamma)
+    support = support_intervals(H, gamma)
     eps1 = _eps1(epsilon)
     span = support.intervals[-1][1] - support.intervals[0][0]
     eta0 = 1e-2 * span

@@ -133,15 +133,14 @@ class LssFunction:
     segments: list[str]
     normalization: float | None = None
     derivative: np.ndarray | None = None
-    derivative_grid: np.ndarray | None = None
 
     def __call__(self, x) -> np.ndarray:
         return np.interp(np.asarray(x, dtype=float), self.grid, self.values,
                          left=self.values[0], right=self.values[-1])
 
-    def normalized(self, anchor: bool = True) -> "LssFunction":
-        """Copy scaled to max-abs one, optionally anchored to zero at the left."""
-        vals = self.values - (self.values[0] if anchor else 0.0)
+    def normalized(self) -> "LssFunction":
+        """Copy anchored to zero at the left and scaled to max-abs one."""
+        vals = self.values - self.values[0]
         scale = float(np.max(np.abs(vals)))
         if scale == 0.0:
             scale = 1.0
@@ -151,7 +150,6 @@ class LssFunction:
             segments=list(self.segments),
             normalization=scale,
             derivative=None if self.derivative is None else self.derivative / scale,
-            derivative_grid=self.derivative_grid,
         )
 
     def to_rows(self):
@@ -198,7 +196,6 @@ def integrate_derivative(curve: StieltjesCurve, g: np.ndarray) -> LssFunction:
         values=np.array(ys),
         segments=labels,
         derivative=np.asarray(g, dtype=float).copy(),
-        derivative_grid=grid.copy(),
     )
 
 
@@ -254,7 +251,9 @@ def lss_above_pt(model: SpikedModel, classification: SpikeClassification,
     values = np.zeros_like(grid)
     bump_mask = np.zeros(grid.size, dtype=bool)
     for psi, w, above, below in bump_specs:
-        contribution = epanechnikov((grid - psi) / w)
+        # zero from the end nodes psi -/+ w outward, whatever (x - psi)/w rounds to there
+        inside = (grid > psi - w) & (grid < psi + w)
+        contribution = np.where(inside, epanechnikov((grid - psi) / w), 0.0)
         if above:  # constant one pointing away from the bulk
             contribution[grid >= psi] = 1.0
         if below:
@@ -304,14 +303,11 @@ def optimal_ls3(model: SpikedModel, config: AlgoConfig | None = None,
     m1 = model.H.moment(1)
     if abs(m1 - 1.0) > 1e-12:
         scale = 1.0 / m1
-        model = SpikedModel(
-            H=AtomicMeasure(model.H.atoms * scale, model.H.weights),
-            G0=AtomicMeasure(model.G0.atoms * scale, model.G0.weights),
-            G1=AtomicMeasure(model.G1.atoms * scale, model.G1.weights),
-            gamma=model.gamma,
-            h=model.h,
-            n=model.n,
-        )
+
+        def scaled(mu: AtomicMeasure) -> AtomicMeasure:
+            return AtomicMeasure(mu.atoms * scale, mu.weights)
+
+        model = replace(model, H=scaled(model.H), G0=scaled(model.G0), G1=scaled(model.G1))
         curve = None
     return _build(model, config, curve, _projected_solve)
 

@@ -10,7 +10,7 @@ bulk curve that the sweep shares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 # cho_factor and cho_solve are unused here; perfbench/spans.py looks both
@@ -82,6 +82,17 @@ def apply_lss(phi: LssFunction, eigenvalues) -> float | np.ndarray:
     return np.sum(phi(np.asarray(eigenvalues, dtype=float)), axis=-1)
 
 
+def _population_eigenvalues(population: dict) -> np.ndarray:
+    """Bulk eigenvalues of a ``population`` description (see :class:`SimConfig`)."""
+    kind = population.get("kind")
+    if kind == "ar1":
+        return ar1_eigenvalues(population["rho"], population["p"])
+    if kind == "atoms":
+        eigs = np.asarray(population["eigenvalues"], dtype=float)
+        return np.repeat(eigs, np.asarray(population.get("multiplicities", 1)))
+    raise ValueError(f"unknown population kind '{kind}'")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One Monte-Carlo power experiment.
@@ -113,14 +124,7 @@ class SimConfig:
         check_solver(self.solver)
 
     def bulk_eigenvalues(self) -> np.ndarray:
-        kind = self.population.get("kind")
-        if kind == "ar1":
-            return ar1_eigenvalues(self.population["rho"], self.population["p"])
-        if kind == "atoms":
-            eigs = np.asarray(self.population["eigenvalues"], dtype=float)
-            mult = np.asarray(self.population.get("multiplicities", np.ones(eigs.size, dtype=int)))
-            return np.repeat(eigs, mult)
-        raise ValueError(f"unknown population kind '{kind}'")
+        return _population_eigenvalues(self.population)
 
     @property
     def p(self) -> int:
@@ -139,34 +143,18 @@ class SimConfig:
         return self.p / self.n
 
     def to_dict(self) -> dict:
-        return {
-            "population": self.population,
-            "n": self.n,
-            "n_reps": self.n_reps,
-            "alpha": self.alpha,
-            "seed": self.seed,
-            "spike_grid": list(self.spike_grid),
-            "h": self.h,
-            "null_spike": self.null_spike,
-            "solver": self.solver,
-            "points_per_interval": self.points_per_interval,
-            "two_sided": self.two_sided,
-        }
+        return {**asdict(self), "spike_grid": list(self.spike_grid)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SimConfig":
-        required = ["population", "n", "n_reps", "alpha", "seed", "spike_grid"]
-        for key in required:
-            if key not in payload:
-                raise KeyError(f"simulation config is missing required field '{key}'")
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in payload:
+                raise KeyError(f"simulation config is missing required field '{f.name}'")
         # manifests of earlier versions name the noise law; gaussian is the only one
         if payload.get("noise", "gaussian") != "gaussian":
             raise ValueError(f"unknown noise '{payload['noise']}'; only gaussian noise is shipped")
-        kwargs = {k: payload[k] for k in required}
+        kwargs = {f.name: payload[f.name] for f in fields(cls) if f.name in payload}
         kwargs["spike_grid"] = tuple(float(s) for s in kwargs["spike_grid"])
-        for opt in ("h", "null_spike", "solver", "points_per_interval", "two_sided"):
-            if opt in payload:
-                kwargs[opt] = payload[opt]
         return cls(**kwargs)
 
 
@@ -232,7 +220,7 @@ def _draw(pop: np.ndarray, n: int, seeds) -> np.ndarray:
     return np.array([sample_eigenvalues(pop, n, np.random.default_rng(s)) for s in seeds])
 
 
-def power_experiment(config: SimConfig, algo: AlgoConfig | None = None) -> PowerCurve:
+def power_experiment(config: SimConfig) -> PowerCurve:
     """Run the full sweep: calibrate under the null, estimate power per spike.
 
     Null replicates are generated once and split into disjoint calibration
@@ -243,8 +231,7 @@ def power_experiment(config: SimConfig, algo: AlgoConfig | None = None) -> Power
     bulk = np.sort(config.bulk_eigenvalues())
     h = config.h
     reps = config.n_reps
-    algo = algo or AlgoConfig(points_per_interval=config.points_per_interval,
-                              solver=config.solver)
+    algo = AlgoConfig(points_per_interval=config.points_per_interval, solver=config.solver)
     H = AtomicMeasure.uniform(bulk)
     gamma = config.gamma
     curve = stieltjes_grid(H, gamma, points_per_interval=algo.points_per_interval,

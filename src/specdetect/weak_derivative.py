@@ -57,12 +57,12 @@ def _spike_v(H: AtomicMeasure, s: float) -> np.ndarray:
 
 def spike_forward_map(H: AtomicMeasure, gamma: float, s: float) -> float:
     """Sample-spike location psi(s) = x(-1/s) = s * [1 + gamma * sum w_i t_i/(s - t_i)]."""
-    return float(_inverse_map(H, gamma)[0](_spike_v(H, s))[0])
+    return float(_inverse_map(H, gamma, _spike_v(H, s))[0][0])
 
 
 def spike_forward_map_prime(H: AtomicMeasure, gamma: float, s: float) -> float:
     """Analytic derivative psi'(s) = x'(-1/s)/s^2 = 1 - gamma * sum w_i t_i^2/(s - t_i)^2."""
-    return float(_inverse_map(H, gamma)[1](_spike_v(H, s))[0] / s**2)
+    return float(_inverse_map(H, gamma, _spike_v(H, s), orders=(2,))[0][0] / s**2)
 
 
 @dataclass(frozen=True)
@@ -152,9 +152,9 @@ def weak_derivative_st_at(H: AtomicMeasure, G: AtomicMeasure, gamma: float, z: c
     return complex(_st_from_v(H, G, gamma, np.array([v]), vp)[0])
 
 
-def point_mass_residue(H: AtomicMeasure, G: AtomicMeasure, gamma: float, x: float,
-                       eps: float = 1e-7) -> float:
-    """Residue-style estimate of the point mass at x: -Re(i*eps*s(x+i*eps))."""
+def point_mass_residue(H: AtomicMeasure, G: AtomicMeasure, gamma: float, x: float) -> float:
+    """Residue-style estimate of the point mass at x: -Re(i*eps*s(x+i*eps)), eps = 1e-7."""
+    eps = 1e-7
     s = weak_derivative_st_at(H, G, gamma, complex(x, eps))
     return float(-(1j * eps * s).real)
 
@@ -183,7 +183,7 @@ class SignedMeasureCdf:
 
     def cdf_at(self, x: float) -> float:
         """Evaluate the distribution function at an arbitrary point."""
-        if x >= self.grid[-1]:
+        if x > self.grid[-1]:
             jumps = sum(w for loc, w in self.point_masses if self.grid[-1] < loc <= x)
             return float(self.cdf[-1] + self.right_tail + jumps)
         if x < self.grid[0]:
@@ -195,10 +195,6 @@ class SignedMeasureCdf:
     @property
     def total_mass(self) -> float:
         return self.cdf_at(math.inf)
-
-    def total_variation_proxy(self) -> float:
-        dx = np.diff(self.grid, prepend=self.grid[0])
-        return float(np.sum(np.abs(self.density) * dx) + sum(abs(w) for _, w in self.point_masses))
 
     def to_rows(self):
         for i in range(self.grid.size):

@@ -100,11 +100,6 @@ class TestOriginalForms:
         b = sd.evaluate_statistic("john-sphericity", 3.1 * eigs, n=30)
         assert a == pytest.approx(b, rel=1e-12)
 
-    def test_polynomial_entry(self):
-        entry = sd.polynomial_entry([1.0, 0.0, 2.0, 0.0, 1.0])
-        eigs = np.array([1.0, 2.0])
-        expect = (1 + 2 * 1 + 1) + (1 + 2 * 4 + 16)
-        assert sd.evaluate_statistic(entry, eigs, n=4) == pytest.approx(expect)
 
 
 class TestLinearize:

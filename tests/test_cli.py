@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from specdetect import ar1_eigenvalues
 from specdetect.cli import main
 from specdetect.io import read_json
 
@@ -229,6 +230,18 @@ class TestSimulate:
         rows = (out / "sample_eigenvalues.csv").read_text().splitlines()
         assert rows[0] == "replicate,index,eigenvalue"
         assert len(rows) == 1 + 2 * 30
+
+    def test_population_draws_as_its_eigenvalues(self, tmp_path):
+        # a population with fewer replicates than a power sweep needs
+        pop = {"kind": "ar1", "rho": 0.5, "p": 6}
+        eigs = ar1_eigenvalues(0.5, 6).tolist()
+        outs = []
+        for name, bulk in (("pop", {"population": pop}), ("eigs", {"eigenvalues": eigs})):
+            cfg = write_config(tmp_path / f"{name}.json", {**bulk, "n": 10, "seed": 3, "n_reps": 3})
+            outs.append(tmp_path / name)
+            assert run_cli(["simulate", "--config", cfg, "--out", str(outs[-1])]) == 0
+        a, b = ((out / "sample_eigenvalues.csv").read_text() for out in outs)
+        assert a == b and len(a.splitlines()) == 1 + 3 * 6
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_config(tmp_path / "sim.json", {

@@ -35,7 +35,12 @@ class TestAssembly:
     def test_ridge_rule(self, mp_kernel):
         assert mp_kernel.ridge == pytest.approx(
             1e-4 * np.trace(mp_kernel.entries) / mp_kernel.size)
-        assert mp_kernel.diag_rule["c1"] == 1.5
+        # the diagonal is c1 times the kernel at the left neighbour (the right one in row 0)
+        w, K = mp_kernel.weights, mp_kernel.entries
+        i = np.arange(1, mp_kernel.size)
+        assert np.allclose(K[i, i] / w[i], 1.5 * K[i, i - 1] / np.sqrt(w[i] * w[i - 1]),
+                           rtol=1e-14, atol=0.0)
+        assert K[0, 0] / w[0] == pytest.approx(1.5 * K[0, 1] / math.sqrt(w[0] * w[1]), rel=1e-14)
 
     def test_regularized_solve_matches_dense_on_indefinite_kernel(self, two_atom_curve_01):
         # the split two-atom kernel is indefinite, so this also covers a

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 import specdetect as sd
 from oracles import finite_difference, mp_companion_transform, mp_density, mp_edges
+from specdetect import mp
 
 
 class TestSolveSilverstein:
@@ -35,6 +37,61 @@ class TestSolveSilverstein:
         dirac0 = sd.AtomicMeasure.point_mass(0.0)
         with pytest.raises(ValueError):
             sd.solve_silverstein(dirac0, 0.5, 1 + 1j)
+
+
+class TestSolveFallbacks:
+    """The retry, the half-plane damping and the failure messages of the array solve."""
+
+    Z = 1 + 1j
+
+    @pytest.fixture
+    def contraction_runs(self, monkeypatch):
+        # n_iter of every contraction run: the retry is the one with 200 steps
+        runs = []
+        original = mp._fixed_point
+
+        def spy(H, gamma, z, v0, n_iter=60):
+            runs.append(n_iter)
+            return original(H, gamma, z, v0, n_iter)
+
+        monkeypatch.setattr(mp, "_fixed_point", spy)
+        return runs
+
+    def test_start_on_a_pole_is_retried(self, mp_unit, contraction_runs):
+        root = sd.solve_silverstein(mp_unit, 0.5, self.Z)
+        contraction_runs.clear()
+        # 1 + t*v0 = 0: Newton's first residual is not finite
+        again = sd.solve_silverstein(mp_unit, 0.5, self.Z, v0=-1 + 0j)
+        assert contraction_runs == [200]
+        assert again == root
+
+    def test_step_out_of_the_upper_half_plane_is_damped(self, mp_unit, contraction_runs):
+        root = sd.solve_silverstein(mp_unit, 0.5, self.Z)
+        contraction_runs.clear()
+        v0 = 3j
+        undamped = v0 - sd.silverstein_residual(mp_unit, 0.5, self.Z, v0) \
+            * sd.derivative_map(mp_unit, 0.5, v0)
+        assert undamped.imag < 0
+        v = sd.solve_silverstein(mp_unit, 0.5, self.Z, v0=v0)
+        assert contraction_runs == []  # converged without the retry
+        assert abs(v - root) <= 1e-12 * abs(root)
+
+    @pytest.mark.parametrize("v_out, resid, message", [
+        (0.5j, np.inf, "no convergence at z=(1+1j)"),
+        (-0.5j, 0.0, "root left the upper half plane at z=(1+1j)"),
+    ])
+    def test_failure_of_both_attempts_names_z(self, mp_unit, monkeypatch, v_out, resid,
+                                              message):
+        calls = []
+
+        def failing_newton(H, gamma, z, v0):
+            calls.append(z.size)
+            return np.full(z.size, v_out), np.full(z.size, resid)
+
+        monkeypatch.setattr(mp, "_newton", failing_newton)
+        with pytest.raises(sd.SilversteinError, match=re.escape(message)):
+            sd.solve_silverstein(mp_unit, 0.5, self.Z)
+        assert len(calls) == (2 if resid > 0 else 1)
 
 
 class TestDerivativeMap:
@@ -111,7 +168,7 @@ class TestSupport:
         H = sd.AtomicMeasure(np.array(atoms), np.array([0.5, 0.5]))
         sup = sd.support_intervals(H, gamma)
         assert np.allclose(sup.intervals, expected, rtol=0.0, atol=1e-7)
-        curve = sd.stieltjes_grid(H, gamma, points_per_interval=200, support=sup)
+        curve = sd.stieltjes_grid(H, gamma, points_per_interval=200)
         assert curve.dropped == [] and curve.edge_failures == []
         assert sd.esd_moment(curve, H, 1) == pytest.approx(sd.forward_moments(H, gamma, 1)[0],
                                                            rel=1e-3)

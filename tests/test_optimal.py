@@ -110,6 +110,7 @@ class TestIntegrateDerivative:
     def test_normalized_copy(self, mp_curve):
         phi = sd.integrate_derivative(mp_curve, np.cos(mp_curve.grid))
         norm = phi.normalized()
+        assert norm.values[0] == 0.0
         assert np.max(np.abs(norm.values)) == pytest.approx(1.0)
         assert norm.normalization is not None
 
@@ -123,6 +124,20 @@ class TestSubcriticalBranch:
         ours = normalize_curve(phi.values[mask])
         ref = normalize_curve(omh_lss(phi.grid[mask], t, GAMMA))
         assert mad(ours, ref) <= 1e-2
+
+    def test_collocation_solver(self, unit_model_factory, mp_curve):
+        cfg = sd.AlgoConfig(solver="collocation")
+        model = unit_model_factory(1.6)
+        phi, rep = sd.optimal_lss(model, cfg, curve=mp_curve)
+        assert rep.regime == "subcritical-solvable"
+        mask = in_support_mask(phi)
+        ref = normalize_curve(omh_lss(phi.grid[mask], 1.6, GAMMA))
+        assert mad(normalize_curve(phi.values[mask]), ref) <= 1e-2
+        # the derivative it integrates is the collocation solve on the same curve
+        delta = sd.delta_diff(model.H, model.G0, model.G1, GAMMA, mp_curve)
+        direct = sd.solve_collocation(mp_curve, delta, coarse_grid_size=cfg.collocation_nodes,
+                                      epsilon1=cfg.epsilon1, c1=cfg.c1)
+        assert np.array_equal(phi.derivative, direct.values)
 
     def test_normalized_phi_independent_of_h(self, unit_model_factory):
         phis = []
@@ -270,6 +285,30 @@ class TestAbovePtBranch:
         assert phi(psi + w / 2) == pytest.approx(0.75, abs=1e-6)
         assert phi(3.5) == 0.0   # second bulk component untouched
         assert phi(10.0) == 0.0  # no extremal spike, no constant-one tail
+
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_bump_end_nodes_are_exactly_zero(self, two_atom, two_atom_curve_01, ulps):
+        # spike 1.5 in the gap of the {1, 3} bulk at gamma = 0.1, n = 30: the
+        # bump spans psi -/+ w = 0.6, 2.4, both inside the support, where
+        # (x - psi)/w rounds to 1 +- 1 ulp.  phi and the label at both end
+        # nodes must follow neither that rounding nor a 1-ulp change of the sd
+        model = sd.SpikedModel(H=two_atom, G0=sd.AtomicMeasure.point_mass(1.0),
+                               G1=sd.AtomicMeasure.point_mass(1.5), gamma=0.1)
+        cfg = sd.AlgoConfig(points_per_interval=600)
+        support = two_atom_curve_01.support
+        (rec,) = sd.classify_spikes(two_atom, 0.1, model.G1, support).supercritical
+        if ulps == 0:
+            phi, _ = sd.optimal_lss(model, cfg, curve=two_atom_curve_01)
+        else:
+            rec = dataclasses.replace(rec, asy_sd=float(np.nextafter(rec.asy_sd, ulps * np.inf)))
+            phi = sd.lss_above_pt(model, sd.SpikeClassification((rec,)), cfg, two_atom_curve_01)
+        w = cfg.n_sd * rec.asy_sd / math.sqrt(model.resolved_n())
+        for end, inward in ((rec.psi - w, 1), (rec.psi + w, -1)):
+            i = int(np.searchsorted(phi.grid, end))
+            assert phi.grid[i] == end
+            assert phi.values[i] == 0.0
+            assert support.contains(end) and phi.segments[i] == "in-support"
+            assert phi.values[i + inward] > 0.0 and phi.segments[i + inward] == "epanechnikov-bump"
 
     def test_substitution_thresholds_from_support(self, mp_unit, mp_curve):
         a_pt = mp_curve.support.upper_pt_threshold

@@ -132,7 +132,29 @@ class TestCdf:
 
     def test_cdf_bounded_by_total_variation_proxy(self, mp_unit, mp_curve):
         cdf = sd.weak_derivative_cdf(mp_unit, sd.AtomicMeasure.point_mass(1.6), GAMMA, mp_curve)
-        assert np.max(np.abs(cdf.cdf)) <= cdf.total_variation_proxy()
+        # |F(x)| is at most the total variation: |density| dx summed, plus each |point mass|
+        dx = np.diff(cdf.grid, prepend=cdf.grid[0])
+        variation = np.sum(np.abs(cdf.density) * dx) + sum(abs(w) for _, w in cdf.point_masses)
+        assert np.max(np.abs(cdf.cdf)) <= variation
+
+    def test_cdf_at_inside_the_grid(self, two_atom, two_atom_curve_01):
+        # the point mass gamma*u = 0.1 of the escaped spike sits at psi(1.5) = 1.5,
+        # in the gap between the two grid intervals
+        cdf = sd.weak_derivative_cdf(two_atom, sd.AtomicMeasure.point_mass(1.5), 0.1,
+                                     two_atom_curve_01)
+        (loc, w), = cdf.point_masses
+        assert loc == pytest.approx(1.5, abs=1e-12) and w == pytest.approx(0.1, abs=1e-15)
+        assert cdf.grid[0] < loc < cdf.grid[-1]
+        assert cdf.cdf_at(loc + 1e-9) - cdf.cdf_at(loc - 1e-9) == pytest.approx(w, abs=1e-12)
+        assert [cdf.cdf_at(x) for x in cdf.grid] == cdf.cdf.tolist()
+
+    def test_cdf_at_below_the_grid(self, mp_unit, mp_curve):
+        # a downward escaped spike puts its mass below the lowest grid point
+        cdf = sd.weak_derivative_cdf(mp_unit, sd.AtomicMeasure.point_mass(0.2), GAMMA, mp_curve)
+        (loc, w), = cdf.point_masses
+        assert loc < mp_curve.support.intervals[0][0]
+        assert cdf.cdf_at(loc - 1e-9) == 0.0
+        assert cdf.cdf_at(loc) == cdf.cdf_at(0.5 * (loc + cdf.grid[0])) == w
 
     def test_two_component_bulk_subcritical_cases(self, two_atom, two_atom_curve_01):
         for t in (0.8, 3.6):

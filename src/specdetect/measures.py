@@ -6,7 +6,7 @@ distributions under null and alternative, and any mixture of them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,11 +26,8 @@ class AtomicMeasure:
 
     atoms: np.ndarray
     weights: np.ndarray
-    _validated: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self._validated:
-            return
         atoms = np.atleast_1d(np.asarray(self.atoms, dtype=float))
         weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if atoms.ndim != 1 or weights.ndim != 1 or atoms.shape != weights.shape:
@@ -59,7 +56,6 @@ class AtomicMeasure:
         weights.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_validated", True)
 
     # -- constructors ------------------------------------------------
 

@@ -514,8 +514,10 @@ class StieltjesCurve:
 
     ``edge_samples[(j, "lo"|"hi")]`` holds (distances ascending, v, v') at
     1/64, 1/16 and 1/4 of the way from that edge of interval j to its
-    nearest grid point; ``edge_failures`` lists (x, reason) for each edge
-    whose samples could not be solved, which is then left unrefined.
+    nearest grid point, each solved from that grid point's v.  An edge
+    has all three samples or none: ``edge_failures`` lists (x, reason)
+    once for each edge with a failed sample, at the failed sample farthest
+    from the edge, and that edge is left unrefined.
     """
 
     gamma: float
@@ -524,7 +526,6 @@ class StieltjesCurve:
     v_prime: np.ndarray
     support: SupportSet
     interval_id: np.ndarray
-    cell_widths: np.ndarray
     dropped: list[tuple[float, str]] = field(default_factory=list)
     epsilon: float = 5e-6
     atom_at_zero: float = 0.0  # mass of the limiting law at 0
@@ -591,9 +592,11 @@ def _edge_samples(H: AtomicMeasure, gamma: float, grid: np.ndarray, v: np.ndarra
 
     The boundary value of v exists up to the edges; three direct solves
     per edge pin down the tail of a sqrt-singular density far better than
-    extrapolation from the grid.  All edges step toward their edge
-    together, each warm-started from its previous sample; an edge stops
-    at its first failure.
+    extrapolation from the grid.  Every sample of every edge is solved in
+    one call, each started from the v of its edge's nearest grid point at
+    eta_0 equal to its own distance.  An edge keeps its samples only when
+    all three succeed; otherwise it is left unrefined and listed once, at
+    its failed sample farthest from the edge.
     """
     keys, edge, near = [], [], []
     for j, (lo, hi) in enumerate(support.intervals):
@@ -605,18 +608,14 @@ def _edge_samples(H: AtomicMeasure, gamma: float, grid: np.ndarray, v: np.ndarra
     edge = np.array(edge)
     inward = np.array([1.0 if side == "lo" else -1.0 for _, side in keys])
     dists = np.abs(grid[near] - edge)[:, None] * np.array([1.0 / 64.0, 1.0 / 16.0, 1.0 / 4.0])
-    vs = np.empty(dists.shape, dtype=complex)
-    vps = np.empty(dists.shape, dtype=complex)
-    warm = v[near]
-    failures: dict[int, tuple[float, str]] = {}
-    for col in (2, 1, 0):  # walk toward the edge
-        live = np.setdiff1d(np.arange(len(keys)), list(failures))
-        x = edge[live] + inward[live] * dists[live, col]
-        vs[live, col], vps[live, col], failed = _real_points(
-            H, gamma, x, warm[live], dists[live, col], eps1, 0.0)
-        failures.update({live[i]: (float(x[i]), reason) for i, reason in failed.items()})
-        warm = vs[:, col]
-    samples = {keys[e]: (dists[e], vs[e], vps[e]) for e in range(len(keys)) if e not in failures}
+    x = edge[:, None] + inward[:, None] * dists
+    n = dists.shape[1]
+    vs, vps, failed = _real_points(H, gamma, x.ravel(), np.repeat(v[near], n), dists.ravel(),
+                                   eps1, 0.0)
+    vs, vps = vs.reshape(x.shape), vps.reshape(x.shape)
+    # a row's distances ascend, so its last failed sample is the farthest
+    failures = {i // n: (float(x.flat[i]), failed[i]) for i in sorted(failed)}
+    samples = {key: (dists[e], vs[e], vps[e]) for e, key in enumerate(keys) if e not in failures}
     return samples, [failures[e] for e in sorted(failures)]
 
 
@@ -631,8 +630,8 @@ def stieltjes_grid(H: AtomicMeasure, gamma: float, points_per_interval: int = 10
     Newton polish at eta = 0 then drives the residual to machine
     precision.  Points whose residual stays above 1e-8, or where v' is
     undefined, are dropped and recorded with the reason, never
-    interpolated.  The same solver also samples v and v' at sub-cell
-    distances from every support edge (``edge_samples``).
+    interpolated.  One more call of the same solver samples v and v' at
+    three sub-cell distances from every support edge (``edge_samples``).
     """
     if points_per_interval < 16:
         raise ValueError("points_per_interval must be at least 16")
@@ -671,7 +670,6 @@ def stieltjes_grid(H: AtomicMeasure, gamma: float, points_per_interval: int = 10
         v_prime=vp[keep],
         support=support,
         interval_id=ids[keep],
-        cell_widths=cells[ids[keep]],
         dropped=[(float(xs[i]), failed[i]) for i in sorted(failed)],
         epsilon=epsilon,
         atom_at_zero=atom0,

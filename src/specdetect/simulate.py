@@ -128,15 +128,8 @@ class SimConfig:
 
     @property
     def p(self) -> int:
-        """Full dimension, read from ``population`` without building the bulk."""
-        pop = self.population
-        kind = pop.get("kind")
-        if kind == "ar1":
-            return int(pop["p"]) + self.h
-        if kind == "atoms":
-            mult = pop.get("multiplicities", 1)
-            return int(np.sum(np.broadcast_to(mult, len(pop["eigenvalues"])))) + self.h
-        raise ValueError(f"unknown population kind '{kind}'")
+        """Full dimension: the bulk size plus the h spike slots."""
+        return self.bulk_eigenvalues().size + self.h
 
     @property
     def gamma(self) -> float:
@@ -233,7 +226,8 @@ def power_experiment(config: SimConfig) -> PowerCurve:
     reps = config.n_reps
     algo = AlgoConfig(points_per_interval=config.points_per_interval, solver=config.solver)
     H = AtomicMeasure.uniform(bulk)
-    gamma = config.gamma
+    # SimConfig.gamma would build the bulk a second time
+    gamma = (bulk.size + h) / config.n
     curve = stieltjes_grid(H, gamma, points_per_interval=algo.points_per_interval,
                            epsilon=algo.epsilon)
     G0 = AtomicMeasure.point_mass(config.null_spike)

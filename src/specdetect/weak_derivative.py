@@ -212,7 +212,7 @@ def _edge_region_masses(xs: np.ndarray, fs: np.ndarray, edge: float, inward: int
     edge; the cells are integrated by the trapezoid rule in u.  The
     clipped piece between the edge and the first grid point uses extra
     density samples at sub-cell distances when available (``refined`` =
-    (distances, values), distances ascending), else a quadratic
+    (distances, values), at least two distances, ascending), else a quadratic
     extrapolation of g to u = 0.  Returns (tail mass in the clipped
     piece, per-cell masses ordered as the grid runs).
     """
@@ -226,15 +226,14 @@ def _edge_region_masses(xs: np.ndarray, fs: np.ndarray, edge: float, inward: int
     u = np.sqrt(d)
     g = 2.0 * u * fi
     cells = 0.5 * (g[1:] + g[:-1]) * np.diff(u)
-    if refined is not None and refined[0].size >= 2:
+    if refined is not None:
         ur = np.sqrt(refined[0])
         gr = 2.0 * ur * refined[1]
         # innermost piece [0, ur_0] by quadratic extrapolation, then
         # trapezoid over the refined samples up to the first grid point
         pts_u = np.concatenate([ur, u[:1]])
         pts_g = np.concatenate([gr, g[:1]])
-        kfit = min(3, pts_u.size)
-        coeffs = np.polyfit(pts_u[:kfit], pts_g[:kfit], kfit - 1)
+        coeffs = np.polyfit(pts_u[:3], pts_g[:3], 2)
         tail = float(np.polyval(np.polyint(coeffs), pts_u[0]))
         tail += float(np.sum(0.5 * (pts_g[1:] + pts_g[:-1]) * np.diff(pts_u)))
     elif u.size >= 3:

@@ -107,6 +107,25 @@ class TestSolvers:
         ref = normalize_curve(omh_lss(phi.grid[mask], t, GAMMA))
         assert mad(ours, ref) <= 1e-2
 
+    def test_collocation_solves_the_node_rows(self, mp_unit, mp_curve):
+        # the node-row system rebuilt from the kernel formula: each node's
+        # singular entry is 1.5 times the largest regular entry of its row,
+        # and the dense grid carries trapezoid weights closed at the edges
+        delta = sd.delta_diff(mp_unit, mp_unit, sd.AtomicMeasure.point_mass(1.6), GAMMA, mp_curve)
+        g = sd.solve_collocation(mp_curve, delta)
+        xs, v = mp_curve.grid, mp_curve.v
+        nodes = np.unique(np.round(np.linspace(0, xs.size - 1, 150)).astype(int))
+        lo, hi = mp_curve.support.intervals[0]
+        w = np.diff(np.concatenate([[lo], 0.5 * (xs[1:] + xs[:-1]), [hi]]))
+        vi, vj = v[nodes, None], v[None, :]
+        with np.errstate(divide="ignore"):
+            A = np.log1p(4 * vi.imag * vj.imag / np.abs(vi - vj) ** 2) / (2 * math.pi**2)
+        diag = nodes[:, None] == np.arange(xs.size)
+        A[diag] = 1.5 * np.max(np.where(diag, -np.inf, A), axis=1)
+        rhs = -delta.cdf[nodes]
+        # observed 1.4e-15; a diagonal of 1.2 * 1.5 gives 1.0e-2
+        assert np.max(np.abs(A @ (w * g.values) - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+
     def test_collocation_condition_limit(self, mp_unit, mp_curve):
         delta = sd.delta_diff(mp_unit, mp_unit, sd.AtomicMeasure.point_mass(1.2), GAMMA, mp_curve)
         with pytest.raises(RuntimeError, match="condition number"):

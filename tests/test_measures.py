@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -26,6 +27,16 @@ def test_weights_must_sum_to_one():
 def test_negative_atom_rejected():
     with pytest.raises(ValueError):
         AtomicMeasure(np.array([-1.0]), np.array([1.0]))
+
+
+def test_every_construction_is_validated():
+    m = AtomicMeasure(np.array([1.0, 3.0]), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        dataclasses.replace(m, atoms=np.array([3.0, -1.0]))
+    assert dataclasses.replace(m, atoms=np.array([3.0, 2.0])).atoms.tolist() == [2.0, 3.0]
+    # the constructor takes atoms and weights only
+    with pytest.raises(TypeError):
+        AtomicMeasure(np.array([-1.0]), np.array([1.0]), True)
 
 
 def test_nonpositive_weight_rejected():

@@ -168,7 +168,7 @@ class TestSubcriticalBranch:
         holed = dataclasses.replace(
             mp_curve, grid=mp_curve.grid[keep], v=mp_curve.v[keep],
             v_prime=mp_curve.v_prime[keep], interval_id=mp_curve.interval_id[keep],
-            cell_widths=mp_curve.cell_widths[keep], dropped=[(x, "residual 1.00e-03")])
+            dropped=[(x, "residual 1.00e-03")])
         with pytest.raises(ValueError, match=rf"1 non-converged points \(x = {x!r}\)"):
             build(unit_model_factory(1.6), CFG, curve=holed)
 

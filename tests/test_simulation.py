@@ -159,21 +159,22 @@ class TestSimConfig:
             sd.SimConfig(population={"kind": "ar1", "rho": 0.5, "p": 49}, n=100,
                          n_reps=100, alpha=0.05, seed=1, spike_grid=(2.0,), solver="typo")
 
-    def test_dimension_read_without_building_the_bulk(self, monkeypatch):
-        def no_bulk(*args, **kwargs):
-            raise AssertionError("the AR(1) bulk was built")
-
-        monkeypatch.setattr(simulate, "ar1_eigenvalues", no_bulk)
-        cfg = sd.SimConfig(population={"kind": "ar1", "rho": 0.5, "p": 49}, n=100,
-                           n_reps=100, alpha=0.05, seed=1, spike_grid=(2.0,))
-        assert (cfg.p, cfg.gamma) == (50, 0.5)
+    def test_dimension_is_bulk_size_plus_h(self):
+        ar1 = sd.SimConfig(population={"kind": "ar1", "rho": 0.5, "p": 49}, n=100,
+                           n_reps=100, alpha=0.05, seed=1, spike_grid=(2.0,), h=2)
         atoms = sd.SimConfig(
             population={"kind": "atoms", "eigenvalues": [1.0, 3.0], "multiplicities": [10, 12]},
             n=46, n_reps=100, alpha=0.05, seed=1, spike_grid=(2.0,), h=2)
-        assert (atoms.p, atoms.gamma) == (24, 24 / 46)
         plain = sd.SimConfig(population={"kind": "atoms", "eigenvalues": [1.0, 2.0, 3.0]},
                              n=8, n_reps=100, alpha=0.05, seed=1, spike_grid=(2.0,))
-        assert plain.p == plain.bulk_eigenvalues().size + 1 == 4
+        for cfg, p in ((ar1, 51), (atoms, 24), (plain, 4)):
+            assert cfg.p == cfg.bulk_eigenvalues().size + cfg.h == p
+            assert cfg.gamma == p / cfg.n
+        unknown = sd.SimConfig(population={"kind": "wishart", "p": 49}, n=100, n_reps=100,
+                               alpha=0.05, seed=1, spike_grid=(2.0,))
+        for read in (lambda: unknown.p, lambda: unknown.gamma, unknown.bulk_eigenvalues):
+            with pytest.raises(ValueError, match="^unknown population kind 'wishart'$"):
+                read()
 
     def test_atoms_population(self):
         cfg = sd.SimConfig(

@@ -2,7 +2,10 @@
 
 ``data/reference_curves.npz`` holds curves, supports and edge densities
 recorded from the scalar per-point solver (see
-``data/record_reference_curves.py``); the unit bulk is also checked
+``data/record_reference_curves.py``).  ``data/oracle_values.npz`` holds
+v, v' and the derivative density solved to 40 digits at the edge samples
+and at five grid points per support interval of the same bulks (see
+``data/record_oracle_values.py``).  The unit bulk is also checked
 against its closed-form transform.
 """
 import math
@@ -18,6 +21,7 @@ from specdetect import mp
 from specdetect.weak_derivative import _edge_refinements
 
 REF = np.load(Path(__file__).parent / "data" / "reference_curves.npz")
+ORACLE = np.load(Path(__file__).parent / "data" / "oracle_values.npz")
 CASES = {name: (H, gamma, kw, spike) for name, H, gamma, kw, spike in cases()}
 
 
@@ -33,6 +37,11 @@ def rel_err(a, ref) -> float:
     scale = np.abs(ref[finite])
     rel = np.divide(diff, scale, out=np.where(diff == 0, 0.0, np.inf), where=scale > 0)
     return float(np.max(rel, initial=0.0))
+
+
+def complex_rel_err(a, ref) -> float:
+    """Largest |a - ref| / |ref| over complex entries."""
+    return float(np.max(np.abs(np.asarray(a) - ref) / np.abs(ref)))
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +73,26 @@ class TestAgainstScalarSolver:
         assert rel_err(sup.edge_v, REF[f"{name}/edge_v"]) <= 2e-13
         windows = np.reshape(sup.spike_windows, (-1, 4))
         assert rel_err(windows, REF[f"{name}/spike_windows"]) <= 2e-13
+
+
+@pytest.mark.parametrize("name", ["two_atom", "ar1", "unit"])
+class TestAgainstOracle:
+    def test_grid_points(self, curves, name):
+        curve, prefix = curves[name], f"{name}/grid"
+        idx = ORACLE[f"{prefix}/index"]
+        assert np.array_equal(curve.grid[idx], ORACLE[f"{prefix}/x"])
+        assert complex_rel_err(curve.v[idx], ORACLE[f"{prefix}/v"]) <= 1e-11
+        assert complex_rel_err(curve.v_prime[idx], ORACLE[f"{prefix}/v_prime"]) <= 1e-9
+
+    def test_edge_samples(self, curves, name):
+        samples = curves[name].edge_samples
+        assert {f"{name}/edge/{j}/{side}" for j, side in samples} == {
+            key.rsplit("/", 1)[0] for key in ORACLE.files if key.startswith(f"{name}/edge/")}
+        for (j, side), (dists, v, vp) in samples.items():
+            prefix = f"{name}/edge/{j}/{side}"
+            assert np.array_equal(dists, ORACLE[f"{prefix}/dists"])
+            assert complex_rel_err(v, ORACLE[f"{prefix}/v"]) <= 1e-11
+            assert complex_rel_err(vp, ORACLE[f"{prefix}/v_prime"]) <= 1e-9
 
 
 @pytest.mark.parametrize("name", ["two_atom", "ar1", "unit"])

@@ -11,7 +11,7 @@ import specdetect as sd
 
 H = sd.AtomicMeasure.point_mass(1.0)
 gamma = 0.5
-cfg = sd.AlgoConfig(epsilon=1e-6)
+cfg = sd.AlgoConfig()
 
 # --- subcritical spike: smooth solve, checked against the closed form --
 t = 1.6

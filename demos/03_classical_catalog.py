@@ -19,7 +19,7 @@ delta = sd.delta_diff(H, H, G1, gamma, curve)
 print("catalog entries:", ", ".join(sd.catalog_ids()))
 
 model = sd.SpikedModel(H=H, G0=H, G1=G1, gamma=gamma)
-_, best = sd.optimal_lss(model, sd.AlgoConfig(epsilon=1e-6), curve=curve)
+_, best = sd.optimal_lss(model, sd.AlgoConfig(), curve=curve)
 print(f"\npredicted power against a spike at 1.6 (level 5%)")
 print(f"  {'optimal statistic':24s} {best.power:.4f}")
 for test_id in ("lrt-identity", "mauchly", "john-sphericity", "ledoit-wolf", "nagao"):
@@ -35,7 +35,7 @@ print(f"\nsphericity LRT vs identity LRT at unit mean: "
 
 # scale-invariant optimum: efficacy shrinks by the correlation with the
 # identity direction
-phi_s, rep_s = sd.optimal_ls3(model, sd.AlgoConfig(epsilon=1e-6), curve=curve)
+phi_s, rep_s = sd.optimal_ls3(model, sd.AlgoConfig(), curve=curve)
 print(f"\nscale-invariant statistic: efficacy {rep_s.efficacy:.4f} "
       f"vs unconstrained {best.efficacy:.4f}")
 

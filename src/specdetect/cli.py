@@ -105,14 +105,13 @@ def _curve_outputs(curve, out: OutputTracker) -> None:
 
 
 def _curve(config: dict) -> tuple[AtomicMeasure, float, StieltjesCurve]:
-    """H, gamma and the curve of H; top-level "epsilon", "points_per_interval" override "config"."""
+    """H, gamma and the curve of H; a top-level "points_per_interval" overrides "config"."""
     _require(config, "gamma")
     H = _measure(config, "H")
     gamma = float(config["gamma"])
     algo = _algo_config(config, None)
-    epsilon = float(config.get("epsilon", algo.epsilon))
     ppi = int(config.get("points_per_interval", algo.points_per_interval))
-    return H, gamma, stieltjes_grid(H, gamma, points_per_interval=ppi, epsilon=epsilon)
+    return H, gamma, stieltjes_grid(H, gamma, points_per_interval=ppi)
 
 
 def cmd_spectrum(config: dict, out: OutputTracker, args) -> None:

@@ -19,7 +19,7 @@ from statistics import NormalDist
 import numpy as np
 from scipy.linalg import block_diag, solve
 
-from .mp import StieltjesCurve, _eps1
+from .mp import StieltjesCurve
 from .weak_derivative import SignedMeasureCdf
 
 __all__ = [
@@ -189,24 +189,17 @@ def _hats(xs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 
 
 def solve_collocation(curve: StieltjesCurve, delta: SignedMeasureCdf,
-                      coarse_grid_size: int = 150, epsilon1: float = 1e-8,
-                      c1: float = 1.5, max_condition: float = 1e13) -> SolvedDerivative:
+                      coarse_grid_size: int = 150, c1: float = 1.5,
+                      max_condition: float = 1e13) -> SolvedDerivative:
     """Collocation solve with a hat-function basis on a coarse sub-grid.
 
-    The curve's own grid (already resolved to accuracy ``epsilon1`` by the
-    imaginary-offset limit) serves as the dense quadrature grid; the
+    The curve's own grid serves as the dense quadrature grid; the
     collocation nodes are an every-k-th subsample of it, so the kernel
     singularity always lands on a quadrature node and is replaced by
     c1 times the largest regular value in its row.
     """
     if delta.grid.shape != curve.grid.shape or not np.allclose(delta.grid, curve.grid):
         raise ValueError("delta is not on the curve grid")
-    resolved = _eps1(curve.epsilon)
-    if resolved > epsilon1 * (1.0 + 1e-12):
-        raise ValueError(
-            f"curve resolved to {resolved:.1e} but collocation accuracy {epsilon1:.1e} "
-            "was requested; rebuild the curve with a smaller epsilon"
-        )
     dense_w = _trapezoid_weights(curve)
     coarse_idx: list[np.ndarray] = []
     for j in range(curve.n_intervals):

@@ -15,13 +15,14 @@ __all__ = ["AtomicMeasure"]
 _WEIGHT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AtomicMeasure:
     """Finite mixture of point masses ``sum_i w_i * delta_{t_i}`` on [0, inf).
 
     Atoms are kept strictly increasing; constructing with duplicate
     locations merges them by summing weights.  Weights must be positive
-    and sum to one within 1e-12.
+    and sum to one within 1e-12.  Two measures are equal when their atoms
+    and weights are equal value for value, and equal measures hash alike.
     """
 
     atoms: np.ndarray
@@ -56,6 +57,17 @@ class AtomicMeasure:
         weights.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
+
+    # both arrays are read-only, so the value a hash is taken of never changes
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AtomicMeasure):
+            return NotImplemented
+        return (np.array_equal(self.atoms, other.atoms)
+                and np.array_equal(self.weights, other.weights))
+
+    def __hash__(self) -> int:
+        # float hashing: -0.0 and 0.0 hash alike, as they compare equal
+        return hash((tuple(self.atoms.tolist()), tuple(self.weights.tolist())))
 
     # -- constructors ------------------------------------------------
 

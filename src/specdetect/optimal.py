@@ -28,7 +28,7 @@ from .kernel import (
     solve_regularized,
 )
 from .measures import AtomicMeasure
-from .mp import StieltjesCurve, SupportSet, _eps1, stieltjes_grid
+from .mp import StieltjesCurve, SupportSet, stieltjes_grid
 from .weak_derivative import (
     SignedMeasureCdf,
     SpikeClassification,
@@ -91,6 +91,7 @@ class SpikedModel:
 class AlgoConfig:
     """Algorithmic constants; defaults follow the standard parameter table."""
 
+    # changes no number; kept because the benchmark in perfbench/ sets it
     epsilon: float = 5e-6
     c1: float = 1.5
     ridge_coeff: float = 1e-4
@@ -106,10 +107,6 @@ class AlgoConfig:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
         check_solver(self.solver)
-
-    @property
-    def epsilon1(self) -> float:
-        return _eps1(self.epsilon)
 
     def s_plus(self, gamma: float, a_pt: float) -> float:
         return self.s_plus_coeff * (1.0 + math.sqrt(gamma)) * a_pt
@@ -326,8 +323,7 @@ def _build(model: SpikedModel, config: AlgoConfig, curve: StieltjesCurve | None,
     """
     if curve is None:
         curve = stieltjes_grid(model.H, model.gamma,
-                               points_per_interval=config.points_per_interval,
-                               epsilon=config.epsilon)
+                               points_per_interval=config.points_per_interval)
     curve.require_complete()
     if classify_spikes(model.H, model.gamma, model.G0, curve.support).any_supercritical:
         raise ValueError("null spike distribution G0 must be fully subcritical")
@@ -351,7 +347,7 @@ def _configured_solve(curve: StieltjesCurve, K: KernelMatrix, delta: SignedMeasu
                       config: AlgoConfig) -> np.ndarray:
     if config.solver == "collocation":
         return solve_collocation(curve, delta, coarse_grid_size=config.collocation_nodes,
-                                 epsilon1=config.epsilon1, c1=config.c1).values
+                                 c1=config.c1).values
     return solve_diagreg(K, delta).values
 
 

@@ -228,8 +228,7 @@ def power_experiment(config: SimConfig) -> PowerCurve:
     H = AtomicMeasure.uniform(bulk)
     # SimConfig.gamma would build the bulk a second time
     gamma = (bulk.size + h) / config.n
-    curve = stieltjes_grid(H, gamma, points_per_interval=algo.points_per_interval,
-                           epsilon=algo.epsilon)
+    curve = stieltjes_grid(H, gamma, points_per_interval=algo.points_per_interval)
     G0 = AtomicMeasure.point_mass(config.null_spike)
     spikes = np.asarray(config.spike_grid, dtype=float)
     # every statistic is built before any replicate is drawn, so a

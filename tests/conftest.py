@@ -18,7 +18,7 @@ def mp_unit():
 @pytest.fixture(scope="session")
 def mp_curve(mp_unit):
     """Dense curve for the unit single-atom bulk at gamma = 1/2."""
-    return sd.stieltjes_grid(mp_unit, 0.5, points_per_interval=1000, epsilon=1e-6)
+    return sd.stieltjes_grid(mp_unit, 0.5, points_per_interval=1000)
 
 
 @pytest.fixture(scope="session")

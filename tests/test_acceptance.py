@@ -39,13 +39,13 @@ def unit_bulk():
 
 @pytest.fixture(scope="module")
 def unit_curve(unit_bulk):
-    return sd.stieltjes_grid(unit_bulk, GAMMA, points_per_interval=1000, epsilon=1e-6)
+    return sd.stieltjes_grid(unit_bulk, GAMMA, points_per_interval=1000)
 
 
 def _solve_normalized(unit_bulk, unit_curve, t, solver="diagreg"):
     model = sd.SpikedModel(H=unit_bulk, G0=unit_bulk,
                            G1=sd.AtomicMeasure.point_mass(t), gamma=GAMMA)
-    cfg = sd.AlgoConfig(epsilon=1e-6, solver=solver)
+    cfg = sd.AlgoConfig(solver=solver)
     phi, rep = sd.optimal_lss(model, cfg, curve=unit_curve)
     mask = np.array([s == "in-support" for s in phi.segments])
     xs = phi.grid[mask]
@@ -59,7 +59,7 @@ def test_criterion_1_omh_agreement(unit_bulk):
     for t in (1.2, 1.6):
         # time the whole instance, spectrum computation included
         start = time.perf_counter()
-        fresh = sd.stieltjes_grid(unit_bulk, GAMMA, points_per_interval=1000, epsilon=1e-6)
+        fresh = sd.stieltjes_grid(unit_bulk, GAMMA, points_per_interval=1000)
         xs, ours, _ = _solve_normalized(unit_bulk, fresh, t)
         elapsed = time.perf_counter() - start
         err = mad(ours, normalize_curve(omh_lss(xs, t, GAMMA)))
@@ -235,7 +235,7 @@ def test_criterion_10_property_suite(unit_bulk, unit_curve):
 
     model = sd.SpikedModel(H=unit_bulk, G0=unit_bulk,
                            G1=sd.AtomicMeasure.point_mass(1.6), gamma=GAMMA)
-    cfg = sd.AlgoConfig(epsilon=1e-6)
+    cfg = sd.AlgoConfig()
     phi_s, rep_s = sd.optimal_ls3(model, cfg, curve=unit_curve)
     _, rep_u = sd.optimal_lss(model, cfg, curve=unit_curve)
     d_vec = unit_curve.grid * unit_curve.density

@@ -141,7 +141,7 @@ class TestPowerComparison:
     def test_catalog_never_beats_optimal(self, mp_unit, mp_curve, mp_kernel):
         G1 = sd.AtomicMeasure.point_mass(1.6)
         model = sd.SpikedModel(H=mp_unit, G0=mp_unit, G1=G1, gamma=GAMMA)
-        _, rep_best = sd.optimal_lss(model, sd.AlgoConfig(epsilon=1e-6), curve=mp_curve)
+        _, rep_best = sd.optimal_lss(model, sd.AlgoConfig(), curve=mp_curve)
         delta = sd.delta_diff(mp_unit, mp_unit, G1, GAMMA, mp_curve)
         for test_id in ("lrt-identity", "john-sphericity", "ledoit-wolf", "nagao"):
             phi = sd.equivalent_lss(test_id, mp_unit, GAMMA, mp_curve)

@@ -84,7 +84,7 @@ class TestOptimalLss:
             "G0": {"atoms": [1.0], "weights": [1.0]},
             "G1": {"atoms": [1.6], "weights": [1.0]},
             "gamma": 0.5,
-            "config": {"points_per_interval": 300, "epsilon": 1e-6},
+            "config": {"points_per_interval": 300},
         })
         out = tmp_path / "out"
         assert run_cli(["optimal-lss", "--config", cfg, "--out", str(out),
@@ -204,17 +204,19 @@ def test_top_level_epsilon_reaches_the_curve(tmp_path, monkeypatch, command, ext
     seen = []
 
     def spy(*args, **kwargs):
-        seen.append((kwargs["epsilon"], kwargs["points_per_interval"]))
+        seen.append(kwargs)
         return stieltjes_grid(*args, **kwargs)
 
     stieltjes_grid = cli.stieltjes_grid
     monkeypatch.setattr(cli, "stieltjes_grid", spy)
+    # the top-level points_per_interval overrides the one in "config"; a
+    # top-level epsilon changes no number and is no longer passed on
     cfg = write_config(tmp_path / "c.json", {
-        "H": {"atoms": [1.0], "weights": [1.0]}, "gamma": 0.5,
-        "epsilon": 2e-5, "points_per_interval": 100, "config": {"epsilon": 1e-6}, **extra,
+        "H": {"atoms": [1.0], "weights": [1.0]}, "gamma": 0.5, "epsilon": 2e-5,
+        "points_per_interval": 100, "config": {"points_per_interval": 300}, **extra,
     })
     assert run_cli([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    assert seen == [(2e-5, 100)]
+    assert seen == [{"points_per_interval": 100}]
 
 
 class TestSimulate:

@@ -131,11 +131,6 @@ class TestSolvers:
         with pytest.raises(RuntimeError, match="condition number"):
             sd.solve_collocation(mp_curve, delta, max_condition=1.0)
 
-    def test_collocation_accuracy_request_checked(self, mp_unit, mp_curve):
-        delta = sd.delta_diff(mp_unit, mp_unit, sd.AtomicMeasure.point_mass(1.2), GAMMA, mp_curve)
-        with pytest.raises(ValueError, match="rebuild the curve"):
-            sd.solve_collocation(mp_curve, delta, epsilon1=1e-12)
-
     def test_two_solver_agreement(self, mp_unit, mp_curve, mp_kernel):
         delta = sd.delta_diff(mp_unit, mp_unit, sd.AtomicMeasure.point_mass(1.2), GAMMA, mp_curve)
         gd = sd.solve_diagreg(mp_kernel, delta)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import specdetect as sd
 from specdetect import AtomicMeasure
 
 
@@ -37,6 +38,22 @@ def test_every_construction_is_validated():
     # the constructor takes atoms and weights only
     with pytest.raises(TypeError):
         AtomicMeasure(np.array([-1.0]), np.array([1.0]), True)
+
+
+def test_equality_and_hash_by_value():
+    a = AtomicMeasure(np.array([3.0, 1.0]), np.array([0.5, 0.5]))
+    b = AtomicMeasure.uniform([1.0, 3.0])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != AtomicMeasure.uniform([1.0, 4.0])
+    assert a != AtomicMeasure(np.array([1.0, 3.0]), np.array([0.25, 0.75]))
+    assert a != AtomicMeasure.point_mass(1.0) and a != "not a measure"
+    zero, neg_zero = AtomicMeasure.point_mass(0.0), AtomicMeasure.point_mass(-0.0)
+    assert zero == neg_zero and hash(zero) == hash(neg_zero)
+    # a frozen dataclass holding measures compares and hashes through them
+    model = sd.SpikedModel(H=a, G0=AtomicMeasure.point_mass(1.0),
+                           G1=AtomicMeasure.point_mass(2.0), gamma=0.1)
+    twin = dataclasses.replace(model, H=b)
+    assert model == twin and hash(model) == hash(twin)
 
 
 def test_nonpositive_weight_rejected():

@@ -11,7 +11,7 @@ from specdetect.optimal import surrogate_spike
 
 
 GAMMA = 0.5
-CFG = sd.AlgoConfig(epsilon=1e-6)
+CFG = sd.AlgoConfig()
 
 
 def in_support_mask(phi):
@@ -30,16 +30,11 @@ class TestConfig:
     def test_defaults_follow_parameter_table(self):
         cfg = sd.AlgoConfig()
         assert cfg.epsilon == 5e-6
-        assert cfg.epsilon1 == pytest.approx(5e-8, rel=1e-12)  # 1e-2 * epsilon
         assert cfg.c1 == 1.5
         assert cfg.ridge_coeff == 1e-4
         assert cfg.n_sd == 3
-        assert cfg.epsilon1 == max(1e-8, 1e-2 * 5e-6)
         assert cfg.s_minus_coeff == 0.99
         assert cfg.s_plus_coeff == 0.75
-
-    def test_epsilon1_floor(self):
-        assert sd.AlgoConfig(epsilon=1e-8).epsilon1 == 1e-8
 
     def test_threshold_rules(self):
         cfg = sd.AlgoConfig()
@@ -136,7 +131,7 @@ class TestSubcriticalBranch:
         # the derivative it integrates is the collocation solve on the same curve
         delta = sd.delta_diff(model.H, model.G0, model.G1, GAMMA, mp_curve)
         direct = sd.solve_collocation(mp_curve, delta, coarse_grid_size=cfg.collocation_nodes,
-                                      epsilon1=cfg.epsilon1, c1=cfg.c1)
+                                      c1=cfg.c1)
         assert np.array_equal(phi.derivative, direct.values)
 
     def test_normalized_phi_independent_of_h(self, unit_model_factory):
@@ -328,10 +323,10 @@ class TestBenchmarkSweep:
         # the closed-form benchmark holds for any subcritical spike and
         # aspect ratio, not just the pinned acceptance instances
         assert t < 1 + math.sqrt(gamma)
-        curve = sd.stieltjes_grid(mp_unit, gamma, points_per_interval=500, epsilon=1e-6)
+        curve = sd.stieltjes_grid(mp_unit, gamma, points_per_interval=500)
         model = sd.SpikedModel(H=mp_unit, G0=mp_unit,
                                G1=sd.AtomicMeasure.point_mass(t), gamma=gamma)
-        phi, rep = sd.optimal_lss(model, sd.AlgoConfig(epsilon=1e-6), curve=curve)
+        phi, rep = sd.optimal_lss(model, sd.AlgoConfig(), curve=curve)
         assert rep.regime == "subcritical-solvable"
         mask = in_support_mask(phi)
         ours = normalize_curve(phi.values[mask])

@@ -5,8 +5,9 @@ recorded from the scalar per-point solver (see
 ``data/record_reference_curves.py``).  ``data/oracle_values.npz`` holds
 v, v' and the derivative density solved to 40 digits at the edge samples
 and at five grid points per support interval of the same bulks (see
-``data/record_oracle_values.py``).  The unit bulk is also checked
-against its closed-form transform.
+``data/record_oracle_values.py``); the edge densities are checked
+against these, as the scalar solver's sit up to 4.7e-10 from them.  The
+unit bulk is also checked against its closed-form transform.
 """
 import math
 from pathlib import Path
@@ -81,8 +82,8 @@ class TestAgainstOracle:
         curve, prefix = curves[name], f"{name}/grid"
         idx = ORACLE[f"{prefix}/index"]
         assert np.array_equal(curve.grid[idx], ORACLE[f"{prefix}/x"])
-        assert complex_rel_err(curve.v[idx], ORACLE[f"{prefix}/v"]) <= 1e-11
-        assert complex_rel_err(curve.v_prime[idx], ORACLE[f"{prefix}/v_prime"]) <= 1e-9
+        assert complex_rel_err(curve.v[idx], ORACLE[f"{prefix}/v"]) <= 5e-15
+        assert complex_rel_err(curve.v_prime[idx], ORACLE[f"{prefix}/v_prime"]) <= 5e-13
 
     def test_edge_samples(self, curves, name):
         samples = curves[name].edge_samples
@@ -91,8 +92,10 @@ class TestAgainstOracle:
         for (j, side), (dists, v, vp) in samples.items():
             prefix = f"{name}/edge/{j}/{side}"
             assert np.array_equal(dists, ORACLE[f"{prefix}/dists"])
-            assert complex_rel_err(v, ORACLE[f"{prefix}/v"]) <= 1e-11
-            assert complex_rel_err(vp, ORACLE[f"{prefix}/v_prime"]) <= 1e-9
+            # v' = 1/x'(v) with x'(v) small near an edge: a round-off error
+            # in v grows by |v' x''(v)| in v'
+            assert complex_rel_err(v, ORACLE[f"{prefix}/v"]) <= 5e-14
+            assert complex_rel_err(vp, ORACLE[f"{prefix}/v_prime"]) <= 1e-11
 
 
 @pytest.mark.parametrize("name", ["two_atom", "ar1", "unit"])
@@ -107,8 +110,7 @@ def test_edge_refinement_densities_unchanged(curves, name):
     for (j, side), (dists, dens) in refinements.items():
         prefix = f"{name}/edge/{j}/{side}"
         assert np.array_equal(dists, REF[f"{prefix}/dists"])
-        ref = REF[f"{prefix}/density"]
-        assert np.max(np.abs(dens - ref) / np.abs(ref)) <= 1e-10
+        assert rel_err(dens, ORACLE[f"{prefix}/density"]) <= 1e-11
 
 
 @pytest.mark.parametrize("gamma", [0.1, 0.5, 2.0])
@@ -174,18 +176,20 @@ def test_contraction_start_stops_each_point_at_its_fixed_point(monkeypatch):
 def test_single_point_wrappers_agree_with_the_grid(two_atom, two_atom_curve_01):
     curve = two_atom_curve_01
     span = curve.support.intervals[-1][1] - curve.support.intervals[0][0]
-    eta0 = 1e-2 * span
     for i in (0, 311, curve.grid.size - 1):
         x = float(curve.grid[i])
-        v0 = sd.solve_silverstein(two_atom, 0.1, complex(x, eta0), tol=1e-10)
-        v, resid, _ = mp.solve_real_limit(two_atom, 0.1, x, v0, 0.5 * eta0, 5e-8)
+        lo, hi = curve.support.intervals[curve.interval_id[i]]
+        eta = min(1e-2 * span, x - lo, hi - x)
+        v0 = sd.solve_silverstein(two_atom, 0.1, complex(x, eta), tol=1e-10)
+        v, resid = mp.solve_real_limit(two_atom, 0.1, x, v0)
         assert abs(v - curve.v[i]) <= 1e-14 * abs(curve.v[i])
         assert resid <= 1e-8
 
 
 def test_failed_edge_sample_leaves_its_edge_unrefined():
-    # the lower edge sits at 1.3e-7, where the derivative map is undefined at
-    # the first sample toward it; the scalar solver recorded the same gap.
+    # the lower edge sits at 1.3e-7; its 1/4 sample converges, the derivative
+    # map is undefined at its 1/16 and 1/64 samples, and the gap is reported
+    # at the 1/16 one.  The scalar solver recorded the same gap.
     # The second interval, the bulk of the atom at 1, holds half the mass.
     H = sd.AtomicMeasure(np.array([1e-6, 1.0]), np.array([0.5, 0.5]))
     curve = sd.stieltjes_grid(H, 0.5, points_per_interval=100)

@@ -186,6 +186,17 @@ def test_single_point_wrappers_agree_with_the_grid(two_atom, two_atom_curve_01):
         assert resid <= 1e-8
 
 
+def test_root_found_in_the_lower_half_plane_is_reflected(two_atom, two_atom_curve_01):
+    # from the conjugate of the root, Newton at real x runs to the conjugate
+    # root, which solves x(v) = x as well
+    curve = two_atom_curve_01
+    for i in (0, 311, curve.grid.size - 1):
+        v, resid = mp.solve_real_limit(two_atom, 0.1, float(curve.grid[i]), np.conj(curve.v[i]))
+        assert v.imag > 0
+        assert abs(v - curve.v[i]) <= 1e-14 * abs(curve.v[i])
+        assert resid <= 1e-8
+
+
 def test_failed_edge_sample_leaves_its_edge_unrefined():
     # the lower edge sits at 1.3e-7; its 1/4 sample converges, the derivative
     # map is undefined at its 1/16 and 1/64 samples, and the gap is reported

@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -199,13 +200,19 @@ def cmd_simulate(config: dict, out: OutputTracker, args) -> None:
     write_csv(out.path("sample_eigenvalues.csv"), ["replicate", "index", "eigenvalue"], rows)
 
 
+_CURVE_FIELDS = ("H", "gamma", "points_per_interval", "config")
+
+# each subcommand with the top-level config fields it reads; any other
+# field is rejected, so a misspelled one cannot run with the default
 _COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "weak-derivative": cmd_weak_derivative,
-    "optimal-lss": cmd_optimal_lss,
-    "power": cmd_power,
-    "classical-lss": cmd_classical,
-    "simulate": cmd_simulate,
+    "spectrum": (cmd_spectrum, _CURVE_FIELDS),
+    "weak-derivative": (cmd_weak_derivative, _CURVE_FIELDS + ("G",)),
+    "optimal-lss": (cmd_optimal_lss,
+                    ("H", "G0", "G1", "gamma", "h", "n", "scale_invariant", "config")),
+    "power": (cmd_power, tuple(f.name for f in fields(SimConfig)) + ("noise",)),
+    "classical-lss": (cmd_classical,
+                      _CURVE_FIELDS + ("test_id", "parameters", "eigenvalues", "n")),
+    "simulate": (cmd_simulate, ("n", "seed", "population", "eigenvalues", "n_reps")),
 }
 
 
@@ -242,7 +249,12 @@ def main(argv: list[str] | None = None) -> int:
         config = _load_config(args.config) if args.config else {}
         if args.seed is not None and "seed" in config:
             config = {**config, "seed": args.seed}
-        _COMMANDS[args.command](config, tracker, args)
+        command, known = _COMMANDS[args.command]
+        unknown = sorted(set(config) - set(known))
+        if unknown:
+            raise ConfigError(f"{args.command} reads no config field "
+                              + ", ".join(f"'{name}'" for name in unknown))
+        command(config, tracker, args)
     except ConfigError as exc:
         tracker.cleanup()
         print(f"error: {exc}", file=sys.stderr)

@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass
 from statistics import NormalDist
 
 import numpy as np
-from scipy.linalg import block_diag, solve
 
 from .mp import StieltjesCurve
 from .weak_derivative import SignedMeasureCdf
@@ -157,10 +156,10 @@ def solve_regularized(K: KernelMatrix, rhs: np.ndarray) -> np.ndarray:
     """Solve (K + r I) u = rhs for one right-hand side or a column of them.
 
     K is symmetric but may be indefinite (a split support gives negative
-    eigenvalues below the ridge), so this uses the symmetric indefinite
-    factorization, not Cholesky.
+    eigenvalues below the ridge), so this is an LU solve, not Cholesky;
+    it works on the one N x N ridged copy and leaves K unchanged.
     """
-    return solve(K.regularized(), rhs, assume_a="sym", overwrite_a=True)
+    return np.linalg.solve(K.regularized(), rhs)
 
 
 def solve_diagreg(K: KernelMatrix, delta: SignedMeasureCdf) -> SolvedDerivative:
@@ -215,9 +214,10 @@ def solve_collocation(curve: StieltjesCurve, delta: SignedMeasureCdf,
     rows[~np.isfinite(rows)] = np.nan
     rows = np.where(np.isnan(rows), c1 * np.nanmax(rows, axis=1, keepdims=True), rows)
 
-    # hat-function basis per interval on the coarse nodes, one column per node
-    hats = block_diag(*[_hats(curve.grid[curve.interval_slice(j)], curve.grid[idx])
-                        for j, idx in enumerate(coarse_idx)])
+    # hat-function basis on the coarse nodes, one column per node.  Each
+    # interval's first and last grid points are nodes, so no cell spans a
+    # gap and the basis is block diagonal by interval
+    hats = _hats(curve.grid, curve.grid[nodes])
     A = (rows * dense_w) @ hats
 
     cond = float(np.linalg.cond(A))

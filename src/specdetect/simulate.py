@@ -13,9 +13,6 @@ import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
-# cho_factor and cho_solve are unused here; perfbench/spans.py looks both
-# names up on this module, so they stay until its span list drops them
-from scipy.linalg import cho_factor, cho_solve, toeplitz  # noqa: F401
 
 from .kernel import REGIME_SUPERCRITICAL
 from .measures import AtomicMeasure
@@ -41,8 +38,22 @@ def ar1_eigenvalues(rho: float, p: int) -> np.ndarray:
         return np.ones(p)
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in [0, 1)")
-    sigma = toeplitz(rho ** np.arange(p))
+    i = np.arange(p)
+    sigma = rho ** np.abs(i[:, None] - i)
     return np.sort(np.linalg.eigvalsh(sigma))[::-1]
+
+
+# Nothing in the package calls these two.  perfbench/spans.py looks both
+# names up on this module, so they stay, importing scipy only when called;
+# the benchmark change that drops their spans deletes them (ROADMAP).
+def cho_factor(*args, **kwargs):
+    from scipy.linalg import cho_factor
+    return cho_factor(*args, **kwargs)
+
+
+def cho_solve(*args, **kwargs):
+    from scipy.linalg import cho_solve
+    return cho_solve(*args, **kwargs)
 
 
 def sample_eigenvalues(pop_eigs, n: int, seed) -> np.ndarray:

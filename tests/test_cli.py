@@ -199,7 +199,7 @@ class TestClassical:
     ("weak-derivative", {"G": {"atoms": [1.6], "weights": [1.0]}}),
     ("classical-lss", {"test_id": "john-sphericity"}),
 ])
-def test_top_level_epsilon_reaches_the_curve(tmp_path, monkeypatch, command, extra):
+def test_top_level_epsilon_reaches_the_curve(tmp_path, monkeypatch, capsys, command, extra):
     import specdetect.cli as cli
     seen = []
 
@@ -209,14 +209,37 @@ def test_top_level_epsilon_reaches_the_curve(tmp_path, monkeypatch, command, ext
 
     stieltjes_grid = cli.stieltjes_grid
     monkeypatch.setattr(cli, "stieltjes_grid", spy)
-    # the top-level points_per_interval overrides the one in "config"; a
-    # top-level epsilon changes no number and is no longer passed on
-    cfg = write_config(tmp_path / "c.json", {
-        "H": {"atoms": [1.0], "weights": [1.0]}, "gamma": 0.5, "epsilon": 2e-5,
-        "points_per_interval": 100, "config": {"points_per_interval": 300}, **extra,
-    })
+    payload = {"H": {"atoms": [1.0], "weights": [1.0]}, "gamma": 0.5,
+               "points_per_interval": 100, "config": {"points_per_interval": 300}, **extra}
+    # the top-level epsilon is read by no subcommand, so it is rejected
+    cfg = write_config(tmp_path / "eps.json", {**payload, "epsilon": 2e-5})
+    assert run_cli([command, "--config", cfg, "--out", str(tmp_path / "eps")]) == 2
+    assert "'epsilon'" in capsys.readouterr().err
+    assert seen == [] and not (tmp_path / "eps" / "manifest.json").exists()
+    # the top-level points_per_interval overrides the one in "config"
+    cfg = write_config(tmp_path / "c.json", payload)
     assert run_cli([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert seen == [{"points_per_interval": 100}]
+
+
+@pytest.mark.parametrize("command, payload, typo", [
+    ("spectrum", {"H": {"atoms": [1.0], "weights": [1.0]}, "gamma": 0.5},
+     "points_per_intervall"),
+    ("optimal-lss", {"H": {"atoms": [1.0], "weights": [1.0]},
+                     "G0": {"atoms": [1.0], "weights": [1.0]},
+                     "G1": {"atoms": [1.6], "weights": [1.0]}, "gamma": 0.5,
+                     "config": {"points_per_interval": 100}}, "scale_invariants"),
+    ("power", {"population": {"kind": "ar1", "rho": 0.5, "p": 19}, "n": 40, "n_reps": 100,
+               "alpha": 0.05, "seed": 1, "spike_grid": [3.0], "points_per_interval": 100},
+     "two_side"),
+    ("simulate", {"eigenvalues": [1.0] * 5, "n": 10, "seed": 5}, "n_rep"),
+])
+def test_unknown_top_level_field_exits_2(tmp_path, capsys, command, payload, typo):
+    cfg = write_config(tmp_path / "c.json", {**payload, typo: 1})
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"'{typo}'" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 class TestSimulate:

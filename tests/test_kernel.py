@@ -56,6 +56,19 @@ class TestAssembly:
         dense = np.linalg.solve(before + K.ridge * np.eye(K.size), rhs)
         assert np.max(np.abs(u - dense)) <= 1e-10 * np.max(np.abs(dense))
 
+    def test_regularized_solve_matches_the_symmetric_factorization(self, two_atom_curve_01):
+        solve = pytest.importorskip("scipy.linalg").solve
+        from specdetect.kernel import solve_regularized
+
+        K = sd.assemble_diagreg(two_atom_curve_01)
+        before = K.entries.copy()
+        rhs = np.random.default_rng(3).standard_normal((K.size, 2))
+        u = solve_regularized(K, rhs)
+        assert np.array_equal(K.entries, before)
+        ref = solve(K.regularized(), rhs, assume_a="sym")
+        # observed 6.0e-15
+        assert np.max(np.abs(u - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_ridged_matrix_psd(self, mp_kernel):
         eigs = np.linalg.eigvalsh(mp_kernel.entries + mp_kernel.ridge * np.eye(mp_kernel.size))
         assert eigs[0] >= -1e-8 * np.trace(mp_kernel.entries)
@@ -125,6 +138,31 @@ class TestSolvers:
         rhs = -delta.cdf[nodes]
         # observed 1.4e-15; a diagonal of 1.2 * 1.5 gives 1.0e-2
         assert np.max(np.abs(A @ (w * g.values) - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+
+    def test_collocation_hat_basis_equals_the_block_diagonal_build(
+            self, monkeypatch, two_atom, two_atom_curve_01):
+        block_diag = pytest.importorskip("scipy.linalg").block_diag
+        from specdetect import kernel
+
+        curve = two_atom_curve_01
+        hats = kernel._hats
+        seen = []
+
+        def spy(xs, nodes):
+            seen.append((nodes, hats(xs, nodes)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(kernel, "_hats", spy)
+        G0, G1 = sd.AtomicMeasure.point_mass(1.0), sd.AtomicMeasure.point_mass(1.2)
+        delta = sd.delta_diff(two_atom, G0, G1, 0.1, curve)
+        sd.solve_collocation(curve, delta)
+        (nodes, basis), = seen
+        blocks = []
+        for j in range(curve.n_intervals):
+            xs = curve.grid[curve.interval_slice(j)]
+            blocks.append(hats(xs, nodes[(nodes >= xs[0]) & (nodes <= xs[-1])]))
+        assert len(blocks) == 2
+        assert basis.tobytes() == block_diag(*blocks).tobytes()
 
     def test_collocation_condition_limit(self, mp_unit, mp_curve):
         delta = sd.delta_diff(mp_unit, mp_unit, sd.AtomicMeasure.point_mass(1.2), GAMMA, mp_curve)

@@ -1,8 +1,11 @@
 """The package namespace."""
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
 import sys
+import textwrap
 import types
 from pathlib import Path
 
@@ -38,3 +41,26 @@ def test_names_the_benchmark_wraps_resolve(monkeypatch):
     # internal calls reach the counted solve through this binding
     from specdetect import mp, weak_derivative
     assert weak_derivative.solve_silverstein is mp.solve_silverstein
+
+
+def test_runtime_loads_no_scipy():
+    # scipy is a test dependency only: with it blocked, the package, the CLI,
+    # the AR(1) bulk and both solvers run, and no scipy module gets loaded
+    code = textwrap.dedent("""
+        import sys, types
+        sys.modules["scipy"] = None
+        import specdetect as sd
+        import specdetect.cli
+        sd.ar1_eigenvalues(0.7, 249)
+        H = sd.AtomicMeasure.point_mass(1.0)
+        model = sd.SpikedModel(H=H, G0=H, G1=sd.AtomicMeasure.point_mass(1.6), gamma=0.5)
+        for solver in ("diagreg", "collocation"):
+            sd.optimal_lss(model, sd.AlgoConfig(solver=solver, points_per_interval=200))
+        loaded = [name for name, module in sys.modules.items()
+                  if name.startswith("scipy") and isinstance(module, types.ModuleType)]
+        assert not loaded, loaded
+    """)
+    src = str(Path(sd.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr

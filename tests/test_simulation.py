@@ -25,6 +25,23 @@ class TestAr1Eigenvalues:
         assert (np.diff(eigs) <= 0).all()
         assert (eigs > 0).all()
 
+    def test_matrix_equals_the_toeplitz_build_bit_for_bit(self, monkeypatch):
+        toeplitz = pytest.importorskip("scipy.linalg").toeplitz
+        eigvalsh = np.linalg.eigvalsh
+        seen = []
+
+        def spy(a):
+            seen.append(a.copy())
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        for rho in (0.3, 0.5, 0.7, 0.9):
+            for p in (249, 399):
+                seen.clear()
+                sd.ar1_eigenvalues(rho, p)
+                (sigma,) = seen
+                assert sigma.tobytes() == toeplitz(rho ** np.arange(p)).tobytes(), (rho, p)
+
     def test_bad_rho_rejected(self):
         with pytest.raises(ValueError):
             sd.ar1_eigenvalues(1.2, 10)

@@ -21,9 +21,9 @@ print(f"  spike threshold   : {support.upper_pt_threshold:.6f}  (= 1 + sqrt(gamm
 curve = sd.stieltjes_grid(H, gamma, points_per_interval=500)
 print(f"  grid points       : {curve.grid.size}, dropped: {len(curve.dropped)}")
 print(f"  m1, m2, m4        : "
-      f"{sd.esd_moment(curve, H, 1):.5f}, "
-      f"{sd.esd_moment(curve, H, 2):.5f}, "
-      f"{sd.esd_moment(curve, H, 4):.5f}")
+      f"{sd.esd_moment(curve, 1):.5f}, "
+      f"{sd.esd_moment(curve, 2):.5f}, "
+      f"{sd.esd_moment(curve, 4):.5f}")
 print(f"  exact m2, m4      : {1 + gamma:.5f}, {(1 + gamma) * (1 + 5 * gamma + gamma**2):.5f}")
 
 # --- a two-atom bulk: the number of components depends on gamma -------

@@ -24,7 +24,7 @@ from .classical import catalog_ids, equivalent_lss, evaluate_statistic
 from .io import read_json, write_csv, write_json
 from .measures import AtomicMeasure
 from .mp import StieltjesCurve, stieltjes_grid
-from .optimal import SOLVERS, AlgoConfig, SpikedModel, optimal_lss, optimal_ls3
+from .optimal import AlgoConfig, SpikedModel, optimal_lss, optimal_ls3
 from .simulate import SimConfig, _draw, _population_eigenvalues, power_experiment
 from .weak_derivative import weak_derivative_cdf
 
@@ -60,24 +60,10 @@ def _require(config: dict, *fields: str) -> None:
 
 def _measure(config: dict, name: str) -> AtomicMeasure:
     _require(config, name)
-    payload = config[name]
-    for key in ("atoms", "weights"):
-        if key not in payload:
-            raise ConfigError(f"config field '{name}' is missing '{key}'")
     try:
-        return AtomicMeasure.from_dict(payload)
-    except ValueError as exc:
-        raise ConfigError(f"invalid measure '{name}': {exc}")
-
-
-def _algo_config(config: dict, solver_override: str | None) -> AlgoConfig:
-    kwargs = dict(config.get("config", {}))
-    if solver_override:
-        kwargs["solver"] = solver_override
-    try:
-        return AlgoConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid algorithm config: {exc}")
+        return AtomicMeasure.from_dict(config[name])
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"invalid measure '{name}': {exc.args[0]}")
 
 
 class OutputTracker:
@@ -106,12 +92,11 @@ def _curve_outputs(curve, out: OutputTracker) -> None:
 
 
 def _curve(config: dict) -> tuple[AtomicMeasure, float, StieltjesCurve]:
-    """H, gamma and the curve of H; a top-level "points_per_interval" overrides "config"."""
+    """H, gamma and the curve of H on "points_per_interval" points per interval."""
     _require(config, "gamma")
     H = _measure(config, "H")
     gamma = float(config["gamma"])
-    algo = _algo_config(config, None)
-    ppi = int(config.get("points_per_interval", algo.points_per_interval))
+    ppi = int(config.get("points_per_interval", AlgoConfig.points_per_interval))
     return H, gamma, stieltjes_grid(H, gamma, points_per_interval=ppi)
 
 
@@ -142,7 +127,10 @@ def _spiked_model(config: dict) -> SpikedModel:
 
 def cmd_optimal_lss(config: dict, out: OutputTracker, args) -> None:
     model = _spiked_model(config)
-    algo = _algo_config(config, args.solver)
+    try:
+        algo = AlgoConfig(**config.get("config", {}))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid algorithm config: {exc}")
     scale_invariant = bool(config.get("scale_invariant", False))
     builder = optimal_ls3 if scale_invariant else optimal_lss
     phi, report = builder(model, algo)
@@ -157,8 +145,6 @@ def cmd_power(config: dict, out: OutputTracker, args) -> None:
         sim = SimConfig.from_dict(config)
     except (KeyError, ValueError) as exc:
         raise ConfigError(str(exc))
-    if args.solver:
-        sim = SimConfig.from_dict({**sim.to_dict(), "solver": args.solver})
     curve = power_experiment(sim)
     write_csv(out.path("power_curve.csv"),
               ["spike", "power_lss", "se_lss", "power_top", "se_top"],
@@ -187,20 +173,15 @@ def cmd_classical(config: dict, out: OutputTracker, args) -> None:
 
 
 def cmd_simulate(config: dict, out: OutputTracker, args) -> None:
-    _require(config, "n", "seed")
-    if "population" in config:
-        pop = _population_eigenvalues(config["population"])
-    elif "eigenvalues" in config:
-        pop = np.asarray(config["eigenvalues"], dtype=float)
-    else:
-        raise ConfigError("config is missing required field 'population' (or 'eigenvalues')")
+    _require(config, "population", "n", "seed")
+    pop = _population_eigenvalues(config["population"])
     master = np.random.SeedSequence(int(config["seed"]))
     draws = _draw(np.sort(pop), int(config["n"]), master.spawn(int(config.get("n_reps", 1))))
     rows = [(rep, i, val) for rep, eigs in enumerate(draws) for i, val in enumerate(eigs)]
     write_csv(out.path("sample_eigenvalues.csv"), ["replicate", "index", "eigenvalue"], rows)
 
 
-_CURVE_FIELDS = ("H", "gamma", "points_per_interval", "config")
+_CURVE_FIELDS = ("H", "gamma", "points_per_interval")
 
 # each subcommand with the top-level config fields it reads; any other
 # field is rejected, so a misspelled one cannot run with the default
@@ -209,10 +190,10 @@ _COMMANDS = {
     "weak-derivative": (cmd_weak_derivative, _CURVE_FIELDS + ("G",)),
     "optimal-lss": (cmd_optimal_lss,
                     ("H", "G0", "G1", "gamma", "h", "n", "scale_invariant", "config")),
-    "power": (cmd_power, tuple(f.name for f in fields(SimConfig)) + ("noise",)),
+    "power": (cmd_power, tuple(f.name for f in fields(SimConfig))),
     "classical-lss": (cmd_classical,
                       _CURVE_FIELDS + ("test_id", "parameters", "eigenvalues", "n")),
-    "simulate": (cmd_simulate, ("n", "seed", "population", "eigenvalues", "n_reps")),
+    "simulate": (cmd_simulate, ("population", "n", "seed", "n_reps")),
 }
 
 
@@ -226,8 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="path to the JSON configuration")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="master RNG seed override")
-        p.add_argument("--solver", choices=SOLVERS, default=None)
         if name == "classical-lss":
             p.add_argument("--list", action="store_true", help="list catalog test ids")
     return parser
@@ -247,8 +226,6 @@ def main(argv: list[str] | None = None) -> int:
     started = time.time()
     try:
         config = _load_config(args.config) if args.config else {}
-        if args.seed is not None and "seed" in config:
-            config = {**config, "seed": args.seed}
         command, known = _COMMANDS[args.command]
         unknown = sorted(set(config) - set(known))
         if unknown:
@@ -269,7 +246,6 @@ def main(argv: list[str] | None = None) -> int:
             "subcommand": args.command,
             "config_path": str(args.config) if args.config else None,
             "out_dir": str(out_dir),
-            "seed": args.seed,
             "tool_version": __version__,
             "duration_s": time.time() - started,
             "config": config,

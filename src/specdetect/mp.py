@@ -225,8 +225,7 @@ def _solve(H: AtomicMeasure, gamma: float, z: np.ndarray, v0: np.ndarray | None,
     for i in np.flatnonzero((resid > tol) | ((z.imag > 0) & (v.imag < 0))):
         zi = complex(z[i])
         if resid[i] > tol:
-            errors[i] = (f"no convergence at z={zi!r}: residual {resid[i]:.3e} > {tol:.1e}; "
-                         "retry with a larger imaginary offset")
+            errors[i] = f"no convergence at z={zi!r}: residual {resid[i]:.3e} > {tol:.1e}"
         else:
             errors[i] = f"root left the upper half plane at z={zi!r}"
     return v, errors
@@ -669,7 +668,7 @@ def esd_expectation(curve: StieltjesCurve, f, f_at_zero: float | None = None) ->
     return total
 
 
-def esd_moment(curve: StieltjesCurve, H: AtomicMeasure, k: int) -> float:
+def esd_moment(curve: StieltjesCurve, k: int) -> float:
     """k-th moment of the limiting distribution by grid quadrature.
 
     The atom at zero present for gamma > 1 contributes nothing for k >= 1.

@@ -151,15 +151,15 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SimConfig":
+        """Build from a dict: a key that is no field raises ValueError, a missing one KeyError."""
+        unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError("simulation config has no field "
+                             + ", ".join(f"'{name}'" for name in unknown))
         for f in fields(cls):
             if f.default is MISSING and f.name not in payload:
                 raise KeyError(f"simulation config is missing required field '{f.name}'")
-        # manifests of earlier versions name the noise law; gaussian is the only one
-        if payload.get("noise", "gaussian") != "gaussian":
-            raise ValueError(f"unknown noise '{payload['noise']}'; only gaussian noise is shipped")
-        kwargs = {f.name: payload[f.name] for f in fields(cls) if f.name in payload}
-        kwargs["spike_grid"] = tuple(float(s) for s in kwargs["spike_grid"])
-        return cls(**kwargs)
+        return cls(**{**payload, "spike_grid": tuple(float(s) for s in payload["spike_grid"])})
 
 
 @dataclass

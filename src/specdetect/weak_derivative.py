@@ -202,19 +202,20 @@ class SignedMeasureCdf:
 
 
 def _edge_region_masses(xs: np.ndarray, fs: np.ndarray, edge: float, inward: int,
-                        n_cells: int = 48,
-                        refined: tuple[np.ndarray, np.ndarray] | None = None
+                        n_cells: int, refined: tuple[np.ndarray, np.ndarray] | None
                         ) -> tuple[float, np.ndarray]:
     """Integrate a sqrt-singular density over the cells nearest one edge.
 
     Substituting u = sqrt(|x - edge|) turns the integral into
     int g(u) du with g(u) = 2 u f, which is bounded and smooth at the
     edge; the cells are integrated by the trapezoid rule in u.  The
-    clipped piece between the edge and the first grid point uses extra
-    density samples at sub-cell distances when available (``refined`` =
-    (distances, values), at least two distances, ascending), else a quadratic
-    extrapolation of g to u = 0.  Returns (tail mass in the clipped
-    piece, per-cell masses ordered as the grid runs).
+    clipped piece between the edge and the first grid point runs over
+    the nodes: the sub-cell samples ``refined`` = (distances ascending,
+    values), if any, then the grid points.  A polynomial of degree
+    min(2, nodes - 1) through the first three nodes covers [0, first
+    node], and the trapezoid rule the rest up to the first grid point.
+    Returns (tail mass in the clipped piece, per-cell masses ordered as
+    the grid runs).
     """
     n_cells = min(n_cells, xs.size - 1)
     if inward > 0:  # left edge: nearest points first
@@ -226,22 +227,14 @@ def _edge_region_masses(xs: np.ndarray, fs: np.ndarray, edge: float, inward: int
     u = np.sqrt(d)
     g = 2.0 * u * fi
     cells = 0.5 * (g[1:] + g[:-1]) * np.diff(u)
-    if refined is not None:
-        ur = np.sqrt(refined[0])
-        gr = 2.0 * ur * refined[1]
-        # innermost piece [0, ur_0] by quadratic extrapolation, then
-        # trapezoid over the refined samples up to the first grid point
-        pts_u = np.concatenate([ur, u[:1]])
-        pts_g = np.concatenate([gr, g[:1]])
-        coeffs = np.polyfit(pts_u[:3], pts_g[:3], 2)
-        tail = float(np.polyval(np.polyint(coeffs), pts_u[0]))
-        tail += float(np.sum(0.5 * (pts_g[1:] + pts_g[:-1]) * np.diff(pts_u)))
-    elif u.size >= 3:
-        coeffs = np.polyfit(u[:3], g[:3], 2)
-        tail = float(np.polyval(np.polyint(coeffs), u[0]))
-    else:
-        g0 = g[0] - u[0] * (g[1] - g[0]) / (u[1] - u[0])
-        tail = 0.5 * (g0 + g[0]) * u[0]
+    dr, fr = refined if refined is not None else (np.empty(0), np.empty(0))
+    ur = np.sqrt(dr)
+    nodes_u = np.concatenate([ur, u])
+    nodes_g = np.concatenate([2.0 * ur * fr, g])
+    coeffs = np.polyfit(nodes_u[:3], nodes_g[:3], min(2, nodes_u.size - 1))
+    tail = float(np.polyval(np.polyint(coeffs), nodes_u[0]))
+    k = ur.size + 1  # the nodes up to the first grid point
+    tail += float(np.sum(0.5 * (nodes_g[1:k] + nodes_g[:k - 1]) * np.diff(nodes_u[:k])))
     return tail, (cells if inward > 0 else cells[::-1])
 
 
@@ -270,10 +263,10 @@ def _integrate_signed_density(curve: StieltjesCurve, dens: np.ndarray,
         while masses_left and masses_left[0][0] < lo:
             acc += masses_left.pop(0)[1]
         n_corr = min(48, max(1, (xs.size - 1) // 4))
-        left_tail, left_cells = _edge_region_masses(xs, fs, lo, +1, n_cells=n_corr,
-                                                    refined=refinements.get((j, "lo")))
-        tail_r, right_cells = _edge_region_masses(xs, fs, hi, -1, n_cells=n_corr,
-                                                  refined=refinements.get((j, "hi")))
+        left_tail, left_cells = _edge_region_masses(xs, fs, lo, +1, n_corr,
+                                                    refinements.get((j, "lo")))
+        tail_r, right_cells = _edge_region_masses(xs, fs, hi, -1, n_corr,
+                                                  refinements.get((j, "hi")))
         cells = 0.5 * (fs[1:] + fs[:-1]) * np.diff(xs)
         cells[:left_cells.size] = left_cells
         cells[cells.size - right_cells.size:] = right_cells

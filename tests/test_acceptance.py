@@ -129,8 +129,8 @@ def test_criterion_6_moment_identities(unit_bulk):
     worst = 0.0
     for gamma in (0.1, 0.5, 2.0):
         curve = sd.stieltjes_grid(unit_bulk, gamma, points_per_interval=1000)
-        m2 = sd.esd_moment(curve, unit_bulk, 2)
-        m4 = sd.esd_moment(curve, unit_bulk, 4)
+        m2 = sd.esd_moment(curve, 2)
+        m4 = sd.esd_moment(curve, 4)
         e2 = 1 + gamma
         e4 = (1 + gamma) * (1 + 5 * gamma + gamma**2)
         worst = max(worst, abs(m2 - e2) / e2, abs(m4 - e4) / e4)

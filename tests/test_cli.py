@@ -78,17 +78,16 @@ class TestWeakDerivative:
 
 
 class TestOptimalLss:
-    def test_subcritical_run_and_solver_flag(self, tmp_path):
+    def test_subcritical_run_and_config_solver(self, tmp_path):
         cfg = write_config(tmp_path / "lss.json", {
             "H": {"atoms": [1.0], "weights": [1.0]},
             "G0": {"atoms": [1.0], "weights": [1.0]},
             "G1": {"atoms": [1.6], "weights": [1.0]},
             "gamma": 0.5,
-            "config": {"points_per_interval": 300},
+            "config": {"points_per_interval": 300, "solver": "diagreg"},
         })
         out = tmp_path / "out"
-        assert run_cli(["optimal-lss", "--config", cfg, "--out", str(out),
-                        "--solver", "diagreg"]) == 0
+        assert run_cli(["optimal-lss", "--config", cfg, "--out", str(out)]) == 0
         rep = read_json(out / "efficacy.json")
         assert rep["regime"] == "subcritical-solvable"
         rows = (out / "lss_normalized.csv").read_text().splitlines()
@@ -159,11 +158,10 @@ class TestOptimalLss:
             "G1": {"atoms": [1.6], "weights": [1.0]},
             "gamma": 0.5,
             "scale_invariant": True,
-            "config": {"points_per_interval": 300},
+            "config": {"points_per_interval": 300, "solver": "collocation"},
         })
         out = tmp_path / "out"
-        assert run_cli(["optimal-lss", "--config", cfg, "--out", str(out),
-                        "--solver", "collocation"]) != 0
+        assert run_cli(["optimal-lss", "--config", cfg, "--out", str(out)]) != 0
         assert not (out / "lss.csv").exists()
 
 
@@ -194,32 +192,65 @@ class TestClassical:
         assert run_cli(["classical-lss", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
-@pytest.mark.parametrize("command, extra", [
+CURVE_COMMANDS = pytest.mark.parametrize("command, extra", [
     ("spectrum", {}),
     ("weak-derivative", {"G": {"atoms": [1.6], "weights": [1.0]}}),
     ("classical-lss", {"test_id": "john-sphericity"}),
 ])
-def test_top_level_epsilon_reaches_the_curve(tmp_path, monkeypatch, capsys, command, extra):
+
+
+@pytest.fixture
+def grid_calls(monkeypatch):
+    """The keyword arguments of every stieltjes_grid call the CLI makes."""
     import specdetect.cli as cli
-    seen = []
+    calls = []
+    stieltjes_grid = cli.stieltjes_grid
 
     def spy(*args, **kwargs):
-        seen.append(kwargs)
+        calls.append(kwargs)
         return stieltjes_grid(*args, **kwargs)
 
-    stieltjes_grid = cli.stieltjes_grid
     monkeypatch.setattr(cli, "stieltjes_grid", spy)
+    return calls
+
+
+@CURVE_COMMANDS
+def test_top_level_epsilon_reaches_the_curve(tmp_path, capsys, grid_calls, command, extra):
     payload = {"H": {"atoms": [1.0], "weights": [1.0]}, "gamma": 0.5,
-               "points_per_interval": 100, "config": {"points_per_interval": 300}, **extra}
+               "points_per_interval": 100, **extra}
     # the top-level epsilon is read by no subcommand, so it is rejected
     cfg = write_config(tmp_path / "eps.json", {**payload, "epsilon": 2e-5})
     assert run_cli([command, "--config", cfg, "--out", str(tmp_path / "eps")]) == 2
     assert "'epsilon'" in capsys.readouterr().err
-    assert seen == [] and not (tmp_path / "eps" / "manifest.json").exists()
-    # the top-level points_per_interval overrides the one in "config"
+    assert grid_calls == [] and not (tmp_path / "eps" / "manifest.json").exists()
+    # the top-level points_per_interval is the curve's only setting
     cfg = write_config(tmp_path / "c.json", payload)
     assert run_cli([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    assert seen == [{"points_per_interval": 100}]
+    assert grid_calls == [{"points_per_interval": 100}]
+
+
+@CURVE_COMMANDS
+def test_curve_command_rejects_an_algorithm_config(tmp_path, capsys, grid_calls, command,
+                                                   extra):
+    cfg = write_config(tmp_path / "c.json", {
+        "H": {"atoms": [1.0], "weights": [1.0]}, "gamma": 0.5,
+        "config": {"points_per_interval": 100}, **extra})
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "'config'" in capsys.readouterr().err
+    assert grid_calls == [] and not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "weak-derivative", "optimal-lss", "power",
+                                     "classical-lss", "simulate"])
+@pytest.mark.parametrize("flag, value", [("--seed", "1"), ("--solver", "diagreg")])
+def test_removed_flags_exit_2(tmp_path, command, flag, value):
+    # the seed and the solver are set in the config alone
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "out"),
+                 flag, value])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, payload, typo", [
@@ -232,7 +263,11 @@ def test_top_level_epsilon_reaches_the_curve(tmp_path, monkeypatch, capsys, comm
     ("power", {"population": {"kind": "ar1", "rho": 0.5, "p": 19}, "n": 40, "n_reps": 100,
                "alpha": 0.05, "seed": 1, "spike_grid": [3.0], "points_per_interval": 100},
      "two_side"),
-    ("simulate", {"eigenvalues": [1.0] * 5, "n": 10, "seed": 5}, "n_rep"),
+    ("simulate", {"population": {"kind": "atoms", "eigenvalues": [1.0] * 5}, "n": 10,
+                  "seed": 5}, "n_rep"),
+    # simulate reads its bulk from "population" alone
+    ("simulate", {"population": {"kind": "atoms", "eigenvalues": [1.0] * 5}, "n": 10,
+                  "seed": 5}, "eigenvalues"),
 ])
 def test_unknown_top_level_field_exits_2(tmp_path, capsys, command, payload, typo):
     cfg = write_config(tmp_path / "c.json", {**payload, typo: 1})
@@ -245,7 +280,7 @@ def test_unknown_top_level_field_exits_2(tmp_path, capsys, command, payload, typ
 class TestSimulate:
     def test_writes_eigenvalues(self, tmp_path):
         cfg = write_config(tmp_path / "sim.json", {
-            "eigenvalues": [1.0] * 30,
+            "population": {"kind": "atoms", "eigenvalues": [1.0] * 30},
             "n": 60,
             "seed": 5,
             "n_reps": 2,
@@ -258,27 +293,27 @@ class TestSimulate:
 
     def test_population_draws_as_its_eigenvalues(self, tmp_path):
         # a population with fewer replicates than a power sweep needs
-        pop = {"kind": "ar1", "rho": 0.5, "p": 6}
-        eigs = ar1_eigenvalues(0.5, 6).tolist()
+        ar1 = {"kind": "ar1", "rho": 0.5, "p": 6}
+        atoms = {"kind": "atoms", "eigenvalues": ar1_eigenvalues(0.5, 6).tolist()}
         outs = []
-        for name, bulk in (("pop", {"population": pop}), ("eigs", {"eigenvalues": eigs})):
-            cfg = write_config(tmp_path / f"{name}.json", {**bulk, "n": 10, "seed": 3, "n_reps": 3})
+        for name, pop in (("ar1", ar1), ("atoms", atoms)):
+            cfg = write_config(tmp_path / f"{name}.json",
+                               {"population": pop, "n": 10, "seed": 3, "n_reps": 3})
             outs.append(tmp_path / name)
             assert run_cli(["simulate", "--config", cfg, "--out", str(outs[-1])]) == 0
         a, b = ((out / "sample_eigenvalues.csv").read_text() for out in outs)
         assert a == b and len(a.splitlines()) == 1 + 3 * 6
 
-    def test_seed_override_changes_output(self, tmp_path):
-        cfg = write_config(tmp_path / "sim.json", {
-            "eigenvalues": [1.0] * 10, "n": 20, "seed": 5,
-        })
-        out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-        run_cli(["simulate", "--config", cfg, "--out", str(out1)])
-        run_cli(["simulate", "--config", cfg, "--out", str(out2), "--seed", "99"])
-        run_cli(["simulate", "--config", cfg, "--out", str(out3)])
-        a = (out1 / "sample_eigenvalues.csv").read_text()
-        b = (out2 / "sample_eigenvalues.csv").read_text()
-        c = (out3 / "sample_eigenvalues.csv").read_text()
+    def test_config_seed_changes_output(self, tmp_path):
+        outputs = []
+        for name, seed in (("a", 5), ("b", 99), ("c", 5)):
+            cfg = write_config(tmp_path / f"{name}.json", {
+                "population": {"kind": "atoms", "eigenvalues": [1.0] * 10}, "n": 20,
+                "seed": seed,
+            })
+            assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            outputs.append((tmp_path / name / "sample_eigenvalues.csv").read_text())
+        a, b, c = outputs
         assert a != b
         assert a == c
 
@@ -330,12 +365,12 @@ class TestManifestReplay:
         assert (out1 / "support.json").read_bytes() == (out2 / "support.json").read_bytes()
 
     def test_manifest_records_the_config_that_ran(self, tmp_path):
-        cfg = write_config(tmp_path / "sim.json", {"eigenvalues": [1.0] * 10, "n": 20, "seed": 1})
+        payload = {"population": {"kind": "ar1", "rho": 0.5, "p": 10}, "n": 20, "seed": 7}
+        cfg = write_config(tmp_path / "sim.json", payload)
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert run_cli(["simulate", "--config", cfg, "--out", str(out1), "--seed", "7"]) == 0
+        assert run_cli(["simulate", "--config", cfg, "--out", str(out1)]) == 0
         manifest = read_json(out1 / "manifest.json")
-        assert manifest["config"]["seed"] == 7
-        # the recorded config replays the run without the override
+        assert manifest["config"] == payload and "seed" not in manifest
         replay_cfg = write_config(tmp_path / "replay.json", manifest["config"])
         assert run_cli(["simulate", "--config", replay_cfg, "--out", str(out2)]) == 0
         a = (out1 / "sample_eigenvalues.csv").read_bytes()

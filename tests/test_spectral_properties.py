@@ -48,7 +48,7 @@ def test_first_two_moments_match_forward_moments(bulk):
     curve = curve_of(H, gamma)
     exact = sd.forward_moments(H, gamma, 2)
     for k in (1, 2):
-        assert sd.esd_moment(curve, H, k) == pytest.approx(exact[k - 1], rel=2e-3)
+        assert sd.esd_moment(curve, k) == pytest.approx(exact[k - 1], rel=2e-3)
 
 
 @PROPERTY

@@ -199,6 +199,22 @@ class TestDeltaDiff:
         assert w0 == w1 == pytest.approx(0.1, abs=1e-15)
 
 
+
+@pytest.mark.parametrize("inward, edge", [(+1, 0.25), (-1, 1.25)])
+def test_two_point_edge_tail_integrates_the_line(inward, edge):
+    # with two grid points and no sub-cell samples the clipped piece is the
+    # exact integral over [0, u_0] of the line in u = sqrt(|x - edge|)
+    # through the two nodes g = 2 u f
+    from specdetect.weak_derivative import _edge_region_masses
+    xs, fs = np.array([0.5, 1.0]), np.array([1.5, 0.75])
+    tail, cells = _edge_region_masses(xs, fs, edge, inward, 48, None)
+    order = slice(None, None, inward)  # nearest node first
+    u = np.sqrt(np.abs(xs - edge))[order]
+    g = 2.0 * u * fs[order]
+    g_at_edge = g[0] - u[0] * (g[1] - g[0]) / (u[1] - u[0])
+    assert tail == pytest.approx(0.5 * (g_at_edge + g[0]) * u[0], rel=1e-14)
+    assert cells.tolist() == pytest.approx([0.5 * (g[0] + g[1]) * (u[1] - u[0])], rel=1e-15)
+
 def _spikes_off_the_atoms(H, support):
     """Five points inside each spike window (an infinite end capped at
     2 t_max), and the midpoints of atom gaps wider than 2e-3: every spike

@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from .io import reject_unknown
 from .measures import AtomicMeasure
 from .mp import StieltjesCurve, esd_expectation, forward_moments
 from .optimal import SEG_OUTSIDE, SEG_SUPPORT, LssFunction
@@ -152,7 +153,7 @@ def catalog_ids() -> list[str]:
 
 
 def _resolve_entry(entry: TestCatalogEntry | str, params: dict) -> TestCatalogEntry:
-    """The catalog entry named by ``entry`` (or ``entry`` itself), given all it needs."""
+    """The catalog entry named by ``entry`` (or ``entry`` itself), given exactly what it needs."""
     if isinstance(entry, str):
         try:
             entry = _CATALOG[entry]
@@ -161,6 +162,7 @@ def _resolve_entry(entry: TestCatalogEntry | str, params: dict) -> TestCatalogEn
     for name in entry.needs:
         if name not in params:
             raise ValueError(f"test '{entry.test_id}' requires parameter '{name}'")
+    reject_unknown(params, entry.needs, f"test '{entry.test_id}' takes no parameter")
     return entry
 
 

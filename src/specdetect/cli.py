@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .classical import catalog_ids, equivalent_lss, evaluate_statistic
-from .io import read_json, write_csv, write_json
+from .io import read_json, reject_unknown, write_csv, write_json
 from .measures import AtomicMeasure
 from .mp import StieltjesCurve, stieltjes_grid
 from .optimal import AlgoConfig, SpikedModel, optimal_lss, optimal_ls3
@@ -144,7 +144,7 @@ def cmd_power(config: dict, out: OutputTracker, args) -> None:
     try:
         sim = SimConfig.from_dict(config)
     except (KeyError, ValueError) as exc:
-        raise ConfigError(str(exc))
+        raise ConfigError(exc.args[0])
     curve = power_experiment(sim)
     write_csv(out.path("power_curve.csv"),
               ["spike", "power_lss", "se_lss", "power_top", "se_top"],
@@ -163,7 +163,7 @@ def cmd_classical(config: dict, out: OutputTracker, args) -> None:
     try:
         phi = equivalent_lss(config["test_id"], H, gamma, curve, **params)
     except (KeyError, ValueError) as exc:
-        raise ConfigError(str(exc))
+        raise ConfigError(exc.args[0])
     write_csv(out.path("classical_lss.csv"), ["x", "phi", "segment"], phi.to_rows())
     if "eigenvalues" in config:
         _require(config, "n")
@@ -174,7 +174,10 @@ def cmd_classical(config: dict, out: OutputTracker, args) -> None:
 
 def cmd_simulate(config: dict, out: OutputTracker, args) -> None:
     _require(config, "population", "n", "seed")
-    pop = _population_eigenvalues(config["population"])
+    try:
+        pop = _population_eigenvalues(config["population"])
+    except ValueError as exc:
+        raise ConfigError(exc.args[0])
     master = np.random.SeedSequence(int(config["seed"]))
     draws = _draw(np.sort(pop), int(config["n"]), master.spawn(int(config.get("n_reps", 1))))
     rows = [(rep, i, val) for rep, eigs in enumerate(draws) for i, val in enumerate(eigs)]
@@ -227,10 +230,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config(args.config) if args.config else {}
         command, known = _COMMANDS[args.command]
-        unknown = sorted(set(config) - set(known))
-        if unknown:
-            raise ConfigError(f"{args.command} reads no config field "
-                              + ", ".join(f"'{name}'" for name in unknown))
+        reject_unknown(config, known, f"{args.command} reads no config field", ConfigError)
         command(config, tracker, args)
     except ConfigError as exc:
         tracker.cleanup()

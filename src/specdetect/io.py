@@ -6,7 +6,8 @@ import os
 import tempfile
 from pathlib import Path
 
-__all__ = ["format_number", "write_csv", "write_json", "read_json", "atomic_write_text"]
+__all__ = ["format_number", "write_csv", "write_json", "read_json", "atomic_write_text",
+           "reject_unknown"]
 
 
 def format_number(x) -> str:
@@ -73,3 +74,10 @@ def write_json(path: Path, payload: dict) -> None:
 def read_json(path: Path) -> dict:
     with open(path) as handle:
         return json.load(handle)
+
+
+def reject_unknown(keys, known, message: str, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` with ``message`` and every one of ``keys`` not in ``known``, sorted."""
+    unknown = sorted(set(keys) - set(known))
+    if unknown:
+        raise error(f"{message} " + ", ".join(f"'{name}'" for name in unknown))

@@ -42,6 +42,11 @@ _STD_NORMAL = NormalDist()
 # temporaries stay at 64 x N, so the matrix itself is the only N x N array
 _ROWS = 64
 
+_C1 = 1.5  # the diagonal is _C1 times a neighbouring kernel value
+_RIDGE_COEFF = 1e-4  # the ridge is _RIDGE_COEFF * tr / N
+_COLLOCATION_NODES = 150  # collocation nodes per support interval, at most
+_MAX_CONDITION = 1e13  # a collocation matrix above this condition number is refused
+
 
 @dataclass
 class KernelMatrix:
@@ -50,8 +55,8 @@ class KernelMatrix:
     Trapezoid cell weights are folded symmetrically, entries =
     sqrt(w_i) k(x_i,x_j) sqrt(w_j), so linear systems remain in function
     values while the matrix stays exactly symmetric.  The diagonal uses
-    the neighbor rule c1 * k(x_i, x_{i-1}); ``ridge`` is the Tikhonov
-    parameter 1e-4 * tr / I derived from the assembled matrix.
+    the neighbor rule _C1 * k(x_i, x_{i-1}); ``ridge`` is the Tikhonov
+    parameter _RIDGE_COEFF * tr / I derived from the assembled matrix.
     """
 
     grid: np.ndarray
@@ -98,14 +103,14 @@ def _kernel_rows(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return block
 
 
-def _weighted_kernel_matrix(curve: StieltjesCurve, c1: float, sq: np.ndarray) -> np.ndarray:
+def _weighted_kernel_matrix(curve: StieltjesCurve, sq: np.ndarray) -> np.ndarray:
     """sqrt(w_i) k(x_i, x_j) sqrt(w_j), diagonal by the neighbor rule, built in row blocks."""
     n = curve.grid.size
     K = np.empty((n, n))
     for r0 in range(0, n, _ROWS):
         rows = np.arange(r0, min(r0 + _ROWS, n))
         block = _kernel_rows(curve.v, rows)
-        block[rows - r0, rows] = c1 * block[rows - r0, np.where(rows == 0, 1, rows - 1)]
+        block[rows - r0, rows] = _C1 * block[rows - r0, np.where(rows == 0, 1, rows - 1)]
         block *= np.outer(sq[rows], sq)
         K[rows] = block
     return K
@@ -127,13 +132,12 @@ def _trapezoid_weights(curve: StieltjesCurve) -> np.ndarray:
     return w
 
 
-def assemble_diagreg(curve: StieltjesCurve, c1: float = 1.5,
-                     ridge_coeff: float = 1e-4) -> KernelMatrix:
+def assemble_diagreg(curve: StieltjesCurve) -> KernelMatrix:
     """Assemble the weighted kernel matrix with neighbor-diagonal rule and ridge."""
     w = _trapezoid_weights(curve)
     sq = np.sqrt(w)
-    entries = _weighted_kernel_matrix(curve, c1, sq)
-    ridge = ridge_coeff * float(np.trace(entries)) / entries.shape[0]
+    entries = _weighted_kernel_matrix(curve, sq)
+    ridge = _RIDGE_COEFF * float(np.trace(entries)) / entries.shape[0]
     return KernelMatrix(
         grid=curve.grid.copy(),
         entries=entries,
@@ -187,15 +191,13 @@ def _hats(xs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return hats
 
 
-def solve_collocation(curve: StieltjesCurve, delta: SignedMeasureCdf,
-                      coarse_grid_size: int = 150, c1: float = 1.5,
-                      max_condition: float = 1e13) -> SolvedDerivative:
+def solve_collocation(curve: StieltjesCurve, delta: SignedMeasureCdf) -> SolvedDerivative:
     """Collocation solve with a hat-function basis on a coarse sub-grid.
 
     The curve's own grid serves as the dense quadrature grid; the
     collocation nodes are an every-k-th subsample of it, so the kernel
     singularity always lands on a quadrature node and is replaced by
-    c1 times the largest regular value in its row.
+    _C1 times the largest regular value in its row.
     """
     if delta.grid.shape != curve.grid.shape or not np.allclose(delta.grid, curve.grid):
         raise ValueError("delta is not on the curve grid")
@@ -204,7 +206,7 @@ def solve_collocation(curve: StieltjesCurve, delta: SignedMeasureCdf,
     for j in range(curve.n_intervals):
         sl = curve.interval_slice(j)
         n_j = sl.stop - sl.start
-        take = min(coarse_grid_size, n_j)
+        take = min(_COLLOCATION_NODES, n_j)
         idx = sl.start + np.unique(np.round(np.linspace(0, n_j - 1, take)).astype(int))
         coarse_idx.append(idx)
     nodes = np.concatenate(coarse_idx)
@@ -212,7 +214,7 @@ def solve_collocation(curve: StieltjesCurve, delta: SignedMeasureCdf,
     # kernel rows between collocation nodes and the dense grid
     rows = _kernel_rows(curve.v, nodes)
     rows[~np.isfinite(rows)] = np.nan
-    rows = np.where(np.isnan(rows), c1 * np.nanmax(rows, axis=1, keepdims=True), rows)
+    rows = np.where(np.isnan(rows), _C1 * np.nanmax(rows, axis=1, keepdims=True), rows)
 
     # hat-function basis on the coarse nodes, one column per node.  Each
     # interval's first and last grid points are nodes, so no cell spans a
@@ -221,7 +223,7 @@ def solve_collocation(curve: StieltjesCurve, delta: SignedMeasureCdf,
     A = (rows * dense_w) @ hats
 
     cond = float(np.linalg.cond(A))
-    if not math.isfinite(cond) or cond > max_condition:
+    if not math.isfinite(cond) or cond > _MAX_CONDITION:
         raise RuntimeError(f"collocation matrix is rank deficient (condition number {cond:.3e})")
     coeffs = np.linalg.solve(A, -delta.cdf[nodes])
     resid = float(np.linalg.norm(A @ coeffs - (-delta.cdf[nodes])))

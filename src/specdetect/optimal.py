@@ -54,6 +54,10 @@ SEG_BUMP = "epanechnikov-bump"
 
 SOLVERS = ("diagreg", "collocation")
 
+_N_SD = 3.0  # half-width of an escaped spike's bump, in asymptotic sds
+_S_PLUS_COEFF = 0.75  # the surrogate rule's window ends at s_plus = this * (1 + sqrt(gamma)) a_pt
+_S_MINUS_COEFF = 0.99  # the surrogate spike is s_minus = this * a_pt
+
 
 def check_solver(solver: str) -> None:
     """Reject a solver name that no kernel solve implements."""
@@ -89,30 +93,18 @@ class SpikedModel:
 
 @dataclass(frozen=True)
 class AlgoConfig:
-    """Algorithmic constants; defaults follow the standard parameter table."""
+    """The choices of one statistic build; the method's constants are fixed."""
 
     # changes no number; kept because the benchmark in perfbench/ sets it
     epsilon: float = 5e-6
-    c1: float = 1.5
-    ridge_coeff: float = 1e-4
-    n_sd: float = 3.0
-    s_plus_coeff: float = 0.75
-    s_minus_coeff: float = 0.99
     points_per_interval: int = 1000
     solver: str = "diagreg"
-    collocation_nodes: int = 150
     alpha: float = 0.05
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
         check_solver(self.solver)
-
-    def s_plus(self, gamma: float, a_pt: float) -> float:
-        return self.s_plus_coeff * (1.0 + math.sqrt(gamma)) * a_pt
-
-    def s_minus(self, a_pt: float) -> float:
-        return self.s_minus_coeff * a_pt
 
 
 @dataclass
@@ -197,7 +189,7 @@ def integrate_derivative(curve: StieltjesCurve, g: np.ndarray) -> LssFunction:
 
 
 def surrogate_spike(model: SpikedModel, classification: SpikeClassification,
-                    config: AlgoConfig, support: SupportSet) -> float | None:
+                    support: SupportSet) -> float | None:
     """Location s_minus of the subcritical surrogate that replaces G1, or None.
 
     The rule fires for a single supercritical spike (h = 1) whose sample
@@ -210,17 +202,18 @@ def surrogate_spike(model: SpikedModel, classification: SpikeClassification,
         return None
     a_pt = support.upper_pt_threshold
     rec = classification.supercritical[0]
-    if rec.psi > support.intervals[-1][1] and rec.location < config.s_plus(model.gamma, a_pt):
-        return config.s_minus(a_pt)
+    s_plus = _S_PLUS_COEFF * (1.0 + math.sqrt(model.gamma)) * a_pt
+    if rec.psi > support.intervals[-1][1] and rec.location < s_plus:
+        return _S_MINUS_COEFF * a_pt
     return None
 
 
 def lss_above_pt(model: SpikedModel, classification: SpikeClassification,
-                 config: AlgoConfig, curve: StieltjesCurve) -> LssFunction:
+                 curve: StieltjesCurve) -> LssFunction:
     """Bump statistic for spikes whose sample location escapes the bulk.
 
     Each escaped spike gets an Epanechnikov bump of half-width
-    n_sd * n^-1/2 * sd centered at its sample location; spikes beyond the
+    _N_SD * n^-1/2 * sd centered at its sample location; spikes beyond the
     outermost bulk edge continue as the constant one away from the bulk.
     """
     sup = classification.supercritical
@@ -234,7 +227,7 @@ def lss_above_pt(model: SpikedModel, classification: SpikeClassification,
 
     bump_specs = []
     for rec in sup:
-        w = config.n_sd * rec.asy_sd / math.sqrt(n)
+        w = _N_SD * rec.asy_sd / math.sqrt(n)
         bump_specs.append((rec.psi, w, rec.psi > s_max, rec.psi < s_min))
 
     xs = list(curve.grid)
@@ -330,13 +323,13 @@ def _build(model: SpikedModel, config: AlgoConfig, curve: StieltjesCurve | None,
     cls1 = classify_spikes(model.H, model.gamma, model.G1, curve.support)
     if cls1.any_supercritical:
         report = efficacy_report(math.inf, 0.0, config.alpha, regime=REGIME_SUPERCRITICAL)
-        s_sur = surrogate_spike(model, cls1, config, curve.support)
+        s_sur = surrogate_spike(model, cls1, curve.support)
         if s_sur is None:
-            return lss_above_pt(model, cls1, config, curve), report
+            return lss_above_pt(model, cls1, curve), report
         model = replace(model, G1=AtomicMeasure.point_mass(s_sur))
 
     delta = delta_diff(model.H, model.G0, model.G1, model.gamma, curve)
-    K = assemble_diagreg(curve, c1=config.c1, ridge_coeff=config.ridge_coeff)
+    K = assemble_diagreg(curve)
     g = solve(curve, K, delta, config)
     if not cls1.any_supercritical:
         report = derivative_efficacy(K, g, delta, model.h, config.alpha)
@@ -346,8 +339,7 @@ def _build(model: SpikedModel, config: AlgoConfig, curve: StieltjesCurve | None,
 def _configured_solve(curve: StieltjesCurve, K: KernelMatrix, delta: SignedMeasureCdf,
                       config: AlgoConfig) -> np.ndarray:
     if config.solver == "collocation":
-        return solve_collocation(curve, delta, coarse_grid_size=config.collocation_nodes,
-                                 c1=config.c1).values
+        return solve_collocation(curve, delta).values
     return solve_diagreg(K, delta).values
 
 

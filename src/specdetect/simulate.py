@@ -14,6 +14,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
+from .io import reject_unknown
 from .kernel import REGIME_SUPERCRITICAL
 from .measures import AtomicMeasure
 from .mp import stieltjes_grid
@@ -93,24 +94,38 @@ def apply_lss(phi: LssFunction, eigenvalues) -> float | np.ndarray:
     return np.sum(phi(np.asarray(eigenvalues, dtype=float)), axis=-1)
 
 
+# each population kind with its required keys and its optional ones
+_POPULATION_KEYS = {"ar1": (("rho", "p"), ()), "atoms": (("eigenvalues",), ("multiplicities",))}
+
+
+def _check_population(population: dict) -> None:
+    """Reject a population of unknown kind, or one that misses a key or has an extra one."""
+    kind = population.get("kind")
+    if kind not in _POPULATION_KEYS:
+        raise ValueError(f"unknown population kind '{kind}'")
+    required, optional = _POPULATION_KEYS[kind]
+    for name in required:
+        if name not in population:
+            raise ValueError(f"population '{kind}' is missing required key '{name}'")
+    reject_unknown(population, ("kind", *required, *optional), f"population '{kind}' has no key")
+
+
 def _population_eigenvalues(population: dict) -> np.ndarray:
     """Bulk eigenvalues of a ``population`` description (see :class:`SimConfig`)."""
-    kind = population.get("kind")
-    if kind == "ar1":
+    _check_population(population)
+    if population["kind"] == "ar1":
         return ar1_eigenvalues(population["rho"], population["p"])
-    if kind == "atoms":
-        eigs = np.asarray(population["eigenvalues"], dtype=float)
-        return np.repeat(eigs, np.asarray(population.get("multiplicities", 1)))
-    raise ValueError(f"unknown population kind '{kind}'")
+    eigs = np.asarray(population["eigenvalues"], dtype=float)
+    return np.repeat(eigs, np.asarray(population.get("multiplicities", 1)))
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """One Monte-Carlo power experiment.
 
-    ``population`` describes the noise bulk: either
-    {"kind": "ar1", "rho": .., "p": ..} or {"kind": "atoms",
-    "eigenvalues": [..], "multiplicities": [..]}.  The full dimension is
+    ``population`` describes the noise bulk: {"kind": "ar1", "rho": ..,
+    "p": ..} or {"kind": "atoms", "eigenvalues": [..]} with optional
+    "multiplicities": [..]; any other key is rejected.  The full dimension is
     the bulk size plus h spike slots holding ``null_spike`` under the
     null and the swept value under the alternative.
     """
@@ -133,6 +148,7 @@ class SimConfig:
         if self.n_reps < 100:
             raise ValueError("need at least 100 replicates")
         check_solver(self.solver)
+        _check_population(self.population)
 
     def bulk_eigenvalues(self) -> np.ndarray:
         return _population_eigenvalues(self.population)
@@ -152,10 +168,7 @@ class SimConfig:
     @classmethod
     def from_dict(cls, payload: dict) -> "SimConfig":
         """Build from a dict: a key that is no field raises ValueError, a missing one KeyError."""
-        unknown = sorted(set(payload) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError("simulation config has no field "
-                             + ", ".join(f"'{name}'" for name in unknown))
+        reject_unknown(payload, [f.name for f in fields(cls)], "simulation config has no field")
         for f in fields(cls):
             if f.default is MISSING and f.name not in payload:
                 raise KeyError(f"simulation config is missing required field '{f.name}'")

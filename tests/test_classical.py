@@ -27,6 +27,14 @@ class TestCatalog:
         with pytest.raises(ValueError, match="'t'"):
             sd.equivalent_lss("omh-identity", mp_unit, GAMMA, mp_curve)
 
+    def test_unknown_parameters_named(self, mp_unit, mp_curve):
+        with pytest.raises(ValueError, match="^test 'john-sphericity' takes no parameter 'typo'$"):
+            sd.equivalent_lss("john-sphericity", mp_unit, GAMMA, mp_curve, typo=1)
+        with pytest.raises(ValueError, match="^test 'omh-identity' takes no parameter 'lam', 's'$"):
+            sd.equivalent_lss("omh-identity", mp_unit, GAMMA, mp_curve, t=1.6, s=2, lam=0.5)
+        with pytest.raises(ValueError, match="^test 'nagao' takes no parameter 't'$"):
+            sd.evaluate_statistic("nagao", np.ones(10), n=20, t=1.6)
+
 
 class TestEquivalentLss:
     def test_john_sphericity_under_identity_null(self, mp_unit, mp_curve):

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import specdetect as sd
 from specdetect import ar1_eigenvalues
 from specdetect.cli import main
 from specdetect.io import read_json
@@ -151,6 +152,23 @@ class TestOptimalLss:
         assert "invalid algorithm config" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("field", ["c1", "ridge_coeff", "n_sd", "s_plus_coeff",
+                                       "s_minus_coeff", "collocation_nodes"])
+    def test_fixed_constant_field_exits_2(self, tmp_path, capsys, field):
+        # the method's constants are fixed, so "config" cannot set them
+        cfg = write_config(tmp_path / "lss.json", {
+            "H": {"atoms": [1.0], "weights": [1.0]},
+            "G0": {"atoms": [1.0], "weights": [1.0]},
+            "G1": {"atoms": [1.6], "weights": [1.0]},
+            "gamma": 0.5,
+            "config": {field: 2.0},
+        })
+        out = tmp_path / "out"
+        assert run_cli(["optimal-lss", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid algorithm config" in err and f"'{field}'" in err
+        assert not (out / "manifest.json").exists()
+
     def test_scale_invariant_collocation_fails_without_output(self, tmp_path):
         cfg = write_config(tmp_path / "lss.json", {
             "H": {"atoms": [1.0], "weights": [1.0]},
@@ -183,13 +201,31 @@ class TestClassical:
         assert run_cli(["classical-lss", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "classical_lss.csv").exists()
 
-    def test_unknown_id_exits_2(self, tmp_path):
+    def test_unknown_id_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cl.json", {
             "test_id": "not-a-test",
             "H": {"atoms": [1.0], "weights": [1.0]},
             "gamma": 0.5,
         })
         assert run_cli(["classical-lss", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        known = ", ".join(f"'{test_id}'" for test_id in sd.catalog_ids())
+        assert capsys.readouterr().err == (
+            f"error: unknown test id 'not-a-test'; known: [{known}]\n")
+
+    def test_unknown_parameter_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cl.json", {
+            "test_id": "john-sphericity",
+            "H": {"atoms": [1.0], "weights": [1.0]},
+            "gamma": 0.5,
+            "points_per_interval": 120,
+            "parameters": {"typo": 1},
+        })
+        out = tmp_path / "out"
+        assert run_cli(["classical-lss", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: test 'john-sphericity' takes no parameter 'typo'\n")
+        assert not (out / "classical_lss.csv").exists()
+        assert not (out / "manifest.json").exists()
 
 
 CURVE_COMMANDS = pytest.mark.parametrize("command, extra", [
@@ -274,6 +310,38 @@ def test_unknown_top_level_field_exits_2(tmp_path, capsys, command, payload, typ
     out = tmp_path / "out"
     assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
     assert f"'{typo}'" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_power_missing_field_message(tmp_path, capsys):
+    cfg = write_config(tmp_path / "pw.json", {
+        "population": {"kind": "ar1", "rho": 0.7, "p": 59},
+        "n": 120, "n_reps": 100, "alpha": 0.05, "seed": 1,
+    })
+    out = tmp_path / "out"
+    assert run_cli(["power", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: simulation config is missing required field 'spike_grid'\n")
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("population, message", [
+    ({"kind": "ar1", "p": 6}, "population 'ar1' is missing required key 'rho'"),
+    ({"kind": "ar1", "rho": 0.5, "p": 6, "typo": 3}, "population 'ar1' has no key 'typo'"),
+    ({"kind": "atoms", "multiplicities": [6]},
+     "population 'atoms' is missing required key 'eigenvalues'"),
+    ({"kind": "atoms", "eigenvalues": [1.0] * 6, "rho": 0.5, "p": 6},
+     "population 'atoms' has no key 'p', 'rho'"),
+], ids=["ar1-missing", "ar1-extra", "atoms-missing", "atoms-extra"])
+@pytest.mark.parametrize("command, payload", [
+    ("simulate", {"n": 12, "seed": 3}),
+    ("power", {"n": 12, "n_reps": 100, "alpha": 0.05, "seed": 3, "spike_grid": [3.0]}),
+], ids=["simulate", "power"])
+def test_malformed_population_exits_2(tmp_path, capsys, command, payload, population, message):
+    cfg = write_config(tmp_path / "c.json", {**payload, "population": population})
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (out / "manifest.json").exists()
 
 

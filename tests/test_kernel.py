@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -93,7 +94,6 @@ class TestSolvers:
         d2 = sd.delta_diff(mp_unit, mp_unit, sd.AtomicMeasure.point_mass(1.5), GAMMA, mp_curve)
         g1 = sd.solve_diagreg(mp_kernel, d1).values
         g2 = sd.solve_diagreg(mp_kernel, d2).values
-        import dataclasses
         mix = dataclasses.replace(d1)
         mix.cdf = 0.25 * d1.cdf + 0.75 * d2.cdf
         gm = sd.solve_diagreg(mp_kernel, mix).values
@@ -164,10 +164,13 @@ class TestSolvers:
         assert len(blocks) == 2
         assert basis.tobytes() == block_diag(*blocks).tobytes()
 
-    def test_collocation_condition_limit(self, mp_unit, mp_curve):
+    def test_collocation_condition_limit(self, mp_unit, mp_curve, monkeypatch):
+        from specdetect import kernel
+
         delta = sd.delta_diff(mp_unit, mp_unit, sd.AtomicMeasure.point_mass(1.2), GAMMA, mp_curve)
+        monkeypatch.setattr(kernel, "_MAX_CONDITION", 1.0)
         with pytest.raises(RuntimeError, match="condition number"):
-            sd.solve_collocation(mp_curve, delta, max_condition=1.0)
+            sd.solve_collocation(mp_curve, delta)
 
     def test_two_solver_agreement(self, mp_unit, mp_curve, mp_kernel):
         delta = sd.delta_diff(mp_unit, mp_unit, sd.AtomicMeasure.point_mass(1.2), GAMMA, mp_curve)
@@ -178,11 +181,11 @@ class TestSolvers:
         mask = np.array([s == "in-support" for s in pd_.segments])
         assert mad(normalize_curve(pd_.values[mask]), normalize_curve(pc.values[mask])) <= 2e-2
 
-    def test_efficacy_monotone_as_ridge_relaxes(self, mp_unit, mp_curve):
+    def test_efficacy_monotone_as_ridge_relaxes(self, mp_unit, mp_curve, mp_kernel):
         delta = sd.delta_diff(mp_unit, mp_unit, sd.AtomicMeasure.point_mass(1.2), GAMMA, mp_curve)
         thetas = []
         for scale in (100.0, 10.0, 1.0, 0.1):
-            K = sd.assemble_diagreg(mp_curve, ridge_coeff=1e-4 * scale)
+            K = dataclasses.replace(mp_kernel, ridge=mp_kernel.ridge * scale)
             g = sd.solve_diagreg(K, delta).values
             mu = -K.inner(g, delta.cdf)
             sigma = math.sqrt(max(K.quadratic_form(g), 0.0))

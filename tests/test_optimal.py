@@ -6,6 +6,7 @@ import pytest
 
 import specdetect as sd
 from oracles import mad, normalize_curve, omh_lss
+from specdetect import kernel, optimal
 from specdetect.kernel import power_from_efficacy
 from specdetect.optimal import surrogate_spike
 
@@ -28,19 +29,28 @@ def unit_model_factory(mp_unit):
 
 class TestConfig:
     def test_defaults_follow_parameter_table(self):
-        cfg = sd.AlgoConfig()
-        assert cfg.epsilon == 5e-6
-        assert cfg.c1 == 1.5
-        assert cfg.ridge_coeff == 1e-4
-        assert cfg.n_sd == 3
-        assert cfg.s_minus_coeff == 0.99
-        assert cfg.s_plus_coeff == 0.75
+        # the run choices are the only fields; the method's constants are fixed
+        assert [f.name for f in dataclasses.fields(sd.AlgoConfig)] == [
+            "epsilon", "points_per_interval", "solver", "alpha"]
+        assert sd.AlgoConfig().epsilon == 5e-6
+        assert kernel._C1 == 1.5
+        assert kernel._RIDGE_COEFF == 1e-4
+        assert kernel._COLLOCATION_NODES == 150
+        assert kernel._MAX_CONDITION == 1e13
+        assert optimal._N_SD == 3
+        assert optimal._S_MINUS_COEFF == 0.99
+        assert optimal._S_PLUS_COEFF == 0.75
 
-    def test_threshold_rules(self):
-        cfg = sd.AlgoConfig()
-        a_pt = 1 + math.sqrt(GAMMA)
-        assert cfg.s_minus(a_pt) == pytest.approx(0.99 * a_pt)
-        assert cfg.s_plus(GAMMA, a_pt) == pytest.approx(0.75 * (1 + math.sqrt(GAMMA)) * a_pt)
+    def test_threshold_rules(self, mp_unit, mp_curve):
+        # a spike escaping above a_pt and below s_plus = 0.75 (1 + sqrt(gamma)) a_pt
+        # is replaced by the surrogate s_minus = 0.99 a_pt; from s_plus on it is not
+        a_pt = mp_curve.support.upper_pt_threshold
+        s_plus = 0.75 * (1 + math.sqrt(GAMMA)) * a_pt
+        for spike, expected in ((s_plus * (1 - 1e-9), 0.99 * a_pt), (s_plus, None)):
+            G1 = sd.AtomicMeasure.point_mass(spike)
+            model = sd.SpikedModel(H=mp_unit, G0=mp_unit, G1=G1, gamma=GAMMA)
+            cls1 = sd.classify_spikes(mp_unit, GAMMA, G1, mp_curve.support)
+            assert surrogate_spike(model, cls1, mp_curve.support) == expected
 
     def test_unknown_solver_rejected(self):
         # the bump route never reaches a kernel solve, so the name is checked here
@@ -130,8 +140,7 @@ class TestSubcriticalBranch:
         assert mad(normalize_curve(phi.values[mask]), ref) <= 1e-2
         # the derivative it integrates is the collocation solve on the same curve
         delta = sd.delta_diff(model.H, model.G0, model.G1, GAMMA, mp_curve)
-        direct = sd.solve_collocation(mp_curve, delta, coarse_grid_size=cfg.collocation_nodes,
-                                      c1=cfg.c1)
+        direct = sd.solve_collocation(mp_curve, delta)
         assert np.array_equal(phi.derivative, direct.values)
 
     def test_normalized_phi_independent_of_h(self, unit_model_factory):
@@ -296,8 +305,8 @@ class TestAbovePtBranch:
             phi, _ = sd.optimal_lss(model, cfg, curve=two_atom_curve_01)
         else:
             rec = dataclasses.replace(rec, asy_sd=float(np.nextafter(rec.asy_sd, ulps * np.inf)))
-            phi = sd.lss_above_pt(model, sd.SpikeClassification((rec,)), cfg, two_atom_curve_01)
-        w = cfg.n_sd * rec.asy_sd / math.sqrt(model.resolved_n())
+            phi = sd.lss_above_pt(model, sd.SpikeClassification((rec,)), two_atom_curve_01)
+        w = 3.0 * rec.asy_sd / math.sqrt(model.resolved_n())
         for end, inward in ((rec.psi - w, 1), (rec.psi + w, -1)):
             i = int(np.searchsorted(phi.grid, end))
             assert phi.grid[i] == end
@@ -308,9 +317,8 @@ class TestAbovePtBranch:
     def test_substitution_thresholds_from_support(self, mp_unit, mp_curve):
         a_pt = mp_curve.support.upper_pt_threshold
         assert a_pt == pytest.approx(1 + math.sqrt(GAMMA), abs=1e-8)
-        cfg = sd.AlgoConfig()
-        assert cfg.s_plus(GAMMA, a_pt) > 1.75
-        assert cfg.s_minus(a_pt) < a_pt
+        assert optimal._S_PLUS_COEFF * (1 + math.sqrt(GAMMA)) * a_pt > 1.75
+        assert optimal._S_MINUS_COEFF * a_pt < a_pt
 
 
 @pytest.mark.slow
@@ -436,7 +444,7 @@ class TestSurrogateRule:
                                gamma=0.5)
         cls1 = sd.classify_spikes(mp_unit, 0.5, model.G1, mp_curve.support)
         assert cls1.any_supercritical
-        got = surrogate_spike(model, cls1, sd.AlgoConfig(), mp_curve.support)
+        got = surrogate_spike(model, cls1, mp_curve.support)
         if expected is None:
             assert got is None
         else:

@@ -181,11 +181,34 @@ class TestSimConfig:
         for cfg, p in ((ar1, 51), (atoms, 24), (plain, 4)):
             assert cfg.p == cfg.bulk_eigenvalues().size + cfg.h == p
             assert cfg.gamma == p / cfg.n
-        unknown = sd.SimConfig(population={"kind": "wishart", "p": 49}, n=100, n_reps=100,
-                               alpha=0.05, seed=1, spike_grid=(2.0,))
-        for read in (lambda: unknown.p, lambda: unknown.gamma, unknown.bulk_eigenvalues):
-            with pytest.raises(ValueError, match="^unknown population kind 'wishart'$"):
-                read()
+        # an unknown kind is rejected when the config is made, before any read
+        with pytest.raises(ValueError, match="^unknown population kind 'wishart'$"):
+            sd.SimConfig(population={"kind": "wishart", "p": 49}, n=100, n_reps=100,
+                         alpha=0.05, seed=1, spike_grid=(2.0,))
+
+    @pytest.mark.parametrize("population, message", [
+        ({"kind": "ar1", "p": 49}, "^population 'ar1' is missing required key 'rho'$"),
+        ({"kind": "ar1", "rho": 0.5, "p": 49, "typo": 3}, "^population 'ar1' has no key 'typo'$"),
+        ({"kind": "atoms", "eigenvalues": [1.0], "multiplicities": [49], "p": 49},
+         "^population 'atoms' has no key 'p'$"),
+        ({}, "^unknown population kind 'None'$"),
+    ], ids=["ar1-missing", "ar1-extra", "atoms-extra", "no-kind"])
+    def test_population_keys_checked(self, population, message):
+        with pytest.raises(ValueError, match=message):
+            sd.SimConfig(population=population, n=100, n_reps=100, alpha=0.05, seed=1,
+                         spike_grid=(2.0,))
+        with pytest.raises(ValueError, match=message):
+            simulate._population_eigenvalues(population)
+
+    def test_construction_builds_no_bulk(self, monkeypatch):
+        # the config checks the population's keys only; its eigenvalues
+        # are computed when a run reads them
+        def fail(*args):
+            raise AssertionError("bulk built at construction")
+
+        monkeypatch.setattr(simulate, "ar1_eigenvalues", fail)
+        sd.SimConfig(population={"kind": "ar1", "rho": 0.5, "p": 49}, n=100, n_reps=100,
+                     alpha=0.05, seed=1, spike_grid=(2.0,))
 
     def test_atoms_population(self):
         cfg = sd.SimConfig(

@@ -160,6 +160,8 @@ def cmd_classical(config: dict, out: OutputTracker, args) -> None:
     _require(config, "test_id")
     H, gamma, curve = _curve(config)
     params = config.get("parameters", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"config field 'parameters' must be an object, not {type(params).__name__}")
     try:
         phi = equivalent_lss(config["test_id"], H, gamma, curve, **params)
     except (KeyError, ValueError) as exc:

@@ -40,6 +40,12 @@ _CONVERGED_RESID = 1e-8
 # element budget of one (points x atoms) block in the atom sums; blocks keep
 # the complex temporaries near 1 MB each on bulks with hundreds of atoms
 _BLOCK_ELEMENTS = 1 << 16
+# a Newton entry whose residual is settled at round-off stops after this
+# many iterations in a row that do not lower it
+_NEWTON_PATIENCE = 3
+# the grid's contraction start runs on every this-many-th point of an
+# interval; the points between start from the interpolated roots
+_COARSE_STRIDE = 16
 
 
 class SilversteinError(RuntimeError):
@@ -142,14 +148,19 @@ def _newton(H: AtomicMeasure, gamma: float, z: np.ndarray, v0: np.ndarray,
     """Newton iteration on the fixed-point defect for every entry at once.
 
     Each entry stops on its own once its step reaches round-off
-    (|dv| <= 4e-16 |v|) or leaves the finite numbers; entries with
-    Im z > 0 have their steps halved until they stay in C+.  Returns the
-    best iterate of each entry and its residual modulus.
+    (|dv| <= 4e-16 |v|) or leaves the finite numbers, or once it has
+    settled: _NEWTON_PATIENCE consecutive iterations that do not lower its
+    best residual, counted only while that residual is at most
+    1e-12 max(1, |z|).  Entries with Im z > 0 have their steps halved
+    until they stay in C+.  Returns the best iterate of each entry and
+    its residual modulus.
     """
     v = np.array(v0, dtype=complex)
     best_v = v.copy()
     best_r = np.full(v.size, np.inf)
     upper = z.imag > 0
+    settled_r = 1e-12 * np.maximum(1.0, np.abs(z))
+    stalls = np.zeros(v.size, dtype=int)
     act = np.arange(v.size)
     with np.errstate(all="ignore"):
         for _ in range(max_iter):
@@ -161,6 +172,7 @@ def _newton(H: AtomicMeasure, gamma: float, z: np.ndarray, v0: np.ndarray,
             better = ar < best_r[act]
             best_v[act[better]] = va[better]
             best_r[act[better]] = ar[better]
+            stalls[act] = np.where(better | (best_r[act] > settled_r[act]), 0, stalls[act] + 1)
             step = r / rp
             go = np.isfinite(ar) & (rp != 0) & np.isfinite(rp)
             vn = va - step
@@ -174,6 +186,7 @@ def _newton(H: AtomicMeasure, gamma: float, z: np.ndarray, v0: np.ndarray,
                 vn[low] = va[low] - step[low]
                 low &= vn.imag <= 0
             go &= (np.abs(vn - va) > 4e-16 * np.abs(va)) & np.isfinite(np.abs(vn))
+            go &= stalls[act] < _NEWTON_PATIENCE
             v[act[go]] = vn[go]
             act = act[go]
     return best_v, best_r
@@ -339,7 +352,9 @@ def support_intervals(H: AtomicMeasure, gamma: float) -> SupportSet:
       atoms: one edge on the first if gamma' < 1, on the second if
       gamma' > 1.
 
-    One array bisection of g' finds the minimum on every segment between
+    The nearer of its two poles bounds g below on a segment between poles;
+    where that bound is at least 2 the segment has no edge.  One array
+    bisection of g' finds the minimum on every other segment between
     poles, and a second one of x' finds every edge.  Each edge lies
     strictly inside its segment, so every interval end is finite.
     """
@@ -360,13 +375,19 @@ def support_intervals(H: AtomicMeasure, gamma: float) -> SupportSet:
         s2, s3 = _sums(H, v, (2, 3))
         return v * (s2 - v * s3)
 
-    v_min = _bisect(g_slope, poles[:-1], poles[1:])
+    # on a pole segment (v_lo, v_hi) some pole is within (v_hi - v_lo)/2 of
+    # every v and |v| > |v_hi|, so g >= 4 gamma min(w_i, w_i+1) v_hi^2 /
+    # (v_hi - v_lo)^2 there; a segment where that is at least 2 has no edge
+    w = H.weights[pos]
+    bound = 4.0 * gamma * np.minimum(w[:-1], w[1:]) * (poles[1:] / np.diff(poles)) ** 2
+    segments = np.column_stack([poles[:-1], poles[1:]])[bound < 2.0]
+    v_min = _bisect(g_slope, segments[:, 0], segments[:, 1])
     split = xp_of_v(v_min) > 0
     # brackets (x' < 0 end, x' > 0 end) of every edge, in increasing v.
     # Past the stand-ins for the infinite ends, g is bounded by
     # gamma' (t_min v/(1 + t_min v))^2, which is below one (v < 0) or
     # above one (v > 0) there.
-    neg = [np.column_stack([poles[:-1], poles[1:]])[split].ravel(), poles[-1:]]
+    neg = [segments[split].ravel(), poles[-1:]]
     pos_ = [np.repeat(v_min[split], 2), [0.0]]
     if g_inf < 1.0:
         neg.insert(0, poles[:1])
@@ -565,14 +586,18 @@ def stieltjes_grid(H: AtomicMeasure, gamma: float, points_per_interval: int = 10
 
     The grid points and three edge samples per support edge, at 1/64,
     1/16 and 1/4 of the way from the edge to its nearest midpoint
-    (``edge_samples``), are solved together: one array solve at
-    x + i*min(eta_0, d), with eta_0 = 1e-2 * span and d the distance from
-    x to the nearer edge of its interval, then one Newton run at eta = 0
-    until its step reaches round-off.  A point whose residual stays above
-    1e-8, whose Im v is not positive or where v' is undefined is dropped
-    and recorded with the reason, never interpolated.  The boundary value
-    of v exists up to the edges, and the samples pin down the tail of a
-    sqrt-singular density far better than extrapolation from the grid.
+    (``edge_samples``), are solved together at x + i*min(eta_0, d), with
+    eta_0 = 1e-2 * span and d the distance from x to the nearer edge of
+    its interval.  The edge samples and every 16th grid point of an
+    interval, with its last, start Newton there from a contraction run;
+    the other grid points start it from those roots interpolated linearly
+    in x, and any that misses 1e-10 is retried from a contraction run.
+    Then one Newton run at eta = 0 takes every point to round-off.  A
+    point whose residual stays above 1e-8, whose Im v is not positive or
+    where v' is undefined is dropped and recorded with the reason, never
+    interpolated.  The boundary value of v exists up to the edges, and
+    the samples pin down the tail of a sqrt-singular density far better
+    than extrapolation from the grid.
     An edge keeps its samples only when all three succeed; otherwise it is
     left unrefined and listed once, at its failed sample farthest from the
     edge.  ``epsilon`` changes no number; it is still accepted because the
@@ -596,8 +621,25 @@ def stieltjes_grid(H: AtomicMeasure, gamma: float, points_per_interval: int = 10
     x = np.concatenate([xs, (edge[:, None] + inward * dists).ravel()])
     own = np.concatenate([ids, np.repeat(np.arange(cells.size), 2 * dists.shape[1])])
     eta = np.minimum(1e-2 * (hi[-1] - lo[0]), np.minimum(x - lo[own], hi[own] - x))
+    z = x + 1j * eta
 
-    v_start, failed = _solve(H, gamma, x + 1j * eta, None, 1e-10)
+    # the contraction start runs on a coarse sub-grid: every
+    # _COARSE_STRIDE-th grid point of an interval, its last, and the edge
+    # samples.  The other grid points start Newton from the converged
+    # coarse roots interpolated linearly in x (from a contraction run of
+    # their own if no coarse root converged).
+    j = np.arange(x.size) % n
+    is_coarse = (j % _COARSE_STRIDE == 0) | (j == n - 1) | (np.arange(x.size) >= xs.size)
+    coarse, fine = np.flatnonzero(is_coarse), np.flatnonzero(~is_coarse)
+    v_start = np.empty(x.size, dtype=complex)
+    v_start[coarse], failed_coarse = _solve(H, gamma, z[coarse], None, 1e-10)
+    good = coarse[np.setdiff1d(np.arange(coarse.size), list(failed_coarse))]
+    good = good[np.argsort(x[good])]
+    v0 = (np.interp(x[fine], x[good], v_start[good].real)
+          + 1j * np.interp(x[fine], x[good], v_start[good].imag)) if good.size else None
+    v_start[fine], failed_fine = _solve(H, gamma, z[fine], v0, 1e-10)
+    failed = {coarse[i]: reason for i, reason in failed_coarse.items()}
+    failed.update({fine[i]: reason for i, reason in failed_fine.items()})
     ok = np.setdiff1d(np.arange(x.size), list(failed))
     v = np.full(x.size, np.nan, dtype=complex)
     vp = np.full(x.size, np.nan, dtype=complex)

@@ -10,6 +10,7 @@ bulk curve that the sweep shares.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
@@ -99,7 +100,10 @@ _POPULATION_KEYS = {"ar1": (("rho", "p"), ()), "atoms": (("eigenvalues",), ("mul
 
 
 def _check_population(population: dict) -> None:
-    """Reject a population of unknown kind, or one that misses a key or has an extra one."""
+    """Reject a population that is not a dict, is of unknown kind, misses a key
+    or has an extra one, or whose ar1 dimension is not an integer."""
+    if not isinstance(population, dict):
+        raise ValueError(f"population must be an object, not {type(population).__name__}")
     kind = population.get("kind")
     if kind not in _POPULATION_KEYS:
         raise ValueError(f"unknown population kind '{kind}'")
@@ -108,6 +112,9 @@ def _check_population(population: dict) -> None:
         if name not in population:
             raise ValueError(f"population '{kind}' is missing required key '{name}'")
     reject_unknown(population, ("kind", *required, *optional), f"population '{kind}' has no key")
+    if kind == "ar1" and not isinstance(population["p"], numbers.Integral):
+        raise ValueError("population 'ar1' key 'p' must be an integer, "
+                         f"not {type(population['p']).__name__}")
 
 
 def _population_eigenvalues(population: dict) -> np.ndarray:

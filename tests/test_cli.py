@@ -345,6 +345,31 @@ def test_malformed_population_exits_2(tmp_path, capsys, command, payload, popula
     assert not (out / "manifest.json").exists()
 
 
+SIMULATE = {"n": 12, "seed": 3}
+POWER = {"n": 12, "n_reps": 100, "alpha": 0.05, "seed": 3, "spike_grid": [3.0]}
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("simulate", {**SIMULATE, "population": [1.0, 2.0]}, "population must be an object, not list"),
+    ("power", {**POWER, "population": [1.0, 2.0]}, "population must be an object, not list"),
+    ("simulate", {**SIMULATE, "population": {"kind": "ar1", "rho": 0.5, "p": "6"}},
+     "population 'ar1' key 'p' must be an integer, not str"),
+    ("power", {**POWER, "population": {"kind": "ar1", "rho": 0.5, "p": "6"}},
+     "population 'ar1' key 'p' must be an integer, not str"),
+    ("classical-lss", {"test_id": "omh-identity", "H": {"atoms": [1.0], "weights": [1.0]},
+                       "gamma": 0.5, "points_per_interval": 120, "parameters": [1.6]},
+     "config field 'parameters' must be an object, not list"),
+], ids=["simulate-population-list", "power-population-list", "simulate-p-string",
+        "power-p-string", "classical-parameters-list"])
+def test_wrong_typed_field_exits_2(tmp_path, capsys, command, payload, message):
+    # a value of the wrong type is a config error, not a runtime failure
+    cfg = write_config(tmp_path / "c.json", payload)
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "manifest.json").exists()
+
+
 class TestSimulate:
     def test_writes_eigenvalues(self, tmp_path):
         cfg = write_config(tmp_path / "sim.json", {

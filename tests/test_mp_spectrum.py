@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import specdetect as sd
+from data.record_reference_curves import cases
 from oracles import finite_difference, mp_companion_transform, mp_density, mp_edges
 from specdetect import mp
 
@@ -223,6 +224,33 @@ class TestStieltjesGrid:
     def test_rejects_small_grid(self, mp_unit):
         with pytest.raises(ValueError):
             sd.stieltjes_grid(mp_unit, 0.5, points_per_interval=8)
+
+    @pytest.mark.parametrize("H, gamma, kw", [case[1:4] for case in cases()],
+                             ids=[case[0] for case in cases()])
+    def test_newton_runs_settle_within_20_iterations(self, monkeypatch, H, gamma, kw):
+        # a Newton iteration is one call of the inverse map; near-edge
+        # entries settled at round-off stop instead of running to max_iter
+        runs, inside = [], []
+        newton, inverse_map = mp._newton, mp._inverse_map
+
+        def counted_newton(*args, **kwargs):
+            runs.append(0)
+            inside.append(True)
+            try:
+                return newton(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def counted_map(*args, **kwargs):
+            if inside:
+                runs[-1] += 1
+            return inverse_map(*args, **kwargs)
+
+        monkeypatch.setattr(mp, "_newton", counted_newton)
+        monkeypatch.setattr(mp, "_inverse_map", counted_map)
+        sd.stieltjes_grid(H, gamma, **kw)
+        assert max(runs) <= 20
+        assert len(runs) >= 3  # coarse start, the other points, eta = 0
 
 
 class TestEsdMoments:

@@ -152,7 +152,7 @@ class TestSubcriticalBranch:
         assert np.array_equal(phis[0].derivative, phis[2].derivative)
 
     def test_report_power_formula(self, unit_model_factory):
-        from scipy.stats import norm
+        norm = pytest.importorskip("scipy.stats").norm
         phi, rep = sd.optimal_lss(unit_model_factory(1.6), CFG)
         assert rep.power == pytest.approx(norm.cdf(norm.ppf(rep.alpha) + rep.efficacy))
         assert rep.efficacy == pytest.approx(rep.mu / rep.sigma)

@@ -11,6 +11,7 @@ unit bulk is also checked against its closed-form transform.
 """
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -151,6 +152,78 @@ def test_atom_sums_match_an_exact_per_atom_sum(orders, kind):
             terms = AR1.weights * AR1.atoms**k / (1.0 + AR1.atoms * v[i])**k
             exact = complex(math.fsum(terms.real), math.fsum(terms.imag))
             assert abs(got[i] - exact) <= 1e-13 * math.fsum(np.abs(terms))
+
+
+def assert_certified_segments_edge_free(H, gamma) -> int:
+    """Pole segments that ``support_intervals`` does not bisect have no edge.
+
+    On each, g(v) = gamma * sum w (tv/(1+tv))^2, summed directly, is at
+    least 1 at 200 interior points, and a bisection of g' over every
+    segment finds its minimum where x' < 0.  Returns how many there are.
+    """
+    bisected = []
+    bisect = mp._bisect
+
+    def spy(f, neg, pos):
+        bisected.append(np.asarray(neg, dtype=float))
+        return bisect(f, neg, pos)
+
+    with mock.patch.object(mp, "_bisect", spy):
+        mp.support_intervals(H, gamma)
+    poles = -1.0 / H.atoms[H.atoms > 0]
+    lo, hi = poles[:-1], poles[1:]
+    # the first bisection is the one of g' over the segments left open
+    certified = ~np.isin(lo, bisected[0])
+    inner = np.linspace(0.0, 1.0, 202)[1:-1]
+    for a, b in zip(lo[certified], hi[certified]):
+        tv = np.multiply.outer(a + (b - a) * inner, H.atoms)
+        assert np.all(gamma * ((tv / (1.0 + tv)) ** 2 @ H.weights) >= 1.0)
+
+    def g_slope(v):  # g'(v) / (2 gamma)
+        s2, s3 = mp._sums(H, v, (2, 3))
+        return v * (s2 - v * s3)
+
+    v_min = mp._bisect(g_slope, lo, hi)
+    split = mp._inverse_map(H, gamma, v_min, orders=(2,))[0] > 0
+    assert not split[certified].any()
+    return int(certified.sum())
+
+
+@pytest.mark.parametrize("rho, n_certified", [(0.3, 248), (0.5, 248), (0.7, 248), (0.9, 221)])
+def test_pole_segments_left_unbisected_have_no_edge(rho, n_certified):
+    H = sd.AtomicMeasure.uniform(sd.ar1_eigenvalues(rho, 249))
+    assert assert_certified_segments_edge_free(H, 0.5) == n_certified
+
+
+def all_points_route(H, gamma, curve):
+    """v and v' at the grid points and edge samples of ``curve``, each point
+    started from its own contraction run at x + i*min(eta_0, d)."""
+    lo, hi = np.array(curve.support.intervals).T
+    x = np.concatenate([curve.grid] + [lo[j] + d if side == "lo" else hi[j] - d
+                                       for (j, side), (d, _, _) in curve.edge_samples.items()])
+    own = np.concatenate([curve.interval_id] + [np.full(d.size, j) for (j, _), (d, _, _)
+                                                in curve.edge_samples.items()])
+    eta = np.minimum(1e-2 * (hi[-1] - lo[0]), np.minimum(x - lo[own], hi[own] - x))
+    v_eta, failed = mp._solve(H, gamma, x + 1j * eta, None, 1e-10)
+    assert failed == {}
+    v, resid = mp._real_limit(H, gamma, x, v_eta)
+    assert np.all(resid <= 1e-8)
+    return v, mp._derivative(H, gamma, v)[0]
+
+
+@pytest.mark.parametrize("name", ["two_atom", "ar1", "unit", "ar1_rho_0.9"])
+def test_grid_agrees_with_the_all_points_contraction_route(curves, name):
+    # the grid runs the contraction start on a coarse sub-grid only
+    if name == "ar1_rho_0.9":
+        H, gamma = sd.AtomicMeasure.uniform(sd.ar1_eigenvalues(0.9, 249)), 0.5
+        curve = sd.stieltjes_grid(H, gamma)
+    else:
+        (H, gamma, _, _), curve = CASES[name], curves[name]
+    assert curve.dropped == [] and curve.edge_failures == []
+    v, vp = all_points_route(H, gamma, curve)
+    samples = curve.edge_samples.values()
+    assert complex_rel_err(np.concatenate([curve.v] + [s[1] for s in samples]), v) <= 1e-14
+    assert complex_rel_err(np.concatenate([curve.v_prime] + [s[2] for s in samples]), vp) <= 1e-12
 
 
 def test_contraction_start_stops_each_point_at_its_fixed_point(monkeypatch):

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import specdetect as sd
+from test_spectral_core import assert_certified_segments_edge_free
 
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
@@ -100,3 +101,20 @@ def test_edges_are_zeros_of_x_prime_and_gaps_rise(bulk):
         assert abs(one_minus_g(H, gamma, v)) <= 1e-10
     for (_, v_a), (v_b, _) in zip(sup.edge_v[:-1], sup.edge_v[1:]):
         assert one_minus_g(H, gamma, 0.5 * (v_a + v_b)) > 0
+
+
+@st.composite
+def many_atom_bulks(draw):
+    """2 to 60 distinct atoms in [0.2, 5] with weights at least 0.1 of the
+    largest, and gamma from 1e-2 to 3: close poles, as an AR(1) bulk has."""
+    atoms = draw(st.lists(st.floats(0.2, 5.0), min_size=2, max_size=60, unique=True))
+    weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=len(atoms),
+                                     max_size=len(atoms))))
+    gamma = 10.0 ** draw(st.floats(-2.0, 0.5))
+    return sd.AtomicMeasure(np.array(atoms), weights / weights.sum()), gamma
+
+
+@PROPERTY
+@given(many_atom_bulks())
+def test_pole_segments_left_unbisected_have_no_edge(bulk):
+    assert_certified_segments_edge_free(*bulk)

@@ -9,6 +9,11 @@ which vanishes off the support and is log-singular on the diagonal.  The
 best test function solves the ill-posed equation K(phi') = -Delta; two
 numerical routes are provided, a fast diagonally regularized pointwise
 discretization and a hat-function collocation scheme on a coarser grid.
+
+The pointwise matrix is assembled by evaluating its upper triangle and
+mirroring it.  Its solve adds the ridge to the matrix's own diagonal for
+the LAPACK call and restores it afterwards, so a solve holds one N x N
+array plus LAPACK's copy of it (8 MB each at N = 1000).
 """
 from __future__ import annotations
 
@@ -57,6 +62,9 @@ class KernelMatrix:
     values while the matrix stays exactly symmetric.  The diagonal uses
     the neighbor rule _C1 * k(x_i, x_{i-1}); ``ridge`` is the Tikhonov
     parameter _RIDGE_COEFF * tr / I derived from the assembled matrix.
+    The upper triangle is evaluated and mirrored into the lower one.  No
+    ridged copy is kept: ``solve_regularized`` adds the ridge to
+    ``entries``' diagonal for its LAPACK call and then restores it.
     """
 
     grid: np.ndarray
@@ -74,12 +82,6 @@ class KernelMatrix:
 
     def inner(self, g: np.ndarray, j: np.ndarray) -> float:
         return float(np.sum(self.weights * g * j))
-
-    def regularized(self) -> np.ndarray:
-        """Copy of the entries with the ridge added on the diagonal."""
-        A = self.entries.copy()
-        A[np.diag_indices_from(A)] += self.ridge
-        return A
 
 
 def _kernel_rows(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -104,15 +106,29 @@ def _kernel_rows(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _weighted_kernel_matrix(curve: StieltjesCurve, sq: np.ndarray) -> np.ndarray:
-    """sqrt(w_i) k(x_i, x_j) sqrt(w_j), diagonal by the neighbor rule, built in row blocks."""
+    """sqrt(w_i) k(x_i, x_j) sqrt(w_j), diagonal by the neighbor rule, built in row blocks.
+
+    Each block of rows is evaluated only against the columns from its first
+    row on, and its transpose fills the same columns below the block:
+    k(x_i, x_j) is symmetric bit for bit, so the matrix equals a full
+    evaluation.  A block's first row takes its left neighbor k(x_r0, x_{r0-1})
+    from the previous block's last row, read before weighting.
+    """
     n = curve.grid.size
     K = np.empty((n, n))
+    left = 0.0
     for r0 in range(0, n, _ROWS):
-        rows = np.arange(r0, min(r0 + _ROWS, n))
-        block = _kernel_rows(curve.v, rows)
-        block[rows - r0, rows] = _C1 * block[rows - r0, np.where(rows == 0, 1, rows - 1)]
-        block *= np.outer(sq[rows], sq)
-        K[rows] = block
+        r1 = min(r0 + _ROWS, n)
+        rows = np.arange(r1 - r0)
+        block = _kernel_rows(curve.v[r0:], rows)
+        nbr = block[rows, rows - 1]  # row 0 reads the last column here; replaced next
+        nbr[0] = left if r0 else block[0, 1]
+        if r1 < n:
+            left = block[-1, rows.size]
+        block[rows, rows] = _C1 * nbr
+        block *= np.outer(sq[r0:r1], sq[r0:])
+        K[r0:r1, r0:] = block
+        K[r1:, r0:r1] = block[:, rows.size:].T
     return K
 
 
@@ -160,15 +176,26 @@ def solve_regularized(K: KernelMatrix, rhs: np.ndarray) -> np.ndarray:
     """Solve (K + r I) u = rhs for one right-hand side or a column of them.
 
     K is symmetric but may be indefinite (a split support gives negative
-    eigenvalues below the ridge), so this is an LU solve, not Cholesky;
-    it works on the one N x N ridged copy and leaves K unchanged.
+    eigenvalues below the ridge), so this is an LU solve, not Cholesky.
+    The ridge is added to K's own diagonal for the LAPACK call, and the
+    saved diagonal is put back bit for bit afterwards, also when the call
+    raises; so a solve holds K and LAPACK's copy of it, two N x N arrays
+    (8 MB each at N = 1000), and must not run concurrently with another
+    use of the same K.
     """
-    return np.linalg.solve(K.regularized(), rhs)
+    A = K.entries
+    diag = np.diag_indices_from(A)
+    saved = A[diag]
+    A[diag] += K.ridge
+    try:
+        return np.linalg.solve(A, rhs)
+    finally:
+        A[diag] = saved
 
 
 def solve_diagreg(K: KernelMatrix, delta: SignedMeasureCdf) -> SolvedDerivative:
     """Solve (K + r I) g = -Delta in function values."""
-    if delta.grid.shape != K.grid.shape or not np.allclose(delta.grid, K.grid):
+    if not np.array_equal(delta.grid, K.grid):
         raise ValueError("delta is not on the kernel grid")
     sq = np.sqrt(K.weights)
     rhs = -sq * delta.cdf
@@ -199,7 +226,7 @@ def solve_collocation(curve: StieltjesCurve, delta: SignedMeasureCdf) -> SolvedD
     singularity always lands on a quadrature node and is replaced by
     _C1 times the largest regular value in its row.
     """
-    if delta.grid.shape != curve.grid.shape or not np.allclose(delta.grid, curve.grid):
+    if not np.array_equal(delta.grid, curve.grid):
         raise ValueError("delta is not on the curve grid")
     dense_w = _trapezoid_weights(curve)
     coarse_idx: list[np.ndarray] = []

@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import specdetect as sd
+from data.record_reference_curves import cases
 from oracles import mad, mp_companion_transform, normalize_curve, omh_lss
 
 
@@ -66,9 +68,43 @@ class TestAssembly:
         rhs = np.random.default_rng(3).standard_normal((K.size, 2))
         u = solve_regularized(K, rhs)
         assert np.array_equal(K.entries, before)
-        ref = solve(K.regularized(), rhs, assume_a="sym")
+        ref = solve(K.entries + K.ridge * np.eye(K.size), rhs, assume_a="sym")
         # observed 6.0e-15
         assert np.max(np.abs(u - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_regularized_solve_restores_the_diagonal_when_lapack_raises(self, two_atom_curve_01):
+        from specdetect.kernel import solve_regularized
+
+        K = sd.assemble_diagreg(two_atom_curve_01)
+        before = K.entries.tobytes()
+        with pytest.raises(ValueError):
+            solve_regularized(K, np.ones(K.size + 1))
+        assert K.entries.tobytes() == before
+        # the ridge cancels the first diagonal entry of an otherwise empty
+        # first row and column, so the ridged matrix is exactly singular
+        entries = K.entries.copy()
+        entries[0, :] = entries[:, 0] = 0.0
+        entries[0, 0] = -K.ridge
+        singular = dataclasses.replace(K, entries=entries)
+        before = entries.tobytes()
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_regularized(singular, np.ones(K.size))
+        assert singular.entries.tobytes() == before
+
+    @pytest.mark.parametrize("name", ["two_atom", "ar1", "unit"])
+    def test_mirrored_assembly_equals_the_full_evaluation(self, name):
+        # the assembly evaluates the upper triangle only; every entry must
+        # be the one that evaluating every row of the kernel gives
+        from specdetect import kernel
+
+        H, gamma, kw, _ = {case[0]: case[1:] for case in cases()}[name]
+        curve = sd.stieltjes_grid(H, gamma, **kw)
+        K = sd.assemble_diagreg(curve)
+        i = np.arange(curve.grid.size)
+        full = kernel._kernel_rows(curve.v, i)
+        full[i, i] = 1.5 * full[i, np.where(i == 0, 1, i - 1)]
+        sq = np.sqrt(K.weights)
+        assert np.array_equal(K.entries, full * np.outer(sq, sq))
 
     def test_ridged_matrix_psd(self, mp_kernel):
         eigs = np.linalg.eigvalsh(mp_kernel.entries + mp_kernel.ridge * np.eye(mp_kernel.size))
@@ -181,6 +217,18 @@ class TestSolvers:
         mask = np.array([s == "in-support" for s in pd_.segments])
         assert mad(normalize_curve(pd_.values[mask]), normalize_curve(pc.values[mask])) <= 2e-2
 
+    def test_solvers_refuse_a_delta_from_another_curve(self, mp_unit, mp_curve, mp_kernel):
+        # a nearby gamma moves the grid by about 2e-7 relative: close enough
+        # for np.allclose, but the delta belongs to another curve
+        other = sd.stieltjes_grid(mp_unit, GAMMA * (1 + 1e-7), points_per_interval=1000)
+        delta = sd.delta_diff(mp_unit, mp_unit, sd.AtomicMeasure.point_mass(1.2),
+                              GAMMA * (1 + 1e-7), other)
+        assert np.allclose(delta.grid, mp_curve.grid)
+        with pytest.raises(ValueError, match="kernel grid"):
+            sd.solve_diagreg(mp_kernel, delta)
+        with pytest.raises(ValueError, match="curve grid"):
+            sd.solve_collocation(mp_curve, delta)
+
     def test_efficacy_monotone_as_ridge_relaxes(self, mp_unit, mp_curve, mp_kernel):
         delta = sd.delta_diff(mp_unit, mp_unit, sd.AtomicMeasure.point_mass(1.2), GAMMA, mp_curve)
         thetas = []
@@ -191,6 +239,31 @@ class TestSolvers:
             sigma = math.sqrt(max(K.quadratic_form(g), 0.0))
             thetas.append(mu / sigma)
         assert all(b >= a - 1e-10 for a, b in zip(thetas, thetas[1:]))
+
+
+class TestMemory:
+    def test_one_n_by_n_array_per_solve(self, mp_unit, mp_curve):
+        # numpy reports its array allocations to tracemalloc; LAPACK's
+        # working copy of the matrix inside np.linalg.solve is allocated
+        # with C malloc and is not seen, so the solve's peak excludes it
+        n = mp_curve.grid.size
+        assert n == 1000
+        delta = sd.delta_diff(mp_unit, mp_unit, sd.AtomicMeasure.point_mass(1.6), GAMMA, mp_curve)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            K = sd.assemble_diagreg(mp_curve)
+            assemble_peak = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            sd.solve_diagreg(K, delta)
+            solve_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        matrix = n * n * 8
+        # observed 1.20 and 0.006; a ridged copy of K makes the solve's 1.004
+        assert assemble_peak < 1.3 * matrix
+        assert solve_peak < 0.05 * matrix
 
 
 class TestMoments:

@@ -43,6 +43,10 @@ _BLOCK_ELEMENTS = 1 << 16
 # a Newton entry whose residual is settled at round-off stops after this
 # many iterations in a row that do not lower it
 _NEWTON_PATIENCE = 3
+# a real-axis Newton run that ends with Im v at most this fraction of |v|
+# found a real root of x(v) = x, on a falling branch of the inverse map,
+# not the boundary value of v; its Im v is round-off
+_REAL_ROOT = 1e-10
 # the grid's contraction start runs on every this-many-th point of an
 # interval; the points between start from the interpolated roots
 _COARSE_STRIDE = 16
@@ -113,10 +117,14 @@ def silverstein_residual(H: AtomicMeasure, gamma: float, z: complex, v: complex)
     return _inverse_map(H, gamma, np.array([v]), z)[0][0]
 
 
-def _derivative(H: AtomicMeasure, gamma: float, v: np.ndarray) -> tuple[np.ndarray, dict]:
-    """dv/dz at each entry of v, plus {index: error} where it is undefined."""
+def _derivative(H: AtomicMeasure, gamma: float, v: np.ndarray,
+                slope: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
+    """dv/dz = 1/x'(v) at each entry of v, plus {index: error} where it is undefined.
+
+    ``slope`` is x'(v) when the caller already has it, e.g. from Newton.
+    """
     with np.errstate(all="ignore"):
-        d = _inverse_map(H, gamma, v, orders=(2,))[0]
+        d = _inverse_map(H, gamma, v, orders=(2,))[0] if slope is None else slope
         vp = 1.0 / d
     near_pole = _near_pole(H.atoms, v, 1e-14)
     errors: dict = {}
@@ -144,7 +152,7 @@ def derivative_map(H: AtomicMeasure, gamma: float, v: complex) -> complex:
 
 
 def _newton(H: AtomicMeasure, gamma: float, z: np.ndarray, v0: np.ndarray,
-            max_iter: int = 80) -> tuple[np.ndarray, np.ndarray]:
+            max_iter: int = 80) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Newton iteration on the fixed-point defect for every entry at once.
 
     Each entry stops on its own once its step reaches round-off
@@ -152,12 +160,14 @@ def _newton(H: AtomicMeasure, gamma: float, z: np.ndarray, v0: np.ndarray,
     settled: _NEWTON_PATIENCE consecutive iterations that do not lower its
     best residual, counted only while that residual is at most
     1e-12 max(1, |z|).  Entries with Im z > 0 have their steps halved
-    until they stay in C+.  Returns the best iterate of each entry and
-    its residual modulus.
+    until they stay in C+.  Returns the best iterate of each entry, its
+    residual modulus and the slope x'(v) there, which the same evaluation
+    of the atom sums gave (nan for an entry with no finite residual).
     """
     v = np.array(v0, dtype=complex)
     best_v = v.copy()
     best_r = np.full(v.size, np.inf)
+    best_slope = np.full(v.size, np.nan, dtype=complex)
     upper = z.imag > 0
     settled_r = 1e-12 * np.maximum(1.0, np.abs(z))
     stalls = np.zeros(v.size, dtype=int)
@@ -172,6 +182,7 @@ def _newton(H: AtomicMeasure, gamma: float, z: np.ndarray, v0: np.ndarray,
             better = ar < best_r[act]
             best_v[act[better]] = va[better]
             best_r[act[better]] = ar[better]
+            best_slope[act[better]] = rp[better]
             stalls[act] = np.where(better | (best_r[act] > settled_r[act]), 0, stalls[act] + 1)
             step = r / rp
             go = np.isfinite(ar) & (rp != 0) & np.isfinite(rp)
@@ -189,7 +200,7 @@ def _newton(H: AtomicMeasure, gamma: float, z: np.ndarray, v0: np.ndarray,
             go &= stalls[act] < _NEWTON_PATIENCE
             v[act[go]] = vn[go]
             act = act[go]
-    return best_v, best_r
+    return best_v, best_r, best_slope
 
 
 def _fixed_point(H: AtomicMeasure, gamma: float, z: np.ndarray, v0: np.ndarray,
@@ -224,13 +235,13 @@ def _solve(H: AtomicMeasure, gamma: float, z: np.ndarray, v0: np.ndarray | None,
             v0 = np.where(z != 0, -1.0 / z, 1j)
             v0 = np.where((z.imag > 0) & (v0.imag <= 0), v0.real + 1e-8j, v0)
             v0 = _fixed_point(H, gamma, z, v0)
-        v, resid = _newton(H, gamma, z, v0)
+        v, resid, _ = _newton(H, gamma, z, v0)
         retry = np.flatnonzero(resid > tol)
         if retry.size:
             # one retry from a fresh contraction run before giving up
             zr = z[retry]
             v_retry = _fixed_point(H, gamma, zr, np.where(zr != 0, -1.0 / zr + 1e-6j, 1e-6j), 200)
-            v_retry, resid_retry = _newton(H, gamma, zr, v_retry)
+            v_retry, resid_retry, _ = _newton(H, gamma, zr, v_retry)
             won = resid_retry < resid[retry]
             v[retry[won]] = v_retry[won]
             resid[retry[won]] = resid_retry[won]
@@ -450,17 +461,19 @@ def support_intervals(H: AtomicMeasure, gamma: float) -> SupportSet:
 
 
 def _real_limit(H: AtomicMeasure, gamma: float, x: np.ndarray,
-                v0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Array core of :func:`solve_real_limit`: v and its residual at every x.
+                v0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Array core of :func:`solve_real_limit`: v, its residual and x'(v) at every x.
 
     One Newton run at z = x from each v0, a start in the basin of the
-    upper-half-plane root, such as the root at x + i*eta for small eta.
-    For x inside the support that root is unique (Silverstein & Choi
-    1995); a run that lands on its conjugate is reflected, since
-    x(conj v) = x for real x.
+    upper-half-plane root: the root at x + i*eta for small eta, or roots
+    at nearby real points interpolated.  For x inside the support that
+    root is unique (Silverstein & Choi 1995); a run that lands on its
+    conjugate is reflected, with its slope, since x(conj v) = x and
+    x'(conj v) = conj x'(v) for real x.
     """
-    v, resid = _newton(H, gamma, x.astype(complex), v0)
-    return np.where(v.imag < 0, v.conj(), v), resid
+    v, resid, slope = _newton(H, gamma, x.astype(complex), v0)
+    low = v.imag < 0
+    return np.where(low, v.conj(), v), resid, np.where(low, slope.conj(), slope)
 
 
 def solve_real_limit(H: AtomicMeasure, gamma: float, x: float,
@@ -471,7 +484,7 @@ def solve_real_limit(H: AtomicMeasure, gamma: float, x: float,
     (v, residual).  The grid calls the array core; this one-point entry
     stays because the benchmark in perfbench/ counts its calls.
     """
-    v, resid = _real_limit(H, gamma, np.array([float(x)]), np.array([complex(v0)]))
+    v, resid, _ = _real_limit(H, gamma, np.array([float(x)]), np.array([complex(v0)]))
     return complex(v[0]), float(resid[0])
 
 
@@ -565,18 +578,37 @@ class StieltjesCurve:
 
 def _real_points(H: AtomicMeasure, gamma: float, x: np.ndarray,
                  v0: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Real-axis limits and v' at x; {index: reason} for points that failed.
+    """Real-axis limits and v' at x from one Newton run at eta = 0 each.
 
-    A point is kept when its eta=0 residual is at most 1e-8, Im v > 0 and
-    the derivative map is defined there.
+    v' = 1/x'(v) takes x'(v) from the evaluation at the Newton run's best
+    iterate, so the atom sums are not evaluated again.  A point is kept
+    when its residual is at most 1e-8, Im v is positive beyond round-off
+    (the run did not end on a real root) and v' is defined there (v != 0,
+    no pole 1 + t*v = 0, x'(v) not vanished); {index: reason} names the
+    others.
     """
-    v, resid = _real_limit(H, gamma, x, v0)
-    failed = {i: f"residual {resid[i]:.2e}"
-              for i in np.flatnonzero((resid > _CONVERGED_RESID) | (v.imag <= 0))}
+    v, resid, slope = _real_limit(H, gamma, x, v0)
+    failed = {i: f"real root of x(v) = x: Im v {v[i].imag:.2e}"
+              for i in np.flatnonzero(v.imag <= _REAL_ROOT * np.abs(v))}
+    failed.update({i: f"residual {resid[i]:.2e}"
+                   for i in np.flatnonzero(resid > _CONVERGED_RESID)})
     ok = np.setdiff1d(np.arange(x.size), list(failed))
     vp = np.full(x.size, np.nan, dtype=complex)
-    vp[ok], errors = _derivative(H, gamma, v[ok])
+    vp[ok], errors = _derivative(H, gamma, v[ok], slope[ok])
     failed.update({ok[i]: str(exc) for i, exc in errors.items()})
+    return v, vp, failed
+
+
+def _contraction_points(H: AtomicMeasure, gamma: float, x: np.ndarray,
+                        z: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+    """v and v' at x from a contraction start and Newton at z = x + i*eta,
+    then :func:`_real_points`; {index: reason} for points that failed."""
+    v_eta, failed = _solve(H, gamma, z, None, 1e-10)
+    ok = np.setdiff1d(np.arange(x.size), list(failed))
+    v = np.full(x.size, np.nan, dtype=complex)
+    vp = np.full(x.size, np.nan, dtype=complex)
+    v[ok], vp[ok], failed_real = _real_points(H, gamma, x[ok], v_eta[ok])
+    failed.update({ok[i]: reason for i, reason in failed_real.items()})
     return v, vp, failed
 
 
@@ -584,20 +616,24 @@ def stieltjes_grid(H: AtomicMeasure, gamma: float, points_per_interval: int = 10
                    epsilon: float = 5e-6) -> StieltjesCurve:
     """Evaluate v on uniform midpoint grids inside each support interval.
 
-    The grid points and three edge samples per support edge, at 1/64,
-    1/16 and 1/4 of the way from the edge to its nearest midpoint
-    (``edge_samples``), are solved together at x + i*min(eta_0, d), with
-    eta_0 = 1e-2 * span and d the distance from x to the nearer edge of
-    its interval.  The edge samples and every 16th grid point of an
-    interval, with its last, start Newton there from a contraction run;
-    the other grid points start it from those roots interpolated linearly
-    in x, and any that misses 1e-10 is retried from a contraction run.
-    Then one Newton run at eta = 0 takes every point to round-off.  A
-    point whose residual stays above 1e-8, whose Im v is not positive or
-    where v' is undefined is dropped and recorded with the reason, never
-    interpolated.  The boundary value of v exists up to the edges, and
-    the samples pin down the tail of a sqrt-singular density far better
-    than extrapolation from the grid.
+    Three edge samples per support edge, at 1/64, 1/16 and 1/4 of the way
+    from the edge to its nearest midpoint (``edge_samples``), and every
+    16th grid point of an interval, with its last, are the coarse points.
+    Each is solved at x + i*min(eta_0, d), with eta_0 = 1e-2 * span and d
+    the distance from x to the nearer edge of its interval, by Newton
+    from a contraction run, and then taken to round-off by one Newton run
+    at eta = 0.  Every other grid point gets a single Newton run at
+    eta = 0, started from the coarse real-axis roots interpolated in
+    theta = arccos(1 - 2 (x - lo)/(hi - lo)) + pi * (interval index), in
+    which v is close to linear at both sqrt edges of an interval.  v' is
+    1/x'(v) from each point's own Newton run.  A point whose residual
+    stays above 1e-8, whose Im v is not positive beyond round-off (a real
+    root of x(v) = x) or where v' is undefined fails; a failed fine point
+    is retried once by the coarse points' path, and a point that fails
+    there is dropped and recorded with the reason, never interpolated.
+    The boundary value of v exists up to the edges, and the samples pin
+    down the tail of a sqrt-singular density far better than
+    extrapolation from the grid.
     An edge keeps its samples only when all three succeed; otherwise it is
     left unrefined and listed once, at its failed sample farthest from the
     edge.  ``epsilon`` changes no number; it is still accepted because the
@@ -623,28 +659,28 @@ def stieltjes_grid(H: AtomicMeasure, gamma: float, points_per_interval: int = 10
     eta = np.minimum(1e-2 * (hi[-1] - lo[0]), np.minimum(x - lo[own], hi[own] - x))
     z = x + 1j * eta
 
-    # the contraction start runs on a coarse sub-grid: every
-    # _COARSE_STRIDE-th grid point of an interval, its last, and the edge
-    # samples.  The other grid points start Newton from the converged
-    # coarse roots interpolated linearly in x (from a contraction run of
-    # their own if no coarse root converged).
+    # the coarse points: every _COARSE_STRIDE-th grid point of an
+    # interval, its last, and the edge samples
     j = np.arange(x.size) % n
     is_coarse = (j % _COARSE_STRIDE == 0) | (j == n - 1) | (np.arange(x.size) >= xs.size)
     coarse, fine = np.flatnonzero(is_coarse), np.flatnonzero(~is_coarse)
-    v_start = np.empty(x.size, dtype=complex)
-    v_start[coarse], failed_coarse = _solve(H, gamma, z[coarse], None, 1e-10)
-    good = coarse[np.setdiff1d(np.arange(coarse.size), list(failed_coarse))]
-    good = good[np.argsort(x[good])]
-    v0 = (np.interp(x[fine], x[good], v_start[good].real)
-          + 1j * np.interp(x[fine], x[good], v_start[good].imag)) if good.size else None
-    v_start[fine], failed_fine = _solve(H, gamma, z[fine], v0, 1e-10)
-    failed = {coarse[i]: reason for i, reason in failed_coarse.items()}
-    failed.update({fine[i]: reason for i, reason in failed_fine.items()})
-    ok = np.setdiff1d(np.arange(x.size), list(failed))
     v = np.full(x.size, np.nan, dtype=complex)
     vp = np.full(x.size, np.nan, dtype=complex)
-    v[ok], vp[ok], failed_real = _real_points(H, gamma, x[ok], v_start[ok])
-    failed.update({ok[i]: reason for i, reason in failed_real.items()})
+    v[coarse], vp[coarse], failed_coarse = _contraction_points(H, gamma, x[coarse], z[coarse])
+    failed = {coarse[i]: reason for i, reason in failed_coarse.items()}
+    # theta rises through each interval and by pi from one to the next
+    theta = np.arccos(1.0 - 2.0 * (x - lo[own]) / (hi[own] - lo[own])) + np.pi * own
+    good = np.setdiff1d(coarse, list(failed))
+    good = good[np.argsort(theta[good])]
+    if good.size:
+        v0 = (np.interp(theta[fine], theta[good], v[good].real)
+              + 1j * np.interp(theta[fine], theta[good], v[good].imag))
+        v[fine], vp[fine], failed_fine = _real_points(H, gamma, x[fine], v0)
+    else:
+        failed_fine = dict.fromkeys(range(fine.size))
+    retry = fine[sorted(failed_fine)]
+    v[retry], vp[retry], failed_retry = _contraction_points(H, gamma, x[retry], z[retry])
+    failed.update({retry[i]: reason for i, reason in failed_retry.items()})
     dropped = [(float(x[i]), failed[i]) for i in sorted(failed) if i < xs.size]
     if len(dropped) == xs.size:
         raise SilversteinError("all grid points failed to converge")

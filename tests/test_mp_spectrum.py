@@ -87,7 +87,7 @@ class TestSolveFallbacks:
 
         def failing_newton(H, gamma, z, v0):
             calls.append(z.size)
-            return np.full(z.size, v_out), np.full(z.size, resid)
+            return np.full(z.size, v_out), np.full(z.size, resid), np.full(z.size, np.nan)
 
         monkeypatch.setattr(mp, "_newton", failing_newton)
         # the whole message: a stalled residual is named with the tolerance it missed
@@ -250,7 +250,38 @@ class TestStieltjesGrid:
         monkeypatch.setattr(mp, "_inverse_map", counted_map)
         sd.stieltjes_grid(H, gamma, **kw)
         assert max(runs) <= 20
-        assert len(runs) >= 3  # coarse start, the other points, eta = 0
+        # coarse points at x + i*eta, coarse points at eta = 0, fine points at eta = 0
+        assert len(runs) >= 3
+
+    def test_inverse_map_evaluations_per_point(self, monkeypatch):
+        # Newton's own slope gives v', and the fine points get one run, at
+        # eta = 0; the grid with one contraction-started Newton run for
+        # every point and a separate pass for v' took 8.9 order-(1, 2)
+        # evaluations per point here
+        _, H, gamma, kw, _ = next(case for case in cases() if case[0] == "ar1")
+        evaluations, in_support = {(1, 2): 0, (2,): 0}, []
+        inverse_map, support_intervals = mp._inverse_map, mp.support_intervals
+
+        def counted_map(H, gamma, v, z=0.0, orders=(1,)):
+            if orders in evaluations:
+                evaluations[orders] += v.size
+                assert orders != (2,) or in_support, "x'(v) evaluated outside the support search"
+            return inverse_map(H, gamma, v, z, orders)
+
+        def counted_support(*args):
+            in_support.append(True)
+            try:
+                return support_intervals(*args)
+            finally:
+                in_support.pop()
+
+        monkeypatch.setattr(mp, "_inverse_map", counted_map)
+        monkeypatch.setattr(mp, "support_intervals", counted_support)
+        curve = sd.stieltjes_grid(H, gamma, **kw)
+        points = curve.n_intervals * (kw["points_per_interval"] + 6)
+        assert curve.dropped == [] and curve.edge_failures == []
+        assert evaluations[(1, 2)] <= 5 * points
+        assert evaluations[(2,)] > 0  # the support search ran inside the count
 
 
 class TestEsdMoments:

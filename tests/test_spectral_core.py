@@ -206,7 +206,7 @@ def all_points_route(H, gamma, curve):
     eta = np.minimum(1e-2 * (hi[-1] - lo[0]), np.minimum(x - lo[own], hi[own] - x))
     v_eta, failed = mp._solve(H, gamma, x + 1j * eta, None, 1e-10)
     assert failed == {}
-    v, resid = mp._real_limit(H, gamma, x, v_eta)
+    v, resid, _ = mp._real_limit(H, gamma, x, v_eta)
     assert np.all(resid <= 1e-8)
     return v, mp._derivative(H, gamma, v)[0]
 
@@ -224,6 +224,111 @@ def test_grid_agrees_with_the_all_points_contraction_route(curves, name):
     samples = curve.edge_samples.values()
     assert complex_rel_err(np.concatenate([curve.v] + [s[1] for s in samples]), v) <= 1e-14
     assert complex_rel_err(np.concatenate([curve.v_prime] + [s[2] for s in samples]), vp) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["two_atom", "ar1", "unit"])
+def test_v_prime_is_the_derivative_map_at_v(curves, name):
+    # v' comes from the slope of each point's own Newton run; the
+    # derivative map evaluates x'(v) afresh
+    H, gamma, _, _ = CASES[name]
+    curve = curves[name]
+    samples = curve.edge_samples.values()
+    v = np.concatenate([curve.v] + [s[1] for s in samples])
+    vp = np.concatenate([curve.v_prime] + [s[2] for s in samples])
+    assert complex_rel_err(vp, mp._derivative(H, gamma, v)[0]) <= 1e-13
+
+
+def coarse_x(curve):
+    """x of the coarse points of a curve with no dropped point: every 16th
+    grid point of an interval, its last, and the edge samples."""
+    k = np.arange(curve.grid.size) % (curve.grid.size // curve.n_intervals)
+    last = np.diff(curve.interval_id, append=-1) != 0
+    lo, hi = np.array(curve.support.intervals).T
+    samples = [lo[j] + d if side == "lo" else hi[j] - d
+               for (j, side), (d, _, _) in curve.edge_samples.items()]
+    return np.concatenate([curve.grid[(k % mp._COARSE_STRIDE == 0) | last]] + samples)
+
+
+@pytest.mark.parametrize("rho", [0.7, 0.9, 0.95])
+def test_no_fine_point_falls_back_to_a_contraction_start(monkeypatch, rho):
+    # fine points start Newton at eta = 0 from the coarse roots interpolated
+    # in theta, which is close to linear at a sqrt edge; started in x, some
+    # points in the first stride above a lower edge missed Newton's basin
+    started = []
+    contraction_points = mp._contraction_points
+
+    def spy(H, gamma, x, z):
+        started.append(x)
+        return contraction_points(H, gamma, x, z)
+
+    monkeypatch.setattr(mp, "_contraction_points", spy)
+    curve = sd.stieltjes_grid(sd.AtomicMeasure.uniform(sd.ar1_eigenvalues(rho, 249)), 0.5)
+    assert curve.dropped == [] and curve.edge_failures == []
+    assert np.all(np.isin(np.concatenate(started), coarse_x(curve)))
+
+
+# fine grid points of the two-atom curve (600 points per interval), the
+# first and last of each interval's strides among them
+FORCED = [1, 15, 17, 300, 598, 601, 900, 1198]
+
+
+def fail_forced_points(monkeypatch, x_forced, runs):
+    """Report an infinite residual at ``x_forced`` in the first ``runs``
+    real-axis Newton runs that reach them; returns how many each hit."""
+    real_limit = mp._real_limit
+    hits = []
+
+    def failing(H, gamma, x, v0):
+        v, resid, slope = real_limit(H, gamma, x, v0)
+        hit = np.isin(x, x_forced)
+        if hit.any() and len(hits) < runs:
+            hits.append(int(hit.sum()))
+            resid[hit] = np.inf
+        return v, resid, slope
+
+    monkeypatch.setattr(mp, "_real_limit", failing)
+    return hits
+
+
+def test_failed_fine_points_are_retried_from_a_contraction_start(monkeypatch, curves):
+    (H, gamma, kw, _), ref = CASES["two_atom"], curves["two_atom"]
+    hits = fail_forced_points(monkeypatch, ref.grid[FORCED], runs=1)
+    curve = sd.stieltjes_grid(H, gamma, **kw)
+    assert hits == [len(FORCED)]
+    assert curve.dropped == [] and curve.edge_failures == []
+    assert np.array_equal(curve.grid, ref.grid)
+    assert complex_rel_err(curve.v, ref.v) <= 1e-14
+    assert complex_rel_err(curve.v_prime, ref.v_prime) <= 1e-12
+
+
+def test_fine_points_that_fail_the_retry_are_dropped(monkeypatch, curves):
+    (H, gamma, kw, _), ref = CASES["two_atom"], curves["two_atom"]
+    hits = fail_forced_points(monkeypatch, ref.grid[FORCED], runs=2)
+    curve = sd.stieltjes_grid(H, gamma, **kw)
+    assert hits == [len(FORCED), len(FORCED)]  # the direct run, then the retry
+    assert curve.dropped == [(float(x), "residual inf") for x in ref.grid[FORCED]]
+    kept = np.setdiff1d(np.arange(ref.grid.size), FORCED)
+    # the dropped points leave holes: nothing is interpolated into them
+    assert np.array_equal(curve.grid, ref.grid[kept])
+    assert np.array_equal(curve.interval_id, ref.interval_id[kept])
+    assert np.array_equal(curve.v, ref.v[kept])
+    assert np.array_equal(curve.v_prime, ref.v_prime[kept])
+    with pytest.raises(ValueError, match=f"{len(FORCED)} non-converged points"):
+        curve.require_complete()
+
+
+def test_real_roots_of_the_inverse_map_are_not_kept():
+    # on AR(1) rho = 0.99 the support has 15 narrow intervals, and a few
+    # Newton runs at eta = 0 end on a real root of x(v) = x, with an Im v
+    # of round-off.  Kept, such a point reads as zero density
+    H = sd.AtomicMeasure.uniform(sd.ar1_eigenvalues(0.99, 249))
+    curve = sd.stieltjes_grid(H, 0.5)
+    assert curve.n_intervals == 15 and curve.edge_failures == []
+    assert 0 < len(curve.dropped) <= 10
+    assert all(reason.startswith("real root of x(v) = x: Im v ") for _, reason in curve.dropped)
+    near, failed = mp._solve(H, 0.5, curve.grid + 1e-10j, None, 1e-10)
+    assert failed == {}
+    assert complex_rel_err(curve.v, near) <= 1e-6
 
 
 def test_contraction_start_stops_each_point_at_its_fixed_point(monkeypatch):

@@ -28,8 +28,11 @@ for t in (1.6, 3.0):
         loc, w = cdf.point_masses[0]
         psi = sd.spike_forward_map(H, gamma, t)
         print(f"  escaped point mass    {w:.3f} at {loc:.4f} (sample spike {psi:.4f})")
-        # independent cross-check from the transform near the real axis
-        print(f"  residue estimate      {sd.point_mass_residue(H, G, gamma, loc):.6f}")
+        # independent cross-check from the transform near the real axis:
+        # the residue -Re(i*eps*s(x + i*eps)) at the point mass
+        eps = 1e-7
+        residue = -(1j * eps * sd.weak_derivative_st_at(H, G, gamma, complex(loc, eps))).real
+        print(f"  residue estimate      {residue:.6f}")
     print()
 
 # linearity: perturbing toward a mixture responds like the mixture of responses

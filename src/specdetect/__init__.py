@@ -10,11 +10,9 @@ test.
 __version__ = "0.1.0"
 
 from .classical import (
-    TestCatalogEntry,
     catalog_ids,
     equivalent_lss,
     evaluate_statistic,
-    linearize,
     omh_z,
 )
 from .kernel import (
@@ -35,7 +33,6 @@ from .mp import (
     esd_expectation,
     esd_moment,
     forward_moments,
-    silverstein_residual,
     solve_real_outside,
     solve_silverstein,
     stieltjes_grid,
@@ -65,25 +62,21 @@ from .weak_derivative import (
     SpikeRecord,
     classify_spikes,
     delta_diff,
-    point_mass_residue,
     spike_forward_map,
     spike_forward_map_prime,
     weak_derivative_cdf,
-    weak_derivative_st,
     weak_derivative_st_at,
 )
 
 __all__ = [
-    "TestCatalogEntry", "catalog_ids", "equivalent_lss", "evaluate_statistic", "linearize",
-    "omh_z", "EfficacyReport", "KernelMatrix", "SolvedDerivative", "assemble_diagreg",
-    "lss_moments", "solve_collocation", "solve_diagreg", "AtomicMeasure", "SilversteinError",
-    "StieltjesCurve", "SupportSet", "derivative_map", "esd_expectation", "esd_moment",
-    "forward_moments", "silverstein_residual", "solve_real_outside", "solve_silverstein",
-    "stieltjes_grid", "support_intervals", "AlgoConfig", "LssFunction", "SpikedModel",
-    "epanechnikov", "integrate_derivative", "lss_above_pt", "optimal_ls3", "optimal_lss",
-    "PowerCurve", "SimConfig", "apply_lss", "ar1_eigenvalues", "power_experiment",
-    "sample_eigenvalues", "SignedMeasureCdf", "SpikeClassification", "SpikeRecord",
-    "classify_spikes", "delta_diff", "point_mass_residue", "spike_forward_map",
-    "spike_forward_map_prime", "weak_derivative_cdf", "weak_derivative_st",
-    "weak_derivative_st_at",
+    "catalog_ids", "equivalent_lss", "evaluate_statistic", "omh_z", "EfficacyReport",
+    "KernelMatrix", "SolvedDerivative", "assemble_diagreg", "lss_moments", "solve_collocation",
+    "solve_diagreg", "AtomicMeasure", "SilversteinError", "StieltjesCurve", "SupportSet",
+    "derivative_map", "esd_expectation", "esd_moment", "forward_moments", "solve_real_outside",
+    "solve_silverstein", "stieltjes_grid", "support_intervals", "AlgoConfig", "LssFunction",
+    "SpikedModel", "epanechnikov", "integrate_derivative", "lss_above_pt", "optimal_ls3",
+    "optimal_lss", "PowerCurve", "SimConfig", "apply_lss", "ar1_eigenvalues",
+    "power_experiment", "sample_eigenvalues", "SignedMeasureCdf", "SpikeClassification",
+    "SpikeRecord", "classify_spikes", "delta_diff", "spike_forward_map",
+    "spike_forward_map_prime", "weak_derivative_cdf", "weak_derivative_st_at",
 ]

@@ -3,9 +3,7 @@
 Every entry carries the original eigenvalue statistic together with a
 builder for the asymptotically equivalent test function, parameterized by
 the limiting-distribution moments m_i so that the equivalence holds for
-arbitrary population spectra, not just the white-noise null.  A
-delta-method linearization reduces smooth bivariate functionals of two
-statistics to a single equivalent one.
+arbitrary population spectra, not just the white-noise null.
 """
 from __future__ import annotations
 
@@ -17,15 +15,13 @@ import numpy as np
 
 from .io import reject_unknown
 from .measures import AtomicMeasure
-from .mp import StieltjesCurve, esd_expectation, forward_moments
+from .mp import StieltjesCurve, forward_moments
 from .optimal import SEG_OUTSIDE, SEG_SUPPORT, LssFunction
 
 __all__ = [
-    "TestCatalogEntry",
     "catalog_ids",
     "equivalent_lss",
     "evaluate_statistic",
-    "linearize",
     "omh_z",
 ]
 
@@ -43,7 +39,7 @@ def _require_positive(eigs: np.ndarray, what: str) -> None:
 
 
 @dataclass(frozen=True)
-class TestCatalogEntry:
+class _CatalogEntry:
     """One classical test: original statistic plus equivalent-LSS builder."""
 
     test_id: str
@@ -52,7 +48,7 @@ class TestCatalogEntry:
     needs: tuple[str, ...] = ()  # required parameter names
 
 
-def _entry_definitions() -> list[TestCatalogEntry]:
+def _entry_definitions() -> list[_CatalogEntry]:
     def lrt_identity_lss(m, gamma, params):
         return lambda x: x - np.log(x) - 1.0
 
@@ -130,18 +126,18 @@ def _entry_definitions() -> list[TestCatalogEntry]:
         return float(np.sum(eigs) - np.sum(np.log(eigs + lam)))
 
     return [
-        TestCatalogEntry("lrt-identity", lrt_identity_lss, lrt_identity_stat),
-        TestCatalogEntry("mauchly", mauchly_lss, mauchly_stat),
-        TestCatalogEntry("john-identity", john_identity_lss, john_identity_stat),
-        TestCatalogEntry("john-sphericity", john_sphericity_lss, john_sphericity_stat),
-        TestCatalogEntry("nagao", nagao_lss, nagao_stat),
-        TestCatalogEntry("ledoit-wolf", ledoit_wolf_lss, ledoit_wolf_stat),
-        TestCatalogEntry("fisher-2010", fisher_lss, fisher_stat),
-        TestCatalogEntry("omh-identity", omh_identity_lss, on_sample(omh_identity_lss),
-                         needs=("t",)),
-        TestCatalogEntry("omh-sphericity", omh_sphericity_lss, on_sample(omh_sphericity_lss),
-                         needs=("t",)),
-        TestCatalogEntry("regularized-lrt", reg_lrt_lss, reg_lrt_stat, needs=("lam",)),
+        _CatalogEntry("lrt-identity", lrt_identity_lss, lrt_identity_stat),
+        _CatalogEntry("mauchly", mauchly_lss, mauchly_stat),
+        _CatalogEntry("john-identity", john_identity_lss, john_identity_stat),
+        _CatalogEntry("john-sphericity", john_sphericity_lss, john_sphericity_stat),
+        _CatalogEntry("nagao", nagao_lss, nagao_stat),
+        _CatalogEntry("ledoit-wolf", ledoit_wolf_lss, ledoit_wolf_stat),
+        _CatalogEntry("fisher-2010", fisher_lss, fisher_stat),
+        _CatalogEntry("omh-identity", omh_identity_lss, on_sample(omh_identity_lss),
+                      needs=("t",)),
+        _CatalogEntry("omh-sphericity", omh_sphericity_lss, on_sample(omh_sphericity_lss),
+                      needs=("t",)),
+        _CatalogEntry("regularized-lrt", reg_lrt_lss, reg_lrt_stat, needs=("lam",)),
     ]
 
 
@@ -152,13 +148,12 @@ def catalog_ids() -> list[str]:
     return list(_CATALOG)
 
 
-def _resolve_entry(entry: TestCatalogEntry | str, params: dict) -> TestCatalogEntry:
-    """The catalog entry named by ``entry`` (or ``entry`` itself), given exactly what it needs."""
-    if isinstance(entry, str):
-        try:
-            entry = _CATALOG[entry]
-        except KeyError:
-            raise KeyError(f"unknown test id '{entry}'; known: {catalog_ids()}") from None
+def _resolve_entry(test_id: str, params: dict) -> _CatalogEntry:
+    """The catalog entry named ``test_id``, given exactly the parameters it needs."""
+    try:
+        entry = _CATALOG[test_id]
+    except KeyError:
+        raise KeyError(f"unknown test id '{test_id}'; known: {catalog_ids()}") from None
     for name in entry.needs:
         if name not in params:
             raise ValueError(f"test '{entry.test_id}' requires parameter '{name}'")
@@ -174,43 +169,19 @@ def _on_curve(phi: Callable[[np.ndarray], np.ndarray], curve: StieltjesCurve) ->
                        segments=[SEG_OUTSIDE] + [SEG_SUPPORT] * curve.grid.size + [SEG_OUTSIDE])
 
 
-def equivalent_lss(entry: TestCatalogEntry | str, H: AtomicMeasure, gamma: float,
-                   curve: StieltjesCurve, **params) -> LssFunction:
+def equivalent_lss(test_id: str, H: AtomicMeasure, gamma: float, curve: StieltjesCurve,
+                   **params) -> LssFunction:
     """Equivalent test function of a catalog entry on the curve's grid.
 
     Moments m_1..m_4 of the limiting distribution are resolved exactly
     from (H, gamma) so the catalog algebra (e.g. the sphericity LRT
     reducing to the identity LRT at unit mean) holds to round-off.
     """
-    entry = _resolve_entry(entry, params)
+    entry = _resolve_entry(test_id, params)
     return _on_curve(entry.build(forward_moments(H, gamma, 4), gamma, params), curve)
 
 
-def evaluate_statistic(entry: TestCatalogEntry | str, eigenvalues, n: int, **params) -> float:
+def evaluate_statistic(test_id: str, eigenvalues, n: int, **params) -> float:
     """Original-form statistic on a set of sample eigenvalues."""
-    entry = _resolve_entry(entry, params)
+    entry = _resolve_entry(test_id, params)
     return entry.original(np.asarray(eigenvalues, dtype=float), n, params)
-
-
-def linearize(y_gradient: Callable[[float, float], tuple[float, float]],
-              phi: Callable[[np.ndarray], np.ndarray],
-              psi: Callable[[np.ndarray], np.ndarray],
-              curve: StieltjesCurve,
-              phi_at_zero: float | None = None,
-              psi_at_zero: float | None = None,
-              sigma_check: Callable[[np.ndarray], float] | None = None) -> LssFunction:
-    """Delta-method reduction of y(T(phi)/p, T(psi)/p) to one test function.
-
-    Returns j = d1*phi + d2*psi with the gradient of y taken at the
-    limiting means (F(phi), F(psi)) computed by grid quadrature.  If
-    ``sigma_check`` (mapping grid values to an asymptotic variance) is
-    supplied, a vanishing variance is rejected, since the equivalence
-    needs a nondegenerate limit.
-    """
-    a1 = esd_expectation(curve, phi, f_at_zero=phi_at_zero)
-    a2 = esd_expectation(curve, psi, f_at_zero=psi_at_zero)
-    d1, d2 = y_gradient(a1, a2)
-    j = _on_curve(lambda x: d1 * phi(x) + d2 * psi(x), curve)
-    if sigma_check is not None and sigma_check(j.values[1:-1]) <= 0:
-        raise ValueError("linearized statistic has zero asymptotic variance")
-    return j

@@ -322,7 +322,7 @@ def lss_moments(curve: StieltjesCurve, K: KernelMatrix, phi, delta: SignedMeasur
     inside and one-sided at the ends; phi may be an LssFunction or any
     callable evaluable on the grid.
     """
-    values = phi(curve.grid) if callable(phi) else np.asarray(phi, dtype=float)
+    values = phi(curve.grid)
     g = np.empty_like(values)
     for j in np.unique(curve.interval_id):
         sl = curve.interval_slice(j)

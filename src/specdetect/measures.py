@@ -5,7 +5,6 @@ distributions under null and alternative, and any mixture of them.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,16 +110,9 @@ class AtomicMeasure:
     def to_dict(self) -> dict:
         return {"atoms": self.atoms.tolist(), "weights": self.weights.tolist()}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_dict(cls, payload: dict) -> "AtomicMeasure":
         for key in ("atoms", "weights"):
             if key not in payload:
                 raise KeyError(f"measure is missing required field '{key}'")
         return cls(np.asarray(payload["atoms"], float), np.asarray(payload["weights"], float))
-
-    @classmethod
-    def from_json(cls, text: str) -> "AtomicMeasure":
-        return cls.from_dict(json.loads(text))

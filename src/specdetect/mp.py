@@ -25,7 +25,6 @@ __all__ = [
     "StieltjesCurve",
     "SilversteinError",
     "solve_silverstein",
-    "silverstein_residual",
     "derivative_map",
     "support_intervals",
     "stieltjes_grid",
@@ -110,11 +109,6 @@ def _inverse_map(H: AtomicMeasure, gamma: float, v: np.ndarray, z=0.0,
     """
     return [-1.0 / v - z + gamma * s if k == 1 else 1.0 / v**2 - gamma * s
             for k, s in zip(orders, _sums(H, v, orders))]
-
-
-def silverstein_residual(H: AtomicMeasure, gamma: float, z: complex, v: complex) -> complex:
-    """Defect of v in the fixed-point equation at z (zero at a solution)."""
-    return _inverse_map(H, gamma, np.array([v]), z)[0][0]
 
 
 def _derivative(H: AtomicMeasure, gamma: float, v: np.ndarray,
@@ -546,6 +540,12 @@ class StieltjesCurve:
         return self.v.imag / (math.pi * self.gamma)
 
     def interval_slice(self, j: int) -> slice:
+        """Grid indices of support interval j; refuses a curve with dropped points.
+
+        Every quadrature, cumulative sum and finite difference over the grid
+        goes through here, so none of them can bridge a hole.
+        """
+        self.require_complete()
         idx = np.flatnonzero(self.interval_id == j)
         return slice(idx[0], idx[-1] + 1)
 
@@ -755,7 +755,6 @@ def esd_moment(curve: StieltjesCurve, k: int) -> float:
     """
     if k not in (1, 2, 3, 4):
         raise ValueError("moment order restricted to 1..4")
-    curve.require_complete()
     return esd_expectation(curve, lambda x: x**k, f_at_zero=0.0)
 
 

@@ -31,11 +31,9 @@ __all__ = [
     "spike_forward_map",
     "spike_forward_map_prime",
     "classify_spikes",
-    "weak_derivative_st",
     "weak_derivative_st_at",
     "weak_derivative_cdf",
     "delta_diff",
-    "point_mass_residue",
 ]
 
 _POLE_TOL = 1e-12
@@ -124,16 +122,6 @@ def _st_from_v(minus: AtomicMeasure, plus: AtomicMeasure, gamma: float, v: np.nd
     return -gamma * vp * nu
 
 
-def weak_derivative_st(H: AtomicMeasure, G: AtomicMeasure, curve: StieltjesCurve) -> np.ndarray:
-    """s(x_m) on the curve's grid from the stored v and v'.
-
-    Raises if any 1 + t*v(x_m) is within 1e-12 of zero: a sample spike on the grid.
-    """
-    if _near_pole(np.concatenate([H.atoms, G.atoms]), curve.v, _POLE_TOL).any():
-        raise ValueError("near-pole: 1 + t*v vanished on the grid")
-    return _st_from_v(H, G, curve.gamma, curve.v, curve.v_prime)
-
-
 def weak_derivative_st_at(H: AtomicMeasure, G: AtomicMeasure, gamma: float, z: complex,
                           support: SupportSet | None = None) -> complex:
     """s(z) at an arbitrary point, solving for v(z) on the fly.
@@ -150,13 +138,6 @@ def weak_derivative_st_at(H: AtomicMeasure, G: AtomicMeasure, gamma: float, z: c
         v = solve_silverstein(H, gamma, z)
     vp = derivative_map(H, gamma, v)
     return complex(_st_from_v(H, G, gamma, np.array([v]), vp)[0])
-
-
-def point_mass_residue(H: AtomicMeasure, G: AtomicMeasure, gamma: float, x: float) -> float:
-    """Residue-style estimate of the point mass at x: -Re(i*eps*s(x+i*eps)), eps = 1e-7."""
-    eps = 1e-7
-    s = weak_derivative_st_at(H, G, gamma, complex(x, eps))
-    return float(-(1j * eps * s).real)
 
 
 # ----------------------------------------------------------------------

@@ -109,42 +109,6 @@ class TestOriginalForms:
         assert a == pytest.approx(b, rel=1e-12)
 
 
-
-class TestLinearize:
-    def test_identity_function_passthrough(self, mp_curve):
-        j = sd.linearize(lambda r, s: (1.0, 0.0), lambda x: x**2, lambda x: x, mp_curve)
-        assert np.allclose(j(mp_curve.grid), mp_curve.grid**2, atol=1e-12)
-
-    def test_mauchly_linearization(self, mp_unit, mp_curve):
-        # y(r, s) = log r - s applied to (mean, mean log) statistics gives
-        # j = x/m1 - log x, the sphericity LRT up to an additive constant
-        j = sd.linearize(lambda r, s: (1.0 / r, -1.0), lambda x: x, np.log, mp_curve)
-        m1 = sd.forward_moments(mp_unit, GAMMA, 1)[0]
-        expect = mp_curve.grid / m1 - np.log(mp_curve.grid)
-        got = j(mp_curve.grid)
-        # the gradient point uses quadrature moments, accurate to the
-        # 1e-3-relative contract, so the comparison inherits that scale
-        assert np.allclose(got - got[0], expect - expect[0], atol=1e-3)
-
-    def test_john_sphericity_linearization(self, mp_unit, mp_curve):
-        # y(r, s) = r/s^2 on (second, first) moment statistics: after
-        # scaling by m1^3 this is the catalog entry m1 x^2 - 2 m2 x
-        j = sd.linearize(lambda r, s: (1.0 / s**2, -2.0 * r / s**3),
-                         lambda x: x**2, lambda x: x, mp_curve)
-        m = sd.forward_moments(mp_unit, GAMMA, 2)
-        got = j(mp_curve.grid) * m[0] ** 3
-        expect = m[0] * mp_curve.grid**2 - 2 * m[1] * mp_curve.grid
-        assert np.max(np.abs(got - expect)) <= 1e-3
-
-    def test_zero_variance_flagged(self, mp_curve, mp_kernel):
-        def sigma_check(values):
-            g = np.gradient(values, mp_curve.grid)
-            return mp_kernel.quadratic_form(g)
-        with pytest.raises(ValueError):
-            sd.linearize(lambda r, s: (0.0, 0.0), lambda x: x, lambda x: x,
-                         mp_curve, sigma_check=sigma_check)
-
-
 class TestPowerComparison:
     def test_catalog_never_beats_optimal(self, mp_unit, mp_curve, mp_kernel):
         G1 = sd.AtomicMeasure.point_mass(1.6)

@@ -77,7 +77,7 @@ def test_moments():
 
 def test_json_round_trip():
     m = AtomicMeasure(np.array([0.5, 2.0]), np.array([0.3, 0.7]))
-    back = AtomicMeasure.from_json(m.to_json())
+    back = AtomicMeasure.from_dict(json.loads(json.dumps(m.to_dict())))
     assert np.array_equal(back.atoms, m.atoms)
     assert np.array_equal(back.weights, m.weights)
 

@@ -9,6 +9,8 @@ import textwrap
 import types
 from pathlib import Path
 
+import pytest
+
 import specdetect as sd
 
 
@@ -26,6 +28,27 @@ def test_every_submodule_export_is_a_package_export():
             continue
         assert set(module.__all__) <= set(sd.__all__), (info.name,
                                                         set(module.__all__) - set(sd.__all__))
+
+
+@pytest.mark.parametrize("module, name", [
+    ("mp", "silverstein_residual"),
+    ("weak_derivative", "weak_derivative_st"),
+    ("weak_derivative", "point_mass_residue"),
+    ("classical", "linearize"),
+    ("classical", "TestCatalogEntry"),
+])
+def test_removed_names_stay_removed(module, name):
+    # no stage, command or demo called these; the tests use the private core
+    assert not hasattr(sd, name)
+    assert not hasattr(importlib.import_module(f"specdetect.{module}"), name)
+
+
+def test_catalog_functions_take_a_test_id_only(mp_unit, mp_curve):
+    from specdetect import classical
+    with pytest.raises(KeyError, match="unknown test id"):
+        sd.equivalent_lss(classical._CATALOG["nagao"], mp_unit, 0.5, mp_curve)
+    with pytest.raises(KeyError, match="unknown test id"):
+        sd.evaluate_statistic(classical._CATALOG["nagao"], [1.0, 2.0], 5)
 
 
 def test_names_the_benchmark_wraps_resolve(monkeypatch):

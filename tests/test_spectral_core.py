@@ -317,18 +317,40 @@ def test_fine_points_that_fail_the_retry_are_dropped(monkeypatch, curves):
         curve.require_complete()
 
 
-def test_real_roots_of_the_inverse_map_are_not_kept():
+@pytest.fixture(scope="module")
+def ar1_099():
+    """AR(1) rho = 0.99, p = 249, at gamma = 1/2: a curve with dropped points."""
+    H = sd.AtomicMeasure.uniform(sd.ar1_eigenvalues(0.99, 249))
+    return H, sd.stieltjes_grid(H, 0.5)
+
+
+def test_real_roots_of_the_inverse_map_are_not_kept(ar1_099):
     # on AR(1) rho = 0.99 the support has 15 narrow intervals, and a few
     # Newton runs at eta = 0 end on a real root of x(v) = x, with an Im v
     # of round-off.  Kept, such a point reads as zero density
-    H = sd.AtomicMeasure.uniform(sd.ar1_eigenvalues(0.99, 249))
-    curve = sd.stieltjes_grid(H, 0.5)
+    H, curve = ar1_099
     assert curve.n_intervals == 15 and curve.edge_failures == []
     assert 0 < len(curve.dropped) <= 10
     assert all(reason.startswith("real root of x(v) = x: Im v ") for _, reason in curve.dropped)
     near, failed = mp._solve(H, 0.5, curve.grid + 1e-10j, None, 1e-10)
     assert failed == {}
     assert complex_rel_err(curve.v, near) <= 1e-6
+
+
+@pytest.mark.parametrize("compute", [
+    lambda H, curve: sd.esd_expectation(curve, lambda x: x),
+    lambda H, curve: sd.weak_derivative_cdf(H, sd.AtomicMeasure.point_mass(1.5), 0.5, curve),
+    lambda H, curve: sd.delta_diff(H, H, sd.AtomicMeasure.point_mass(1.5), 0.5, curve),
+    lambda H, curve: sd.assemble_diagreg(curve),
+    lambda H, curve: sd.integrate_derivative(curve, np.zeros(curve.grid.size)),
+], ids=["esd_expectation", "weak_derivative_cdf", "delta_diff", "assemble_diagreg",
+        "integrate_derivative"])
+def test_nothing_integrates_across_dropped_points(ar1_099, compute):
+    # each would bridge the holes with widened cells and return a number
+    H, curve = ar1_099
+    assert len(curve.dropped) == 5
+    with pytest.raises(ValueError, match="5 non-converged points"):
+        compute(H, curve)
 
 
 def test_contraction_start_stops_each_point_at_its_fixed_point(monkeypatch):

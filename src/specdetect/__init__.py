@@ -58,7 +58,6 @@ from .simulate import (
 )
 from .weak_derivative import (
     SignedMeasureCdf,
-    SpikeClassification,
     SpikeRecord,
     classify_spikes,
     delta_diff,
@@ -76,7 +75,7 @@ __all__ = [
     "solve_silverstein", "stieltjes_grid", "support_intervals", "AlgoConfig", "LssFunction",
     "SpikedModel", "epanechnikov", "integrate_derivative", "lss_above_pt", "optimal_ls3",
     "optimal_lss", "PowerCurve", "SimConfig", "apply_lss", "ar1_eigenvalues",
-    "power_experiment", "sample_eigenvalues", "SignedMeasureCdf", "SpikeClassification",
-    "SpikeRecord", "classify_spikes", "delta_diff", "spike_forward_map",
-    "spike_forward_map_prime", "weak_derivative_cdf", "weak_derivative_st_at",
+    "power_experiment", "sample_eigenvalues", "SignedMeasureCdf", "SpikeRecord",
+    "classify_spikes", "delta_diff", "spike_forward_map", "spike_forward_map_prime",
+    "weak_derivative_cdf", "weak_derivative_st_at",
 ]

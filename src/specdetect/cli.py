@@ -58,6 +58,20 @@ def _require(config: dict, *fields: str) -> None:
             raise ConfigError(f"config is missing required field '{name}'")
 
 
+def _number(config: dict, name: str, kind: type, default=None):
+    """config[name] (or ``default`` when absent) converted by ``kind``, float or int.
+
+    Anything ``kind`` converts is accepted, as "0.5" for a float; a value it
+    refuses is a config error naming the field.
+    """
+    value = config.get(name, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        what = "a number" if kind is float else "an integer"
+        raise ConfigError(f"config field '{name}' must be {what}, not {value!r}")
+
+
 def _measure(config: dict, name: str) -> AtomicMeasure:
     _require(config, name)
     try:
@@ -95,8 +109,8 @@ def _curve(config: dict) -> tuple[AtomicMeasure, float, StieltjesCurve]:
     """H, gamma and the curve of H on "points_per_interval" points per interval."""
     _require(config, "gamma")
     H = _measure(config, "H")
-    gamma = float(config["gamma"])
-    ppi = int(config.get("points_per_interval", AlgoConfig.points_per_interval))
+    gamma = _number(config, "gamma", float)
+    ppi = _number(config, "points_per_interval", int, AlgoConfig.points_per_interval)
     return H, gamma, stieltjes_grid(H, gamma, points_per_interval=ppi)
 
 
@@ -120,9 +134,9 @@ def _spiked_model(config: dict) -> SpikedModel:
     H = _measure(config, "H")
     G0 = _measure(config, "G0")
     G1 = _measure(config, "G1")
-    n = config.get("n")
-    return SpikedModel(H=H, G0=G0, G1=G1, gamma=float(config["gamma"]),
-                       h=int(config.get("h", 1)), n=None if n is None else int(n))
+    return SpikedModel(H=H, G0=G0, G1=G1, gamma=_number(config, "gamma", float),
+                       h=_number(config, "h", int, 1),
+                       n=None if config.get("n") is None else _number(config, "n", int))
 
 
 def cmd_optimal_lss(config: dict, out: OutputTracker, args) -> None:
@@ -158,6 +172,9 @@ def cmd_classical(config: dict, out: OutputTracker, args) -> None:
             print(test_id)
         return
     _require(config, "test_id")
+    if not isinstance(config["test_id"], str):
+        raise ConfigError("config field 'test_id' must be a string, "
+                          f"not {type(config['test_id']).__name__}")
     H, gamma, curve = _curve(config)
     params = config.get("parameters", {})
     if not isinstance(params, dict):
@@ -170,7 +187,7 @@ def cmd_classical(config: dict, out: OutputTracker, args) -> None:
     if "eigenvalues" in config:
         _require(config, "n")
         value = evaluate_statistic(config["test_id"], config["eigenvalues"],
-                                   int(config["n"]), **params)
+                                   _number(config, "n", int), **params)
         write_json(out.path("statistic.json"), {"test_id": config["test_id"], "value": value})
 
 
@@ -180,8 +197,9 @@ def cmd_simulate(config: dict, out: OutputTracker, args) -> None:
         pop = _population_eigenvalues(config["population"])
     except ValueError as exc:
         raise ConfigError(exc.args[0])
-    master = np.random.SeedSequence(int(config["seed"]))
-    draws = _draw(np.sort(pop), int(config["n"]), master.spawn(int(config.get("n_reps", 1))))
+    master = np.random.SeedSequence(_number(config, "seed", int))
+    draws = _draw(np.sort(pop), _number(config, "n", int),
+                  master.spawn(_number(config, "n_reps", int, 1)))
     rows = [(rep, i, val) for rep, eigs in enumerate(draws) for i, val in enumerate(eigs)]
     write_csv(out.path("sample_eigenvalues.csv"), ["replicate", "index", "eigenvalue"], rows)
 

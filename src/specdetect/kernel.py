@@ -265,43 +265,41 @@ def solve_collocation(curve: StieltjesCurve, delta: SignedMeasureCdf) -> SolvedD
 
 @dataclass(frozen=True)
 class EfficacyReport:
-    """Mean shift, standard deviation, efficacy and asymptotic power of an LSS."""
+    """Mean shift, standard deviation, efficacy and asymptotic power of an LSS.
+
+    Full power is an infinite efficacy, and the regime is read from it.
+    """
 
     mu: float
     sigma: float
     efficacy: float
     power: float
     alpha: float
-    regime: str = REGIME_SUBCRITICAL
+
+    @property
+    def regime(self) -> str:
+        return REGIME_SUPERCRITICAL if math.isinf(self.efficacy) else REGIME_SUBCRITICAL
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "regime": self.regime}
 
 
 def power_from_efficacy(theta: float, alpha: float) -> float:
-    """Asymptotic power Phi(z_alpha + theta), z_alpha the alpha quantile."""
+    """Asymptotic power Phi(z_alpha + theta), z_alpha the alpha quantile; 1 at theta = inf."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    if math.isinf(theta):
-        return 1.0
     return _STD_NORMAL.cdf(_STD_NORMAL.inv_cdf(alpha) + abs(theta))
 
 
-def efficacy_report(mu: float, sigma2: float, alpha: float,
-                    regime: str = REGIME_SUBCRITICAL) -> EfficacyReport:
+def efficacy_report(mu: float, sigma2: float, alpha: float) -> EfficacyReport:
     sigma2 = max(sigma2, 0.0)  # guard tiny negative round-off in the quadratic form
     sigma = math.sqrt(sigma2)
     if sigma == 0.0:
         theta = 0.0 if mu == 0.0 else math.inf
     else:
         theta = mu / sigma
-    if regime == REGIME_SUPERCRITICAL:
-        power = 1.0
-        theta = math.inf
-    else:
-        power = power_from_efficacy(theta, alpha)
-    return EfficacyReport(mu=mu, sigma=sigma, efficacy=theta, power=power,
-                          alpha=alpha, regime=regime)
+    return EfficacyReport(mu=mu, sigma=sigma, efficacy=theta,
+                          power=power_from_efficacy(theta, alpha), alpha=alpha)
 
 
 def derivative_efficacy(K: KernelMatrix, g: np.ndarray, delta: SignedMeasureCdf, h: int,

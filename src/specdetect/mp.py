@@ -295,15 +295,6 @@ class SupportSet:
     def contains(self, x: float) -> bool:
         return any(l <= x <= u for l, u in self.intervals)
 
-    def distance(self, x: float) -> float:
-        """Distance from x to the union of support intervals (0 inside)."""
-        best = math.inf
-        for l, u in self.intervals:
-            if l <= x <= u:
-                return 0.0
-            best = min(best, abs(x - l), abs(x - u))
-        return best
-
     @property
     def upper_pt_threshold(self) -> float:
         """Population-spike threshold above the top edge, -1/v(u_J)."""

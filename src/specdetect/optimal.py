@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kernel import (
-    REGIME_SUPERCRITICAL,
     EfficacyReport,
     KernelMatrix,
     assemble_diagreg,
@@ -29,12 +28,7 @@ from .kernel import (
 )
 from .measures import AtomicMeasure
 from .mp import StieltjesCurve, SupportSet, stieltjes_grid
-from .weak_derivative import (
-    SignedMeasureCdf,
-    SpikeClassification,
-    classify_spikes,
-    delta_diff,
-)
+from .weak_derivative import SignedMeasureCdf, SpikeRecord, classify_spikes, delta_diff
 
 __all__ = [
     "SpikedModel",
@@ -67,7 +61,12 @@ def check_solver(solver: str) -> None:
 
 @dataclass(frozen=True)
 class SpikedModel:
-    """Null bulk H with spike distributions under null (G0) and alternative (G1)."""
+    """Null bulk H with spike distributions under null (G0) and alternative (G1).
+
+    Give the sample size ``n`` whenever a spike may escape: it sets a
+    bump's half-width _N_SD * sd / sqrt(n).  The default (d + h)/gamma is
+    4 on the unit bulk at gamma = 0.5, where the bump covers the support.
+    """
 
     H: AtomicMeasure
     G0: AtomicMeasure
@@ -188,36 +187,37 @@ def integrate_derivative(curve: StieltjesCurve, g: np.ndarray) -> LssFunction:
     )
 
 
-def surrogate_spike(model: SpikedModel, classification: SpikeClassification,
+def surrogate_spike(model: SpikedModel, escaped: tuple[SpikeRecord, ...],
                     support: SupportSet) -> float | None:
     """Location s_minus of the subcritical surrogate that replaces G1, or None.
 
-    The rule fires for a single supercritical spike (h = 1) whose sample
-    location lies above the top edge and whose location is below s_plus:
-    just past the uppermost threshold the n^-1/2 bump width badly
-    overstates the actual fluctuation of the escaping eigenvalue.  A
-    spike escaping below the bulk keeps its bump.
+    ``escaped`` holds the supercritical records of G1.  The rule fires for
+    a single supercritical spike (h = 1) whose sample location lies above
+    the top edge and whose location is below s_plus: just past the
+    uppermost threshold the n^-1/2 bump width badly overstates the actual
+    fluctuation of the escaping eigenvalue.  A spike escaping below the
+    bulk keeps its bump.
     """
-    if model.h != 1 or model.G1.n_atoms != 1 or not classification.any_supercritical:
+    if model.h != 1 or model.G1.n_atoms != 1 or not escaped:
         return None
     a_pt = support.upper_pt_threshold
-    rec = classification.supercritical[0]
+    rec = escaped[0]
     s_plus = _S_PLUS_COEFF * (1.0 + math.sqrt(model.gamma)) * a_pt
     if rec.psi > support.intervals[-1][1] and rec.location < s_plus:
         return _S_MINUS_COEFF * a_pt
     return None
 
 
-def lss_above_pt(model: SpikedModel, classification: SpikeClassification,
+def lss_above_pt(model: SpikedModel, escaped: tuple[SpikeRecord, ...],
                  curve: StieltjesCurve) -> LssFunction:
     """Bump statistic for spikes whose sample location escapes the bulk.
 
-    Each escaped spike gets an Epanechnikov bump of half-width
-    _N_SD * n^-1/2 * sd centered at its sample location; spikes beyond the
-    outermost bulk edge continue as the constant one away from the bulk.
+    Each record in ``escaped`` (the supercritical spikes of G1) gets an
+    Epanechnikov bump of half-width _N_SD * n^-1/2 * sd centered at its
+    sample location; spikes beyond the outermost bulk edge continue as the
+    constant one away from the bulk.
     """
-    sup = classification.supercritical
-    if not sup:
+    if not escaped:
         raise ValueError("no supercritical spike; below-transition route applies")
     n = model.resolved_n()
     support = curve.support
@@ -226,7 +226,7 @@ def lss_above_pt(model: SpikedModel, classification: SpikeClassification,
     a, b = support.enclosing_interval
 
     bump_specs = []
-    for rec in sup:
+    for rec in escaped:
         w = _N_SD * rec.asy_sd / math.sqrt(n)
         bump_specs.append((rec.psi, w, rec.psi > s_max, rec.psi < s_min))
 
@@ -266,9 +266,9 @@ def optimal_lss(model: SpikedModel, config: AlgoConfig | None = None,
     """Best LSS for the model, with its predicted mean shift, sd and power.
 
     Below the transition the derivative solves the regularized first-kind
-    system and is integrated; above it the bump construction applies, the
-    regime is flagged and the asymptotic power is one.  A single slightly
-    supercritical spike (h = 1, below s_plus) is replaced by the
+    system and is integrated; above it the bump construction applies and
+    the report's efficacy is infinite, so its power is one.  A single
+    slightly supercritical spike (h = 1, below s_plus) is replaced by the
     subcritical surrogate s_minus to avoid the finite-sample power drop
     right above the threshold.
     """
@@ -318,20 +318,21 @@ def _build(model: SpikedModel, config: AlgoConfig, curve: StieltjesCurve | None,
         curve = stieltjes_grid(model.H, model.gamma,
                                points_per_interval=config.points_per_interval)
     curve.require_complete()
-    if classify_spikes(model.H, model.gamma, model.G0, curve.support).any_supercritical:
+    H, gamma, support = model.H, model.gamma, curve.support
+    if any(r.supercritical for r in classify_spikes(H, gamma, model.G0, support)):
         raise ValueError("null spike distribution G0 must be fully subcritical")
-    cls1 = classify_spikes(model.H, model.gamma, model.G1, curve.support)
-    if cls1.any_supercritical:
-        report = efficacy_report(math.inf, 0.0, config.alpha, regime=REGIME_SUPERCRITICAL)
-        s_sur = surrogate_spike(model, cls1, curve.support)
+    escaped = tuple(r for r in classify_spikes(H, gamma, model.G1, support) if r.supercritical)
+    if escaped:
+        report = efficacy_report(math.inf, 0.0, config.alpha)
+        s_sur = surrogate_spike(model, escaped, support)
         if s_sur is None:
-            return lss_above_pt(model, cls1, curve), report
+            return lss_above_pt(model, escaped, curve), report
         model = replace(model, G1=AtomicMeasure.point_mass(s_sur))
 
     delta = delta_diff(model.H, model.G0, model.G1, model.gamma, curve)
     K = assemble_diagreg(curve)
     g = solve(curve, K, delta, config)
-    if not cls1.any_supercritical:
+    if not escaped:
         report = derivative_efficacy(K, g, delta, model.h, config.alpha)
     return integrate_derivative(curve, g), report
 

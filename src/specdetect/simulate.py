@@ -292,9 +292,10 @@ def power_experiment(config: SimConfig) -> PowerCurve:
         power_top[i] = np.mean(reject_top(alt_eigs[:, -1]))
 
     # bump statistics are degenerate (identically zero) under the null, so
-    # the level is meaningful only where the solve route was used
-    sub = ~supercrit
-    level_lss = float(np.mean(levels[sub])) if sub.any() else float(np.mean(levels))
+    # the level is meaningful only where the solve route was used; the
+    # surrogate of a spike just above the threshold is solved too
+    solved = np.array([phi.derivative is not None for phi, _ in built], dtype=bool)
+    level_lss = float(np.mean(levels[solved] if solved.any() else levels))
     return PowerCurve(
         spikes=spikes,
         power_lss=power_lss,

@@ -26,7 +26,6 @@ from .mp import (StieltjesCurve, SupportSet, _inverse_map, _near_pole, _sums, de
 
 __all__ = [
     "SpikeRecord",
-    "SpikeClassification",
     "SignedMeasureCdf",
     "spike_forward_map",
     "spike_forward_map_prime",
@@ -73,22 +72,9 @@ class SpikeRecord:
     asy_sd: float | None = None  # sqrt(2 s^2 psi'(s)), set when supercritical
 
 
-@dataclass(frozen=True)
-class SpikeClassification:
-    records: tuple[SpikeRecord, ...]
-
-    @property
-    def any_supercritical(self) -> bool:
-        return any(r.supercritical for r in self.records)
-
-    @property
-    def supercritical(self) -> tuple[SpikeRecord, ...]:
-        return tuple(r for r in self.records if r.supercritical)
-
-
 def classify_spikes(H: AtomicMeasure, gamma: float, G: AtomicMeasure,
-                    support: SupportSet) -> SpikeClassification:
-    """Classify each atom of G as sub- or supercritical.
+                    support: SupportSet) -> tuple[SpikeRecord, ...]:
+    """Classify each atom of G as sub- or supercritical, one record per atom.
 
     A spike is supercritical when it falls in one of the support set's
     spike windows and psi(s) lies outside the support, with no margin:
@@ -104,11 +90,11 @@ def classify_spikes(H: AtomicMeasure, gamma: float, G: AtomicMeasure,
         if in_window or s <= 0 or not _on_atom(H, s, 1e-9):
             psi = spike_forward_map(H, gamma, s)
             psi_p = spike_forward_map_prime(H, gamma, s)
-        supercritical = in_window and support.distance(psi) > 0
+        supercritical = in_window and not support.contains(psi)
         records.append(SpikeRecord(
             location=s, weight=u, psi=psi, psi_prime=psi_p, supercritical=supercritical,
             asy_sd=math.sqrt(max(2.0 * s**2 * psi_p, 0.0)) if supercritical else None))
-    return SpikeClassification(records=tuple(records))
+    return tuple(records)
 
 
 # ----------------------------------------------------------------------
@@ -301,7 +287,7 @@ def _escaped(H: AtomicMeasure, gamma: float, G: AtomicMeasure, support: SupportS
              sign: float = 1.0) -> list[tuple[float, float]]:
     """(psi(s_j), sign * gamma * u_j) for each supercritical atom s_j of G."""
     return [(r.psi, sign * gamma * r.weight)
-            for r in classify_spikes(H, gamma, G, support).supercritical]
+            for r in classify_spikes(H, gamma, G, support) if r.supercritical]
 
 
 def weak_derivative_cdf(H: AtomicMeasure, G: AtomicMeasure, gamma: float,

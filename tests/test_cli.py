@@ -361,6 +361,11 @@ def test_malformed_population_exits_2(tmp_path, capsys, command, payload, popula
 
 SIMULATE = {"n": 12, "seed": 3}
 POWER = {"n": 12, "n_reps": 100, "alpha": 0.05, "seed": 3, "spike_grid": [3.0]}
+UNIT = {"atoms": [1.0], "weights": [1.0]}
+SPECTRUM = {"H": UNIT, "gamma": 0.5, "points_per_interval": 120}
+OPTIMAL = {"H": UNIT, "G0": UNIT, "G1": {"atoms": [1.6], "weights": [1.0]}, "gamma": 0.5,
+           "config": {"points_per_interval": 120}}
+ATOMS = {"kind": "atoms", "eigenvalues": [1.0, 2.0]}
 
 
 @pytest.mark.parametrize("command, payload, message", [
@@ -373,8 +378,22 @@ POWER = {"n": 12, "n_reps": 100, "alpha": 0.05, "seed": 3, "spike_grid": [3.0]}
     ("classical-lss", {"test_id": "omh-identity", "H": {"atoms": [1.0], "weights": [1.0]},
                        "gamma": 0.5, "points_per_interval": 120, "parameters": [1.6]},
      "config field 'parameters' must be an object, not list"),
+    ("spectrum", {**SPECTRUM, "gamma": "abc"}, "config field 'gamma' must be a number, not 'abc'"),
+    ("spectrum", {**SPECTRUM, "gamma": [0.5]}, "config field 'gamma' must be a number, not [0.5]"),
+    ("spectrum", {**SPECTRUM, "points_per_interval": "x"},
+     "config field 'points_per_interval' must be an integer, not 'x'"),
+    ("optimal-lss", {**OPTIMAL, "n": "many"}, "config field 'n' must be an integer, not 'many'"),
+    ("optimal-lss", {**OPTIMAL, "h": "one"}, "config field 'h' must be an integer, not 'one'"),
+    ("classical-lss", {**SPECTRUM, "test_id": ["nagao"]},
+     "config field 'test_id' must be a string, not list"),
+    ("simulate", {**SIMULATE, "population": ATOMS, "seed": "x"},
+     "config field 'seed' must be an integer, not 'x'"),
+    ("simulate", {**SIMULATE, "population": ATOMS, "n_reps": [2]},
+     "config field 'n_reps' must be an integer, not [2]"),
 ], ids=["simulate-population-list", "power-population-list", "simulate-p-string",
-        "power-p-string", "classical-parameters-list"])
+        "power-p-string", "classical-parameters-list", "spectrum-gamma-string",
+        "spectrum-gamma-list", "spectrum-points-string", "optimal-n-string", "optimal-h-string",
+        "classical-test-id-list", "simulate-seed-string", "simulate-n-reps-list"])
 def test_wrong_typed_field_exits_2(tmp_path, capsys, command, payload, message):
     # a value of the wrong type is a config error, not a runtime failure
     cfg = write_config(tmp_path / "c.json", payload)
@@ -382,6 +401,16 @@ def test_wrong_typed_field_exits_2(tmp_path, capsys, command, payload, message):
     assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (out / "manifest.json").exists()
+
+
+def test_numeric_strings_stay_accepted(tmp_path):
+    # a value that converts to the field's type runs as it did before
+    cfg = write_config(tmp_path / "c.json", {**SPECTRUM, "gamma": "0.5",
+                                             "points_per_interval": "120"})
+    out = tmp_path / "out"
+    assert run_cli(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    (lo, hi), = read_json(out / "support.json")["intervals"]
+    assert hi == pytest.approx((1 + math.sqrt(0.5)) ** 2, abs=1e-8)
 
 
 class TestSimulate:

@@ -49,8 +49,9 @@ class TestConfig:
         for spike, expected in ((s_plus * (1 - 1e-9), 0.99 * a_pt), (s_plus, None)):
             G1 = sd.AtomicMeasure.point_mass(spike)
             model = sd.SpikedModel(H=mp_unit, G0=mp_unit, G1=G1, gamma=GAMMA)
-            cls1 = sd.classify_spikes(mp_unit, GAMMA, G1, mp_curve.support)
-            assert surrogate_spike(model, cls1, mp_curve.support) == expected
+            escaped = tuple(r for r in sd.classify_spikes(mp_unit, GAMMA, G1, mp_curve.support)
+                            if r.supercritical)
+            assert surrogate_spike(model, escaped, mp_curve.support) == expected
 
     def test_unknown_solver_rejected(self):
         # the bump route never reaches a kernel solve, so the name is checked here
@@ -236,6 +237,19 @@ class TestAbovePtBranch:
         assert sub.regime == "subcritical-solvable"
         assert sup.regime == "supercritical-full-power"
 
+    @pytest.mark.parametrize("t, n, solved", [(1.6, None, True), (1.75, 500, True),
+                                              (3.0, 500, False)],
+                             ids=["subcritical", "surrogate", "bump"])
+    def test_regime_follows_efficacy(self, unit_model_factory, mp_curve, t, n, solved):
+        # full power is an infinite efficacy; the regime is read from it
+        phi, rep = sd.optimal_lss(unit_model_factory(t, n=n), CFG, curve=mp_curve)
+        assert (phi.derivative is not None) == solved
+        expected = ("supercritical-full-power" if math.isinf(rep.efficacy)
+                    else "subcritical-solvable")
+        assert rep.regime == expected
+        assert rep.to_dict()["regime"] == expected
+        assert (rep.power == 1.0) == math.isinf(rep.efficacy)
+
     def test_near_pt_substitution(self, unit_model_factory):
         # just above the threshold 1.7071, below s_plus: surrogate spike is
         # solved on the smooth branch but the regime stays supercritical
@@ -300,12 +314,13 @@ class TestAbovePtBranch:
                                G1=sd.AtomicMeasure.point_mass(1.5), gamma=0.1)
         cfg = sd.AlgoConfig(points_per_interval=600)
         support = two_atom_curve_01.support
-        (rec,) = sd.classify_spikes(two_atom, 0.1, model.G1, support).supercritical
+        (rec,) = [r for r in sd.classify_spikes(two_atom, 0.1, model.G1, support)
+                  if r.supercritical]
         if ulps == 0:
             phi, _ = sd.optimal_lss(model, cfg, curve=two_atom_curve_01)
         else:
             rec = dataclasses.replace(rec, asy_sd=float(np.nextafter(rec.asy_sd, ulps * np.inf)))
-            phi = sd.lss_above_pt(model, sd.SpikeClassification((rec,)), two_atom_curve_01)
+            phi = sd.lss_above_pt(model, (rec,), two_atom_curve_01)
         w = 3.0 * rec.asy_sd / math.sqrt(model.resolved_n())
         for end, inward in ((rec.psi - w, 1), (rec.psi + w, -1)):
             i = int(np.searchsorted(phi.grid, end))
@@ -442,9 +457,10 @@ class TestSurrogateRule:
     def test_fires_only_just_above_the_upper_threshold(self, mp_unit, mp_curve, spike, expected):
         model = sd.SpikedModel(H=mp_unit, G0=mp_unit, G1=sd.AtomicMeasure.point_mass(spike),
                                gamma=0.5)
-        cls1 = sd.classify_spikes(mp_unit, 0.5, model.G1, mp_curve.support)
-        assert cls1.any_supercritical
-        got = surrogate_spike(model, cls1, mp_curve.support)
+        escaped = tuple(r for r in sd.classify_spikes(mp_unit, 0.5, model.G1, mp_curve.support)
+                        if r.supercritical)
+        assert escaped
+        got = surrogate_spike(model, escaped, mp_curve.support)
         if expected is None:
             assert got is None
         else:

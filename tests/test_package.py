@@ -36,11 +36,14 @@ def test_every_submodule_export_is_a_package_export():
     ("weak_derivative", "point_mass_residue"),
     ("classical", "linearize"),
     ("classical", "TestCatalogEntry"),
+    ("weak_derivative", "SpikeClassification"),
 ])
 def test_removed_names_stay_removed(module, name):
     # no stage, command or demo called these; the tests use the private core
     assert not hasattr(sd, name)
     assert not hasattr(importlib.import_module(f"specdetect.{module}"), name)
+    # support membership has one test, SupportSet.contains
+    assert not hasattr(sd.SupportSet, "distance")
 
 
 def test_catalog_functions_take_a_test_id_only(mp_unit, mp_curve):

@@ -319,6 +319,20 @@ class TestPowerExperiment:
         assert curve.supercritical[0]
         assert curve.power_lss[0] >= 0.5
 
+    def test_held_out_level_counts_the_solved_surrogate(self):
+        # spike 2.0 escapes the unit bulk but is replaced by the solved
+        # surrogate, 3.0 gets a bump: both are supercritical, and the level
+        # is the surrogate statistic's alone, not halved by the bump's zero
+        cfg = sd.SimConfig(
+            population={"kind": "atoms", "eigenvalues": [1.0], "multiplicities": [199]},
+            n=400, n_reps=100, alpha=0.05, seed=3, spike_grid=(2.0, 3.0),
+            points_per_interval=300,
+        )
+        curve = sd.power_experiment(cfg)
+        assert curve.supercritical.tolist() == [True, True]
+        assert curve.level_lss_per_spike[0] > 0.0
+        assert curve.realized_level_lss == curve.level_lss_per_spike[0]
+
     def test_split_support_sweep(self):
         # the two-interval bulk's kernel matrix is indefinite (smallest
         # eigenvalue -8.1e-4 against a ridge of 6.3e-7), which a Cholesky

@@ -42,24 +42,24 @@ class TestClassification:
         sup = mp_curve.support
         sub = sd.classify_spikes(mp_unit, GAMMA, sd.AtomicMeasure.point_mass(1.6), sup)
         sup_cls = sd.classify_spikes(mp_unit, GAMMA, sd.AtomicMeasure.point_mass(3.0), sup)
-        assert not sub.any_supercritical
-        assert sup_cls.any_supercritical
+        assert not any(r.supercritical for r in sub)
+        assert any(r.supercritical for r in sup_cls)
 
     def test_supercritical_has_sd(self, mp_unit, mp_curve):
         cls = sd.classify_spikes(mp_unit, GAMMA, sd.AtomicMeasure.point_mass(3.0), mp_curve.support)
-        rec = cls.records[0]
+        rec = cls[0]
         assert rec.supercritical
         assert rec.psi == pytest.approx(3.75)
         assert rec.asy_sd == pytest.approx(math.sqrt(2 * 9 * 0.875), rel=1e-12)
 
     def test_downward_spike_supercritical(self, mp_unit, mp_curve):
         cls = sd.classify_spikes(mp_unit, GAMMA, sd.AtomicMeasure.point_mass(0.2), mp_curve.support)
-        assert cls.records[0].supercritical
-        assert cls.records[0].psi < mp_curve.support.intervals[0][0]
+        assert cls[0].supercritical
+        assert cls[0].psi < mp_curve.support.intervals[0][0]
 
     def test_spike_equal_to_bulk_atom_subcritical(self, mp_unit, mp_curve):
         cls = sd.classify_spikes(mp_unit, GAMMA, sd.AtomicMeasure.point_mass(1.0), mp_curve.support)
-        assert not cls.any_supercritical
+        assert not any(r.supercritical for r in cls)
 
 
 class TestStieltjesOfDerivative:

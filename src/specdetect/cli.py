@@ -14,8 +14,10 @@ import logging
 import os
 import sys
 import time
-from dataclasses import fields
+from contextlib import suppress
+from dataclasses import MISSING, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -72,6 +74,34 @@ def _number(config: dict, name: str, kind: type, default=None):
         raise ConfigError(f"config field '{name}' must be {what}, not {value!r}")
 
 
+def _numbers(config: dict, name: str) -> tuple[float, ...]:
+    """config[name], a list of numbers, as a tuple of floats."""
+    value = config[name]
+    if isinstance(value, list):
+        with suppress(TypeError, ValueError):
+            return tuple(float(v) for v in value)
+    raise ConfigError(f"config field '{name}' must be a list of numbers, not {value!r}")
+
+
+def _record(cls, payload, where: str | None = None):
+    """The dataclass ``cls`` filled from the JSON object ``payload`` by the
+    rules for top-level fields; ``where`` prefixes a nested object's errors."""
+    try:
+        if not isinstance(payload, dict):
+            raise ConfigError(f"config must be an object, not {type(payload).__name__}")
+        reject_unknown(payload, [f.name for f in fields(cls)], "config has no field", ConfigError)
+        _require(payload, *(f.name for f in fields(cls) if f.default is MISSING))
+        kinds = get_type_hints(cls)
+        values = {}
+        for name, value in payload.items():
+            kind = kinds[name]
+            values[name] = (_number(payload, name, kind) if kind in (int, float) else
+                            _numbers(payload, name) if kind == tuple[float, ...] else value)
+        return cls(**values)
+    except (ConfigError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from None
+
+
 def _measure(config: dict, name: str) -> AtomicMeasure:
     _require(config, name)
     try:
@@ -98,13 +128,6 @@ class OutputTracker:
                 p.unlink()
 
 
-def _curve_outputs(curve, out: OutputTracker) -> None:
-    write_csv(out.path("stieltjes_curve.csv"),
-              ["x", "re_v", "im_v", "re_vp", "im_vp", "in_support"],
-              curve.to_rows())
-    write_json(out.path("support.json"), curve.support.to_dict())
-
-
 def _curve(config: dict) -> tuple[AtomicMeasure, float, StieltjesCurve]:
     """H, gamma and the curve of H on "points_per_interval" points per interval."""
     _require(config, "gamma")
@@ -115,7 +138,10 @@ def _curve(config: dict) -> tuple[AtomicMeasure, float, StieltjesCurve]:
 
 
 def cmd_spectrum(config: dict, out: OutputTracker, args) -> None:
-    _curve_outputs(_curve(config)[2], out)
+    curve = _curve(config)[2]
+    write_csv(out.path("stieltjes_curve.csv"),
+              ["x", "re_v", "im_v", "re_vp", "im_vp", "in_support"], curve.to_rows())
+    write_json(out.path("support.json"), curve.support.to_dict())
 
 
 def cmd_weak_derivative(config: dict, out: OutputTracker, args) -> None:
@@ -141,11 +167,11 @@ def _spiked_model(config: dict) -> SpikedModel:
 
 def cmd_optimal_lss(config: dict, out: OutputTracker, args) -> None:
     model = _spiked_model(config)
-    try:
-        algo = AlgoConfig(**config.get("config", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid algorithm config: {exc}")
-    scale_invariant = bool(config.get("scale_invariant", False))
+    algo = _record(AlgoConfig, config.get("config", {}), "invalid algorithm config")
+    scale_invariant = config.get("scale_invariant", False)
+    if not isinstance(scale_invariant, bool):
+        raise ConfigError("config field 'scale_invariant' must be true or false, "
+                          f"not {scale_invariant!r}")
     builder = optimal_ls3 if scale_invariant else optimal_lss
     phi, report = builder(model, algo)
     write_csv(out.path("lss.csv"), ["x", "phi", "segment"], phi.to_rows())
@@ -155,11 +181,7 @@ def cmd_optimal_lss(config: dict, out: OutputTracker, args) -> None:
 
 
 def cmd_power(config: dict, out: OutputTracker, args) -> None:
-    try:
-        sim = SimConfig.from_dict(config)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(exc.args[0])
-    curve = power_experiment(sim)
+    curve = power_experiment(_record(SimConfig, config))
     write_csv(out.path("power_curve.csv"),
               ["spike", "power_lss", "se_lss", "power_top", "se_top"],
               curve.to_rows())
@@ -172,23 +194,25 @@ def cmd_classical(config: dict, out: OutputTracker, args) -> None:
             print(test_id)
         return
     _require(config, "test_id")
-    if not isinstance(config["test_id"], str):
-        raise ConfigError("config field 'test_id' must be a string, "
-                          f"not {type(config['test_id']).__name__}")
-    H, gamma, curve = _curve(config)
+    test_id = config["test_id"]
+    if not isinstance(test_id, str):
+        raise ConfigError(f"config field 'test_id' must be a string, not {type(test_id).__name__}")
     params = config.get("parameters", {})
     if not isinstance(params, dict):
         raise ConfigError(f"config field 'parameters' must be an object, not {type(params).__name__}")
-    try:
-        phi = equivalent_lss(config["test_id"], H, gamma, curve, **params)
+    params = {name: _number(params, name, float) for name in params}
+    H, gamma, curve = _curve(config)
+    try:  # a test that refuses its parameters or eigenvalues writes no output
+        phi = equivalent_lss(test_id, H, gamma, curve, **params)
+        if "eigenvalues" in config:
+            _require(config, "n")
+            value = evaluate_statistic(test_id, _numbers(config, "eigenvalues"),
+                                       _number(config, "n", int), **params)
     except (KeyError, ValueError) as exc:
         raise ConfigError(exc.args[0])
     write_csv(out.path("classical_lss.csv"), ["x", "phi", "segment"], phi.to_rows())
     if "eigenvalues" in config:
-        _require(config, "n")
-        value = evaluate_statistic(config["test_id"], config["eigenvalues"],
-                                   _number(config, "n", int), **params)
-        write_json(out.path("statistic.json"), {"test_id": config["test_id"], "value": value})
+        write_json(out.path("statistic.json"), {"test_id": test_id, "value": value})
 
 
 def cmd_simulate(config: dict, out: OutputTracker, args) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,7 +147,6 @@ class SimConfig:
     null_spike: float = 1.0
     solver: str = "diagreg"
     points_per_interval: int = 1000
-    two_sided: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
@@ -169,18 +168,6 @@ class SimConfig:
     def gamma(self) -> float:
         return self.p / self.n
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "spike_grid": list(self.spike_grid)}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SimConfig":
-        """Build from a dict: a key that is no field raises ValueError, a missing one KeyError."""
-        reject_unknown(payload, [f.name for f in fields(cls)], "simulation config has no field")
-        for f in fields(cls):
-            if f.default is MISSING and f.name not in payload:
-                raise KeyError(f"simulation config is missing required field '{f.name}'")
-        return cls(**{**payload, "spike_grid": tuple(float(s) for s in payload["spike_grid"])})
-
 
 @dataclass
 class PowerCurve:
@@ -198,8 +185,8 @@ class PowerCurve:
     pt_threshold: float
     seed: int
     alpha: float
-    supercritical: np.ndarray = field(default_factory=lambda: np.array([], dtype=bool))
-    level_lss_per_spike: np.ndarray = field(default_factory=lambda: np.array([]))
+    supercritical: np.ndarray
+    level_lss_per_spike: np.ndarray
 
     def to_rows(self):
         for i in range(self.spikes.size):
@@ -225,18 +212,6 @@ def _upper_critical(null_stats: np.ndarray, alpha: float) -> float:
     m = null_stats.size
     k = min(m, math.ceil((1.0 - alpha) * (m + 1)))
     return float(np.sort(null_stats)[k - 1])
-
-
-def _make_rejector(null_stats: np.ndarray, alpha: float, two_sided: bool):
-    """Rejection rule calibrated on the null sample, applied to an array of
-    statistics; one-sided upper by default, equal-tailed two-sided behind
-    the flag."""
-    if not two_sided:
-        crit = _upper_critical(null_stats, alpha)
-        return (lambda s: s > crit), (crit,)
-    hi = _upper_critical(null_stats, alpha / 2.0)
-    lo = -_upper_critical(-null_stats, alpha / 2.0)
-    return (lambda s: (s > hi) | (s < lo)), (lo, hi)
 
 
 def _draw(pop: np.ndarray, n: int, seeds) -> np.ndarray:
@@ -275,8 +250,8 @@ def power_experiment(config: SimConfig) -> PowerCurve:
     null_eigs = _draw(np.concatenate([bulk, np.full(h, config.null_spike)]), config.n,
                       master.spawn(2 * reps))
     lam1_null = null_eigs[:, -1]
-    reject_top, top_info = _make_rejector(lam1_null[:reps], config.alpha, config.two_sided)
-    level_top = float(np.mean(reject_top(lam1_null[reps:])))
+    crit_top = _upper_critical(lam1_null[:reps], config.alpha)
+    level_top = float(np.mean(lam1_null[reps:] > crit_top))
 
     power_lss = np.empty_like(spikes)
     power_top = np.empty_like(spikes)
@@ -284,12 +259,11 @@ def power_experiment(config: SimConfig) -> PowerCurve:
     levels = np.empty_like(spikes)
     for i, (s, (phi, _)) in enumerate(zip(spikes, built)):
         t_null = apply_lss(phi, null_eigs)
-        reject_lss, lss_info = _make_rejector(t_null[:reps], config.alpha, config.two_sided)
-        crit_lss[i] = lss_info[-1]
-        levels[i] = np.mean(reject_lss(t_null[reps:]))
+        crit_lss[i] = _upper_critical(t_null[:reps], config.alpha)
+        levels[i] = np.mean(t_null[reps:] > crit_lss[i])
         alt_eigs = _draw(np.concatenate([bulk, np.full(h, s)]), config.n, master.spawn(reps))
-        power_lss[i] = np.mean(reject_lss(apply_lss(phi, alt_eigs)))
-        power_top[i] = np.mean(reject_top(alt_eigs[:, -1]))
+        power_lss[i] = np.mean(apply_lss(phi, alt_eigs) > crit_lss[i])
+        power_top[i] = np.mean(alt_eigs[:, -1] > crit_top)
 
     # bump statistics are degenerate (identically zero) under the null, so
     # the level is meaningful only where the solve route was used; the
@@ -305,7 +279,7 @@ def power_experiment(config: SimConfig) -> PowerCurve:
         realized_level_lss=level_lss,
         realized_level_top=level_top,
         critical_lss=crit_lss,
-        critical_top=top_info[-1],
+        critical_top=crit_top,
         pt_threshold=curve.support.upper_pt_threshold,
         seed=config.seed,
         alpha=config.alpha,

@@ -86,7 +86,37 @@ class TestEquivalentLss:
         assert np.allclose(phi(x), x - np.log(x + 0.5), atol=1e-12)
 
 
+# each statistic on the eigenvalues (1, 2, 4) with n = 6, so p = 3 and
+# gamma = p/n = 1/2, worked by hand from the test's original form
+BY_HAND = {
+    "lrt-identity": ({}, 4 - 3 * math.log(2)),  # 7 - log 8 - 3
+    "mauchly": ({}, 3 * math.log(7 / 6)),  # 3 log(7/3) - log 8
+    "john-identity": ({}, 7.0),
+    "john-sphericity": ({}, 6 / 7),  # (3/7 - 1)^2 + (6/7 - 1)^2 + (12/7 - 1)^2
+    "nagao": ({}, 10.0),
+    "ledoit-wolf": ({}, 10 - 49 / 6),
+    "fisher-2010": ({}, 13 / 7),  # 3 * 273 / 21^2
+    # z(5) = 45/8, so z - x is 37/8, 29/8 and 13/8
+    "omh-identity": ({"t": 5.0}, -math.log(37 * 29 * 13 / 8**3)),
+    # minus the slope (t - 1)/gamma = 8 times the trace 7
+    "omh-sphericity": ({"t": 5.0}, -math.log(37 * 29 * 13 / 8**3) - 56),
+    "regularized-lrt": ({"lam": 1.0}, 7 - math.log(30)),  # 7 - log(2 * 3 * 5)
+}
+
+
 class TestOriginalForms:
+    @pytest.mark.parametrize("test_id", sd.catalog_ids())
+    def test_value_by_hand_and_equivalent_lss_builds(self, mp_unit, mp_curve, test_id):
+        params, expected = BY_HAND[test_id]
+        value = sd.evaluate_statistic(test_id, [1.0, 2.0, 4.0], 6, **params)
+        assert value == pytest.approx(expected, rel=1e-14, abs=1e-14)
+        phi = sd.equivalent_lss(test_id, mp_unit, GAMMA, mp_curve, **params)
+        assert phi.values.shape == phi.grid.shape and np.isfinite(phi.values).all()
+
+    def test_omh_z_undefined_at_one(self):
+        with pytest.raises(ValueError, match="undefined at t = 1"):
+            sd.omh_z(1.0, GAMMA)
+
     def test_lrt_identity_zero_at_identity_spectrum(self):
         eigs = np.ones(10)
         assert sd.evaluate_statistic("lrt-identity", eigs, n=20) == pytest.approx(0.0, abs=1e-12)

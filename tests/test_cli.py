@@ -241,6 +241,31 @@ class TestClassical:
         assert not (out / "classical_lss.csv").exists()
         assert not (out / "manifest.json").exists()
 
+    def test_statistic_is_evaluate_statistic(self, tmp_path):
+        cfg = write_config(tmp_path / "cl.json", {
+            "test_id": "omh-identity", "H": UNIT, "gamma": 0.5, "points_per_interval": 120,
+            "parameters": {"t": 5.0}, "eigenvalues": [1.0, 2.0, 4.0], "n": 6,
+        })
+        out = tmp_path / "out"
+        assert run_cli(["classical-lss", "--config", cfg, "--out", str(out)]) == 0
+        assert read_json(out / "statistic.json") == {
+            "test_id": "omh-identity",
+            "value": sd.evaluate_statistic("omh-identity", [1.0, 2.0, 4.0], 6, t=5.0)}
+
+    def test_statistic_refused_exits_2_without_output(self, tmp_path, capsys):
+        # the identity LRT takes the log of every eigenvalue
+        cfg = write_config(tmp_path / "cl.json", {
+            "test_id": "lrt-identity", "H": UNIT, "gamma": 0.5, "points_per_interval": 120,
+            "eigenvalues": [0.0, 1.0], "n": 6,
+        })
+        out = tmp_path / "out"
+        assert run_cli(["classical-lss", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: identity LRT requires strictly positive eigenvalues\n")
+        assert not (out / "classical_lss.csv").exists()
+        assert not (out / "statistic.json").exists()
+        assert not (out / "manifest.json").exists()
+
 
 CURVE_COMMANDS = pytest.mark.parametrize("command, extra", [
     ("spectrum", {}),
@@ -318,6 +343,10 @@ def test_removed_flags_exit_2(tmp_path, command, flag, value):
     # simulate reads its bulk from "population" alone
     ("simulate", {"population": {"kind": "atoms", "eigenvalues": [1.0] * 5}, "n": 10,
                   "seed": 5}, "eigenvalues"),
+    # the sweep's tests are one-sided, so there is no two-sided switch
+    ("power", {"population": {"kind": "ar1", "rho": 0.5, "p": 19}, "n": 40, "n_reps": 100,
+               "alpha": 0.05, "seed": 1, "spike_grid": [3.0], "points_per_interval": 100},
+     "two_sided"),
 ])
 def test_unknown_top_level_field_exits_2(tmp_path, capsys, command, payload, typo):
     cfg = write_config(tmp_path / "c.json", {**payload, typo: 1})
@@ -335,7 +364,7 @@ def test_power_missing_field_message(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli(["power", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "error: simulation config is missing required field 'spike_grid'\n")
+        "error: config is missing required field 'spike_grid'\n")
     assert not (out / "manifest.json").exists()
 
 
@@ -390,10 +419,38 @@ ATOMS = {"kind": "atoms", "eigenvalues": [1.0, 2.0]}
      "config field 'seed' must be an integer, not 'x'"),
     ("simulate", {**SIMULATE, "population": ATOMS, "n_reps": [2]},
      "config field 'n_reps' must be an integer, not [2]"),
+    ("power", {**POWER, "population": ATOMS, "n": "many"},
+     "config field 'n' must be an integer, not 'many'"),
+    ("power", {**POWER, "population": ATOMS, "n_reps": "many"},
+     "config field 'n_reps' must be an integer, not 'many'"),
+    ("power", {**POWER, "population": ATOMS, "seed": "x"},
+     "config field 'seed' must be an integer, not 'x'"),
+    ("power", {**POWER, "population": ATOMS, "null_spike": "x"},
+     "config field 'null_spike' must be a number, not 'x'"),
+    ("power", {**POWER, "population": ATOMS, "points_per_interval": "x"},
+     "config field 'points_per_interval' must be an integer, not 'x'"),
+    ("power", {**POWER, "population": ATOMS, "spike_grid": 5},
+     "config field 'spike_grid' must be a list of numbers, not 5"),
+    ("optimal-lss", {**OPTIMAL, "config": {"points_per_interval": "x"}},
+     "invalid algorithm config: config field 'points_per_interval' must be an integer, not 'x'"),
+    ("optimal-lss", {**OPTIMAL, "config": {"epsilon": "x"}},
+     "invalid algorithm config: config field 'epsilon' must be a number, not 'x'"),
+    ("optimal-lss", {**OPTIMAL, "config": [120]},
+     "invalid algorithm config: config must be an object, not list"),
+    ("optimal-lss", {**OPTIMAL, "scale_invariant": "no"},
+     "config field 'scale_invariant' must be true or false, not 'no'"),
+    ("classical-lss", {**SPECTRUM, "test_id": "omh-identity", "parameters": {"t": "x"}},
+     "config field 't' must be a number, not 'x'"),
+    ("classical-lss", {**SPECTRUM, "test_id": "nagao", "eigenvalues": "abc", "n": 6},
+     "config field 'eigenvalues' must be a list of numbers, not 'abc'"),
 ], ids=["simulate-population-list", "power-population-list", "simulate-p-string",
         "power-p-string", "classical-parameters-list", "spectrum-gamma-string",
         "spectrum-gamma-list", "spectrum-points-string", "optimal-n-string", "optimal-h-string",
-        "classical-test-id-list", "simulate-seed-string", "simulate-n-reps-list"])
+        "classical-test-id-list", "simulate-seed-string", "simulate-n-reps-list",
+        "power-n-string", "power-n-reps-string", "power-seed-string", "power-null-spike-string",
+        "power-points-string", "power-spike-grid-number", "optimal-config-points-string",
+        "optimal-config-epsilon-string", "optimal-config-list", "optimal-scale-invariant-string",
+        "classical-parameter-string", "classical-eigenvalues-string"])
 def test_wrong_typed_field_exits_2(tmp_path, capsys, command, payload, message):
     # a value of the wrong type is a config error, not a runtime failure
     cfg = write_config(tmp_path / "c.json", payload)
@@ -411,6 +468,70 @@ def test_numeric_strings_stay_accepted(tmp_path):
     assert run_cli(["spectrum", "--config", cfg, "--out", str(out)]) == 0
     (lo, hi), = read_json(out / "support.json")["intervals"]
     assert hi == pytest.approx((1 + math.sqrt(0.5)) ** 2, abs=1e-8)
+
+
+@pytest.mark.parametrize("command, payload, as_strings, output", [
+    ("power", {"population": {"kind": "atoms", "eigenvalues": [1.0], "multiplicities": [19]},
+               "n": 40, "n_reps": 100, "alpha": 0.05, "seed": 3, "h": 2, "spike_grid": [1.3],
+               "points_per_interval": 100},
+     {"alpha": "0.05", "h": "2"}, "power_curve.csv"),
+    ("optimal-lss", {**OPTIMAL, "config": {"points_per_interval": 300}},
+     {"config": {"points_per_interval": "300"}}, "efficacy.json"),
+    ("classical-lss", {**SPECTRUM, "test_id": "omh-identity", "parameters": {"t": 1.6}},
+     {"parameters": {"t": "1.6"}}, "classical_lss.csv"),
+], ids=["power", "optimal-lss", "classical-lss"])
+def test_numeric_strings_convert_in_every_object(tmp_path, command, payload, as_strings,
+                                                 output):
+    # power's fields, the "config" object and "parameters" read numbers as the
+    # top level does: a string that converts gives the run of the number
+    outs = []
+    for name, cfg in (("numbers", payload), ("strings", {**payload, **as_strings})):
+        outs.append(tmp_path / name)
+        assert run_cli([command, "--config", write_config(tmp_path / f"{name}.json", cfg),
+                        "--out", str(outs[-1])]) == 0
+    a, b = ((out / output).read_bytes() for out in outs)
+    assert a == b
+
+
+def test_scale_invariant_true_builds_the_scale_invariant_statistic(tmp_path):
+    efficacies = {}
+    for flag in (False, True):
+        out = tmp_path / str(flag)
+        cfg = write_config(tmp_path / f"{flag}.json", {**OPTIMAL, "scale_invariant": flag})
+        assert run_cli(["optimal-lss", "--config", cfg, "--out", str(out)]) == 0
+        efficacies[flag] = read_json(out / "efficacy.json")["efficacy"]
+    model = sd.SpikedModel(H=sd.AtomicMeasure.point_mass(1.0),
+                           G0=sd.AtomicMeasure.point_mass(1.0),
+                           G1=sd.AtomicMeasure.point_mass(1.6), gamma=0.5)
+    config = sd.AlgoConfig(points_per_interval=120)
+    assert efficacies[False] == sd.optimal_lss(model, config)[1].efficacy
+    assert efficacies[True] == sd.optimal_ls3(model, config)[1].efficacy
+    assert efficacies[True] != efficacies[False]
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "none.json"
+    out = tmp_path / "out"
+    assert run_cli(["spectrum", "--config", str(missing), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: config file not found: {missing}\n"
+    assert not (out / "manifest.json").exists()
+
+
+def test_invalid_json_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"gamma": 0.5,')
+    out = tmp_path / "out"
+    assert run_cli(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: config is not valid JSON: ")
+    assert not (out / "manifest.json").exists()
+
+
+def test_no_config_flag_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["spectrum", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "spectrum requires --config" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestSimulate:

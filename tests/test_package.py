@@ -30,20 +30,29 @@ def test_every_submodule_export_is_a_package_export():
                                                         set(module.__all__) - set(sd.__all__))
 
 
-@pytest.mark.parametrize("module, name", [
+@pytest.mark.parametrize("owner, name", [
     ("mp", "silverstein_residual"),
     ("weak_derivative", "weak_derivative_st"),
     ("weak_derivative", "point_mass_residue"),
     ("classical", "linearize"),
     ("classical", "TestCatalogEntry"),
     ("weak_derivative", "SpikeClassification"),
-])
-def test_removed_names_stay_removed(module, name):
-    # no stage, command or demo called these; the tests use the private core
-    assert not hasattr(sd, name)
-    assert not hasattr(importlib.import_module(f"specdetect.{module}"), name)
     # support membership has one test, SupportSet.contains
-    assert not hasattr(sd.SupportSet, "distance")
+    ("mp.SupportSet", "distance"),
+    # the CLI fills SimConfig, and the sweep has one, one-sided, rejection rule
+    ("simulate.SimConfig", "from_dict"),
+    ("simulate.SimConfig", "to_dict"),
+    ("simulate.SimConfig", "two_sided"),
+    ("simulate", "_make_rejector"),
+])
+def test_removed_names_stay_removed(owner, name):
+    # README lists what replaces each of these
+    module, *path = owner.split(".")
+    obj = importlib.import_module(f"specdetect.{module}")
+    for attr in path:
+        obj = getattr(obj, attr)
+    assert not hasattr(sd, name)
+    assert not hasattr(obj, name)
 
 
 def test_catalog_functions_take_a_test_id_only(mp_unit, mp_curve):

@@ -16,7 +16,7 @@ import numpy as np
 from .io import reject_unknown
 from .measures import AtomicMeasure
 from .mp import StieltjesCurve, forward_moments
-from .optimal import SEG_OUTSIDE, SEG_SUPPORT, LssFunction
+from .optimal import SEG_SUPPORT, LssFunction
 
 __all__ = [
     "catalog_ids",
@@ -162,11 +162,9 @@ def _resolve_entry(test_id: str, params: dict) -> _CatalogEntry:
 
 
 def _on_curve(phi: Callable[[np.ndarray], np.ndarray], curve: StieltjesCurve) -> LssFunction:
-    """phi on the curve's grid, held at its end values out to the enclosing interval."""
-    a, b = curve.support.enclosing_interval
-    return LssFunction(grid=np.concatenate([[a], curve.grid, [b]]),
-                       values=np.pad(phi(curve.grid), 1, mode="edge"),
-                       segments=[SEG_OUTSIDE] + [SEG_SUPPORT] * curve.grid.size + [SEG_OUTSIDE])
+    """phi on the curve's grid; evaluation extends it."""
+    return LssFunction(grid=curve.grid.copy(), values=np.array(phi(curve.grid), dtype=float),
+                       segments=[SEG_SUPPORT] * curve.grid.size)
 
 
 def equivalent_lss(test_id: str, H: AtomicMeasure, gamma: float, curve: StieltjesCurve,

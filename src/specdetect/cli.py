@@ -47,11 +47,14 @@ def _setup_logging() -> None:
 
 def _load_config(path: str) -> dict:
     try:
-        return read_json(Path(path))
+        config = read_json(Path(path))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    if not isinstance(config, dict):
+        raise ConfigError(f"config must be an object, not {type(config).__name__}")
+    return config
 
 
 def _require(config: dict, *fields: str) -> None:
@@ -63,15 +66,17 @@ def _require(config: dict, *fields: str) -> None:
 def _number(config: dict, name: str, kind: type, default=None):
     """config[name] (or ``default`` when absent) converted by ``kind``, float or int.
 
-    Anything ``kind`` converts is accepted, as "0.5" for a float; a value it
-    refuses is a config error naming the field.
+    A string ``kind`` converts is accepted, as "0.5" for a float; an integer
+    field takes a number only when it is integer-valued, as 10.0.  Any other
+    value is a config error naming the field.
     """
     value = config.get(name, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        what = "a number" if kind is float else "an integer"
-        raise ConfigError(f"config field '{name}' must be {what}, not {value!r}")
+    with suppress(TypeError, ValueError, OverflowError):
+        number = kind(value)
+        if kind is float or isinstance(value, str) or number == value:
+            return number
+    what = "a number" if kind is float else "an integer"
+    raise ConfigError(f"config field '{name}' must be {what}, not {value!r}")
 
 
 def _numbers(config: dict, name: str) -> tuple[float, ...]:

@@ -288,7 +288,6 @@ class SupportSet:
     """
 
     intervals: tuple[tuple[float, float], ...]
-    enclosing_interval: tuple[float, float]
     edge_v: tuple[tuple[float, float], ...] = field(default=())
     spike_windows: tuple[tuple[float, float, float, float], ...] = field(default=())
 
@@ -301,10 +300,7 @@ class SupportSet:
         return -1.0 / self.edge_v[-1][1]
 
     def to_dict(self) -> dict:
-        return {
-            "intervals": [list(iv) for iv in self.intervals],
-            "enclosing_interval": list(self.enclosing_interval),
-        }
+        return {"intervals": [list(iv) for iv in self.intervals]}
 
 
 def _bisect(f, neg: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -432,17 +428,8 @@ def support_intervals(H: AtomicMeasure, gamma: float) -> SupportSet:
         s_hi = math.inf if v_hi == 0.0 else -1.0 / v_hi
         windows.append((s_lo, s_hi, x_lo, x_hi))
     windows.sort()
-
-    lo_all = intervals[0][0]
-    hi_all = intervals[-1][1]
-    margin = 0.05 * (hi_all - lo_all)
-    enclosing = (max(0.0, lo_all - margin), hi_all + margin)
-    return SupportSet(
-        intervals=tuple(intervals),
-        enclosing_interval=enclosing,
-        edge_v=tuple(edge_v),
-        spike_windows=tuple(windows),
-    )
+    return SupportSet(intervals=tuple(intervals), edge_v=tuple(edge_v),
+                      spike_windows=tuple(windows))
 
 
 def _real_limit(H: AtomicMeasure, gamma: float, x: np.ndarray,
@@ -534,7 +521,7 @@ class StieltjesCurve:
         """Grid indices of support interval j; refuses a curve with dropped points.
 
         Every quadrature, cumulative sum and finite difference over the grid
-        goes through here, so none of them can bridge a hole.
+        goes through here or ``require_complete``, so none can bridge a hole.
         """
         self.require_complete()
         idx = np.flatnonzero(self.interval_id == j)

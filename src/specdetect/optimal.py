@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 SEG_SUPPORT = "in-support"
-SEG_BETWEEN = "between-bulk-linear"
 SEG_OUTSIDE = "outside-constant"
 SEG_BUMP = "epanechnikov-bump"
 
@@ -108,12 +107,12 @@ class AlgoConfig:
 
 @dataclass
 class LssFunction:
-    """Pointwise test function with piecewise-linear interpolation.
+    """Test function stored at its grid points; ``segments`` labels each
+    point with the construction it came from.
 
-    Constant beyond the outermost grid points on each side; ``segments``
-    labels every grid point with the construction it came from.  The
-    derivative on the support grid is kept when the function came from
-    the integral-equation route.
+    Evaluation is the one extension rule: linear between stored points and
+    constant beyond the outermost ones.  The derivative on the support grid
+    is kept when the function came from the integral-equation route.
     """
 
     grid: np.ndarray
@@ -123,8 +122,7 @@ class LssFunction:
     derivative: np.ndarray | None = None
 
     def __call__(self, x) -> np.ndarray:
-        return np.interp(np.asarray(x, dtype=float), self.grid, self.values,
-                         left=self.values[0], right=self.values[-1])
+        return np.interp(np.asarray(x, dtype=float), self.grid, self.values)
 
     def normalized(self) -> "LssFunction":
         """Copy anchored to zero at the left and scaled to max-abs one."""
@@ -152,39 +150,15 @@ def epanechnikov(x: np.ndarray) -> np.ndarray:
 
 
 def integrate_derivative(curve: StieltjesCurve, g: np.ndarray) -> LssFunction:
-    """Antiderivative of g on the support, extended linearly between bulks
-    and as a constant outside."""
+    """Cumulative trapezoid of g on the curve's grid, zero at its first point.
+
+    Refuses a curve with dropped points; evaluation extends the result.
+    """
+    curve.require_complete()
     grid = curve.grid
     phi = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(grid))])
-    a, b = curve.support.enclosing_interval
-    xs = [a]
-    ys = [phi[0]]
-    labels = [SEG_OUTSIDE]
-    for j in range(curve.n_intervals):
-        sl = curve.interval_slice(j)
-        if j > 0:
-            # support edges bounding the gap, values on the connecting line
-            prev_hi = curve.support.intervals[j - 1][1]
-            this_lo = curve.support.intervals[j][0]
-            x0, y0 = xs[-1], ys[-1]
-            x1, y1 = grid[sl.start], phi[sl.start]
-            for xg in (prev_hi, this_lo):
-                yg = y0 + (y1 - y0) * (xg - x0) / (x1 - x0)
-                xs.append(xg)
-                ys.append(yg)
-                labels.append(SEG_BETWEEN)
-        xs.extend(grid[sl].tolist())
-        ys.extend(phi[sl].tolist())
-        labels.extend([SEG_SUPPORT] * (sl.stop - sl.start))
-    xs.append(b)
-    ys.append(ys[-1])
-    labels.append(SEG_OUTSIDE)
-    return LssFunction(
-        grid=np.array(xs),
-        values=np.array(ys),
-        segments=labels,
-        derivative=np.asarray(g, dtype=float).copy(),
-    )
+    return LssFunction(grid=grid.copy(), values=phi, segments=[SEG_SUPPORT] * grid.size,
+                       derivative=np.asarray(g, dtype=float).copy())
 
 
 def surrogate_spike(model: SpikedModel, escaped: tuple[SpikeRecord, ...],
@@ -223,7 +197,6 @@ def lss_above_pt(model: SpikedModel, escaped: tuple[SpikeRecord, ...],
     support = curve.support
     s_min = support.intervals[0][0]
     s_max = support.intervals[-1][1]
-    a, b = support.enclosing_interval
 
     bump_specs = []
     for rec in escaped:
@@ -233,9 +206,6 @@ def lss_above_pt(model: SpikedModel, escaped: tuple[SpikeRecord, ...],
     xs = list(curve.grid)
     for psi, w, _, _ in bump_specs:
         xs.extend(np.linspace(psi - w, psi + w, 201).tolist())
-    lo = min(a, min(psi - 2 * w for psi, w, _, _ in bump_specs))
-    hi = max(b, max(psi + 2 * w for psi, w, _, _ in bump_specs))
-    xs.extend([lo, hi])
     grid = np.unique(np.array(xs))
 
     values = np.zeros_like(grid)
@@ -250,14 +220,8 @@ def lss_above_pt(model: SpikedModel, escaped: tuple[SpikeRecord, ...],
             contribution[grid <= psi] = 1.0
         values = np.maximum(values, contribution)
         bump_mask |= contribution > 0
-    labels = []
-    for i, x in enumerate(grid):
-        if bump_mask[i]:
-            labels.append(SEG_BUMP)
-        elif support.contains(x):
-            labels.append(SEG_SUPPORT)
-        else:
-            labels.append(SEG_OUTSIDE)
+    labels = [SEG_BUMP if bump else SEG_SUPPORT if support.contains(x) else SEG_OUTSIDE
+              for x, bump in zip(grid, bump_mask)]
     return LssFunction(grid=grid, values=values, segments=labels)
 
 
@@ -280,25 +244,14 @@ def optimal_ls3(model: SpikedModel, config: AlgoConfig | None = None,
     """Scale-invariant variant: the derivative is constrained orthogonal to
     D(x) = x * density(x), removing sensitivity to an unknown overall scale.
 
-    Works at the unit-mean normalization; models with a different
-    population mean are rescaled internally and the returned function is
-    meant to be applied to standardized eigenvalues.  The regime and the
-    surrogate rule are those of ``optimal_lss``; the constrained system
+    The statistic is in the model's own units, like that of ``optimal_lss``,
+    and so are the regime and the surrogate rule; the constrained system
     has a diagreg solve only.
     """
     config = config or AlgoConfig()
     if config.solver != "diagreg":
         raise ValueError(f"the scale-invariant statistic has no '{config.solver}' solve; "
                          "use solver 'diagreg'")
-    m1 = model.H.moment(1)
-    if abs(m1 - 1.0) > 1e-12:
-        scale = 1.0 / m1
-
-        def scaled(mu: AtomicMeasure) -> AtomicMeasure:
-            return AtomicMeasure(mu.atoms * scale, mu.weights)
-
-        model = replace(model, H=scaled(model.H), G0=scaled(model.G0), G1=scaled(model.G1))
-        curve = None
     return _build(model, config, curve, _projected_solve)
 
 

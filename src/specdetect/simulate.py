@@ -97,11 +97,19 @@ def apply_lss(phi: LssFunction, eigenvalues) -> float | np.ndarray:
 
 # each population kind with its required keys and its optional ones
 _POPULATION_KEYS = {"ar1": (("rho", "p"), ()), "atoms": (("eigenvalues",), ("multiplicities",))}
+# what each population value must be: a name for messages, the type of the
+# value (or of each item of a list) and whether it is a list
+_POPULATION_VALUES = {
+    "rho": ("a number", numbers.Real, False),
+    "p": ("an integer", numbers.Integral, False),
+    "eigenvalues": ("a list of numbers", numbers.Real, True),
+    "multiplicities": ("a list of integers", numbers.Integral, True),
+}
 
 
 def _check_population(population: dict) -> None:
     """Reject a population that is not a dict, is of unknown kind, misses a key
-    or has an extra one, or whose ar1 dimension is not an integer."""
+    or has an extra one, or holds a value of the wrong type."""
     if not isinstance(population, dict):
         raise ValueError(f"population must be an object, not {type(population).__name__}")
     kind = population.get("kind")
@@ -112,9 +120,13 @@ def _check_population(population: dict) -> None:
         if name not in population:
             raise ValueError(f"population '{kind}' is missing required key '{name}'")
     reject_unknown(population, ("kind", *required, *optional), f"population '{kind}' has no key")
-    if kind == "ar1" and not isinstance(population["p"], numbers.Integral):
-        raise ValueError("population 'ar1' key 'p' must be an integer, "
-                         f"not {type(population['p']).__name__}")
+    for name in (*required, *optional):
+        what, cls, listed = _POPULATION_VALUES[name]
+        value = population.get(name, [])
+        items = value if isinstance(value, list) else [value]
+        if listed != isinstance(value, list) or not all(isinstance(v, cls) for v in items):
+            shown = repr(value) if listed else type(value).__name__
+            raise ValueError(f"population '{kind}' key '{name}' must be {what}, not {shown}")
 
 
 def _population_eigenvalues(population: dict) -> np.ndarray:

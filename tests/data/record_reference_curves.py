@@ -57,7 +57,6 @@ def main() -> None:
         data[f"{name}/dropped_x"] = np.array([x for x, _ in curve.dropped], dtype=float)
         data[f"{name}/dropped_reason"] = np.array([r for _, r in curve.dropped], dtype=str)
         data[f"{name}/intervals"] = np.array(sup.intervals, dtype=float)
-        data[f"{name}/enclosing_interval"] = np.array(sup.enclosing_interval, dtype=float)
         data[f"{name}/edge_v"] = np.array(sup.edge_v, dtype=float)
         data[f"{name}/spike_windows"] = np.array(sup.spike_windows, dtype=float).reshape(-1, 4)
         refinements, gaps = _edge_refinements(H, sd.AtomicMeasure.point_mass(spike), gamma, curve)

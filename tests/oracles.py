@@ -82,3 +82,71 @@ def spike_forward_map(atoms, weights, gamma: float, s: float) -> tuple[float, fl
     terms = [(w * t / (s - t), w * t * t / (s - t) ** 2) for t, w in zip(atoms, weights)]
     return (s * (1.0 + gamma * math.fsum(a for a, _ in terms)),
             1.0 - gamma * math.fsum(b for _, b in terms))
+
+
+def _companion_transform(atoms, weights, gamma: float, z: np.ndarray):
+    """v(z) and v'(z) at complex z off the real axis, for the bulk sum w delta_t.
+
+    v solves z = -1/v + gamma * sum w t/(1 + t v) with Im v of the sign of
+    Im z.  The fixed-point iteration v <- -1/(z - gamma * sum w t/(1 + t v))
+    maps that half-plane into itself and converges there; Newton steps on
+    z(v) then polish v, and v' = 1/z'(v).
+    """
+    t = np.asarray(atoms, dtype=float)[:, None]
+    w = np.asarray(weights, dtype=float)[:, None]
+    v = -1.0 / z
+    for _ in range(5000):
+        new = -1.0 / (z - gamma * np.sum(w * t / (1.0 + t * v), axis=0))
+        done = np.max(np.abs(new - v)) <= 1e-14 * np.max(np.abs(new))
+        v = new
+        if done:
+            break
+    for _ in range(3):
+        z_of_v = -1.0 / v + gamma * np.sum(w * t / (1.0 + t * v), axis=0)
+        dz_dv = 1.0 / v**2 - gamma * np.sum(w * t * t / (1.0 + t * v) ** 2, axis=0)
+        v = v - (z_of_v - z) / dz_dv
+    return v, 1.0 / dz_dv
+
+
+def _top_edge(atoms, weights, gamma: float) -> float:
+    """Top edge of the support: x(v) at the root of g(v) = 1 in (-1/t_max, 0).
+
+    x'(v) = (1 - g(v))/v^2 with g(v) = gamma * sum w (t v/(1 + t v))^2, and g
+    falls from infinity to 0 across that interval, so bisection finds it.
+    """
+    t = np.asarray(atoms, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    lo, hi = -1.0 / np.max(t), 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if gamma * np.sum(w * (t * mid / (1.0 + t * mid)) ** 2) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return float(-1.0 / hi + gamma * np.sum(w * t / (1.0 + t * hi)))
+
+
+def contour_cov(H, gamma: float, f, g, nodes: int = 400) -> float:
+    """Limiting covariance of sum f(lambda_i) and sum g(lambda_i), real case.
+
+    Bai & Silverstein (2004):
+    Cov(f, g) = -1/(2 pi^2) oint oint f(z1) g(z2) v'(z1) v'(z2) / (v(z1) - v(z2))^2 dz1 dz2,
+    with z1 and z2 on two nested counterclockwise ellipses centred at x_max/2
+    (x_max the top edge), of semi-axes (0.62 x_max, 0.25 x_max + 0.05) and
+    (0.8 x_max, 0.45 x_max + 0.1).  Both enclose the support and 0, and the
+    midpoint rule in the angle, ``nodes`` points each, puts no node on the
+    real axis.  f and g must be analytic inside the outer ellipse.
+    """
+    x_max = _top_edge(H.atoms, H.weights, gamma)
+    theta = 2.0 * math.pi * (np.arange(nodes) + 0.5) / nodes
+
+    def ellipse(a: float, b: float):
+        z = 0.5 * x_max + a * np.cos(theta) + 1j * b * np.sin(theta)
+        dz = (-a * np.sin(theta) + 1j * b * np.cos(theta)) * (2.0 * math.pi / nodes)
+        v, v_prime = _companion_transform(H.atoms, H.weights, gamma, z)
+        return z, v, v_prime * dz
+
+    z1, v1, dv1 = ellipse(0.62 * x_max, 0.25 * x_max + 0.05)
+    z2, v2, dv2 = ellipse(0.8 * x_max, 0.45 * x_max + 0.1)
+    total = (f(z1) * dv1) @ ((1.0 / (v1[:, None] - v2[None, :]) ** 2) @ (g(z2) * dv2))
+    return float((-total / (2.0 * math.pi**2)).real)

@@ -1,8 +1,10 @@
+import importlib
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -375,7 +377,13 @@ def test_power_missing_field_message(tmp_path, capsys):
      "population 'atoms' is missing required key 'eigenvalues'"),
     ({"kind": "atoms", "eigenvalues": [1.0] * 6, "rho": 0.5, "p": 6},
      "population 'atoms' has no key 'p', 'rho'"),
-], ids=["ar1-missing", "ar1-extra", "atoms-missing", "atoms-extra"])
+    ({"kind": "ar1", "rho": "0.5", "p": 6}, "population 'ar1' key 'rho' must be a number, not str"),
+    ({"kind": "atoms", "eigenvalues": "abc"},
+     "population 'atoms' key 'eigenvalues' must be a list of numbers, not 'abc'"),
+    ({"kind": "atoms", "eigenvalues": [1.0, 2.0], "multiplicities": [3, 2.5]},
+     "population 'atoms' key 'multiplicities' must be a list of integers, not [3, 2.5]"),
+], ids=["ar1-missing", "ar1-extra", "atoms-missing", "atoms-extra", "ar1-rho-string",
+        "atoms-eigenvalues-string", "atoms-multiplicities-fraction"])
 @pytest.mark.parametrize("command, payload", [
     ("simulate", {"n": 12, "seed": 3}),
     ("power", {"n": 12, "n_reps": 100, "alpha": 0.05, "seed": 3, "spike_grid": [3.0]}),
@@ -443,6 +451,16 @@ ATOMS = {"kind": "atoms", "eigenvalues": [1.0, 2.0]}
      "config field 't' must be a number, not 'x'"),
     ("classical-lss", {**SPECTRUM, "test_id": "nagao", "eigenvalues": "abc", "n": 6},
      "config field 'eigenvalues' must be a list of numbers, not 'abc'"),
+    # an integer field takes an integer-valued number only, never a truncated one
+    ("simulate", {**SIMULATE, "population": ATOMS, "n": 10.7},
+     "config field 'n' must be an integer, not 10.7"),
+    ("simulate", {**SIMULATE, "population": ATOMS, "seed": 1.9},
+     "config field 'seed' must be an integer, not 1.9"),
+    ("power", {**POWER, "population": ATOMS, "n_reps": 100.5},
+     "config field 'n_reps' must be an integer, not 100.5"),
+    ("optimal-lss", {**OPTIMAL, "h": 1.5}, "config field 'h' must be an integer, not 1.5"),
+    ("spectrum", {**SPECTRUM, "points_per_interval": 120.5},
+     "config field 'points_per_interval' must be an integer, not 120.5"),
 ], ids=["simulate-population-list", "power-population-list", "simulate-p-string",
         "power-p-string", "classical-parameters-list", "spectrum-gamma-string",
         "spectrum-gamma-list", "spectrum-points-string", "optimal-n-string", "optimal-h-string",
@@ -450,7 +468,9 @@ ATOMS = {"kind": "atoms", "eigenvalues": [1.0, 2.0]}
         "power-n-string", "power-n-reps-string", "power-seed-string", "power-null-spike-string",
         "power-points-string", "power-spike-grid-number", "optimal-config-points-string",
         "optimal-config-epsilon-string", "optimal-config-list", "optimal-scale-invariant-string",
-        "classical-parameter-string", "classical-eigenvalues-string"])
+        "classical-parameter-string", "classical-eigenvalues-string", "simulate-n-fraction",
+        "simulate-seed-fraction", "power-n-reps-fraction", "optimal-h-fraction",
+        "spectrum-points-fraction"])
 def test_wrong_typed_field_exits_2(tmp_path, capsys, command, payload, message):
     # a value of the wrong type is a config error, not a runtime failure
     cfg = write_config(tmp_path / "c.json", payload)
@@ -468,6 +488,45 @@ def test_numeric_strings_stay_accepted(tmp_path):
     assert run_cli(["spectrum", "--config", cfg, "--out", str(out)]) == 0
     (lo, hi), = read_json(out / "support.json")["intervals"]
     assert hi == pytest.approx((1 + math.sqrt(0.5)) ** 2, abs=1e-8)
+
+
+@pytest.mark.parametrize("value", [120.0, "120"])
+def test_integer_valued_numbers_stay_accepted(tmp_path, value):
+    outs = []
+    for name, points in (("int", 120), ("other", value)):
+        outs.append(tmp_path / name)
+        cfg = write_config(tmp_path / f"{name}.json", {**SPECTRUM, "points_per_interval": points})
+        assert run_cli(["spectrum", "--config", cfg, "--out", str(outs[-1])]) == 0
+    a, b = ((out / "stieltjes_curve.csv").read_bytes() for out in outs)
+    assert a == b
+
+
+def test_config_holding_a_list_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", [SPECTRUM])
+    out = tmp_path / "out"
+    assert run_cli(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: config must be an object, not list\n"
+    assert not (out / "manifest.json").exists()
+
+
+def test_statistics_are_written_at_the_curve_grid(tmp_path):
+    # lss.csv and classical_lss.csv hold phi at the curve's grid points and
+    # nothing else; support.json holds the support intervals only
+    def run(command, payload, output):
+        out = tmp_path / command
+        cfg = write_config(tmp_path / f"{command}.json", payload)
+        assert run_cli([command, "--config", cfg, "--out", str(out)]) == 0
+        rows = (out / output).read_text().splitlines()[1:]
+        return out, np.array([float(r.split(",")[0]) for r in rows])
+
+    grid = sd.stieltjes_grid(sd.AtomicMeasure.point_mass(1.0), 0.5, points_per_interval=120).grid
+    out, xs = run("spectrum", SPECTRUM, "stieltjes_curve.csv")
+    assert np.array_equal(xs, grid)
+    assert list(read_json(out / "support.json")) == ["intervals"]
+    _, xs = run("optimal-lss", OPTIMAL, "lss.csv")
+    assert np.array_equal(xs, grid)
+    _, xs = run("classical-lss", {**SPECTRUM, "test_id": "nagao"}, "classical_lss.csv")
+    assert np.array_equal(xs, grid)
 
 
 @pytest.mark.parametrize("command, payload, as_strings, output", [
@@ -635,6 +694,14 @@ class TestManifestReplay:
 
 
 class TestEntryPoint:
+    def test_console_script_is_cli_main(self):
+        # the installed `specdetect` command runs cli.main
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["specdetect"]
+        module, attr = target.split(":")
+        assert getattr(importlib.import_module(module), attr) is main
+
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "specdetect.cli", "classical-lss", "--list"],

@@ -311,3 +311,19 @@ class TestMoments:
                                delta, h=h) for h in (1, 2, 5)]
         assert reps[1].efficacy == pytest.approx(2 * reps[0].efficacy, rel=1e-9)
         assert reps[2].efficacy == pytest.approx(5 * reps[0].efficacy, rel=1e-9)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP known defect 'Reported efficacy is gamma times the "
+                              "true one': mu reads gamma * h * (t1 - t0) for phi = x")
+    @pytest.mark.parametrize("bulk, gamma, t1", [
+        ("unit", 0.2, 1.2), ("unit", 0.5, 1.2), ("unit", 0.8, 1.2), ("ar1", 0.5, 4.0),
+    ], ids=["unit-gamma0.2", "unit-gamma0.5", "unit-gamma0.8", "ar1-rho0.7"])
+    def test_trace_mean_shift_is_exact(self, bulk, gamma, t1):
+        # phi = x: E tr S(alt) - E tr S(null) = h * (t1 - t0) at every n
+        H = (sd.AtomicMeasure.point_mass(1.0) if bulk == "unit" else
+             sd.AtomicMeasure.uniform(sd.ar1_eigenvalues(0.7, 249)))
+        curve = sd.stieltjes_grid(H, gamma, points_per_interval=1000)
+        delta = sd.delta_diff(H, sd.AtomicMeasure.point_mass(1.0),
+                              sd.AtomicMeasure.point_mass(t1), gamma, curve)
+        rep = sd.lss_moments(curve, sd.assemble_diagreg(curve), lambda x: x, delta, h=1)
+        assert rep.mu == pytest.approx(t1 - 1.0, rel=1e-3)

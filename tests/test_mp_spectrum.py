@@ -153,12 +153,6 @@ class TestSupport:
             assert lc == pytest.approx(c * l1, rel=1e-6)
             assert uc == pytest.approx(c * u1, rel=1e-6)
 
-    def test_enclosing_interval_strictly_contains(self, two_atom):
-        sup = sd.support_intervals(two_atom, 0.1)
-        a, b = sup.enclosing_interval
-        assert a < sup.intervals[0][0]
-        assert b > sup.intervals[-1][1]
-
     def test_pt_threshold_matches_closed_form(self, mp_unit):
         sup = sd.support_intervals(mp_unit, 0.5)
         assert sup.upper_pt_threshold == pytest.approx(1.0 + math.sqrt(0.5), abs=1e-8)

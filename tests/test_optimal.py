@@ -109,9 +109,10 @@ class TestIntegrateDerivative:
 
     def test_constant_extension_outside(self, mp_curve):
         phi = sd.integrate_derivative(mp_curve, np.cos(mp_curve.grid))
-        a, b = mp_curve.support.enclosing_interval
-        assert phi(a - 5.0) == phi.values[0]
-        assert phi(b + 5.0) == phi.values[-1]
+        (lo, hi), = mp_curve.support.intervals
+        assert np.array_equal(phi.grid, mp_curve.grid)
+        assert phi(lo - 5.0) == phi(lo) == phi.values[0]
+        assert phi(hi + 5.0) == phi(hi) == phi.values[-1]
 
     def test_normalized_copy(self, mp_curve):
         phi = sd.integrate_derivative(mp_curve, np.cos(mp_curve.grid))
@@ -409,13 +410,37 @@ class TestScaleInvariantVariant:
         mu = -model.h * K.inner(g, delta.cdf)
         assert rep.efficacy == pytest.approx(mu / math.sqrt(K.quadratic_form(g)), rel=1e-10)
 
-    def test_rescales_nonunit_mean(self, two_atom):
-        # population mean 2: the variant standardizes internally
+    @pytest.mark.parametrize("gamma, t", [(0.5, 1.6), (0.1, 1.5), (0.5, 2.5)])
+    def test_built_in_the_models_units(self, two_atom, gamma, t):
+        # the constrained solve is scale-equivariant: the statistic of the
+        # mean-2 bulk is that of its unit-mean copy read at x / 2
+        def build(c):
+            H = sd.AtomicMeasure(two_atom.atoms * c, two_atom.weights)
+            model = sd.SpikedModel(H=H, G0=H, G1=sd.AtomicMeasure.point_mass(t * c), gamma=gamma)
+            return sd.optimal_ls3(model, sd.AlgoConfig(points_per_interval=400))
+
+        phi, rep = build(1.0)
+        phi_unit, rep_unit = build(0.5)
+        assert rep.regime == rep_unit.regime
+        assert rep.efficacy == pytest.approx(rep_unit.efficacy, rel=1e-12)
+        xs = np.concatenate([phi.grid, np.linspace(-1.0, 20.0, 2001)])
+        scale = np.max(np.abs(phi.values))
+        assert np.max(np.abs(phi(xs) - phi_unit(xs / 2))) <= 1e-12 * scale
+
+    def test_passed_curve_is_used(self, two_atom, two_atom_curve_01):
+        # a mean-2 bulk is built on the caller's curve, holes and all
+        curve = two_atom_curve_01
+        hole = curve.grid.size // 2
+        keep = np.arange(curve.grid.size) != hole
+        holed = dataclasses.replace(
+            curve, grid=curve.grid[keep], v=curve.v[keep], v_prime=curve.v_prime[keep],
+            interval_id=curve.interval_id[keep], dropped=[(float(curve.grid[hole]), "residual")])
         model = sd.SpikedModel(H=two_atom, G0=two_atom,
-                               G1=sd.AtomicMeasure.point_mass(1.6), gamma=0.5)
-        phi_s, rep_s = sd.optimal_ls3(model, CFG)
-        assert rep_s.regime == "subcritical-solvable"
-        assert rep_s.sigma > 0
+                               G1=sd.AtomicMeasure.point_mass(3.6), gamma=0.1)
+        phi, _ = sd.optimal_ls3(model, CFG, curve=curve)
+        assert np.array_equal(phi.grid, curve.grid)
+        with pytest.raises(ValueError, match="1 non-converged points"):
+            sd.optimal_ls3(model, CFG, curve=holed)
 
     def test_supercritical_delegates_to_bumps(self, unit_model_factory):
         phi, rep = sd.optimal_ls3(unit_model_factory(3.0, n=500), CFG)

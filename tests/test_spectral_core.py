@@ -71,7 +71,6 @@ class TestAgainstScalarSolver:
         # ends agree to round-off
         sup = curves[name].support
         assert rel_err(sup.intervals, REF[f"{name}/intervals"]) <= 1e-14
-        assert rel_err(sup.enclosing_interval, REF[f"{name}/enclosing_interval"]) <= 1e-14
         assert rel_err(sup.edge_v, REF[f"{name}/edge_v"]) <= 2e-13
         windows = np.reshape(sup.spike_windows, (-1, 4))
         assert rel_err(windows, REF[f"{name}/spike_windows"]) <= 2e-13

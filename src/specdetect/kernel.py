@@ -11,9 +11,12 @@ numerical routes are provided, a fast diagonally regularized pointwise
 discretization and a hat-function collocation scheme on a coarser grid.
 
 The pointwise matrix is assembled by evaluating its upper triangle and
-mirroring it.  Its solve adds the ridge to the matrix's own diagonal for
-the LAPACK call and restores it afterwards, so a solve holds one N x N
-array plus LAPACK's copy of it (8 MB each at N = 1000).
+mirroring it.  Its solve factors the ridged matrix by a blocked Cholesky in
+the matrix's own lower triangle and mirrors the untouched upper triangle
+back afterwards, so a solve holds one N x N array (8 MB at N = 1000).  A
+split support gives an indefinite matrix (ROADMAP known defect "The
+diagonal taken across a support gap"), which takes an LU solve and,
+with it, LAPACK's copy of the matrix.
 """
 from __future__ import annotations
 
@@ -43,9 +46,11 @@ REGIME_SUPERCRITICAL = "supercritical-full-power"
 # package's import time for these two calls
 _STD_NORMAL = NormalDist()
 
-# rows per block when the kernel matrix is built: the block
-# temporaries stay at 64 x N, so the matrix itself is the only N x N array
+# rows per block when the kernel matrix is built, and the block size of
+# its Cholesky factor: the block temporaries stay at 64 x N and 128 x 64,
+# so the matrix itself is the only N x N array
 _ROWS = 64
+_PANEL_ROWS = 128
 
 _C1 = 1.5  # the diagonal is _C1 times a neighbouring kernel value
 _RIDGE_COEFF = 1e-4  # the ridge is _RIDGE_COEFF * tr / N
@@ -60,11 +65,16 @@ class KernelMatrix:
     Trapezoid cell weights are folded symmetrically, entries =
     sqrt(w_i) k(x_i,x_j) sqrt(w_j), so linear systems remain in function
     values while the matrix stays exactly symmetric.  The diagonal uses
-    the neighbor rule _C1 * k(x_i, x_{i-1}); ``ridge`` is the Tikhonov
+    the neighbor rule _C1 * k(x_i, x_{i-1}), which at the first point of
+    every support interval but the first reads a point across the gap
+    (ROADMAP known defect "The diagonal taken across a support gap"), and
+    makes the matrix of a split support indefinite; ``ridge`` is the Tikhonov
     parameter _RIDGE_COEFF * tr / I derived from the assembled matrix.
     The upper triangle is evaluated and mirrored into the lower one.  No
-    ridged copy is kept: ``solve_regularized`` adds the ridge to
-    ``entries``' diagonal for its LAPACK call and then restores it.
+    ridged copy or factor is kept: ``solve_regularized`` factors K + rI in
+    ``entries``' lower triangle, or adds the ridge to its diagonal for an LU
+    solve, and then restores it, so a solve holds ``entries`` alone, plus
+    LAPACK's copy of it on the LU path that split supports take.
     """
 
     grid: np.ndarray
@@ -172,25 +182,101 @@ class SolvedDerivative:
     condition_number: float | None = None
 
 
+def _factor(A: np.ndarray) -> None:
+    """Blocked Cholesky A = L L^T in place, in A's lower triangle.
+
+    Left-looking by blocks of _ROWS columns: the block column of L at
+    columns j0:j1 is formed from A's entries there, not yet overwritten,
+    and the columns of L left of it, so A's strictly upper triangle is
+    never written.  An off-diagonal block holds L's block; a diagonal
+    block's lower triangle holds the inverse of L's block there, which is
+    all that the substitutions need.  The panel below a diagonal block is
+    updated _PANEL_ROWS rows at a time, so no temporary exceeds
+    _PANEL_ROWS x _ROWS.  Raises LinAlgError when A is not positive
+    definite.
+    """
+    n = A.shape[0]
+    for j0 in range(0, n, _ROWS):
+        j1 = min(j0 + _ROWS, n)
+        left = A[j0:j1, :j0]
+        diag = left @ left.T
+        np.subtract(A[j0:j1, j0:j1], diag, out=diag)
+        inv = np.linalg.inv(np.linalg.cholesky(diag))
+        np.copyto(A[j0:j1, j0:j1], inv, where=np.tri(j1 - j0, dtype=bool))
+        for i0 in range(j1, n, _PANEL_ROWS):
+            i1 = min(i0 + _PANEL_ROWS, n)
+            panel = A[i0:i1, :j0] @ left.T
+            np.subtract(A[i0:i1, j0:j1], panel, out=panel)
+            A[i0:i1, j0:j1] = panel @ inv.T
+
+
+def _substitute(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L L^T u = rhs by blocks, with L as ``_factor`` left it in A."""
+    n = A.shape[0]
+    u = np.array(rhs, dtype=float)
+    starts = range(0, n, _ROWS)
+    for j0 in starts:
+        j1 = min(j0 + _ROWS, n)
+        u[j0:j1] -= A[j0:j1, :j0] @ u[:j0]
+        u[j0:j1] = np.tril(A[j0:j1, j0:j1]) @ u[j0:j1]
+    for j0 in reversed(starts):
+        j1 = min(j0 + _ROWS, n)
+        u[j0:j1] -= A[j1:, j0:j1].T @ u[j1:]
+        u[j0:j1] = np.tril(A[j0:j1, j0:j1]).T @ u[j0:j1]
+    return u
+
+
+def _mirror(A: np.ndarray) -> None:
+    """Copy A's strictly upper triangle onto its strictly lower one, by _ROWS x _ROWS tiles."""
+    n = A.shape[0]
+    for j0 in range(0, n, _ROWS):
+        j1 = min(j0 + _ROWS, n)
+        tile = A[j0:j1, j0:j1]
+        np.copyto(tile, tile.T, where=np.tri(j1 - j0, k=-1, dtype=bool))
+        for i0 in range(j1, n, _ROWS):
+            A[i0:i0 + _ROWS, j0:j1] = A[j0:j1, i0:i0 + _ROWS].T
+
+
 def solve_regularized(K: KernelMatrix, rhs: np.ndarray) -> np.ndarray:
     """Solve (K + r I) u = rhs for one right-hand side or a column of them.
 
-    K is symmetric but may be indefinite (a split support gives negative
-    eigenvalues below the ridge), so this is an LU solve, not Cholesky.
-    The ridge is added to K's own diagonal for the LAPACK call, and the
-    saved diagonal is put back bit for bit afterwards, also when the call
-    raises; so a solve holds K and LAPACK's copy of it, two N x N arrays
-    (8 MB each at N = 1000), and must not run concurrently with another
-    use of the same K.
+    K + r I is factored by a blocked Cholesky in ``K.entries``' own lower
+    triangle (``_factor``); the exactly symmetric upper triangle is left
+    untouched, and it and the saved diagonal are put back afterwards, so K
+    comes back bit for bit, also when anything raises.  A solve holds one
+    N x N array, K itself.  A K + r I with a nonpositive diagonal entry or
+    adjacent 2 x 2 principal minor is indefinite; it, and one whose
+    factorization fails, takes an LU solve with the ridge added to K's own
+    diagonal, which holds LAPACK's copy of K as well.  Every split support
+    is indefinite (ROADMAP known defect "The diagonal taken across a
+    support gap").  A solve must not run concurrently with another use of
+    the same K.
     """
     A = K.entries
-    diag = np.diag_indices_from(A)
-    saved = A[diag]
-    A[diag] += K.ridge
+    n = A.shape[0]
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape[:1] != (n,):
+        raise ValueError(f"a right-hand side of shape {rhs.shape} does not fit a {n} x {n} kernel")
+    saved = A.diagonal().copy()
+    ridged = saved + K.ridge
+    # a nonpositive 1 x 1 or adjacent 2 x 2 principal minor: K + r I is indefinite
+    factored = bool(np.all(ridged > 0.0) and np.all(ridged[:-1] * ridged[1:] > A.diagonal(1) ** 2))
+    np.fill_diagonal(A, ridged)
     try:
+        if factored:
+            try:
+                _factor(A)
+            except np.linalg.LinAlgError:  # indefinite after all: K + r I again, for LU
+                _mirror(A)
+                np.fill_diagonal(A, ridged)
+                factored = False
+            else:
+                return _substitute(A, rhs)
         return np.linalg.solve(A, rhs)
     finally:
-        A[diag] = saved
+        if factored:
+            _mirror(A)
+        np.fill_diagonal(A, saved)
 
 
 def solve_diagreg(K: KernelMatrix, delta: SignedMeasureCdf) -> SolvedDerivative:

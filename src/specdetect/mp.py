@@ -66,10 +66,17 @@ def _blocks(n: int, n_atoms: int):
 
 
 def _near_pole(atoms: np.ndarray, v: np.ndarray, tol: float) -> np.ndarray:
-    """Entries of the 1-d array v where some 1 + t*v, t in ``atoms``, is within ``tol`` of 0."""
-    out = np.empty(v.size, dtype=bool)
-    for sl in _blocks(v.size, atoms.size):
-        out[sl] = np.any(np.abs(1.0 + np.multiply.outer(v[sl], atoms)) < tol, axis=1)
+    """Entries of the 1-d array v where some 1 + t*v, t in ``atoms``, is within ``tol`` of 0.
+
+    Since |1 + t v| >= max(|t| |Im v|, 1 - |t| |v|), only an entry with
+    |Im v| (1 - tol) <= tol |v| can be one (every entry, at tol >= 1); the
+    atoms are tried on those entries alone, with tol doubled in this
+    prefilter to cover its rounding.
+    """
+    out = np.zeros(v.size, dtype=bool)
+    idx = np.flatnonzero(np.abs(np.imag(v)) * (1.0 - tol) <= 2.0 * tol * np.abs(v))
+    for sl in _blocks(idx.size, atoms.size):
+        out[idx[sl]] = np.any(np.abs(1.0 + np.multiply.outer(v[idx[sl]], atoms)) < tol, axis=1)
     return out
 
 

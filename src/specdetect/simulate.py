@@ -98,18 +98,21 @@ def apply_lss(phi: LssFunction, eigenvalues) -> float | np.ndarray:
 # each population kind with its required keys and its optional ones
 _POPULATION_KEYS = {"ar1": (("rho", "p"), ()), "atoms": (("eigenvalues",), ("multiplicities",))}
 # what each population value must be: a name for messages, the type of the
-# value (or of each item of a list) and whether it is a list
+# value (or of each item of a list), whether it is a list, and the range of
+# the value (or of each item) with its name
 _POPULATION_VALUES = {
-    "rho": ("a number", numbers.Real, False),
-    "p": ("an integer", numbers.Integral, False),
-    "eigenvalues": ("a list of numbers", numbers.Real, True),
-    "multiplicities": ("a list of integers", numbers.Integral, True),
+    "rho": ("a number", numbers.Real, False, "in [0, 1)", lambda x: 0 <= x < 1),
+    "p": ("an integer", numbers.Integral, False, "at least 2", lambda x: x >= 2),
+    "eigenvalues": ("a list of numbers", numbers.Real, True, "finite and nonnegative",
+                    lambda x: 0 <= x < math.inf),
+    "multiplicities": ("a list of integers", numbers.Integral, True, "nonnegative",
+                       lambda x: x >= 0),
 }
 
 
 def _check_population(population: dict) -> None:
     """Reject a population that is not a dict, is of unknown kind, misses a key
-    or has an extra one, or holds a value of the wrong type."""
+    or has an extra one, or holds a value of the wrong type or out of range."""
     if not isinstance(population, dict):
         raise ValueError(f"population must be an object, not {type(population).__name__}")
     kind = population.get("kind")
@@ -121,12 +124,14 @@ def _check_population(population: dict) -> None:
             raise ValueError(f"population '{kind}' is missing required key '{name}'")
     reject_unknown(population, ("kind", *required, *optional), f"population '{kind}' has no key")
     for name in (*required, *optional):
-        what, cls, listed = _POPULATION_VALUES[name]
+        what, cls, listed, within, fits = _POPULATION_VALUES[name]
         value = population.get(name, [])
         items = value if isinstance(value, list) else [value]
         if listed != isinstance(value, list) or not all(isinstance(v, cls) for v in items):
             shown = repr(value) if listed else type(value).__name__
             raise ValueError(f"population '{kind}' key '{name}' must be {what}, not {shown}")
+        if not all(fits(v) for v in items):
+            raise ValueError(f"population '{kind}' key '{name}' must be {within}, not {value!r}")
 
 
 def _population_eigenvalues(population: dict) -> np.ndarray:

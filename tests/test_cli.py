@@ -382,8 +382,16 @@ def test_power_missing_field_message(tmp_path, capsys):
      "population 'atoms' key 'eigenvalues' must be a list of numbers, not 'abc'"),
     ({"kind": "atoms", "eigenvalues": [1.0, 2.0], "multiplicities": [3, 2.5]},
      "population 'atoms' key 'multiplicities' must be a list of integers, not [3, 2.5]"),
+    # a value of the right type but out of range is refused by both commands alike
+    ({"kind": "ar1", "rho": 1.5, "p": 6}, "population 'ar1' key 'rho' must be in [0, 1), not 1.5"),
+    ({"kind": "ar1", "rho": 0.5, "p": 1}, "population 'ar1' key 'p' must be at least 2, not 1"),
+    ({"kind": "atoms", "eigenvalues": [-1.0, 2.0]},
+     "population 'atoms' key 'eigenvalues' must be finite and nonnegative, not [-1.0, 2.0]"),
+    ({"kind": "atoms", "eigenvalues": [1.0, 2.0], "multiplicities": [3, -1]},
+     "population 'atoms' key 'multiplicities' must be nonnegative, not [3, -1]"),
 ], ids=["ar1-missing", "ar1-extra", "atoms-missing", "atoms-extra", "ar1-rho-string",
-        "atoms-eigenvalues-string", "atoms-multiplicities-fraction"])
+        "atoms-eigenvalues-string", "atoms-multiplicities-fraction", "ar1-rho-out-of-range",
+        "ar1-p-below-2", "atoms-eigenvalue-negative", "atoms-multiplicity-negative"])
 @pytest.mark.parametrize("command, payload", [
     ("simulate", {"n": 12, "seed": 3}),
     ("power", {"n": 12, "n_reps": 100, "alpha": 0.05, "seed": 3, "spike_grid": [3.0]}),

@@ -126,6 +126,19 @@ class TestDerivativeMap:
         with pytest.raises(ValueError):
             sd.derivative_map(mp_unit, 0.5, complex(-1.0))
 
+    @pytest.mark.parametrize("tol", [1e-14, 1e-6, 0.5, 1.0, 2.0])
+    def test_near_pole_equals_every_atom_tried(self, tol):
+        # the |Im v| prefilter may only skip entries that no atom flags
+        atoms = np.array([0.5, 1.0, 3.0])
+        rng = np.random.default_rng(11)
+        # half the entries within round-off of a pole -1/t, half anywhere
+        poles = -1.0 / atoms[rng.integers(0, 3, 600)]
+        re_v = np.concatenate([poles * (1 + 1e-15 * rng.normal(size=600)), rng.normal(size=600)])
+        v = re_v + 1j * rng.normal(size=1200) * 10.0 ** rng.uniform(-18, 0, 1200)
+        every = np.any(np.abs(1.0 + np.multiply.outer(v, atoms)) < tol, axis=1)
+        assert every.any()
+        assert np.array_equal(mp._near_pole(atoms, v, tol), every)
+
 
 class TestSupport:
     def test_mp_edges(self, mp_unit):

@@ -13,15 +13,18 @@ discretization and a hat-function collocation scheme on a coarser grid.
 The pointwise matrix is assembled by evaluating its upper triangle and
 mirroring it.  Its solve factors the ridged matrix by a blocked Cholesky in
 the matrix's own lower triangle and mirrors the untouched upper triangle
-back afterwards, so a solve holds one N x N array (8 MB at N = 1000).  A
-split support gives an indefinite matrix (ROADMAP known defect "The
-diagonal taken across a support gap"), which takes an LU solve and,
-with it, LAPACK's copy of the matrix.
+back afterwards, so a solve holds one N x N array (8 MB at N = 1000).  On a
+split support the diagonal at each interval start is taken across the gap
+(ROADMAP known defect "The diagonal taken across a support gap"); the
+solve factors the matrix with those entries taken from inside the interval
+and corrects for them by a rank-m Woodbury term, m the number of starts.
+Only a matrix whose corrected diagonal has a nonpositive adjacent 2 x 2
+minor takes an LU solve and, with it, LAPACK's copy of the matrix.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from statistics import NormalDist
 
 import numpy as np
@@ -68,19 +71,22 @@ class KernelMatrix:
     the neighbor rule _C1 * k(x_i, x_{i-1}), which at the first point of
     every support interval but the first reads a point across the gap
     (ROADMAP known defect "The diagonal taken across a support gap"), and
-    makes the matrix of a split support indefinite; ``ridge`` is the Tikhonov
-    parameter _RIDGE_COEFF * tr / I derived from the assembled matrix.
+    makes the matrix of a split support indefinite; ``starts`` indexes
+    those points, one per interval after the first (empty for a matrix
+    built without a curve).  ``ridge`` is the Tikhonov parameter
+    _RIDGE_COEFF * tr / I derived from the assembled matrix.
     The upper triangle is evaluated and mirrored into the lower one.  No
-    ridged copy or factor is kept: ``solve_regularized`` factors K + rI in
-    ``entries``' lower triangle, or adds the ridge to its diagonal for an LU
-    solve, and then restores it, so a solve holds ``entries`` alone, plus
-    LAPACK's copy of it on the LU path that split supports take.
+    ridged copy or factor is kept: ``solve_regularized`` works in
+    ``entries`` and restores it, so every solve holds ``entries`` alone,
+    except where the start-corrected matrix has a nonpositive adjacent
+    2 x 2 minor and the solve takes LU, with LAPACK's copy of it.
     """
 
     grid: np.ndarray
     entries: np.ndarray
     weights: np.ndarray
     ridge: float
+    starts: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
 
     @property
     def size(self) -> int:
@@ -169,6 +175,7 @@ def assemble_diagreg(curve: StieltjesCurve) -> KernelMatrix:
         entries=entries,
         weights=w,
         ridge=ridge,
+        starts=np.flatnonzero(np.diff(curve.interval_id)) + 1,
     )
 
 
@@ -240,17 +247,23 @@ def _mirror(A: np.ndarray) -> None:
 def solve_regularized(K: KernelMatrix, rhs: np.ndarray) -> np.ndarray:
     """Solve (K + r I) u = rhs for one right-hand side or a column of them.
 
-    K + r I is factored by a blocked Cholesky in ``K.entries``' own lower
-    triangle (``_factor``); the exactly symmetric upper triangle is left
-    untouched, and it and the saved diagonal are put back afterwards, so K
-    comes back bit for bit, also when anything raises.  A solve holds one
-    N x N array, K itself.  A K + r I with a nonpositive diagonal entry or
-    adjacent 2 x 2 principal minor is indefinite; it, and one whose
-    factorization fails, takes an LU solve with the ridge added to K's own
-    diagonal, which holds LAPACK's copy of K as well.  Every split support
-    is indefinite (ROADMAP known defect "The diagonal taken across a
-    support gap").  A solve must not run concurrently with another use of
-    the same K.
+    Write K + r I = P - U diag(c) U^T, with U the unit columns at the
+    interval starts s (``K.starts``) and P equal to K + r I except that
+    each start's diagonal takes the in-interval right neighbour, as row 0
+    does: P_ss = _C1 K_s,s+1 sqrt(w_s / w_s+1) + r, and c = P_ss - (K_ss + r).
+    P is factored by a blocked Cholesky in ``K.entries``' own lower
+    triangle (``_factor``), one blocked substitution gives y = P^-1 rhs and
+    Z = P^-1 U, and the m x m system (I - Z_s diag(c)) a = y_s gives
+    u = y + Z diag(c) a; no step divides by c.  With no starts this is the
+    plain Cholesky solve of K + r I.  The exactly symmetric upper triangle
+    is left untouched, and it and the saved diagonal are put back
+    afterwards, so K comes back bit for bit, also when anything raises.  A
+    solve holds one N x N array, K itself, except where P has a nonpositive
+    diagonal entry or adjacent 2 x 2 principal minor: such a P is
+    indefinite, and it, and one whose factorization fails, takes an LU
+    solve of K + r I with the ridge added to K's own diagonal, which holds
+    LAPACK's copy of K as well.  A solve must not run concurrently with
+    another use of the same K.
     """
     A = K.entries
     n = A.shape[0]
@@ -259,24 +272,42 @@ def solve_regularized(K: KernelMatrix, rhs: np.ndarray) -> np.ndarray:
         raise ValueError(f"a right-hand side of shape {rhs.shape} does not fit a {n} x {n} kernel")
     saved = A.diagonal().copy()
     ridged = saved + K.ridge
-    # a nonpositive 1 x 1 or adjacent 2 x 2 principal minor: K + r I is indefinite
-    factored = bool(np.all(ridged > 0.0) and np.all(ridged[:-1] * ridged[1:] > A.diagonal(1) ** 2))
-    np.fill_diagonal(A, ridged)
+    s = K.starts
+    corrected = ridged.copy()
+    corrected[s] = _C1 * A[s, s + 1] * np.sqrt(K.weights[s] / K.weights[s + 1]) + K.ridge
+    # a nonpositive 1 x 1 or adjacent 2 x 2 principal minor: P is indefinite
+    factored = bool(np.all(corrected > 0.0)
+                    and np.all(corrected[:-1] * corrected[1:] > A.diagonal(1) ** 2))
     try:
         if factored:
+            np.fill_diagonal(A, corrected)
             try:
                 _factor(A)
             except np.linalg.LinAlgError:  # indefinite after all: K + r I again, for LU
                 _mirror(A)
-                np.fill_diagonal(A, ridged)
                 factored = False
             else:
-                return _substitute(A, rhs)
+                if not s.size:
+                    return _substitute(A, rhs)
+                return _woodbury(A, rhs, s, corrected[s] - ridged[s])
+        np.fill_diagonal(A, ridged)
         return np.linalg.solve(A, rhs)
     finally:
         if factored:
             _mirror(A)
         np.fill_diagonal(A, saved)
+
+
+def _woodbury(A: np.ndarray, rhs: np.ndarray, s: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Solve (P - U diag(c) U^T) u = rhs, U the unit columns at s, with P factored in A."""
+    n, m = A.shape[0], s.size
+    cols = rhs.reshape(n, -1)
+    unit = np.zeros((n, m))
+    unit[s, np.arange(m)] = 1.0
+    yz = _substitute(A, np.hstack([cols, unit]))
+    y, Z = yz[:, :cols.shape[1]], yz[:, cols.shape[1]:]
+    a = np.linalg.solve(np.eye(m) - Z[s] * c, y[s])
+    return (y + Z @ (c[:, None] * a)).reshape(rhs.shape)
 
 
 def solve_diagreg(K: KernelMatrix, delta: SignedMeasureCdf) -> SolvedDerivative:

@@ -287,6 +287,10 @@ def _build(model: SpikedModel, config: AlgoConfig, curve: StieltjesCurve | None,
     g = solve(curve, K, delta, config)
     if not escaped:
         report = derivative_efficacy(K, g, delta, model.h, config.alpha)
+    # free the N x N matrix before the statistic's arrays are allocated:
+    # made while it is live, they can land above it in the heap, and the
+    # next build's matrix then takes fresh pages instead of its space
+    del K
     return integrate_derivative(curve, g), report
 
 

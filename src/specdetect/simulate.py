@@ -112,7 +112,8 @@ _POPULATION_VALUES = {
 
 def _check_population(population: dict) -> None:
     """Reject a population that is not a dict, is of unknown kind, misses a key
-    or has an extra one, or holds a value of the wrong type or out of range."""
+    or has an extra one, holds a value of the wrong type or out of range, or
+    has multiplicities that do not fit its eigenvalues or an empty bulk."""
     if not isinstance(population, dict):
         raise ValueError(f"population must be an object, not {type(population).__name__}")
     kind = population.get("kind")
@@ -132,6 +133,17 @@ def _check_population(population: dict) -> None:
             raise ValueError(f"population '{kind}' key '{name}' must be {what}, not {shown}")
         if not all(fits(v) for v in items):
             raise ValueError(f"population '{kind}' key '{name}' must be {within}, not {value!r}")
+    if kind == "atoms":
+        eigs = population["eigenvalues"]
+        mult = population.get("multiplicities", [1] * len(eigs))
+        if not eigs:
+            raise ValueError(f"population 'atoms' key 'eigenvalues' must be nonempty, not {eigs!r}")
+        if len(mult) != len(eigs):
+            raise ValueError(f"population 'atoms' key 'multiplicities' must have one entry per "
+                             f"eigenvalue ({len(eigs)}), not {mult!r}")
+        if not any(mult):
+            raise ValueError(f"population 'atoms' key 'multiplicities' must not all be zero, "
+                             f"not {mult!r}")
 
 
 def _population_eigenvalues(population: dict) -> np.ndarray:
@@ -149,9 +161,10 @@ class SimConfig:
 
     ``population`` describes the noise bulk: {"kind": "ar1", "rho": ..,
     "p": ..} or {"kind": "atoms", "eigenvalues": [..]} with optional
-    "multiplicities": [..]; any other key is rejected.  The full dimension is
-    the bulk size plus h spike slots holding ``null_spike`` under the
-    null and the swept value under the alternative.
+    "multiplicities": [..], one per eigenvalue; any other key, and an empty
+    bulk, is rejected.  The full dimension is the bulk size plus h spike
+    slots holding ``null_spike`` under the null and the swept value under
+    the alternative.
     """
 
     population: dict

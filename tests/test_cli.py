@@ -389,9 +389,21 @@ def test_power_missing_field_message(tmp_path, capsys):
      "population 'atoms' key 'eigenvalues' must be finite and nonnegative, not [-1.0, 2.0]"),
     ({"kind": "atoms", "eigenvalues": [1.0, 2.0], "multiplicities": [3, -1]},
      "population 'atoms' key 'multiplicities' must be nonnegative, not [3, -1]"),
+    # multiplicities that do not fit the eigenvalues, and an empty bulk
+    ({"kind": "atoms", "eigenvalues": [1.0, 2.0], "multiplicities": [3, 2, 1]},
+     "population 'atoms' key 'multiplicities' must have one entry per eigenvalue (2), "
+     "not [3, 2, 1]"),
+    ({"kind": "atoms", "eigenvalues": [1.0, 2.0], "multiplicities": [3]},
+     "population 'atoms' key 'multiplicities' must have one entry per eigenvalue (2), not [3]"),
+    ({"kind": "atoms", "eigenvalues": []},
+     "population 'atoms' key 'eigenvalues' must be nonempty, not []"),
+    ({"kind": "atoms", "eigenvalues": [1.0, 2.0], "multiplicities": [0, 0]},
+     "population 'atoms' key 'multiplicities' must not all be zero, not [0, 0]"),
 ], ids=["ar1-missing", "ar1-extra", "atoms-missing", "atoms-extra", "ar1-rho-string",
         "atoms-eigenvalues-string", "atoms-multiplicities-fraction", "ar1-rho-out-of-range",
-        "ar1-p-below-2", "atoms-eigenvalue-negative", "atoms-multiplicity-negative"])
+        "ar1-p-below-2", "atoms-eigenvalue-negative", "atoms-multiplicity-negative",
+        "atoms-multiplicities-too-long", "atoms-multiplicities-one-entry",
+        "atoms-eigenvalues-empty", "atoms-multiplicities-all-zero"])
 @pytest.mark.parametrize("command, payload", [
     ("simulate", {"n": 12, "seed": 3}),
     ("power", {"n": 12, "n_reps": 100, "alpha": 0.05, "seed": 3, "spike_grid": [3.0]}),

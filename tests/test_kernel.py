@@ -53,7 +53,8 @@ class TestAssembly:
 
     def test_regularized_solve_matches_dense_on_indefinite_kernel(self, two_atom_curve_01):
         # the split two-atom kernel is indefinite, so this also covers a
-        # matrix that Cholesky would reject
+        # matrix that Cholesky would reject: the solve factors it with the
+        # interval start's diagonal corrected, plus a Woodbury term
         from specdetect.kernel import solve_regularized
 
         K = sd.assemble_diagreg(two_atom_curve_01)
@@ -148,6 +149,34 @@ def ar1_kernel():
     return sd.assemble_diagreg(sd.stieltjes_grid(H, gamma, **kw))
 
 
+def _split_kernel(atoms, gamma, points):
+    H = sd.AtomicMeasure(np.array(atoms), np.full(len(atoms), 1.0 / len(atoms)))
+    return sd.assemble_diagreg(sd.stieltjes_grid(H, gamma, points_per_interval=points))
+
+
+@pytest.fixture(scope="module")
+def ar1_dip_kernel():
+    """AR(1) rho = 0.95, p = 249 at gamma = 0.5 and 100 points per interval
+    (12 intervals, N = 1200).  Inside interval 0, where the density dips,
+    row 87's neighbour diagonal 1.5 k(x_87, x_86) is 0.073 against
+    k(x_87, x_88) = 0.176, so the start-corrected matrix has a negative
+    adjacent minor there (ROADMAP known defect "The diagonal taken across a
+    support gap")."""
+    from specdetect.simulate import ar1_eigenvalues
+
+    H = sd.AtomicMeasure.uniform(ar1_eigenvalues(0.95, 249))
+    return sd.assemble_diagreg(sd.stieltjes_grid(H, 0.5, points_per_interval=100))
+
+
+def _corrected_minors(K):
+    """Adjacent 2 x 2 principal minors of K + rI with each interval start's
+    diagonal taken from its right neighbour, the matrix that the solve factors."""
+    s = K.starts
+    d = np.diag(K.entries) + K.ridge
+    d[s] = 1.5 * K.entries[s, s + 1] * np.sqrt(K.weights[s] / K.weights[s + 1]) + K.ridge
+    return d[:-1] * d[1:] - np.diag(K.entries, 1) ** 2
+
+
 def _indefinite_kernel(n=200):
     """A symmetric K with every adjacent 2 x 2 minor of K + rI positive, yet
     indefinite: rows 150 and 190 hold a 2 x 2 minor of 1 - 4 < 0."""
@@ -159,23 +188,44 @@ def _indefinite_kernel(n=200):
 
 class TestCholeskySolve:
     @pytest.mark.parametrize("columns", [None, 2], ids=["one-rhs", "two-rhs"])
-    @pytest.mark.parametrize("bulk", ["unit", "ar1"])
-    def test_matches_the_dense_solve(self, request, cholesky_calls, bulk, columns):
-        K = request.getfixturevalue("mp_kernel" if bulk == "unit" else "ar1_kernel")
+    @pytest.mark.parametrize("bulk", ["unit", "ar1", "1-3", "0.5-1.5", "1-4-12"])
+    def test_matches_the_dense_solve(self, request, monkeypatch, cholesky_calls, bulk, columns):
+        # the split supports {1, 3} and {0.5, 1.5} at gamma = 0.1 and
+        # {1, 4, 12} at gamma = 0.05 are factored too, with a Woodbury term
+        K = {"unit": lambda: request.getfixturevalue("mp_kernel"),
+             "ar1": lambda: request.getfixturevalue("ar1_kernel"),
+             "1-3": lambda: _split_kernel([1.0, 3.0], 0.1, 300),
+             "0.5-1.5": lambda: _split_kernel([0.5, 1.5], 0.1, 300),
+             "1-4-12": lambda: _split_kernel([1.0, 4.0, 12.0], 0.05, 300)}[bulk]()
+        assert K.starts.size == bulk.count("-")
+        lu_sizes = []
+        lu = np.linalg.solve
+
+        def spy(a, b):
+            lu_sizes.append(a.shape[0])
+            return lu(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        before = K.entries.tobytes()
         rhs = np.random.default_rng(5).standard_normal(
             K.size if columns is None else (K.size, columns))
         u = solve_regularized(K, rhs)
+        assert K.entries.tobytes() == before
         assert cholesky_calls and not any(raised for _, raised in cholesky_calls)
-        dense = np.linalg.solve(K.entries + K.ridge * np.eye(K.size), rhs)
+        # no LU solve of the matrix: only the m x m Woodbury system, if any
+        assert lu_sizes == ([K.starts.size] if K.starts.size else [])
+        dense = lu(K.entries + K.ridge * np.eye(K.size), rhs)
         assert u.shape == rhs.shape
-        # observed 7e-16 on the unit kernel
+        # observed 7e-16 on the unit kernel, 1.8e-15 on the split supports
         assert np.max(np.abs(u - dense)) <= 1e-12 * np.max(np.abs(dense))
 
-    @pytest.mark.parametrize("route", ["factored", "adjacent-minor", "factorization-fails"])
-    def test_entries_come_back_bit_for_bit(self, cholesky_calls, mp_kernel, two_atom_curve_01,
-                                           route):
+    @pytest.mark.parametrize("route", ["factored", "split-support", "adjacent-minor",
+                                       "factorization-fails"])
+    def test_entries_come_back_bit_for_bit(self, request, cholesky_calls, mp_kernel,
+                                           two_atom_curve_01, route):
         K = {"factored": lambda: mp_kernel,
-             "adjacent-minor": lambda: sd.assemble_diagreg(two_atom_curve_01),
+             "split-support": lambda: sd.assemble_diagreg(two_atom_curve_01),
+             "adjacent-minor": lambda: request.getfixturevalue("ar1_dip_kernel"),
              "factorization-fails": _indefinite_kernel}[route]()
         before = K.entries.tobytes()
         d = np.diag(K.entries) + K.ridge
@@ -184,10 +234,16 @@ class TestCholeskySolve:
         u = solve_regularized(K, rhs)
         assert K.entries.tobytes() == before
         raised = [i for i, (_, r) in enumerate(cholesky_calls) if r]
-        if route == "adjacent-minor":
-            # a split support's first point past the gap has a nonpositive
-            # adjacent minor, so its solve goes to LU without factoring
-            assert minors.min() <= 0.0
+        if route == "split-support":
+            # the first point past the gap has a nonpositive adjacent minor
+            # in K + rI, but not once its diagonal is taken inside its interval
+            assert minors[K.starts].max() <= 0.0
+            assert _corrected_minors(K).min() > 0.0
+            assert cholesky_calls and raised == []
+        elif route == "adjacent-minor":
+            # a nonpositive minor inside an interval survives the start
+            # correction, so the solve goes to LU without factoring
+            assert K.starts.size == 11 and _corrected_minors(K).min() <= 0.0
             assert cholesky_calls == []
         elif route == "factorization-fails":
             assert minors.min() > 0.0
@@ -195,6 +251,7 @@ class TestCholeskySolve:
             # the factorization gets past the first block before it fails
             assert raised == [len(cholesky_calls) - 1] and raised[0] >= 1
         else:
+            assert K.starts.size == 0
             assert cholesky_calls and raised == []
         dense = np.linalg.solve(K.entries + K.ridge * np.eye(K.size), rhs)
         assert np.max(np.abs(u - dense)) <= 1e-12 * np.max(np.abs(dense))
@@ -356,20 +413,26 @@ class TestMemory:
         assert assemble_peak < 1.3 * matrix
         assert solve_peak < 0.05 * matrix
 
-    def test_solve_raises_no_peak_rss_by_a_matrix(self):
-        # LAPACK's working copy in an LU solve is allocated by C malloc,
-        # which tracemalloc does not see; the process's peak resident size
-        # does.  A child's ru_maxrss starts at the peak of the process that
-        # spawned it, so the solve runs in a child of a fresh interpreter,
-        # not of this one, whose peak would hide it
+    @staticmethod
+    def _solve_rss_rise(H, gamma, points):
+        """Matrix size N and the rise of ru_maxrss over one ``solve_diagreg``
+        on H, in units of N^2 * 8 bytes.
+
+        LAPACK's working copy in an LU solve is allocated by C malloc,
+        which tracemalloc does not see; the process's peak resident size
+        does.  A child's ru_maxrss starts at the peak of the process that
+        spawned it, so the solve runs in a child of a fresh interpreter,
+        not of this one, whose peak would hide it.
+        """
         pytest.importorskip("resource")  # POSIX only
-        code = textwrap.dedent("""
+        code = textwrap.dedent(f"""
             import resource
             import specdetect as sd
-            unit = sd.AtomicMeasure.point_mass(1.0)
-            curve = sd.stieltjes_grid(unit, 0.5, points_per_interval=2000)
+            H = {H}
+            curve = sd.stieltjes_grid(H, {gamma}, points_per_interval={points})
             K = sd.assemble_diagreg(curve)
-            delta = sd.delta_diff(unit, unit, sd.AtomicMeasure.point_mass(1.6), 0.5, curve)
+            G0, G1 = sd.AtomicMeasure.point_mass(1.0), sd.AtomicMeasure.point_mass(1.6)
+            delta = sd.delta_diff(H, G0, G1, {gamma}, curve)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             sd.solve_diagreg(K, delta)
             after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -382,9 +445,20 @@ class TestMemory:
                               env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
         n, rise = proc.stdout.split()
-        assert int(n) == 2000
+        return int(n), float(rise)
+
+    def test_solve_raises_no_peak_rss_by_a_matrix(self):
+        n, rise = self._solve_rss_rise("sd.AtomicMeasure.point_mass(1.0)", 0.5, 2000)
+        assert n == 2000
         # observed 0.01-0.02; LAPACK's copy of K makes it 1.2
-        assert float(rise) < 0.25
+        assert rise < 0.25
+
+    def test_split_support_solve_raises_no_peak_rss_by_a_matrix(self):
+        H = "sd.AtomicMeasure([1.0, 3.0], [0.5, 0.5])"
+        n, rise = self._solve_rss_rise(H, 0.1, 1000)
+        assert n == 2000
+        # observed 0.01-0.02; LAPACK's copy of K makes it 1.2
+        assert rise < 0.25
 
 
 class TestMoments:

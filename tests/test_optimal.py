@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -131,6 +132,28 @@ class TestSubcriticalBranch:
         ours = normalize_curve(phi.values[mask])
         ref = normalize_curve(omh_lss(phi.grid[mask], t, GAMMA))
         assert mad(ours, ref) <= 1e-2
+
+    @pytest.mark.parametrize("build", [sd.optimal_lss, sd.optimal_ls3])
+    def test_kernel_matrix_is_freed_before_the_statistic_is_made(
+            self, monkeypatch, unit_model_factory, mp_curve, build):
+        # arrays allocated while the N x N matrix is live can land above it
+        # in the heap and keep its pages from the next build
+        entries = []
+        assemble, integrate = optimal.assemble_diagreg, optimal.integrate_derivative
+
+        def assemble_spy(curve):
+            K = assemble(curve)
+            entries.append(weakref.ref(K.entries))
+            return K
+
+        def integrate_spy(curve, g):
+            assert entries and all(ref() is None for ref in entries)
+            return integrate(curve, g)
+
+        monkeypatch.setattr(optimal, "assemble_diagreg", assemble_spy)
+        monkeypatch.setattr(optimal, "integrate_derivative", integrate_spy)
+        _, rep = build(unit_model_factory(1.6), CFG, curve=mp_curve)
+        assert rep.regime == "subcritical-solvable" and len(entries) == 1
 
     def test_collocation_solver(self, unit_model_factory, mp_curve):
         cfg = sd.AlgoConfig(solver="collocation")

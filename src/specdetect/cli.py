@@ -26,7 +26,7 @@ from .classical import catalog_ids, equivalent_lss, evaluate_statistic
 from .io import read_json, reject_unknown, write_csv, write_json
 from .measures import AtomicMeasure
 from .mp import StieltjesCurve, stieltjes_grid
-from .optimal import AlgoConfig, SpikedModel, optimal_lss, optimal_ls3
+from .optimal import AlgoConfig, SpikedModel, check_at_least, optimal_lss, optimal_ls3
 from .simulate import SimConfig, _draw, _population_eigenvalues, power_experiment
 from .weak_derivative import weak_derivative_cdf
 
@@ -139,7 +139,10 @@ def _curve(config: dict) -> tuple[AtomicMeasure, float, StieltjesCurve]:
     H = _measure(config, "H")
     gamma = _number(config, "gamma", float)
     ppi = _number(config, "points_per_interval", int, AlgoConfig.points_per_interval)
-    return H, gamma, stieltjes_grid(H, gamma, points_per_interval=ppi)
+    try:  # stieltjes_grid raises ValueError for bad input only
+        return H, gamma, stieltjes_grid(H, gamma, points_per_interval=ppi)
+    except ValueError as exc:
+        raise ConfigError(exc.args[0])
 
 
 def cmd_spectrum(config: dict, out: OutputTracker, args) -> None:
@@ -165,9 +168,12 @@ def _spiked_model(config: dict) -> SpikedModel:
     H = _measure(config, "H")
     G0 = _measure(config, "G0")
     G1 = _measure(config, "G1")
-    return SpikedModel(H=H, G0=G0, G1=G1, gamma=_number(config, "gamma", float),
-                       h=_number(config, "h", int, 1),
-                       n=None if config.get("n") is None else _number(config, "n", int))
+    try:
+        return SpikedModel(H=H, G0=G0, G1=G1, gamma=_number(config, "gamma", float),
+                           h=_number(config, "h", int, 1),
+                           n=None if config.get("n") is None else _number(config, "n", int))
+    except ValueError as exc:
+        raise ConfigError(exc.args[0])
 
 
 def cmd_optimal_lss(config: dict, out: OutputTracker, args) -> None:
@@ -222,13 +228,14 @@ def cmd_classical(config: dict, out: OutputTracker, args) -> None:
 
 def cmd_simulate(config: dict, out: OutputTracker, args) -> None:
     _require(config, "population", "n", "seed")
+    n, seed = _number(config, "n", int), _number(config, "seed", int)
     try:
         pop = _population_eigenvalues(config["population"])
+        check_at_least(n=n, seed=seed)
     except ValueError as exc:
         raise ConfigError(exc.args[0])
-    master = np.random.SeedSequence(_number(config, "seed", int))
-    draws = _draw(np.sort(pop), _number(config, "n", int),
-                  master.spawn(_number(config, "n_reps", int, 1)))
+    draws = _draw(np.sort(pop), n,
+                  np.random.SeedSequence(seed).spawn(_number(config, "n_reps", int, 1)))
     rows = [(rep, i, val) for rep, eigs in enumerate(draws) for i, val in enumerate(eigs)]
     write_csv(out.path("sample_eigenvalues.csv"), ["replicate", "index", "eigenvalue"], rows)
 

@@ -17,9 +17,9 @@ back afterwards, so a solve holds one N x N array (8 MB at N = 1000).  On a
 split support the diagonal at each interval start is taken across the gap
 (ROADMAP known defect "The diagonal taken across a support gap"); the
 solve factors the matrix with those entries taken from inside the interval
-and corrects for them by a rank-m Woodbury term, m the number of starts.
-Only a matrix whose corrected diagonal has a nonpositive adjacent 2 x 2
-minor takes an LU solve and, with it, LAPACK's copy of the matrix.
+and corrects for them by a rank-m Woodbury term, m the number of starts
+(none on one interval).  Only a matrix whose factorization fails takes an
+LU solve and, with it, LAPACK's copy of the matrix.
 """
 from __future__ import annotations
 
@@ -78,8 +78,8 @@ class KernelMatrix:
     The upper triangle is evaluated and mirrored into the lower one.  No
     ridged copy or factor is kept: ``solve_regularized`` works in
     ``entries`` and restores it, so every solve holds ``entries`` alone,
-    except where the start-corrected matrix has a nonpositive adjacent
-    2 x 2 minor and the solve takes LU, with LAPACK's copy of it.
+    except where the start-corrected matrix fails to factor and the solve
+    takes LU, with LAPACK's copy of it.
     """
 
     grid: np.ndarray
@@ -254,16 +254,14 @@ def solve_regularized(K: KernelMatrix, rhs: np.ndarray) -> np.ndarray:
     P is factored by a blocked Cholesky in ``K.entries``' own lower
     triangle (``_factor``), one blocked substitution gives y = P^-1 rhs and
     Z = P^-1 U, and the m x m system (I - Z_s diag(c)) a = y_s gives
-    u = y + Z diag(c) a; no step divides by c.  With no starts this is the
-    plain Cholesky solve of K + r I.  The exactly symmetric upper triangle
-    is left untouched, and it and the saved diagonal are put back
-    afterwards, so K comes back bit for bit, also when anything raises.  A
-    solve holds one N x N array, K itself, except where P has a nonpositive
-    diagonal entry or adjacent 2 x 2 principal minor: such a P is
-    indefinite, and it, and one whose factorization fails, takes an LU
-    solve of K + r I with the ridge added to K's own diagonal, which holds
-    LAPACK's copy of K as well.  A solve must not run concurrently with
-    another use of the same K.
+    u = y + Z diag(c) a; no step divides by c.  With no starts P is K + r I,
+    Z is empty and u = y.  The exactly symmetric upper triangle is left
+    untouched, and it and the saved diagonal are put back afterwards, so K
+    comes back bit for bit, also when anything raises.  A solve holds one
+    N x N array, K itself, except where P is not positive definite: its
+    factorization fails, and the solve is an LU solve of K + r I with the
+    ridge added to K's own diagonal, which holds LAPACK's copy of K as well.
+    A solve must not run concurrently with another use of the same K.
     """
     A = K.entries
     n = A.shape[0]
@@ -275,26 +273,17 @@ def solve_regularized(K: KernelMatrix, rhs: np.ndarray) -> np.ndarray:
     s = K.starts
     corrected = ridged.copy()
     corrected[s] = _C1 * A[s, s + 1] * np.sqrt(K.weights[s] / K.weights[s + 1]) + K.ridge
-    # a nonpositive 1 x 1 or adjacent 2 x 2 principal minor: P is indefinite
-    factored = bool(np.all(corrected > 0.0)
-                    and np.all(corrected[:-1] * corrected[1:] > A.diagonal(1) ** 2))
     try:
-        if factored:
-            np.fill_diagonal(A, corrected)
-            try:
-                _factor(A)
-            except np.linalg.LinAlgError:  # indefinite after all: K + r I again, for LU
-                _mirror(A)
-                factored = False
-            else:
-                if not s.size:
-                    return _substitute(A, rhs)
-                return _woodbury(A, rhs, s, corrected[s] - ridged[s])
-        np.fill_diagonal(A, ridged)
-        return np.linalg.solve(A, rhs)
-    finally:
-        if factored:
+        np.fill_diagonal(A, corrected)
+        try:
+            _factor(A)
+        except np.linalg.LinAlgError:  # P is not positive definite: LU on K + r I
             _mirror(A)
+            np.fill_diagonal(A, ridged)
+            return np.linalg.solve(A, rhs)
+        return _woodbury(A, rhs, s, corrected[s] - ridged[s])
+    finally:
+        _mirror(A)
         np.fill_diagonal(A, saved)
 
 

@@ -49,6 +49,8 @@ _REAL_ROOT = 1e-10
 # the grid's contraction start runs on every this-many-th point of an
 # interval; the points between start from the interpolated roots
 _COARSE_STRIDE = 16
+# the fewest grid points per support interval that a curve is built on
+MIN_POINTS_PER_INTERVAL = 16
 
 
 class SilversteinError(RuntimeError):
@@ -624,8 +626,9 @@ def stieltjes_grid(H: AtomicMeasure, gamma: float, points_per_interval: int = 10
     edge.  ``epsilon`` changes no number; it is still accepted because the
     benchmark in perfbench/ passes it.
     """
-    if points_per_interval < 16:
-        raise ValueError("points_per_interval must be at least 16")
+    if points_per_interval < MIN_POINTS_PER_INTERVAL:
+        raise ValueError(f"points_per_interval must be at least {MIN_POINTS_PER_INTERVAL}, "
+                         f"not {points_per_interval!r}")
     support = support_intervals(H, gamma)
     n = points_per_interval
     lo, hi = np.array(support.intervals).T

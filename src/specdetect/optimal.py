@@ -27,7 +27,7 @@ from .kernel import (
     solve_regularized,
 )
 from .measures import AtomicMeasure
-from .mp import StieltjesCurve, SupportSet, stieltjes_grid
+from .mp import MIN_POINTS_PER_INTERVAL, StieltjesCurve, SupportSet, stieltjes_grid
 from .weak_derivative import SignedMeasureCdf, SpikeRecord, classify_spikes, delta_diff
 
 __all__ = [
@@ -52,10 +52,22 @@ _S_PLUS_COEFF = 0.75  # the surrogate rule's window ends at s_plus = this * (1 +
 _S_MINUS_COEFF = 0.99  # the surrogate spike is s_minus = this * a_pt
 
 
+# the least value of each integer setting of a model, a build or a sweep
+LEAST = {"n": 1, "h": 1, "seed": 0, "n_reps": 100,
+         "points_per_interval": MIN_POINTS_PER_INTERVAL}
+
+
 def check_solver(solver: str) -> None:
     """Reject a solver name that no kernel solve implements."""
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver '{solver}'; expected one of {', '.join(SOLVERS)}")
+
+
+def check_at_least(**values) -> None:
+    """Reject an integer setting below its least value in LEAST, naming it."""
+    for name, value in values.items():
+        if value < LEAST[name]:
+            raise ValueError(f"{name} must be at least {LEAST[name]}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -77,10 +89,9 @@ class SpikedModel:
     def __post_init__(self) -> None:
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
-        if self.h < 1:
-            raise ValueError("local parameter h must be at least 1")
-        if self.n is not None and self.n < 1:
-            raise ValueError("sample size must be positive")
+        check_at_least(h=self.h)
+        if self.n is not None:
+            check_at_least(n=self.n)
 
     def resolved_n(self) -> int:
         """Sample size; defaults to (d + h)/gamma when not supplied."""
@@ -103,6 +114,7 @@ class AlgoConfig:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
         check_solver(self.solver)
+        check_at_least(points_per_interval=self.points_per_interval)
 
 
 @dataclass
@@ -118,25 +130,19 @@ class LssFunction:
     grid: np.ndarray
     values: np.ndarray
     segments: list[str]
-    normalization: float | None = None
     derivative: np.ndarray | None = None
 
     def __call__(self, x) -> np.ndarray:
         return np.interp(np.asarray(x, dtype=float), self.grid, self.values)
 
     def normalized(self) -> "LssFunction":
-        """Copy anchored to zero at the left and scaled to max-abs one."""
+        """Copy anchored to zero at the left and scaled to max-abs one, without a derivative."""
         vals = self.values - self.values[0]
         scale = float(np.max(np.abs(vals)))
         if scale == 0.0:
             scale = 1.0
-        return LssFunction(
-            grid=self.grid.copy(),
-            values=vals / scale,
-            segments=list(self.segments),
-            normalization=scale,
-            derivative=None if self.derivative is None else self.derivative / scale,
-        )
+        return LssFunction(grid=self.grid.copy(), values=vals / scale,
+                           segments=list(self.segments))
 
     def to_rows(self):
         for i in range(self.grid.size):

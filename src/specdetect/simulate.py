@@ -19,7 +19,8 @@ from .io import reject_unknown
 from .kernel import REGIME_SUPERCRITICAL
 from .measures import AtomicMeasure
 from .mp import stieltjes_grid
-from .optimal import AlgoConfig, LssFunction, SpikedModel, check_solver, optimal_lss
+from .optimal import (AlgoConfig, LssFunction, SpikedModel, check_at_least, check_solver,
+                      optimal_lss)
 
 __all__ = [
     "SimConfig",
@@ -181,8 +182,14 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-        if self.n_reps < 100:
-            raise ValueError("need at least 100 replicates")
+        check_at_least(n=self.n, h=self.h, seed=self.seed, n_reps=self.n_reps,
+                       points_per_interval=self.points_per_interval)
+        if not self.spike_grid:
+            raise ValueError("spike_grid must not be empty")
+        if min(self.spike_grid) <= 0.0:
+            raise ValueError(f"spike_grid must hold positive spikes, not {list(self.spike_grid)!r}")
+        if self.null_spike <= 0.0:
+            raise ValueError(f"null_spike must be positive, not {self.null_spike!r}")
         check_solver(self.solver)
         _check_population(self.population)
 

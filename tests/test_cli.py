@@ -500,6 +500,51 @@ def test_wrong_typed_field_exits_2(tmp_path, capsys, command, payload, message):
     assert not (out / "manifest.json").exists()
 
 
+WEAK = {**SPECTRUM, "G": {"atoms": [1.6], "weights": [1.0]}}
+CLASSICAL = {**SPECTRUM, "test_id": "john-sphericity"}
+POWER_ATOMS = {**POWER, "population": ATOMS}
+SIMULATE_ATOMS = {**SIMULATE, "population": ATOMS}
+AT_LEAST_16 = "points_per_interval must be at least 16, not 5"
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("power", {**POWER_ATOMS, "n": 0}, "n must be at least 1, not 0"),
+    # ran before with a "Mean of empty slice" RuntimeWarning and a level of nan
+    ("power", {**POWER_ATOMS, "spike_grid": []}, "spike_grid must not be empty"),
+    ("power", {**POWER_ATOMS, "h": 0}, "h must be at least 1, not 0"),
+    ("power", {**POWER_ATOMS, "seed": -3}, "seed must be at least 0, not -3"),
+    ("power", {**POWER_ATOMS, "spike_grid": [-2.0]},
+     "spike_grid must hold positive spikes, not [-2.0]"),
+    ("power", {**POWER_ATOMS, "null_spike": -1}, "null_spike must be positive, not -1.0"),
+    ("power", {**POWER_ATOMS, "points_per_interval": 5}, AT_LEAST_16),
+    ("optimal-lss", {**OPTIMAL, "h": 0}, "h must be at least 1, not 0"),
+    ("optimal-lss", {**OPTIMAL, "gamma": -0.5}, "gamma must be positive"),
+    ("optimal-lss", {**OPTIMAL, "n": 0}, "n must be at least 1, not 0"),
+    ("optimal-lss", {**OPTIMAL, "config": {"points_per_interval": 5}},
+     f"invalid algorithm config: {AT_LEAST_16}"),
+    ("spectrum", {**SPECTRUM, "gamma": -0.5}, "gamma must be positive"),
+    ("spectrum", {**SPECTRUM, "points_per_interval": 5}, AT_LEAST_16),
+    ("weak-derivative", {**WEAK, "gamma": -0.5}, "gamma must be positive"),
+    ("weak-derivative", {**WEAK, "points_per_interval": 5}, AT_LEAST_16),
+    ("classical-lss", {**CLASSICAL, "gamma": -0.5}, "gamma must be positive"),
+    ("classical-lss", {**CLASSICAL, "points_per_interval": 5}, AT_LEAST_16),
+    ("simulate", {**SIMULATE_ATOMS, "n": 0}, "n must be at least 1, not 0"),
+    ("simulate", {**SIMULATE_ATOMS, "seed": -1}, "seed must be at least 0, not -1"),
+], ids=["power-n", "power-empty-spike-grid", "power-h", "power-seed", "power-negative-spike",
+        "power-null-spike", "power-points", "optimal-h", "optimal-gamma", "optimal-n",
+        "optimal-config-points", "spectrum-gamma", "spectrum-points", "weak-derivative-gamma",
+        "weak-derivative-points", "classical-gamma", "classical-points", "simulate-n",
+        "simulate-seed"])
+def test_value_out_of_range_exits_2(tmp_path, capsys, command, payload, message):
+    # a value outside its range is a config error named by its field, not a
+    # runtime failure or a run that writes nan
+    cfg = write_config(tmp_path / "c.json", payload)
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "manifest.json").exists()
+
+
 def test_numeric_strings_stay_accepted(tmp_path):
     # a value that converts to the field's type runs as it did before
     cfg = write_config(tmp_path / "c.json", {**SPECTRUM, "gamma": "0.5",

@@ -212,8 +212,8 @@ class TestCholeskySolve:
         u = solve_regularized(K, rhs)
         assert K.entries.tobytes() == before
         assert cholesky_calls and not any(raised for _, raised in cholesky_calls)
-        # no LU solve of the matrix: only the m x m Woodbury system, if any
-        assert lu_sizes == ([K.starts.size] if K.starts.size else [])
+        # no LU solve of the matrix: only the m x m Woodbury system, 0 x 0 on one interval
+        assert lu_sizes == [K.starts.size]
         dense = lu(K.entries + K.ridge * np.eye(K.size), rhs)
         assert u.shape == rhs.shape
         # observed 7e-16 on the unit kernel, 1.8e-15 on the split supports
@@ -221,8 +221,8 @@ class TestCholeskySolve:
 
     @pytest.mark.parametrize("route", ["factored", "split-support", "adjacent-minor",
                                        "factorization-fails"])
-    def test_entries_come_back_bit_for_bit(self, request, cholesky_calls, mp_kernel,
-                                           two_atom_curve_01, route):
+    def test_entries_come_back_bit_for_bit(self, request, monkeypatch, cholesky_calls,
+                                           mp_kernel, two_atom_curve_01, route):
         K = {"factored": lambda: mp_kernel,
              "split-support": lambda: sd.assemble_diagreg(two_atom_curve_01),
              "adjacent-minor": lambda: request.getfixturevalue("ar1_dip_kernel"),
@@ -231,7 +231,16 @@ class TestCholeskySolve:
         d = np.diag(K.entries) + K.ridge
         minors = d[:-1] * d[1:] - np.diag(K.entries, 1) ** 2
         rhs = np.random.default_rng(7).standard_normal((K.size, 2))
+        lu_sizes = []
+        lu = np.linalg.solve
+
+        def spy(a, b):
+            lu_sizes.append(a.shape[0])
+            return lu(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
         u = solve_regularized(K, rhs)
+        monkeypatch.setattr(np.linalg, "solve", lu)
         assert K.entries.tobytes() == before
         raised = [i for i, (_, r) in enumerate(cholesky_calls) if r]
         if route == "split-support":
@@ -242,9 +251,12 @@ class TestCholeskySolve:
             assert cholesky_calls and raised == []
         elif route == "adjacent-minor":
             # a nonpositive minor inside an interval survives the start
-            # correction, so the solve goes to LU without factoring
+            # correction, at row 87; the factorization fails before it, in
+            # the first block, where an alternating mode at interval 0's
+            # left edge is negative, and LU gets the N x N matrix
             assert K.starts.size == 11 and _corrected_minors(K).min() <= 0.0
-            assert cholesky_calls == []
+            assert cholesky_calls == [(64, True)]
+            assert lu_sizes == [K.size]
         elif route == "factorization-fails":
             assert minors.min() > 0.0
             assert np.linalg.eigvalsh(K.entries + K.ridge * np.eye(K.size))[0] < 0.0

@@ -120,7 +120,6 @@ class TestIntegrateDerivative:
         norm = phi.normalized()
         assert norm.values[0] == 0.0
         assert np.max(np.abs(norm.values)) == pytest.approx(1.0)
-        assert norm.normalization is not None
 
 
 class TestSubcriticalBranch:

@@ -27,7 +27,8 @@ from .io import read_json, reject_unknown, write_csv, write_json
 from .measures import AtomicMeasure
 from .mp import StieltjesCurve, stieltjes_grid
 from .optimal import AlgoConfig, SpikedModel, check_at_least, optimal_lss, optimal_ls3
-from .simulate import SimConfig, _draw, _population_eigenvalues, power_experiment
+from .simulate import (SimConfig, _draw, _draw_workers, _population_eigenvalues,
+                       power_experiment)
 from .weak_derivative import weak_derivative_cdf
 
 log = logging.getLogger("specdetect")
@@ -227,15 +228,21 @@ def cmd_classical(config: dict, out: OutputTracker, args) -> None:
 
 
 def cmd_simulate(config: dict, out: OutputTracker, args) -> None:
+    """Draw "n_reps" replicates (default 1, at least 1) of the population's
+    sample eigenvalues.  A `power` config's "n_reps" has the higher least
+    value LEAST["n_reps"], which its calibration half needs; a plain draw
+    has no calibration."""
     _require(config, "population", "n", "seed")
     n, seed = _number(config, "n", int), _number(config, "seed", int)
+    n_reps = _number(config, "n_reps", int, 1)
     try:
         pop = _population_eigenvalues(config["population"])
         check_at_least(n=n, seed=seed)
     except ValueError as exc:
         raise ConfigError(exc.args[0])
-    draws = _draw(np.sort(pop), n,
-                  np.random.SeedSequence(seed).spawn(_number(config, "n_reps", int, 1)))
+    if n_reps < 1:
+        raise ConfigError(f"n_reps must be at least 1, not {n_reps!r}")
+    draws = _draw(np.sort(pop), n, np.random.SeedSequence(seed).spawn(n_reps), _draw_workers())
     rows = [(rep, i, val) for rep, eigs in enumerate(draws) for i, val in enumerate(eigs)]
     write_csv(out.path("sample_eigenvalues.csv"), ["replicate", "index", "eigenvalue"], rows)
 

@@ -10,7 +10,12 @@ bulk curve that the sweep shares.
 from __future__ import annotations
 
 import math
+import mmap
 import numbers
+import os
+import sys
+import threading
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,6 +229,7 @@ class PowerCurve:
     alpha: float
     supercritical: np.ndarray
     level_lss_per_spike: np.ndarray
+    draw_workers: int
 
     def to_rows(self):
         for i in range(self.spikes.size):
@@ -241,6 +247,7 @@ class PowerCurve:
             "pt_threshold": self.pt_threshold,
             "supercritical": self.supercritical.astype(int).tolist(),
             "level_lss_per_spike": self.level_lss_per_spike.tolist(),
+            "draw_workers": self.draw_workers,
         }
 
 
@@ -251,9 +258,83 @@ def _upper_critical(null_stats: np.ndarray, alpha: float) -> float:
     return float(np.sort(null_stats)[k - 1])
 
 
-def _draw(pop: np.ndarray, n: int, seeds) -> np.ndarray:
-    """One replicate per seed: the (r, p) array of ascending sample eigenvalues."""
-    return np.array([sample_eigenvalues(pop, n, np.random.default_rng(s)) for s in seeds])
+# the variables through which the environment pins a BLAS library's thread count
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _draw_workers() -> int:
+    """Processes that ``_draw`` may split replicates across: the usable CPUs
+    over the largest positive integer among the set ``_BLAS_THREAD_VARS``.
+
+    One when no BLAS thread count is pinned: BLAS then takes every CPU, and
+    forked draws beside it oversubscribe them (on 2 cores, two forked
+    ``eigvalsh`` loops took 4.6 times as long as one alone).  One too where
+    ``os.fork`` is missing or another Python thread runs, since a forked
+    child holds only the calling thread.
+    """
+    pins = []
+    for name in _BLAS_THREAD_VARS:
+        with suppress(ValueError):
+            pins.append(int(os.environ.get(name, "")))
+    pins = [t for t in pins if t > 0]
+    if not pins or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, cpus // max(pins))
+
+
+def _draw(pop: np.ndarray, n: int, seeds, workers: int) -> np.ndarray:
+    """One replicate per seed: the (r, p) array of ascending sample eigenvalues.
+
+    The rows are split across w = min(r, ``workers``) processes: w - 1
+    forked children and this one.  Worker k draws rows k, k + w, k + 2w,
+    ... from their own seeds into one shared anonymous map, so no row
+    depends on w.  Every child is reaped before this returns or raises; a
+    failed child raises ``RuntimeError``.  The rows are returned in a heap
+    copy: the heap reuses freed pages where each fresh map adds its own
+    (1.3 MB less peak RSS on the criterion-8 sweep).
+    """
+    r, p = len(seeds), pop.size
+    w = max(1, min(r, workers))
+    out = (np.frombuffer(mmap.mmap(-1, r * p * 8), dtype=float).reshape(r, p) if w > 1
+           else np.empty((r, p)))
+
+    def fill(k: int) -> None:
+        for i in range(k, r, w):
+            out[i] = sample_eigenvalues(pop, n, np.random.default_rng(seeds[i]))
+
+    children = []
+    try:
+        for k in range(1, w):
+            pid = os.fork()
+            if pid == 0:  # a child leaves by _exit only, never returning to the caller
+                code = 1
+                try:
+                    fill(k)
+                    code = 0
+                except BaseException:
+                    import traceback
+                    traceback.print_exc()
+                    sys.stderr.flush()
+                finally:
+                    os._exit(code)
+            children.append((k, pid))
+        fill(0)
+    except BaseException:
+        import signal
+        for _, pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        codes = [(k, pid, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+                 for k, pid in children]
+    failed = [f"worker {k} (pid {pid}) exited with code {code}" for k, pid, code in codes if code]
+    if failed:
+        raise RuntimeError(f"draw failed: {'; '.join(failed)}")
+    return np.array(out) if w > 1 else out
 
 
 def power_experiment(config: SimConfig) -> PowerCurve:
@@ -281,11 +362,12 @@ def power_experiment(config: SimConfig) -> PowerCurve:
              for s in spikes]
     supercrit = np.array([report.regime == REGIME_SUPERCRITICAL for _, report in built],
                          dtype=bool)
+    workers = min(reps, _draw_workers())
 
     # null replicates: the first half calibrates, the second gives the held-out level
     master = np.random.SeedSequence(config.seed)
     null_eigs = _draw(np.concatenate([bulk, np.full(h, config.null_spike)]), config.n,
-                      master.spawn(2 * reps))
+                      master.spawn(2 * reps), workers)
     lam1_null = null_eigs[:, -1]
     crit_top = _upper_critical(lam1_null[:reps], config.alpha)
     level_top = float(np.mean(lam1_null[reps:] > crit_top))
@@ -298,7 +380,8 @@ def power_experiment(config: SimConfig) -> PowerCurve:
         t_null = apply_lss(phi, null_eigs)
         crit_lss[i] = _upper_critical(t_null[:reps], config.alpha)
         levels[i] = np.mean(t_null[reps:] > crit_lss[i])
-        alt_eigs = _draw(np.concatenate([bulk, np.full(h, s)]), config.n, master.spawn(reps))
+        alt_eigs = _draw(np.concatenate([bulk, np.full(h, s)]), config.n, master.spawn(reps),
+                         workers)
         power_lss[i] = np.mean(apply_lss(phi, alt_eigs) > crit_lss[i])
         power_top[i] = np.mean(alt_eigs[:, -1] > crit_top)
 
@@ -322,4 +405,5 @@ def power_experiment(config: SimConfig) -> PowerCurve:
         alpha=config.alpha,
         supercritical=supercrit,
         level_lss_per_spike=levels,
+        draw_workers=workers,
     )

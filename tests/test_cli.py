@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import specdetect as sd
-from specdetect import ar1_eigenvalues
+from specdetect import ar1_eigenvalues, simulate
 from specdetect.cli import main
 from specdetect.io import read_json
 
@@ -530,11 +530,14 @@ AT_LEAST_16 = "points_per_interval must be at least 16, not 5"
     ("classical-lss", {**CLASSICAL, "points_per_interval": 5}, AT_LEAST_16),
     ("simulate", {**SIMULATE_ATOMS, "n": 0}, "n must be at least 1, not 0"),
     ("simulate", {**SIMULATE_ATOMS, "seed": -1}, "seed must be at least 0, not -1"),
+    # "n_reps": 0 wrote a header-only CSV, and -1 failed in numpy's seed spawn
+    ("simulate", {**SIMULATE_ATOMS, "n_reps": 0}, "n_reps must be at least 1, not 0"),
+    ("simulate", {**SIMULATE_ATOMS, "n_reps": -1}, "n_reps must be at least 1, not -1"),
 ], ids=["power-n", "power-empty-spike-grid", "power-h", "power-seed", "power-negative-spike",
         "power-null-spike", "power-points", "optimal-h", "optimal-gamma", "optimal-n",
         "optimal-config-points", "spectrum-gamma", "spectrum-points", "weak-derivative-gamma",
         "weak-derivative-points", "classical-gamma", "classical-points", "simulate-n",
-        "simulate-seed"])
+        "simulate-seed", "simulate-no-reps", "simulate-negative-reps"])
 def test_value_out_of_range_exits_2(tmp_path, capsys, command, payload, message):
     # a value outside its range is a config error named by its field, not a
     # runtime failure or a run that writes nan
@@ -716,6 +719,7 @@ class TestPowerCommand:
         meta = read_json(out / "power_metadata.json")
         assert meta["seed"] == 31337
         assert "pt_threshold" in meta
+        assert meta["draw_workers"] == simulate._draw_workers()
 
 
     def test_unknown_solver_in_config_exits_2(self, tmp_path, capsys):

@@ -108,3 +108,14 @@ def test_runtime_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_no_process_pool():
+    # the draws fork with os alone; a pool module would add to every import
+    code = ("import sys, specdetect, specdetect.cli; "
+            "loaded = [m for m in sys.modules if m.split('.')[0] in "
+            "('multiprocessing', 'concurrent')]; assert not loaded, loaded")
+    src = str(Path(sd.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,8 @@
 import math
+import os
+import threading
+import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -372,6 +376,9 @@ class TestPowerExperiment:
 
         monkeypatch.setattr(simulate, "sample_eigenvalues", counted_draw)
         monkeypatch.setattr(simulate, "ar1_eigenvalues", counted_bulk)
+        # a forked worker's calls are not counted here; the worker-count
+        # tests below check that the forked path draws the same rows
+        monkeypatch.setattr(simulate, "_draw_workers", lambda: 1)
         sd.power_experiment(small_config)
         reps = small_config.n_reps
         assert counts == {"draws": (2 + len(small_config.spike_grid)) * reps, "bulks": 1}
@@ -388,3 +395,114 @@ class TestPowerExperiment:
         )
         with pytest.raises(ValueError, match="G0"):
             sd.power_experiment(cfg)
+
+
+class TestDrawWorkers:
+    """The sweep's draws split across forked processes change no bit."""
+
+    POP = np.linspace(0.5, 2.0, 30)
+
+    def seeds(self, count):
+        return np.random.SeedSequence(3).spawn(count)
+
+    @pytest.mark.slow
+    def test_curve_is_bit_identical_at_one_and_two_workers(self, small_config, monkeypatch):
+        curves = []
+        for workers in (1, 2):
+            monkeypatch.setattr(simulate, "_draw_workers", lambda: workers)
+            curves.append(sd.power_experiment(small_config))
+        serial, forked = curves
+        assert (serial.draw_workers, forked.draw_workers) == (1, 2)
+        for f in fields(serial):
+            if f.name != "draw_workers":
+                a, b = (np.asarray(getattr(c, f.name)) for c in curves)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+
+    @pytest.mark.parametrize("workers", [2, 3, 7, 9])
+    def test_rows_the_workers_do_not_divide_equal_the_serial_rows(self, workers):
+        seeds = self.seeds(7)
+        serial = np.array([sd.sample_eigenvalues(self.POP, 60, np.random.default_rng(s))
+                           for s in seeds])
+        rows = simulate._draw(self.POP, 60, seeds, workers)
+        assert rows.shape == (7, 30)
+        assert rows.tobytes() == serial.tobytes()
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_no_fork_for_fewer_than_two_rows(self, count, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert simulate._draw(self.POP, 60, self.seeds(count), 2).shape == (count, 30)
+
+    def test_failed_worker_raises_and_leaves_no_child(self, monkeypatch):
+        parent, draw = os.getpid(), simulate.sample_eigenvalues
+
+        def fails_in_a_child(*args):
+            if os.getpid() != parent:
+                raise ValueError("worker draw failed")
+            return draw(*args)
+
+        monkeypatch.setattr(simulate, "sample_eigenvalues", fails_in_a_child)
+        with pytest.raises(RuntimeError, match=r"draw failed: worker 1 \(pid \d+\) exited "
+                                                r"with code 1$"):
+            simulate._draw(self.POP, 60, self.seeds(6), 2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_parent_kills_its_children(self, monkeypatch):
+        parent = os.getpid()
+
+        def stalls_in_a_child(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise ValueError("parent draw failed")
+
+        monkeypatch.setattr(simulate, "sample_eigenvalues", stalls_in_a_child)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="parent draw failed"):
+            simulate._draw(self.POP, 60, self.seeds(4), 2)
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("env, workers", [
+        ({}, 1),  # unpinned BLAS takes every CPU: serial
+        ({"OPENBLAS_NUM_THREADS": "1"}, 8),
+        ({"OMP_NUM_THREADS": "2"}, 4),
+        ({"MKL_NUM_THREADS": "3"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 2),  # the largest pin
+        ({"OPENBLAS_NUM_THREADS": "16"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "auto"}, 1),  # not an integer: not a pin
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": ""}, 1),
+        ({"OPENBLAS_NUM_THREADS": "2.5", "MKL_NUM_THREADS": "1"}, 8),
+    ])
+    def test_worker_count_rule(self, env, workers, monkeypatch):
+        for name in simulate._BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        assert simulate._draw_workers() == workers
+
+    def test_worker_count_falls_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert simulate._draw_workers() == 6
+
+    def test_serial_without_fork_or_beside_another_thread(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        assert simulate._draw_workers() == 8
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(30,))
+        thread.start()
+        try:
+            assert simulate._draw_workers() == 1
+        finally:
+            release.set()
+            thread.join(30)
+        assert not thread.is_alive()
+        monkeypatch.delattr(os, "fork")
+        assert simulate._draw_workers() == 1

@@ -10,7 +10,6 @@ bulk curve that the sweep shares.
 from __future__ import annotations
 
 import math
-import mmap
 import numbers
 import os
 import sys
@@ -64,7 +63,39 @@ def cho_solve(*args, **kwargs):
     return cho_solve(*args, **kwargs)
 
 
-def sample_eigenvalues(pop_eigs, n: int, seed) -> np.ndarray:
+class _DrawWorkspace:
+    """The buffers that ``sample_eigenvalues`` refills on every draw for one
+    population and sample size, so a draw allocates no p x p array of its
+    own.  Built once per draw worker, after the fork."""
+
+    def __init__(self, pop_eigs, n: int) -> None:
+        pop = np.asarray(pop_eigs, dtype=float)
+        if pop.ndim != 1:
+            raise ValueError(f"population eigenvalues must be a 1-d array, not {pop.ndim}-d")
+        if not np.all(np.isfinite(pop)):
+            raise ValueError("population eigenvalues must be finite")
+        if np.any(pop < 0):
+            raise ValueError("population eigenvalues must be nonnegative")
+        if n < 1:
+            raise ValueError("sample size must be positive")
+        p = pop.size
+        self.n, self.p = n, p
+        self.root = np.sqrt(pop)
+        if n >= p:
+            # the Bartlett factor: a draw writes its strict lower triangle
+            # through the mask and its diagonal, so the upper one stays zero
+            self.m = np.zeros((p, p))
+            self.mask = np.tri(p, k=-1, dtype=bool)
+            self.dof = n - np.arange(p)
+            self.prod = np.empty((p, p))
+            # the normals are drawn into the product's buffer, unused until the product
+            self.z = self.prod.reshape(-1)[:p * (p - 1) // 2]
+        else:
+            self.m = np.empty((n, p))
+            self.prod = np.empty((n, n))
+
+
+def sample_eigenvalues(pop_eigs, n: int, seed, work: _DrawWorkspace | None = None) -> np.ndarray:
     """Ascending eigenvalues of the sample covariance of n Gaussian draws.
 
     ``seed`` may be an int, a SeedSequence or a Generator; results are
@@ -73,24 +104,24 @@ def sample_eigenvalues(pop_eigs, n: int, seed) -> np.ndarray:
     (1933) factor of a W_p(n, I) matrix: lower triangular, sqrt(chi2_{n-i})
     on the diagonal and N(0, 1) below it.  For p > n they are those of
     the n x n gram X X^T / n of X = Z diag(sqrt(pop_eigs)), preceded by
-    p - n exact zeros.
+    p - n exact zeros.  ``work``, built for the same pop_eigs and n, holds
+    the buffers a draw refills; without it each call builds its own.
     """
-    pop = np.asarray(pop_eigs, dtype=float)
-    if np.any(pop < 0):
-        raise ValueError("population eigenvalues must be nonnegative")
-    if n < 1:
-        raise ValueError("sample size must be positive")
+    if work is None:
+        work = _DrawWorkspace(pop_eigs, n)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    p = pop.size
-    root = np.sqrt(pop)
-    if n >= p:
-        m = np.zeros((p, p))
-        m[np.tri(p, k=-1, dtype=bool)] = rng.standard_normal(p * (p - 1) // 2)
-        np.fill_diagonal(m, np.sqrt(rng.chisquare(n - np.arange(p))))
-        m *= root[:, None]
-        return np.linalg.eigvalsh(m @ m.T / n)
-    x = rng.standard_normal((n, p)) * root
-    return np.concatenate([np.zeros(p - n), np.linalg.eigvalsh(x @ x.T / n)])
+    m, prod = work.m, work.prod
+    if work.n >= work.p:
+        m[work.mask] = rng.standard_normal(out=work.z)
+        np.fill_diagonal(m, np.sqrt(rng.chisquare(work.dof)))
+        m *= work.root[:, None]
+    else:
+        rng.standard_normal(out=m)
+        m *= work.root
+    np.matmul(m, m.T, out=prod)
+    prod /= work.n
+    eigs = np.linalg.eigvalsh(prod)
+    return eigs if work.n >= work.p else np.concatenate([np.zeros(work.p - work.n), eigs])
 
 
 def apply_lss(phi: LssFunction, eigenvalues) -> float | np.ndarray:
@@ -291,29 +322,42 @@ def _draw(pop: np.ndarray, n: int, seeds, workers: int) -> np.ndarray:
 
     The rows are split across w = min(r, ``workers``) processes: w - 1
     forked children and this one.  Worker k draws rows k, k + w, k + 2w,
-    ... from their own seeds into one shared anonymous map, so no row
-    depends on w.  Every child is reaped before this returns or raises; a
-    failed child raises ``RuntimeError``.  The rows are returned in a heap
-    copy: the heap reuses freed pages where each fresh map adds its own
-    (1.3 MB less peak RSS on the criterion-8 sweep).
+    ... from their own seeds in one workspace, so no row depends on w.  A
+    child sends its rows down a pipe once it has drawn them all, and they
+    are read straight into the result, so this process holds no second
+    copy of them.  Every child is reaped before this returns or raises; a
+    failed child raises ``RuntimeError``.
     """
     r, p = len(seeds), pop.size
     w = max(1, min(r, workers))
-    out = (np.frombuffer(mmap.mmap(-1, r * p * 8), dtype=float).reshape(r, p) if w > 1
-           else np.empty((r, p)))
+    out = np.empty((r, p))
 
     def fill(k: int) -> None:
+        work = _DrawWorkspace(pop, n)
         for i in range(k, r, w):
-            out[i] = sample_eigenvalues(pop, n, np.random.default_rng(seeds[i]))
+            out[i] = sample_eigenvalues(pop, n, np.random.default_rng(seeds[i]), work)
 
     children = []
     try:
         for k in range(1, w):
-            pid = os.fork()
+            rfd, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(rfd)
+                os.close(wfd)
+                raise
             if pid == 0:  # a child leaves by _exit only, never returning to the caller
                 code = 1
                 try:
+                    # no read end left open here, so a write fails once this process is gone
+                    os.close(rfd)
+                    for *_, reader in children:
+                        reader.close()
                     fill(k)
+                    with open(wfd, "wb") as pipe:
+                        for i in range(k, r, w):
+                            pipe.write(out[i])
                     code = 0
                 except BaseException:
                     import traceback
@@ -321,20 +365,26 @@ def _draw(pop: np.ndarray, n: int, seeds, workers: int) -> np.ndarray:
                     sys.stderr.flush()
                 finally:
                     os._exit(code)
-            children.append((k, pid))
+            os.close(wfd)
+            children.append((k, pid, open(rfd, "rb")))
         fill(0)
+        for k, _, reader in children:  # a failed child's rows end early; its exit code tells
+            for i in range(k, r, w):
+                reader.readinto(out[i])
     except BaseException:
         import signal
-        for _, pid in children:
+        for _, pid, _ in children:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        codes = [(k, pid, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-                 for k, pid in children]
+        codes = []
+        for k, pid, reader in children:
+            reader.close()
+            codes.append((k, pid, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
     failed = [f"worker {k} (pid {pid}) exited with code {code}" for k, pid, code in codes if code]
     if failed:
         raise RuntimeError(f"draw failed: {'; '.join(failed)}")
-    return np.array(out) if w > 1 else out
+    return out
 
 
 def power_experiment(config: SimConfig) -> PowerCurve:

@@ -15,6 +15,12 @@ BULKS = {
     "two-atom": (sd.AtomicMeasure(np.array([1.0, 3.0]), np.array([0.5, 0.5])), 0.1),
     "ar1": (sd.AtomicMeasure.uniform(sd.ar1_eigenvalues(0.7, 249)), 0.5),
 }
+# bulks above gamma = 1, where the sample spectrum has an atom at zero
+WIDE = {
+    "unit-1.5": (sd.AtomicMeasure.point_mass(1.0), 1.5),
+    "unit-2": (sd.AtomicMeasure.point_mass(1.0), 2.0),
+    "two-atom-1.5": (sd.AtomicMeasure(np.array([1.0, 3.0]), np.array([0.5, 0.5])), 1.5),
+}
 # Var sum lambda_i^2 and Var sum lambda_i^3, as ROADMAP direction 1 records them
 PINS = {
     "unit": (10.0, 89.0625),
@@ -27,10 +33,10 @@ def power(k):
     return lambda z: z**k
 
 
-@pytest.mark.parametrize("name", BULKS)
+@pytest.mark.parametrize("name", [*BULKS, *WIDE])
 def test_trace_variance_closed_form(name):
     # Var tr S = 2 gamma * (second population moment)
-    H, gamma = BULKS[name]
+    H, gamma = {**BULKS, **WIDE}[name]
     exact = 2 * gamma * float(np.sum(H.weights * H.atoms**2))
     assert contour_cov(H, gamma, power(1), power(1)) == pytest.approx(exact, rel=1e-12)
 
@@ -40,6 +46,14 @@ def test_polynomial_variances_match_the_pins(name):
     H, gamma = BULKS[name]
     for k, pin in zip((2, 3), PINS[name]):
         assert contour_cov(H, gamma, power(k), power(k)) == pytest.approx(pin, rel=1e-10)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.5, 2.0])
+def test_unit_bulk_square_variance_closed_form(gamma):
+    # Var sum lambda_i^2 = 4 gamma (2 + 5 gamma + 2 gamma^2) on the unit bulk
+    exact = 4 * gamma * (2 + 5 * gamma + 2 * gamma**2)
+    H = sd.AtomicMeasure.point_mass(1.0)
+    assert contour_cov(H, gamma, power(2), power(2)) == pytest.approx(exact, rel=1e-12)
 
 
 @pytest.mark.parametrize("name", BULKS)

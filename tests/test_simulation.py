@@ -108,6 +108,15 @@ class TestSampleEigenvalues:
         trace_sd = math.sqrt(2 * np.sum(pop**2) / n)
         assert abs(ours[0].mean() - pop.sum()) <= 4 * trace_sd / math.sqrt(reps)
 
+    @pytest.mark.parametrize("pop, message", [
+        ([1.0, np.nan], "finite"),
+        ([1.0, np.inf], "finite"),
+        ([[1.0, 2.0], [3.0, 4.0]], "1-d array, not 2-d"),
+    ], ids=["nan", "inf", "2-d"])
+    def test_population_validated(self, pop, message):
+        with pytest.raises(ValueError, match=message):
+            sd.sample_eigenvalues(pop, 20, seed=1)
+
     def test_square_case(self):
         # n = p: the last Bartlett diagonal entry is a chi-square with 1 degree of freedom
         pop = np.linspace(0.5, 2.0, 20)
@@ -418,14 +427,24 @@ class TestDrawWorkers:
                 a, b = (np.asarray(getattr(c, f.name)) for c in curves)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
 
-    @pytest.mark.parametrize("workers", [2, 3, 7, 9])
-    def test_rows_the_workers_do_not_divide_equal_the_serial_rows(self, workers):
+    # n = 60 >= p draws the Bartlett factor, n = 20 < p the gram
+    @pytest.mark.parametrize("workers, n", [
+        *(pytest.param(w, 60, id=str(w)) for w in (2, 3, 7, 9)),
+        *(pytest.param(w, 20, id=f"wide-{w}") for w in (1, 2, 7)),
+    ])
+    def test_rows_the_workers_do_not_divide_equal_the_serial_rows(self, workers, n):
         seeds = self.seeds(7)
-        serial = np.array([sd.sample_eigenvalues(self.POP, 60, np.random.default_rng(s))
+        serial = np.array([sd.sample_eigenvalues(self.POP, n, np.random.default_rng(s))
                            for s in seeds])
-        rows = simulate._draw(self.POP, 60, seeds, workers)
+        rows = simulate._draw(self.POP, n, seeds, workers)
         assert rows.shape == (7, 30)
         assert rows.tobytes() == serial.tobytes()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds on Linux")
+    def test_every_pipe_is_closed(self):
+        before = sorted(os.listdir("/proc/self/fd"))
+        simulate._draw(self.POP, 60, self.seeds(7), 3)
+        assert sorted(os.listdir("/proc/self/fd")) == before
 
     @pytest.mark.parametrize("count", [0, 1])
     def test_no_fork_for_fewer_than_two_rows(self, count, monkeypatch):

@@ -199,6 +199,26 @@ class TestDeltaDiff:
         assert d.point_masses == [(loc0, -w0), (loc1, w1)]
         assert w0 == w1 == pytest.approx(0.1, abs=1e-15)
 
+    # regimes no statistic build exercises, against G0 = delta_1 at 400
+    # points; the total masses read -3.3e-6 to +6.8e-5, and -4.3e-4 for the
+    # downward supercritical spike
+    @pytest.mark.parametrize("atoms, gamma, t, supercritical", [
+        ((1.0,), 0.5, 0.8, False),
+        ((1.0,), 2.0, 1.3, False),
+        ((1.0,), 2.0, 0.8, False),
+        ((1.0, 3.0), 1.5, 2.0, False),
+        ((1.0,), 0.5, 0.2, True),  # below the lower threshold
+        ((0.01, 1.0), 0.3, 0.5, True),  # into the gap between the atoms
+    ])
+    def test_zero_total_mass_off_the_built_regimes(self, atoms, gamma, t, supercritical):
+        H = sd.AtomicMeasure.uniform(np.array(atoms))
+        curve = sd.stieltjes_grid(H, gamma, points_per_interval=400)
+        G1 = sd.AtomicMeasure.point_mass(t)
+        (record,) = sd.classify_spikes(H, gamma, G1, curve.support)
+        assert record.supercritical == supercritical
+        d = sd.delta_diff(H, sd.AtomicMeasure.point_mass(1.0), G1, gamma, curve)
+        assert abs(d.total_mass) <= 1e-3
+
 
 
 @pytest.mark.parametrize("inward, edge", [(+1, 0.25), (-1, 1.25)])

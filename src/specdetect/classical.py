@@ -1,13 +1,13 @@
 """Classical identity/sphericity tests and their equivalent spectral statistics.
 
-Every entry carries the original eigenvalue statistic together with a
-builder for the asymptotically equivalent test function, parameterized by
-the limiting-distribution moments m_i so that the equivalence holds for
-arbitrary population spectra, not just the white-noise null.
+Every entry builds the asymptotically equivalent test function from the
+limiting-distribution moments m_i, so the equivalence holds for arbitrary
+population spectra, not just the white-noise null.  Seven tests are that
+function summed over the sample at the sample's own moments; the three
+that normalize by sample sums keep their own original statistic.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -16,7 +16,7 @@ import numpy as np
 from .io import reject_unknown
 from .measures import AtomicMeasure
 from .mp import StieltjesCurve, forward_moments
-from .optimal import SEG_SUPPORT, LssFunction
+from .optimal import SEG_SUPPORT, LssFunction, check_at_least
 
 __all__ = [
     "catalog_ids",
@@ -33,42 +33,40 @@ def omh_z(t: float, gamma: float) -> float:
     return t * (1.0 + gamma / (t - 1.0))
 
 
-def _require_positive(eigs: np.ndarray, what: str) -> None:
-    if np.any(eigs <= 0):
-        raise ValueError(f"{what} requires strictly positive eigenvalues")
+_Phi = Callable[[np.ndarray], np.ndarray]
+
+
+def _guarded(phi: _Phi, ok: _Phi, message: str) -> _Phi:
+    """phi, refusing with ``message`` any x outside its domain, where ok(x) fails."""
+    def guarded(x):
+        x = np.asarray(x, dtype=float)
+        if not np.all(ok(x)):
+            raise ValueError(message)
+        return phi(x)
+    return guarded
 
 
 @dataclass(frozen=True)
 class _CatalogEntry:
-    """One classical test: original statistic plus equivalent-LSS builder."""
+    """One classical test: equivalent-LSS builder and, if any, its own original statistic."""
 
     test_id: str
-    build: Callable[..., Callable[[np.ndarray], np.ndarray]]
-    original: Callable[..., float]
+    build: Callable[..., _Phi]
+    original: Callable[..., float] | None = None  # None: build's phi summed over the sample
     needs: tuple[str, ...] = ()  # required parameter names
 
 
 def _entry_definitions() -> list[_CatalogEntry]:
     def lrt_identity_lss(m, gamma, params):
-        return lambda x: x - np.log(x) - 1.0
-
-    def lrt_identity_stat(eigs, n, params):
-        _require_positive(eigs, "identity LRT")
-        return float(np.sum(eigs) - np.sum(np.log(eigs)) - eigs.size)
+        return _guarded(lambda x: x - np.log(x) - 1.0, lambda x: x > 0,
+                        "identity LRT requires strictly positive eigenvalues")
 
     def mauchly_lss(m, gamma, params):
-        return lambda x: x / m[0] - np.log(x / m[0]) - 1.0
-
-    def mauchly_stat(eigs, n, params):
-        _require_positive(eigs, "sphericity LRT")
-        p = eigs.size
-        return float(p * math.log(np.mean(eigs)) - np.sum(np.log(eigs)))
+        return _guarded(lambda x: x / m[0] - np.log(x / m[0]) - 1.0, lambda x: x > 0,
+                        "sphericity LRT requires strictly positive eigenvalues")
 
     def john_identity_lss(m, gamma, params):
         return lambda x: np.asarray(x, dtype=float)
-
-    def john_identity_stat(eigs, n, params):
-        return float(np.sum(eigs))
 
     def john_sphericity_lss(m, gamma, params):
         return lambda x: m[0] * x**2 - 2.0 * m[1] * x
@@ -80,9 +78,6 @@ def _entry_definitions() -> list[_CatalogEntry]:
 
     def nagao_lss(m, gamma, params):
         return lambda x: (x - 1.0) ** 2
-
-    def nagao_stat(eigs, n, params):
-        return float(np.sum((eigs - 1.0) ** 2))
 
     def ledoit_wolf_lss(m, gamma, params):
         return lambda x: x**2 - 2.0 * (1.0 + gamma * m[0]) * x
@@ -98,46 +93,30 @@ def _entry_definitions() -> list[_CatalogEntry]:
 
     def omh_identity_lss(m, gamma, params):
         z = omh_z(params["t"], gamma)
-        def phi(x):
-            arg = z - np.asarray(x, dtype=float)
-            if np.any(arg <= 0):
-                raise ValueError("z(t) - x must stay positive: spike is supercritical "
-                                 "for this grid")
-            return -np.log(arg)
-        return phi
+        return _guarded(lambda x: -np.log(z - x), lambda x: z - x > 0,
+                        "z(t) - x must stay positive: spike is supercritical for this grid")
 
     def omh_sphericity_lss(m, gamma, params):
         slope = (params["t"] - 1.0) / gamma
         phi = omh_identity_lss(m, gamma, params)
         return lambda x: phi(x) - slope * np.asarray(x, dtype=float)
 
-    def on_sample(build):
-        # the statistic is the sum of the equivalent LSS at gamma = p/n
-        return lambda eigs, n, params: float(np.sum(build(None, eigs.size / n, params)(eigs)))
-
     def reg_lrt_lss(m, gamma, params):
         lam = params["lam"]
-        return lambda x: x - np.log(x + lam)
-
-    def reg_lrt_stat(eigs, n, params):
-        lam = params["lam"]
-        if np.any(eigs + lam <= 0):
-            raise ValueError("regularized LRT requires eigenvalues + lam > 0")
-        return float(np.sum(eigs) - np.sum(np.log(eigs + lam)))
+        return _guarded(lambda x: x - np.log(x + lam), lambda x: x + lam > 0,
+                        "regularized LRT requires eigenvalues + lam > 0")
 
     return [
-        _CatalogEntry("lrt-identity", lrt_identity_lss, lrt_identity_stat),
-        _CatalogEntry("mauchly", mauchly_lss, mauchly_stat),
-        _CatalogEntry("john-identity", john_identity_lss, john_identity_stat),
+        _CatalogEntry("lrt-identity", lrt_identity_lss),
+        _CatalogEntry("mauchly", mauchly_lss),
+        _CatalogEntry("john-identity", john_identity_lss),
         _CatalogEntry("john-sphericity", john_sphericity_lss, john_sphericity_stat),
-        _CatalogEntry("nagao", nagao_lss, nagao_stat),
+        _CatalogEntry("nagao", nagao_lss),
         _CatalogEntry("ledoit-wolf", ledoit_wolf_lss, ledoit_wolf_stat),
         _CatalogEntry("fisher-2010", fisher_lss, fisher_stat),
-        _CatalogEntry("omh-identity", omh_identity_lss, on_sample(omh_identity_lss),
-                      needs=("t",)),
-        _CatalogEntry("omh-sphericity", omh_sphericity_lss, on_sample(omh_sphericity_lss),
-                      needs=("t",)),
-        _CatalogEntry("regularized-lrt", reg_lrt_lss, reg_lrt_stat, needs=("lam",)),
+        _CatalogEntry("omh-identity", omh_identity_lss, needs=("t",)),
+        _CatalogEntry("omh-sphericity", omh_sphericity_lss, needs=("t",)),
+        _CatalogEntry("regularized-lrt", reg_lrt_lss, needs=("lam",)),
     ]
 
 
@@ -161,7 +140,7 @@ def _resolve_entry(test_id: str, params: dict) -> _CatalogEntry:
     return entry
 
 
-def _on_curve(phi: Callable[[np.ndarray], np.ndarray], curve: StieltjesCurve) -> LssFunction:
+def _on_curve(phi: _Phi, curve: StieltjesCurve) -> LssFunction:
     """phi on the curve's grid; evaluation extends it."""
     return LssFunction(grid=curve.grid.copy(), values=np.array(phi(curve.grid), dtype=float),
                        segments=[SEG_SUPPORT] * curve.grid.size)
@@ -180,6 +159,17 @@ def equivalent_lss(test_id: str, H: AtomicMeasure, gamma: float, curve: Stieltje
 
 
 def evaluate_statistic(test_id: str, eigenvalues, n: int, **params) -> float:
-    """Original-form statistic on a set of sample eigenvalues."""
+    """Original-form statistic on a set of sample eigenvalues: for a test
+    without its own, the equivalent test function summed over the sample,
+    built at gamma = p/n and at the sample moments m_k = mean(lambda^k)."""
     entry = _resolve_entry(test_id, params)
-    return entry.original(np.asarray(eigenvalues, dtype=float), n, params)
+    eigs = np.asarray(eigenvalues, dtype=float)
+    if eigs.ndim != 1 or eigs.size == 0:
+        raise ValueError(f"eigenvalues must be a nonempty 1-d array, not shape {eigs.shape}")
+    if not np.all(np.isfinite(eigs)):
+        raise ValueError("eigenvalues must be finite")
+    check_at_least(n=n)
+    if entry.original is not None:
+        return entry.original(eigs, n, params)
+    m = [float(np.mean(eigs**k)) for k in range(1, 5)]
+    return float(np.sum(entry.build(m, eigs.size / n, params)(eigs)))

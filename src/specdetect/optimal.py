@@ -11,6 +11,7 @@ identity-direction D(x) = x * density(x).
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -64,8 +65,10 @@ def check_solver(solver: str) -> None:
 
 
 def check_at_least(**values) -> None:
-    """Reject an integer setting below its least value in LEAST, naming it."""
+    """Reject an integer setting that is no integer or below its least value in LEAST."""
     for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
         if value < LEAST[name]:
             raise ValueError(f"{name} must be at least {LEAST[name]}, not {value!r}")
 

@@ -76,6 +76,8 @@ class _DrawWorkspace:
             raise ValueError("population eigenvalues must be finite")
         if np.any(pop < 0):
             raise ValueError("population eigenvalues must be nonnegative")
+        if not isinstance(n, numbers.Integral):
+            raise ValueError(f"sample size must be an integer, not {n!r}")
         if n < 1:
             raise ValueError("sample size must be positive")
         p = pop.size

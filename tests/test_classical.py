@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,25 @@ class TestOriginalForms:
     def test_log_form_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             sd.evaluate_statistic("lrt-identity", np.array([1.0, 0.0]), n=5)
+
+    def test_domain_refused_with_one_message(self, mp_unit, mp_curve):
+        message = "^regularized LRT requires eigenvalues \\+ lam > 0$"
+        with pytest.raises(ValueError, match=message):
+            sd.equivalent_lss("regularized-lrt", mp_unit, GAMMA, mp_curve, lam=-0.5)
+        with pytest.raises(ValueError, match=message):
+            sd.evaluate_statistic("regularized-lrt", [0.4, 1.0], 4, lam=-0.5)
+
+    @pytest.mark.parametrize("eigenvalues, n, message", [
+        ([], 6, "eigenvalues must be a nonempty 1-d array, not shape (0,)"),
+        ([[1.0, 2.0]], 6, "eigenvalues must be a nonempty 1-d array, not shape (1, 2)"),
+        ([1.0, np.nan], 6, "eigenvalues must be finite"),
+        ([1.0, 2.0], 0, "n must be at least 1, not 0"),
+        ([1.0, 2.0], 6.0, "n must be an integer, not 6.0"),
+    ], ids=["empty", "2-d", "nan", "n-zero", "n-float"])
+    @pytest.mark.parametrize("test_id", ["mauchly", "ledoit-wolf"])
+    def test_sample_and_n_checked(self, test_id, eigenvalues, n, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sd.evaluate_statistic(test_id, eigenvalues, n)
 
     def test_john_sphericity_scale_invariant(self, rng):
         eigs = rng.uniform(0.5, 2.0, size=12)

@@ -268,6 +268,29 @@ class TestClassical:
         assert not (out / "statistic.json").exists()
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("test_id, extra, message", [
+        ("mauchly", {"eigenvalues": [], "n": 6},
+         "eigenvalues must be a nonempty 1-d array, not shape (0,)"),
+        ("mauchly", {"eigenvalues": [1.0, "nan"], "n": 6}, "eigenvalues must be finite"),
+        ("nagao", {"eigenvalues": [1.0, 2.0], "n": 0}, "n must be at least 1, not 0"),
+        ("ledoit-wolf", {"eigenvalues": [1.0, 2.0], "n": 0}, "n must be at least 1, not 0"),
+        ("omh-identity", {"parameters": {"t": 5.0}, "eigenvalues": [1.0, 2.0], "n": 0},
+         "n must be at least 1, not 0"),
+        # phi at the curve's grid was nan below x = 0.5
+        ("regularized-lrt", {"parameters": {"lam": -0.5}},
+         "regularized LRT requires eigenvalues + lam > 0"),
+    ], ids=["mauchly-empty", "mauchly-nan", "nagao-n-zero", "ledoit-wolf-n-zero",
+            "omh-identity-n-zero", "regularized-lrt-negative-lam"])
+    def test_refused_sample_or_domain_exits_2(self, tmp_path, capsys, test_id, extra, message):
+        # each of these wrote nan, -inf or no row at all, or failed at run time
+        cfg = write_config(tmp_path / "cl.json", {
+            "test_id": test_id, "H": UNIT, "gamma": 0.5, "points_per_interval": 100, **extra})
+        out = tmp_path / "out"
+        assert run_cli(["classical-lss", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "classical_lss.csv").exists()
+        assert not (out / "manifest.json").exists()
+
 
 CURVE_COMMANDS = pytest.mark.parametrize("command, extra", [
     ("spectrum", {}),

@@ -234,6 +234,23 @@ class TestSubcriticalBranch:
         assert mad(combined, normalize_curve(phi_m.values)) <= 2e-2
 
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP known defect 1 'Reported efficacy is gamma times the "
+                              "true one': efficacy reads gamma * tau")
+    @pytest.mark.parametrize("gamma, t", [(2.0, 1.3), (2.0, 0.8), (0.5, 0.8)],
+                             ids=["gamma2-t1.3", "gamma2-t0.8", "gamma0.5-t0.8"])
+    def test_efficacy_is_the_lan_tau(self, mp_unit, gamma, t):
+        # below the transition the best LSS attains the efficacy of the
+        # likelihood ratio, tau = sqrt(-log(1 - (t - 1)^2/gamma)/2) on the
+        # unit bulk (Onatski, Moreira & Hallin 2013), above gamma = 1 and
+        # for a spike below 1 too
+        model = sd.SpikedModel(H=mp_unit, G0=mp_unit, G1=sd.AtomicMeasure.point_mass(t),
+                               gamma=gamma, n=1000)
+        _, rep = sd.optimal_lss(model, CFG)
+        tau = math.sqrt(-0.5 * math.log(1.0 - (t - 1.0) ** 2 / gamma))
+        assert rep.regime == "subcritical-solvable"
+        assert abs(rep.efficacy - tau) <= 1e-3 * tau
+
 class TestAbovePtBranch:
     def test_regime_and_bump_shape(self, unit_model_factory):
         model = unit_model_factory(3.0, n=500)

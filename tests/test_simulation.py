@@ -163,6 +163,26 @@ class TestApplyLss:
         assert sd.apply_lss(phi, eigs) == pytest.approx(np.sum(eigs), abs=1e-9)
 
 
+_UNIT = sd.AtomicMeasure.point_mass(1.0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: sd.sample_eigenvalues(np.ones(3), 20.5, 1),
+     "sample size must be an integer, not 20.5"),
+    (lambda: sd.SimConfig(population={"kind": "ar1", "rho": 0.5, "p": 49}, n=40.5, n_reps=100,
+                          alpha=0.05, seed=1, spike_grid=(2.0,)),
+     "n must be an integer, not 40.5"),
+    (lambda: sd.SpikedModel(H=_UNIT, G0=_UNIT, G1=sd.AtomicMeasure.point_mass(1.6), gamma=0.5,
+                            n=10.5), "n must be an integer, not 10.5"),
+    (lambda: sd.AlgoConfig(points_per_interval=100.5),
+     "points_per_interval must be an integer, not 100.5"),
+], ids=["sample-eigenvalues", "sim-config", "spiked-model", "algo-config"])
+def test_integer_setting_must_be_an_integer(make, message):
+    # a fractional sample size drew chi-square degrees of freedom n - i
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
 class TestSimConfig:
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -219,6 +219,25 @@ class TestDeltaDiff:
         d = sd.delta_diff(H, sd.AtomicMeasure.point_mass(1.0), G1, gamma, curve)
         assert abs(d.total_mass) <= 1e-3
 
+    @pytest.mark.parametrize("atoms, gamma, t, region", [
+        ((1.0,), 0.5, 0.2, (-math.inf, 0.0857864)),  # below the lower edge
+        ((0.01, 1.0), 0.3, 0.5, (0.0171107, 0.3769282)),  # inside the gap
+    ], ids=["below-the-bulk", "into-the-gap"])
+    def test_escaped_spike_located_off_the_built_regimes(self, atoms, gamma, t, region):
+        # the supercritical probe cases above: the sample spike sits at
+        # psi(t) = t (1 + gamma sum w a/(t - a)), outside the support, and
+        # carries the point mass gamma
+        H = sd.AtomicMeasure.uniform(np.array(atoms))
+        curve = sd.stieltjes_grid(H, gamma, points_per_interval=400)
+        (record,) = sd.classify_spikes(H, gamma, sd.AtomicMeasure.point_mass(t), curve.support)
+        psi = t * (1.0 + gamma * sum(w * a / (t - a) for a, w in zip(H.atoms, H.weights)))
+        assert record.psi == pytest.approx(psi, rel=1e-15)
+        lo, hi = region
+        assert lo < record.psi < hi and not curve.support.contains(record.psi)
+        d = sd.delta_diff(H, sd.AtomicMeasure.point_mass(1.0), sd.AtomicMeasure.point_mass(t),
+                          gamma, curve)
+        assert d.point_masses == [(record.psi, gamma)]
+
 
 
 @pytest.mark.parametrize("inward, edge", [(+1, 0.25), (-1, 1.25)])

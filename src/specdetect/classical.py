@@ -72,9 +72,10 @@ def _entry_definitions() -> list[_CatalogEntry]:
         return lambda x: m[0] * x**2 - 2.0 * m[1] * x
 
     def john_sphericity_stat(eigs, n, params):
-        p = eigs.size
-        scaled = p * eigs / np.sum(eigs)
-        return float(np.sum((scaled - 1.0) ** 2))
+        total = np.sum(eigs)
+        if not total > 0:
+            raise ValueError("John's sphericity test requires a positive eigenvalue sum")
+        return float(np.sum((eigs.size * eigs / total - 1.0) ** 2))
 
     def nagao_lss(m, gamma, params):
         return lambda x: (x - 1.0) ** 2
@@ -89,7 +90,10 @@ def _entry_definitions() -> list[_CatalogEntry]:
         return lambda x: m[1] * x**4 - 2.0 * m[3] * x**2
 
     def fisher_stat(eigs, n, params):
-        return float(eigs.size * np.sum(eigs**4) / np.sum(eigs**2) ** 2)
+        squares = np.sum(eigs**2)
+        if not squares > 0:
+            raise ValueError("Fisher's 2010 test requires a positive sum of squared eigenvalues")
+        return float(eigs.size * np.sum(eigs**4) / squares**2)
 
     def omh_identity_lss(m, gamma, params):
         z = omh_z(params["t"], gamma)

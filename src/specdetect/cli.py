@@ -5,6 +5,11 @@ chosen directory, and finishes with a run manifest that echoes the config
 so the run can be replayed bit-identically.  Partial outputs are removed
 on failure.  Log verbosity is controlled by the SPECDETECT_LOG
 environment variable (DEBUG/INFO/WARNING/ERROR).
+
+A subcommand's config fields are its keyword parameters (``power``'s are
+SimConfig's fields): the annotated type of each picks the one rule that
+reads it, and a field without a default is required.  Any other field is
+rejected, so a misspelled one cannot run with the default.
 """
 from __future__ import annotations
 
@@ -14,10 +19,11 @@ import logging
 import os
 import sys
 import time
-from contextlib import suppress
-from dataclasses import MISSING, fields
+from contextlib import contextmanager, suppress
+from inspect import Parameter, signature
 from pathlib import Path
-from typing import get_type_hints
+from types import UnionType
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -25,7 +31,7 @@ from . import __version__
 from .classical import catalog_ids, equivalent_lss, evaluate_statistic
 from .io import read_json, reject_unknown, write_csv, write_json
 from .measures import AtomicMeasure
-from .mp import StieltjesCurve, stieltjes_grid
+from .mp import stieltjes_grid
 from .optimal import AlgoConfig, SpikedModel, check_at_least, optimal_lss, optimal_ls3
 from .simulate import (SimConfig, _draw, _draw_workers, _population_eigenvalues,
                        power_experiment)
@@ -46,74 +52,88 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str) -> object:
     try:
-        config = read_json(Path(path))
+        return read_json(Path(path))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    if not isinstance(config, dict):
-        raise ConfigError(f"config must be an object, not {type(config).__name__}")
-    return config
 
 
-def _require(config: dict, *fields: str) -> None:
-    for name in fields:
-        if name not in config:
-            raise ConfigError(f"config is missing required field '{name}'")
+@contextmanager
+def _refused(where: str = ""):
+    """A ValueError, KeyError or ConfigError inside, the refusal of an input,
+    raised again as a ConfigError whose message ``where`` prefixes."""
+    try:
+        yield
+    except (ConfigError, KeyError, ValueError) as exc:
+        raise ConfigError(f"{where}{exc.args[0]}") from None
 
 
-def _number(config: dict, name: str, kind: type, default=None):
-    """config[name] (or ``default`` when absent) converted by ``kind``, float or int.
+def _number(name: str, value, kind: type):
+    """``value`` converted by ``kind``, float or int.
 
     A string ``kind`` converts is accepted, as "0.5" for a float; an integer
     field takes a number only when it is integer-valued, as 10.0.  Any other
-    value is a config error naming the field.
+    value, true and false included, is a config error naming the field.
     """
-    value = config.get(name, default)
     with suppress(TypeError, ValueError, OverflowError):
         number = kind(value)
-        if kind is float or isinstance(value, str) or number == value:
+        if not isinstance(value, bool) and (kind is float or isinstance(value, str)
+                                            or number == value):
             return number
     what = "a number" if kind is float else "an integer"
     raise ConfigError(f"config field '{name}' must be {what}, not {value!r}")
 
 
-def _numbers(config: dict, name: str) -> tuple[float, ...]:
-    """config[name], a list of numbers, as a tuple of floats."""
-    value = config[name]
-    if isinstance(value, list):
-        with suppress(TypeError, ValueError):
-            return tuple(float(v) for v in value)
-    raise ConfigError(f"config field '{name}' must be a list of numbers, not {value!r}")
+def _read(kind, name: str, value):
+    """The config field ``name`` read from its JSON ``value`` by the rule for its type."""
+    if isinstance(kind, UnionType):  # X | None: null, or an X
+        if value is None:
+            return None
+        kind = get_args(kind)[0]
+    if kind in (int, float):
+        return _number(name, value, kind)
+    if kind == tuple[float, ...]:  # each entry read as a number
+        with suppress(ConfigError):
+            if isinstance(value, list):
+                return tuple(_number(name, v, float) for v in value)
+        raise ConfigError(f"config field '{name}' must be a list of numbers, not {value!r}")
+    if kind is bool and not isinstance(value, bool):
+        raise ConfigError(f"config field '{name}' must be true or false, not {value!r}")
+    if kind is str and not isinstance(value, str):
+        raise ConfigError(f"config field '{name}' must be a string, not {type(value).__name__}")
+    if kind in (AtomicMeasure, dict[str, float]) and not isinstance(value, dict):
+        raise ConfigError(f"config field '{name}' must be an object, not {type(value).__name__}")
+    if kind is AtomicMeasure:
+        with _refused(f"invalid measure '{name}': "):
+            return AtomicMeasure.from_dict(value)
+    if kind == dict[str, float]:
+        return {key: _number(key, v, float) for key, v in value.items()}
+    if kind is AlgoConfig:
+        with _refused("invalid algorithm config: "):
+            return AlgoConfig(**_record(AlgoConfig, value, "config has no field"))
+    return value  # a bool, a str, or a population, which its reader checks
 
 
-def _record(cls, payload, where: str | None = None):
-    """The dataclass ``cls`` filled from the JSON object ``payload`` by the
-    rules for top-level fields; ``where`` prefixes a nested object's errors."""
-    try:
-        if not isinstance(payload, dict):
-            raise ConfigError(f"config must be an object, not {type(payload).__name__}")
-        reject_unknown(payload, [f.name for f in fields(cls)], "config has no field", ConfigError)
-        _require(payload, *(f.name for f in fields(cls) if f.default is MISSING))
-        kinds = get_type_hints(cls)
-        values = {}
-        for name, value in payload.items():
-            kind = kinds[name]
-            values[name] = (_number(payload, name, kind) if kind in (int, float) else
-                            _numbers(payload, name) if kind == tuple[float, ...] else value)
-        return cls(**values)
-    except (ConfigError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from None
+def _record(target, payload, unknown: str) -> dict:
+    """The keyword arguments of ``target`` read from the JSON object ``payload``.
 
-
-def _measure(config: dict, name: str) -> AtomicMeasure:
-    _require(config, name)
-    try:
-        return AtomicMeasure.from_dict(config[name])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"invalid measure '{name}': {exc.args[0]}")
+    Each parameter that can be passed by keyword is a field, read by the rule
+    for its annotated type; one without a default is required.  A key that
+    names no field is refused, listed after ``unknown``.
+    """
+    if not isinstance(payload, dict):
+        raise ConfigError(f"config must be an object, not {type(payload).__name__}")
+    fields = {p.name: p for p in signature(target).parameters.values()
+              if p.kind in (Parameter.POSITIONAL_OR_KEYWORD, Parameter.KEYWORD_ONLY)}
+    reject_unknown(payload, fields, unknown, ConfigError)
+    for name, field in fields.items():
+        if field.default is Parameter.empty and name not in payload:
+            raise ConfigError(f"config is missing required field '{name}'")
+    kinds = get_type_hints(target)
+    return {name: _read(kinds[name], name, payload[name]) for name in fields if name in payload}
 
 
 class OutputTracker:
@@ -134,28 +154,20 @@ class OutputTracker:
                 p.unlink()
 
 
-def _curve(config: dict) -> tuple[AtomicMeasure, float, StieltjesCurve]:
-    """H, gamma and the curve of H on "points_per_interval" points per interval."""
-    _require(config, "gamma")
-    H = _measure(config, "H")
-    gamma = _number(config, "gamma", float)
-    ppi = _number(config, "points_per_interval", int, AlgoConfig.points_per_interval)
-    try:  # stieltjes_grid raises ValueError for bad input only
-        return H, gamma, stieltjes_grid(H, gamma, points_per_interval=ppi)
-    except ValueError as exc:
-        raise ConfigError(exc.args[0])
-
-
-def cmd_spectrum(config: dict, out: OutputTracker, args) -> None:
-    curve = _curve(config)[2]
+def cmd_spectrum(out: OutputTracker, /, *, H: AtomicMeasure, gamma: float,
+                 points_per_interval: int = AlgoConfig.points_per_interval) -> None:
+    with _refused():  # stieltjes_grid raises ValueError for bad input only
+        curve = stieltjes_grid(H, gamma, points_per_interval=points_per_interval)
     write_csv(out.path("stieltjes_curve.csv"),
               ["x", "re_v", "im_v", "re_vp", "im_vp", "in_support"], curve.to_rows())
     write_json(out.path("support.json"), curve.support.to_dict())
 
 
-def cmd_weak_derivative(config: dict, out: OutputTracker, args) -> None:
-    G = _measure(config, "G")
-    H, gamma, curve = _curve(config)
+def cmd_weak_derivative(out: OutputTracker, /, *, H: AtomicMeasure, G: AtomicMeasure,
+                        gamma: float,
+                        points_per_interval: int = AlgoConfig.points_per_interval) -> None:
+    with _refused():
+        curve = stieltjes_grid(H, gamma, points_per_interval=points_per_interval)
     cdf = weak_derivative_cdf(H, G, gamma, curve)
     write_csv(out.path("weak_derivative.csv"), ["x", "density", "cdf"], cdf.to_rows())
     write_json(out.path("point_masses.json"), {
@@ -164,82 +176,57 @@ def cmd_weak_derivative(config: dict, out: OutputTracker, args) -> None:
     })
 
 
-def _spiked_model(config: dict) -> SpikedModel:
-    _require(config, "gamma")
-    H = _measure(config, "H")
-    G0 = _measure(config, "G0")
-    G1 = _measure(config, "G1")
-    try:
-        return SpikedModel(H=H, G0=G0, G1=G1, gamma=_number(config, "gamma", float),
-                           h=_number(config, "h", int, 1),
-                           n=None if config.get("n") is None else _number(config, "n", int))
-    except ValueError as exc:
-        raise ConfigError(exc.args[0])
-
-
-def cmd_optimal_lss(config: dict, out: OutputTracker, args) -> None:
-    model = _spiked_model(config)
-    algo = _record(AlgoConfig, config.get("config", {}), "invalid algorithm config")
-    scale_invariant = config.get("scale_invariant", False)
-    if not isinstance(scale_invariant, bool):
-        raise ConfigError("config field 'scale_invariant' must be true or false, "
-                          f"not {scale_invariant!r}")
-    builder = optimal_ls3 if scale_invariant else optimal_lss
-    phi, report = builder(model, algo)
+def cmd_optimal_lss(out: OutputTracker, /, *, H: AtomicMeasure, G0: AtomicMeasure,
+                    G1: AtomicMeasure, gamma: float, h: int = SpikedModel.h,
+                    n: int | None = SpikedModel.n, scale_invariant: bool = False,
+                    config: AlgoConfig = AlgoConfig()) -> None:
+    with _refused():
+        model = SpikedModel(H=H, G0=G0, G1=G1, gamma=gamma, h=h, n=n)
+    phi, report = (optimal_ls3 if scale_invariant else optimal_lss)(model, config)
     write_csv(out.path("lss.csv"), ["x", "phi", "segment"], phi.to_rows())
     norm = phi.normalized()
     write_csv(out.path("lss_normalized.csv"), ["x", "phi", "segment"], norm.to_rows())
     write_json(out.path("efficacy.json"), report.to_dict())
 
 
-def cmd_power(config: dict, out: OutputTracker, args) -> None:
-    curve = power_experiment(_record(SimConfig, config))
+def cmd_power(out: OutputTracker, /, **fields) -> None:
+    """Reads SimConfig's fields."""
+    with _refused():
+        config = SimConfig(**fields)
+    curve = power_experiment(config)
     write_csv(out.path("power_curve.csv"),
               ["spike", "power_lss", "se_lss", "power_top", "se_top"],
               curve.to_rows())
     write_json(out.path("power_metadata.json"), curve.metadata())
 
 
-def cmd_classical(config: dict, out: OutputTracker, args) -> None:
-    if args.list:
-        for test_id in catalog_ids():
-            print(test_id)
-        return
-    _require(config, "test_id")
-    test_id = config["test_id"]
-    if not isinstance(test_id, str):
-        raise ConfigError(f"config field 'test_id' must be a string, not {type(test_id).__name__}")
-    params = config.get("parameters", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"config field 'parameters' must be an object, not {type(params).__name__}")
-    params = {name: _number(params, name, float) for name in params}
-    H, gamma, curve = _curve(config)
-    try:  # a test that refuses its parameters or eigenvalues writes no output
-        phi = equivalent_lss(test_id, H, gamma, curve, **params)
-        if "eigenvalues" in config:
-            _require(config, "n")
-            value = evaluate_statistic(test_id, _numbers(config, "eigenvalues"),
-                                       _number(config, "n", int), **params)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(exc.args[0])
+def cmd_classical(out: OutputTracker, /, *, test_id: str, H: AtomicMeasure, gamma: float,
+                  points_per_interval: int = AlgoConfig.points_per_interval,
+                  parameters: dict[str, float] = {}, eigenvalues: tuple[float, ...] | None = None,
+                  n: int | None = None) -> None:
+    """The test's equivalent LSS on the curve; with "eigenvalues", which need
+    the sample size "n", also its original statistic on that sample."""
+    if eigenvalues is not None and n is None:
+        raise ConfigError("config is missing required field 'n'")
+    with _refused():  # a test that refuses its parameters or eigenvalues writes no output
+        curve = stieltjes_grid(H, gamma, points_per_interval=points_per_interval)
+        phi = equivalent_lss(test_id, H, gamma, curve, **parameters)
+        if eigenvalues is not None:
+            value = evaluate_statistic(test_id, eigenvalues, n, **parameters)
     write_csv(out.path("classical_lss.csv"), ["x", "phi", "segment"], phi.to_rows())
-    if "eigenvalues" in config:
+    if eigenvalues is not None:
         write_json(out.path("statistic.json"), {"test_id": test_id, "value": value})
 
 
-def cmd_simulate(config: dict, out: OutputTracker, args) -> None:
+def cmd_simulate(out: OutputTracker, /, *, population: dict, n: int, seed: int,
+                 n_reps: int = 1) -> None:
     """Draw "n_reps" replicates (default 1, at least 1) of the population's
     sample eigenvalues.  A `power` config's "n_reps" has the higher least
     value LEAST["n_reps"], which its calibration half needs; a plain draw
     has no calibration."""
-    _require(config, "population", "n", "seed")
-    n, seed = _number(config, "n", int), _number(config, "seed", int)
-    n_reps = _number(config, "n_reps", int, 1)
-    try:
-        pop = _population_eigenvalues(config["population"])
+    with _refused():
+        pop = _population_eigenvalues(population)
         check_at_least(n=n, seed=seed)
-    except ValueError as exc:
-        raise ConfigError(exc.args[0])
     if n_reps < 1:
         raise ConfigError(f"n_reps must be at least 1, not {n_reps!r}")
     draws = _draw(np.sort(pop), n, np.random.SeedSequence(seed).spawn(n_reps), _draw_workers())
@@ -247,20 +234,16 @@ def cmd_simulate(config: dict, out: OutputTracker, args) -> None:
     write_csv(out.path("sample_eigenvalues.csv"), ["replicate", "index", "eigenvalue"], rows)
 
 
-_CURVE_FIELDS = ("H", "gamma", "points_per_interval")
-
-# each subcommand with the top-level config fields it reads; any other
-# field is rejected, so a misspelled one cannot run with the default
 _COMMANDS = {
-    "spectrum": (cmd_spectrum, _CURVE_FIELDS),
-    "weak-derivative": (cmd_weak_derivative, _CURVE_FIELDS + ("G",)),
-    "optimal-lss": (cmd_optimal_lss,
-                    ("H", "G0", "G1", "gamma", "h", "n", "scale_invariant", "config")),
-    "power": (cmd_power, tuple(f.name for f in fields(SimConfig))),
-    "classical-lss": (cmd_classical,
-                      _CURVE_FIELDS + ("test_id", "parameters", "eigenvalues", "n")),
-    "simulate": (cmd_simulate, ("population", "n", "seed", "n_reps")),
+    "spectrum": cmd_spectrum,
+    "weak-derivative": cmd_weak_derivative,
+    "optimal-lss": cmd_optimal_lss,
+    "power": cmd_power,
+    "classical-lss": cmd_classical,
+    "simulate": cmd_simulate,
 }
+# power's config fields are SimConfig's; every other subcommand declares its own
+_FIELDS = {"power": SimConfig}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,19 +265,21 @@ def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    listing_only = args.command == "classical-lss" and getattr(args, "list", False)
-    if args.config is None and not listing_only:
+    if getattr(args, "list", False):
+        print("\n".join(catalog_ids()))
+        return 0
+    if args.config is None:
         parser.error(f"{args.command} requires --config")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     tracker = OutputTracker(out_dir)
     started = time.time()
+    command = _COMMANDS[args.command]
+    declared = _FIELDS.get(args.command, command)
     try:
-        config = _load_config(args.config) if args.config else {}
-        command, known = _COMMANDS[args.command]
-        reject_unknown(config, known, f"{args.command} reads no config field", ConfigError)
-        command(config, tracker, args)
+        config = _load_config(args.config)
+        command(tracker, **_record(declared, config, f"{args.command} reads no config field"))
     except ConfigError as exc:
         tracker.cleanup()
         print(f"error: {exc}", file=sys.stderr)
@@ -304,18 +289,17 @@ def main(argv: list[str] | None = None) -> int:
         log.exception("run failed")
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if not listing_only:
-        manifest = {
-            "subcommand": args.command,
-            "config_path": str(args.config) if args.config else None,
-            "out_dir": str(out_dir),
-            "tool_version": __version__,
-            "duration_s": time.time() - started,
-            "config": config,
-        }
-        write_json(out_dir / "manifest.json", manifest)
-        log.debug("%s finished in %.3f s, outputs in %s",
-                  args.command, manifest["duration_s"], out_dir)
+    manifest = {
+        "subcommand": args.command,
+        "config_path": str(args.config),
+        "out_dir": str(out_dir),
+        "tool_version": __version__,
+        "duration_s": time.time() - started,
+        "config": config,
+    }
+    write_json(out_dir / "manifest.json", manifest)
+    log.debug("%s finished in %.3f s, outputs in %s",
+              args.command, manifest["duration_s"], out_dir)
     return 0
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from math import comb
 
 import numpy as np
 
@@ -150,3 +151,36 @@ def contour_cov(H, gamma: float, f, g, nodes: int = 400) -> float:
     z2, v2, dv2 = ellipse(0.8 * x_max, 0.45 * x_max + 0.1)
     total = (f(z1) * dv1) @ ((1.0 / (v1[:, None] - v2[None, :]) ** 2) @ (g(z2) * dv2))
     return float((-total / (2.0 * math.pi**2)).real)
+
+
+def unit_bulk_power_variance(gamma: float, k: int) -> float:
+    """Limiting Var sum lambda_i^k on the unit bulk, real case (Bai & Silverstein 2004):
+
+    2 gamma^(2k) sum_{k1<k} sum_{k2<=k} C(k,k1) C(k,k2) ((1-gamma)/gamma)^(k1+k2)
+      * sum_{l=1}^{k-k1} l C(2k-1-k1-l, k-1) C(2k-1-k2+l, k-1).
+    """
+    c = (1.0 - gamma) / gamma
+    return 2 * gamma ** (2 * k) * sum(
+        comb(k, k1) * comb(k, k2) * c ** (k1 + k2)
+        * sum(l * comb(2 * k - 1 - k1 - l, k - 1) * comb(2 * k - 1 - k2 + l, k - 1)
+              for l in range(1, k - k1 + 1))
+        for k1 in range(k) for k2 in range(k + 1))
+
+
+def power_mean_shift(H, G0, G1, gamma: float, k: int) -> float:
+    """Limiting mean shift of sum lambda_i^k, k = 1, 2 or 3, when one spike
+    slot moves from G0 to G1: the derivative of the moment m_k of the
+    limiting law toward G1 - G0.
+
+    With h_j the moments of H and d_j = int t^j d(G1 - G0):
+    D m_1 = d_1, D m_2 = d_2 + 2 gamma h_1 d_1 and
+    D m_3 = d_3 + 3 gamma (h_1 d_2 + h_2 d_1) + 3 gamma^2 h_1^2 d_1,
+    from m_2 = h_2 + gamma h_1^2 and m_3 = h_3 + 3 gamma h_1 h_2 + gamma^2 h_1^3.
+    """
+    def moment(measure, j):
+        return float(np.sum(measure.weights * measure.atoms**j))
+
+    h1, h2 = moment(H, 1), moment(H, 2)
+    d1, d2, d3 = (moment(G1, j) - moment(G0, j) for j in (1, 2, 3))
+    return (d1, d2 + 2 * gamma * h1 * d1,
+            d3 + 3 * gamma * (h1 * d2 + h2 * d1) + 3 * gamma**2 * h1**2 * d1)[k - 1]

@@ -140,14 +140,25 @@ class TestOriginalForms:
         with pytest.raises(ValueError, match=message):
             sd.evaluate_statistic("regularized-lrt", [0.4, 1.0], 4, lam=-0.5)
 
-    @pytest.mark.parametrize("eigenvalues, n, message", [
-        ([], 6, "eigenvalues must be a nonempty 1-d array, not shape (0,)"),
-        ([[1.0, 2.0]], 6, "eigenvalues must be a nonempty 1-d array, not shape (1, 2)"),
-        ([1.0, np.nan], 6, "eigenvalues must be finite"),
-        ([1.0, 2.0], 0, "n must be at least 1, not 0"),
-        ([1.0, 2.0], 6.0, "n must be an integer, not 6.0"),
-    ], ids=["empty", "2-d", "nan", "n-zero", "n-float"])
-    @pytest.mark.parametrize("test_id", ["mauchly", "ledoit-wolf"])
+    @pytest.mark.parametrize("test_id, eigenvalues, n, message", [
+        *(pytest.param(test_id, eigenvalues, n, message, id=f"{test_id}-{case}")
+          for test_id in ("mauchly", "ledoit-wolf")
+          for eigenvalues, n, message, case in [
+              ([], 6, "eigenvalues must be a nonempty 1-d array, not shape (0,)", "empty"),
+              ([[1.0, 2.0]], 6, "eigenvalues must be a nonempty 1-d array, not shape (1, 2)",
+               "2-d"),
+              ([1.0, np.nan], 6, "eigenvalues must be finite", "nan"),
+              ([1.0, 2.0], 0, "n must be at least 1, not 0", "n-zero"),
+              ([1.0, 2.0], 6.0, "n must be an integer, not 6.0", "n-float"),
+          ]),
+        # each divided by the sample's sum, and returned nan at a zero sum
+        pytest.param("john-sphericity", [0.0, 0.0], 4,
+                     "John's sphericity test requires a positive eigenvalue sum",
+                     id="john-sphericity-zero-sum"),
+        pytest.param("fisher-2010", [0.0, 0.0], 4,
+                     "Fisher's 2010 test requires a positive sum of squared eigenvalues",
+                     id="fisher-2010-zero-sum"),
+    ])
     def test_sample_and_n_checked(self, test_id, eigenvalues, n, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             sd.evaluate_statistic(test_id, eigenvalues, n)

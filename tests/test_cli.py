@@ -279,8 +279,14 @@ class TestClassical:
         # phi at the curve's grid was nan below x = 0.5
         ("regularized-lrt", {"parameters": {"lam": -0.5}},
          "regularized LRT requires eigenvalues + lam > 0"),
+        # each divided by the sample's sum and wrote a value of nan
+        ("john-sphericity", {"eigenvalues": [0.0, 0.0], "n": 4},
+         "John's sphericity test requires a positive eigenvalue sum"),
+        ("fisher-2010", {"eigenvalues": [0.0, 0.0], "n": 4},
+         "Fisher's 2010 test requires a positive sum of squared eigenvalues"),
     ], ids=["mauchly-empty", "mauchly-nan", "nagao-n-zero", "ledoit-wolf-n-zero",
-            "omh-identity-n-zero", "regularized-lrt-negative-lam"])
+            "omh-identity-n-zero", "regularized-lrt-negative-lam", "john-sphericity-zero-sum",
+            "fisher-2010-zero-sum"])
     def test_refused_sample_or_domain_exits_2(self, tmp_path, capsys, test_id, extra, message):
         # each of these wrote nan, -inf or no row at all, or failed at run time
         cfg = write_config(tmp_path / "cl.json", {
@@ -569,6 +575,52 @@ def test_value_out_of_range_exits_2(tmp_path, capsys, command, payload, message)
     assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    # a measure that is no object failed with a TypeError and exit code 1
+    ("spectrum", {**SPECTRUM, "H": 5}, "config field 'H' must be an object, not int"),
+    ("optimal-lss", {**OPTIMAL, "G1": [1.6]}, "config field 'G1' must be an object, not list"),
+    # true is no number; it ran as 1
+    ("spectrum", {**SPECTRUM, "points_per_interval": True},
+     "config field 'points_per_interval' must be an integer, not True"),
+    ("power", {**POWER_ATOMS, "alpha": True}, "config field 'alpha' must be a number, not True"),
+    ("power", {**POWER_ATOMS, "spike_grid": [True]},
+     "config field 'spike_grid' must be a list of numbers, not [True]"),
+    ("power", {**POWER_ATOMS, "solver": 5}, "config field 'solver' must be a string, not int"),
+    ("optimal-lss", {**OPTIMAL, "config": {"solver": 5}},
+     "invalid algorithm config: config field 'solver' must be a string, not int"),
+    # "n" is read as an integer with or without "eigenvalues", and needed with them
+    ("classical-lss", {**CLASSICAL, "n": "many"},
+     "config field 'n' must be an integer, not 'many'"),
+    ("classical-lss", {**CLASSICAL, "eigenvalues": [1.0, 2.0]},
+     "config is missing required field 'n'"),
+], ids=["measure-number", "measure-list", "integer-true", "number-true", "list-entry-true",
+        "solver-number", "config-solver-number", "classical-n-string", "classical-n-missing"])
+def test_each_type_is_read_by_one_rule(tmp_path, capsys, command, payload, message):
+    cfg = write_config(tmp_path / "c.json", payload)
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "manifest.json").exists()
+
+
+def test_null_is_the_default_of_an_optional_field(tmp_path):
+    outs = []
+    for name, payload in (("absent", OPTIMAL), ("null", {**OPTIMAL, "n": None})):
+        outs.append(tmp_path / name)
+        cfg = write_config(tmp_path / f"{name}.json", payload)
+        assert run_cli(["optimal-lss", "--config", cfg, "--out", str(outs[-1])]) == 0
+    a, b = ((out / "efficacy.json").read_bytes() for out in outs)
+    assert a == b
+
+
+def test_list_reads_no_config(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(["classical-lss", "--list", "--config", str(tmp_path / "none.json"),
+                    "--out", str(out)]) == 0
+    assert capsys.readouterr().out.split() == sd.catalog_ids()
+    assert not out.exists()
 
 
 def test_numeric_strings_stay_accepted(tmp_path):

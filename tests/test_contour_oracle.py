@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import specdetect as sd
-from oracles import contour_cov
+from oracles import contour_cov, unit_bulk_power_variance
 
 BULKS = {
     "unit": (sd.AtomicMeasure.point_mass(1.0), 0.5),
@@ -48,12 +48,20 @@ def test_polynomial_variances_match_the_pins(name):
         assert contour_cov(H, gamma, power(k), power(k)) == pytest.approx(pin, rel=1e-10)
 
 
-@pytest.mark.parametrize("gamma", [0.5, 1.5, 2.0])
-def test_unit_bulk_square_variance_closed_form(gamma):
-    # Var sum lambda_i^2 = 4 gamma (2 + 5 gamma + 2 gamma^2) on the unit bulk
-    exact = 4 * gamma * (2 + 5 * gamma + 2 * gamma**2)
+# Var sum lambda_i^k on the unit bulk, worked by hand from the closed form
+UNIT_POWER_VARIANCES = {(1, 0.5): 1.0, (1, 1.5): 3.0, (1, 2.0): 4.0,
+                        (2, 0.5): 10.0, (2, 1.5): 84.0, (2, 2.0): 160.0,
+                        (3, 0.5): 89.0625, (3, 1.5): 2148.1875, (3, 2.0): 5700.0}
+
+
+@pytest.mark.parametrize("k, gamma", UNIT_POWER_VARIANCES,
+                         ids=[f"k{k}-gamma{gamma}" for k, gamma in UNIT_POWER_VARIANCES])
+def test_unit_bulk_power_variance_closed_form(k, gamma):
+    # above gamma = 1 as well, where the sample spectrum has an atom at zero
+    exact = unit_bulk_power_variance(gamma, k)
+    assert exact == pytest.approx(UNIT_POWER_VARIANCES[k, gamma], rel=1e-15)
     H = sd.AtomicMeasure.point_mass(1.0)
-    assert contour_cov(H, gamma, power(2), power(2)) == pytest.approx(exact, rel=1e-12)
+    assert contour_cov(H, gamma, power(k), power(k)) == pytest.approx(exact, rel=1e-12)
 
 
 @pytest.mark.parametrize("name", BULKS)

@@ -12,11 +12,22 @@ import pytest
 
 import specdetect as sd
 from data.record_reference_curves import cases
-from oracles import mad, mp_companion_transform, normalize_curve, omh_lss
+from oracles import mad, mp_companion_transform, normalize_curve, omh_lss, power_mean_shift
 from specdetect.kernel import KernelMatrix, solve_regularized
 
 
 GAMMA = 0.5
+# mu reads gamma * h * D m_k, and on the unit bulk and AR(1) rho = 0.7 mu/gamma
+# is within 2.1e-5 of it
+GAMMA_TIMES = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP known defect 'Reported efficacy is gamma times the true one'")
+# two-atom-t3.0 moves mass across the gap (1.39, 1.90): mu/gamma reads 1.497
+# at k = 1 where h * D m_1 = 2, since derivative_efficacy leaves out the gap term
+GAP_TERM = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP known defects 'Reported efficacy is gamma times the true one' and "
+           "'Mass moved across a support gap is called subcritical'")
 
 
 class TestKernelEval:
@@ -519,18 +530,22 @@ class TestMoments:
         assert reps[1].efficacy == pytest.approx(2 * reps[0].efficacy, rel=1e-9)
         assert reps[2].efficacy == pytest.approx(5 * reps[0].efficacy, rel=1e-9)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="ROADMAP known defect 'Reported efficacy is gamma times the "
-                              "true one': mu reads gamma * h * (t1 - t0) for phi = x")
+    @pytest.mark.parametrize("k", [1, 2, 3], ids=lambda k: f"k{k}")
     @pytest.mark.parametrize("bulk, gamma, t1", [
-        ("unit", 0.2, 1.2), ("unit", 0.5, 1.2), ("unit", 0.8, 1.2), ("ar1", 0.5, 4.0),
-    ], ids=["unit-gamma0.2", "unit-gamma0.5", "unit-gamma0.8", "ar1-rho0.7"])
-    def test_trace_mean_shift_is_exact(self, bulk, gamma, t1):
-        # phi = x: E tr S(alt) - E tr S(null) = h * (t1 - t0) at every n
-        H = (sd.AtomicMeasure.point_mass(1.0) if bulk == "unit" else
-             sd.AtomicMeasure.uniform(sd.ar1_eigenvalues(0.7, 249)))
+        pytest.param("unit", 0.2, 1.2, id="unit-gamma0.2", marks=GAMMA_TIMES),
+        pytest.param("unit", 0.5, 1.2, id="unit-gamma0.5", marks=GAMMA_TIMES),
+        pytest.param("unit", 0.8, 1.2, id="unit-gamma0.8", marks=GAMMA_TIMES),
+        pytest.param("ar1", 0.5, 4.0, id="ar1-rho0.7", marks=GAMMA_TIMES),
+        pytest.param("two-atom", 0.1, 3.0, id="two-atom-t3.0", marks=GAP_TERM),
+    ])
+    def test_trace_mean_shift_is_exact(self, bulk, gamma, t1, k):
+        # phi = x^k: E tr S^k(alt) - E tr S^k(null) -> h * D m_k, the derivative
+        # of the limiting law's k-th moment toward G1 - G0 (= h * (t1 - t0) at k = 1)
+        H = {"unit": sd.AtomicMeasure.point_mass(1.0),
+             "ar1": sd.AtomicMeasure.uniform(sd.ar1_eigenvalues(0.7, 249)),
+             "two-atom": sd.AtomicMeasure(np.array([1.0, 3.0]), np.array([0.5, 0.5]))}[bulk]
+        G0, G1 = sd.AtomicMeasure.point_mass(1.0), sd.AtomicMeasure.point_mass(t1)
         curve = sd.stieltjes_grid(H, gamma, points_per_interval=1000)
-        delta = sd.delta_diff(H, sd.AtomicMeasure.point_mass(1.0),
-                              sd.AtomicMeasure.point_mass(t1), gamma, curve)
-        rep = sd.lss_moments(curve, sd.assemble_diagreg(curve), lambda x: x, delta, h=1)
-        assert rep.mu == pytest.approx(t1 - 1.0, rel=1e-3)
+        delta = sd.delta_diff(H, G0, G1, gamma, curve)
+        rep = sd.lss_moments(curve, sd.assemble_diagreg(curve), lambda x: x**k, delta, h=1)
+        assert rep.mu == pytest.approx(power_mean_shift(H, G0, G1, gamma, k), rel=1e-3)

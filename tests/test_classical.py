@@ -163,6 +163,18 @@ class TestOriginalForms:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             sd.evaluate_statistic(test_id, eigenvalues, n)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("test_id, expected", [
+        ("nagao", 5e200),  # (1e100 - 1)^2 + (2e100 - 1)^2
+        ("john-identity", 3e100),
+        ("fisher-2010", 1.36),  # 2 * (1 + 16) / (1 + 4)^2
+    ])
+    def test_huge_finite_sample(self, test_id, expected):
+        # the fourth powers overflowed, though neither Nagao's nor John's
+        # statistic reads m_4 and Fisher's ratio does not depend on scale
+        value = sd.evaluate_statistic(test_id, [1e100, 2e100], 4)
+        assert value == pytest.approx(expected, rel=1e-14)
+
     def test_john_sphericity_scale_invariant(self, rng):
         eigs = rng.uniform(0.5, 2.0, size=12)
         a = sd.evaluate_statistic("john-sphericity", eigs, n=30)

@@ -80,7 +80,7 @@ class TestWeakDerivative:
         assert masses[0]["weight"] == pytest.approx(0.5)
 
     def test_curve_with_dropped_points_fails_without_output(self, tmp_path, capsys):
-        # AR(1) rho = 0.99 drops 5 grid points; the cdf would bridge them
+        # AR(1) rho = 0.99 drops 4 grid points; the cdf would bridge them
         H = sd.AtomicMeasure.uniform(ar1_eigenvalues(0.99, 249))
         cfg = write_config(tmp_path / "wd.json", {
             "H": H.to_dict(),
@@ -89,7 +89,7 @@ class TestWeakDerivative:
         })
         out = tmp_path / "out"
         assert run_cli(["weak-derivative", "--config", cfg, "--out", str(out)]) == 1
-        assert "5 non-converged points" in capsys.readouterr().err
+        assert "4 non-converged points" in capsys.readouterr().err
         assert not (out / "weak_derivative.csv").exists()
         assert not (out / "manifest.json").exists()
 

@@ -261,10 +261,11 @@ class TestStieltjesGrid:
         assert len(runs) >= 3
 
     def test_inverse_map_evaluations_per_point(self, monkeypatch):
-        # Newton's own slope gives v', and the fine points get one run, at
-        # eta = 0; the grid with one contraction-started Newton run for
-        # every point and a separate pass for v' took 8.9 order-(1, 2)
-        # evaluations per point here
+        # Newton's own slope gives v', and every point but the anchors gets
+        # one run, at eta = 0, from a Hermite start; the grid with one
+        # contraction-started Newton run for every point and a separate pass
+        # for v' took 8.9 order-(1, 2) evaluations per point here, and with
+        # linear starts and anchors at every 16th point 4.2
         _, H, gamma, kw, _ = next(case for case in cases() if case[0] == "ar1")
         evaluations, in_support = {(1, 2): 0, (2,): 0}, []
         inverse_map, support_intervals = mp._inverse_map, mp.support_intervals
@@ -287,7 +288,7 @@ class TestStieltjesGrid:
         curve = sd.stieltjes_grid(H, gamma, **kw)
         points = curve.n_intervals * (kw["points_per_interval"] + 6)
         assert curve.dropped == [] and curve.edge_failures == []
-        assert evaluations[(1, 2)] <= 5 * points
+        assert evaluations[(1, 2)] <= 3.5 * points
         assert evaluations[(2,)] > 0  # the support search ran inside the count
 
 

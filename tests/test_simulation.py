@@ -326,6 +326,20 @@ class TestPowerExperiment:
         assert curve.supercritical[0]
         assert curve.power_lss[0] >= 0.5
 
+    def test_downward_escape_power_at_300_replicates(self):
+        # the bump below the unit bulk (psi = 0.075, half-width about 0.018,
+        # lower edge 0.0858) takes in null eigenvalues at the edge, so the
+        # promised full power is not reached: 0.890, 0.907, 0.930 and 0.883
+        # at seeds 7, 11, 31 and 59, while the top eigenvalue reads 0.02-0.05
+        cfg = sd.SimConfig(
+            population={"kind": "atoms", "eigenvalues": [1.0], "multiplicities": [249]},
+            n=500, n_reps=300, alpha=0.05, seed=31, spike_grid=(0.2,),
+        )
+        curve = sd.power_experiment(cfg)
+        assert curve.supercritical[0]
+        assert curve.power_lss[0] >= 0.85
+        assert curve.power_top[0] <= 0.15
+
     def test_held_out_level_counts_the_solved_surrogate(self):
         # spike 2.0 escapes the unit bulk but is replaced by the solved
         # surrogate, 3.0 gets a bump: both are supercritical, and the level

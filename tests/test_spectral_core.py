@@ -336,6 +336,20 @@ def test_real_roots_of_the_inverse_map_are_not_kept(ar1_099):
     assert complex_rel_err(curve.v, near) <= 1e-6
 
 
+@pytest.mark.parametrize("rho, gamma, dropped", [
+    (0.9, 0.1, [(0.409732418040529, "real root")]),
+    (0.99, 1.5, [(1.252560677053537, "residual"), (1.391550186926132, "real root")]),
+])
+def test_only_anchors_failing_the_contraction_route_are_dropped(rho, gamma, dropped):
+    # with the contraction start on every 16th point, 3 and 3 points were
+    # dropped here; the points between anchors start from Hermite
+    # predictions, and each dropped point is an anchor (index 256, 576, 640)
+    curve = sd.stieltjes_grid(sd.AtomicMeasure.uniform(sd.ar1_eigenvalues(rho, 249)), gamma)
+    assert curve.edge_failures == []
+    assert [x for x, _ in curve.dropped] == pytest.approx([x for x, _ in dropped], rel=1e-12)
+    assert all(reason.startswith(cause) for (_, reason), (_, cause) in zip(curve.dropped, dropped))
+
+
 @pytest.mark.parametrize("compute", [
     lambda H, curve: sd.esd_expectation(curve, lambda x: x),
     lambda H, curve: sd.weak_derivative_cdf(H, sd.AtomicMeasure.point_mass(1.5), 0.5, curve),
@@ -347,8 +361,8 @@ def test_real_roots_of_the_inverse_map_are_not_kept(ar1_099):
 def test_nothing_integrates_across_dropped_points(ar1_099, compute):
     # each would bridge the holes with widened cells and return a number
     H, curve = ar1_099
-    assert len(curve.dropped) == 5
-    with pytest.raises(ValueError, match="5 non-converged points"):
+    assert len(curve.dropped) == 4
+    with pytest.raises(ValueError, match="4 non-converged points"):
         compute(H, curve)
 
 

@@ -651,8 +651,11 @@ def stieltjes_grid(H: AtomicMeasure, gamma: float, points_per_interval: int = 10
     point's own Newton run.  A point whose residual stays above 1e-8,
     whose Im v is not positive beyond round-off (a real root of
     x(v) = x) or where v' is undefined fails; a failed point of the later
-    levels is retried once by the anchors' path, and a point that fails
-    there is dropped and recorded with the reason, never interpolated.
+    levels is retried once by the anchors' path.  A grid point that still
+    fails, an anchor included, gets one more Newton run at eta = 0 from the
+    Hermite start through every solved grid point, and a point that fails
+    that too is dropped and recorded with its first reason, never
+    interpolated.
     The boundary value of v exists up to the edges, and the samples pin
     down the tail of a sqrt-singular density far better than
     extrapolation from the grid.
@@ -694,28 +697,36 @@ def stieltjes_grid(H: AtomicMeasure, gamma: float, points_per_interval: int = 10
         v[points], vp[points], fails = _contraction_points(H, gamma, x[points], z[points])
         failed.update({points[i]: reason for i, reason in fails.items()})
 
-    def refine(nodes: np.ndarray, points: np.ndarray) -> None:
+    def refine(nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
         # one Newton run at eta = 0 per point, from the solved nodes'
-        # Hermite prediction in theta; the points that fail it take the
-        # contraction route
+        # Hermite prediction in theta; returns the points that failed it
         good = np.setdiff1d(nodes, list(failed))
         good = good[np.argsort(theta[good])]
-        if good.size:
-            v0 = _hermite_start(theta[good], v[good], vp[good] * dx_dtheta[good], theta[points])
-            v[points], vp[points], fails = _real_points(H, gamma, x[points], v0)
-        else:
-            fails = dict.fromkeys(range(points.size))
-        if fails:
-            contraction(points[sorted(fails)])
+        if not good.size:
+            return points
+        v0 = _hermite_start(theta[good], v[good], vp[good] * dx_dtheta[good], theta[points])
+        v[points], vp[points], fails = _real_points(H, gamma, x[points], v0)
+        return points[sorted(fails)]
 
     # the anchors: every _ANCHOR_STRIDE-th grid point of an interval, its
-    # last, and the edge samples; then the other coarse points, then all others
+    # last, and the edge samples; then the other coarse points, then all
+    # others, whose failed points take the contraction route
     j = np.arange(x.size) % n
     anchor = (j % _ANCHOR_STRIDE == 0) | (j == n - 1) | (np.arange(x.size) >= xs.size)
     middle = ~anchor & (j % _COARSE_STRIDE == 0)
     contraction(np.flatnonzero(anchor))
-    refine(np.flatnonzero(anchor), np.flatnonzero(middle))
-    refine(np.flatnonzero(anchor | middle), np.flatnonzero(~anchor & ~middle))
+    for nodes, points in ((anchor, middle), (anchor | middle, ~anchor & ~middle)):
+        again = refine(np.flatnonzero(nodes), np.flatnonzero(points))
+        if again.size:
+            contraction(again)
+    # a grid point that failed its route is retried once from the Hermite
+    # prediction through every solved grid point, whose nearest nodes are
+    # one cell away; it keeps its first reason if it fails again
+    retry = np.array([i for i in sorted(failed) if i < xs.size], dtype=int)
+    if retry.size:
+        solved = np.setdiff1d(np.arange(xs.size), retry)
+        for i in np.setdiff1d(retry, refine(solved, retry)):
+            del failed[i]
     dropped = [(float(x[i]), failed[i]) for i in sorted(failed) if i < xs.size]
     if len(dropped) == xs.size:
         raise SilversteinError("all grid points failed to converge")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import specdetect as sd
-from specdetect import ar1_eigenvalues, simulate
+from specdetect import ar1_eigenvalues, mp, simulate
 from specdetect.cli import main
 from specdetect.io import read_json
 
@@ -79,9 +79,20 @@ class TestWeakDerivative:
         assert masses[0]["location"] == pytest.approx(3.75)
         assert masses[0]["weight"] == pytest.approx(0.5)
 
-    def test_curve_with_dropped_points_fails_without_output(self, tmp_path, capsys):
-        # AR(1) rho = 0.99 drops 4 grid points; the cdf would bridge them
+    def test_curve_with_dropped_points_fails_without_output(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # 4 grid points of AR(1) rho = 0.99 fail every real-axis Newton run,
+        # so the curve drops them; the cdf would bridge them
         H = sd.AtomicMeasure.uniform(ar1_eigenvalues(0.99, 249))
+        holes = sd.stieltjes_grid(H, 0.5).grid[[544, 576, 608, 672]]
+        real_limit = mp._real_limit
+
+        def failing(H, gamma, x, v0):
+            v, resid, slope = real_limit(H, gamma, x, v0)
+            resid[np.isin(x, holes)] = np.inf
+            return v, resid, slope
+
+        monkeypatch.setattr(mp, "_real_limit", failing)
         cfg = write_config(tmp_path / "wd.json", {
             "H": H.to_dict(),
             "G": {"atoms": [1.5], "weights": [1.0]},

@@ -1,5 +1,6 @@
 import math
 import os
+import signal
 import threading
 import time
 from dataclasses import fields
@@ -136,6 +137,29 @@ class TestSampleEigenvalues:
             assert np.count_nonzero(eigs == 0.0) == p - n
             assert np.array_equal(eigs[:p - n], np.zeros(p - n))
             assert np.allclose(eigs[p - n:], ref[p - n:], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 2, 31, 32, 33, 65, 250])
+    @pytest.mark.parametrize("ratio", [1, 2])
+    def test_triangle_product_matches_the_full_product(self, p, ratio):
+        # the draw forms only the lower triangle of M M^T, by column blocks;
+        # here the Bartlett factor is rebuilt from the same seed and the full
+        # product divided by n afterwards
+        n, seed = ratio * p, 17
+        pop = np.linspace(0.5, 2.0, p)
+        rng = np.random.default_rng(seed)
+        lower = np.zeros((p, p))
+        lower[np.tril_indices(p, -1)] = rng.standard_normal(p * (p - 1) // 2)
+        lower[np.diag_indices(p)] = np.sqrt(rng.chisquare(n - np.arange(p)))
+        m = np.sqrt(pop)[:, None] * lower
+        ref = np.linalg.eigvalsh(m @ m.T / n)
+        eigs = sd.sample_eigenvalues(pop, n, seed)
+        assert np.allclose(eigs, ref, rtol=0.0, atol=1e-12 * ref[-1])
+
+    @pytest.mark.parametrize("p, n", [(2, 1), (33, 32), (65, 31), (250, 125)])
+    def test_wide_case_matches_the_direct_draw(self, p, n):
+        pop = np.linspace(0.5, 2.0, p)
+        eigs = sd.sample_eigenvalues(pop, n, seed=5)
+        assert np.allclose(eigs, direct_sample_eigenvalues(pop, n, seed=5), rtol=0.0, atol=1e-12)
 
     @pytest.mark.slow
     def test_empirical_distribution_close_to_limit(self, mp_unit, mp_curve):
@@ -489,33 +513,123 @@ class TestDrawWorkers:
         assert simulate._draw(self.POP, 60, self.seeds(count), 2).shape == (count, 30)
 
     def test_failed_worker_raises_and_leaves_no_child(self, monkeypatch):
-        parent, draw = os.getpid(), simulate.sample_eigenvalues
+        # at w = 2 worker 1 draws rows 1, 3 and 5; it fails at row 3 alone
+        seeds, draw = self.seeds(6), simulate.sample_eigenvalues
 
-        def fails_in_a_child(*args):
-            if os.getpid() != parent:
+        def fails_at_row_3(pop, n, seed, work):
+            if seed.spawn_key == seeds[3].spawn_key:
                 raise ValueError("worker draw failed")
-            return draw(*args)
+            return draw(pop, n, seed, work)
 
-        monkeypatch.setattr(simulate, "sample_eigenvalues", fails_in_a_child)
-        with pytest.raises(RuntimeError, match=r"draw failed: worker 1 \(pid \d+\) exited "
+        monkeypatch.setattr(simulate, "sample_eigenvalues", fails_at_row_3)
+        with pytest.raises(RuntimeError, match=r"^draw failed: worker 1 \(pid \d+\) exited "
                                                 r"with code 1$"):
-            simulate._draw(self.POP, 60, self.seeds(6), 2)
+            simulate._draw(self.POP, 60, seeds, 2)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs an interval timer")
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds on Linux")
     def test_failed_parent_kills_its_children(self, monkeypatch):
+        # the children stall; this process fails while it waits for their rows
         parent = os.getpid()
 
         def stalls_in_a_child(*args):
             if os.getpid() != parent:
                 time.sleep(60)
-            raise ValueError("parent draw failed")
+            raise AssertionError("this process drew a row")
+
+        def interrupt(signum, frame):
+            raise ValueError("parent interrupted")
 
         monkeypatch.setattr(simulate, "sample_eigenvalues", stalls_in_a_child)
+        before = sorted(os.listdir("/proc/self/fd"))
+        previous = signal.signal(signal.SIGALRM, interrupt)
         start = time.monotonic()
-        with pytest.raises(ValueError, match="parent draw failed"):
-            simulate._draw(self.POP, 60, self.seeds(4), 2)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(ValueError, match="parent interrupted"):
+                simulate._draw(self.POP, 60, self.seeds(4), 2)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
         assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert sorted(os.listdir("/proc/self/fd")) == before
+
+    def test_sweep_forks_its_workers_once(self, small_config, monkeypatch):
+        # one pool draws every replicate: 2 children for the whole sweep,
+        # not 2 - 1 for each of its 1 + len(spike_grid) replicate sets
+        forks, fork = [], os.fork
+
+        def counted_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(simulate, "_draw_workers", lambda: 2)
+        curve = sd.power_experiment(small_config)
+        assert curve.draw_workers == 2
+        assert forks == [os.getpid()] * 2
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds on Linux")
+    def test_failed_build_kills_and_reaps_every_child(self, small_config, monkeypatch):
+        # the second statistic is built after the pool has started, while the
+        # children draw (here: stall)
+        parent, build = os.getpid(), simulate.optimal_lss
+        builds = []
+
+        def stalls_in_a_child(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise AssertionError("this process drew a row")
+
+        def second_build_fails(*args, **kwargs):
+            builds.append(len(builds))
+            if len(builds) == 2:
+                raise ValueError("second build failed")
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "sample_eigenvalues", stalls_in_a_child)
+        monkeypatch.setattr(simulate, "optimal_lss", second_build_fails)
+        monkeypatch.setattr(simulate, "_draw_workers", lambda: 2)
+        before = sorted(os.listdir("/proc/self/fd"))
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="second build failed"):
+            sd.power_experiment(small_config)
+        assert time.monotonic() - start < 30
+        assert builds == [0, 1]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert sorted(os.listdir("/proc/self/fd")) == before
+
+    def test_child_dying_mid_sweep_raises_before_its_rows_are_read(self, small_config,
+                                                                   monkeypatch):
+        # row 3 reps + 5 is the 6th of the second spike's rows, drawn by
+        # worker 1 of 2; no statistic may see that spike's partly read rows
+        reps, p = small_config.n_reps, small_config.p
+        dies = (3 * reps + 5,)
+        draw, apply = simulate.sample_eigenvalues, simulate.apply_lss
+        applied = []
+
+        def dies_at_its_row(pop, n, seed, work):
+            if seed.spawn_key == dies:
+                os._exit(3)
+            return draw(pop, n, seed, work)
+
+        def recorded_apply(phi, eigenvalues):
+            applied.append(eigenvalues.shape)
+            return apply(phi, eigenvalues)
+
+        monkeypatch.setattr(simulate, "sample_eigenvalues", dies_at_its_row)
+        monkeypatch.setattr(simulate, "apply_lss", recorded_apply)
+        monkeypatch.setattr(simulate, "_draw_workers", lambda: 2)
+        with pytest.raises(RuntimeError, match=r"^draw failed: worker 1 \(pid \d+\) exited "
+                                                r"with code 3$"):
+            sd.power_experiment(small_config)
+        # the first spike's null and alternative rows, then the second's null rows
+        assert applied == [(2 * reps, p), (reps, p), (2 * reps, p)]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

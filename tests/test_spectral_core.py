@@ -271,9 +271,10 @@ def test_no_fine_point_falls_back_to_a_contraction_start(monkeypatch, rho):
 FORCED = [1, 15, 17, 300, 598, 601, 900, 1198]
 
 
-def fail_forced_points(monkeypatch, x_forced, runs):
-    """Report an infinite residual at ``x_forced`` in the first ``runs``
-    real-axis Newton runs that reach them; returns how many each hit."""
+def failing_real_limit(x_forced, runs=math.inf):
+    """mp._real_limit reporting an infinite residual at ``x_forced`` in the
+    first ``runs`` real-axis Newton runs that reach them, and the list of
+    how many points each of those runs hit."""
     real_limit = mp._real_limit
     hits = []
 
@@ -285,6 +286,12 @@ def fail_forced_points(monkeypatch, x_forced, runs):
             resid[hit] = np.inf
         return v, resid, slope
 
+    return failing, hits
+
+
+def fail_forced_points(monkeypatch, x_forced, runs):
+    """Install :func:`failing_real_limit`; returns how many points each failed run hit."""
+    failing, hits = failing_real_limit(x_forced, runs)
     monkeypatch.setattr(mp, "_real_limit", failing)
     return hits
 
@@ -302,9 +309,10 @@ def test_failed_fine_points_are_retried_from_a_contraction_start(monkeypatch, cu
 
 def test_fine_points_that_fail_the_retry_are_dropped(monkeypatch, curves):
     (H, gamma, kw, _), ref = CASES["two_atom"], curves["two_atom"]
-    hits = fail_forced_points(monkeypatch, ref.grid[FORCED], runs=2)
+    hits = fail_forced_points(monkeypatch, ref.grid[FORCED], runs=3)
     curve = sd.stieltjes_grid(H, gamma, **kw)
-    assert hits == [len(FORCED), len(FORCED)]  # the direct run, then the retry
+    # the direct run, the contraction route, then the run from the solved grid
+    assert hits == [len(FORCED)] * 3
     assert curve.dropped == [(float(x), "residual inf") for x in ref.grid[FORCED]]
     kept = np.setdiff1d(np.arange(ref.grid.size), FORCED)
     # the dropped points leave holes: nothing is interpolated into them
@@ -316,21 +324,74 @@ def test_fine_points_that_fail_the_retry_are_dropped(monkeypatch, curves):
         curve.require_complete()
 
 
+def test_grid_points_failing_both_routes_are_recovered_from_the_solved_grid(monkeypatch,
+                                                                           curves):
+    (H, gamma, kw, _), ref = CASES["two_atom"], curves["two_atom"]
+    hits = fail_forced_points(monkeypatch, ref.grid[FORCED], runs=2)
+    curve = sd.stieltjes_grid(H, gamma, **kw)
+    assert hits == [len(FORCED), len(FORCED)]  # the direct run, then the contraction route
+    assert curve.dropped == [] and curve.edge_failures == []
+    assert np.array_equal(curve.grid, ref.grid)
+    assert complex_rel_err(curve.v, ref.v) <= 1e-14
+    assert complex_rel_err(curve.v_prime, ref.v_prime) <= 1e-12
+
+
+def test_a_point_failing_its_last_run_keeps_its_first_reason(monkeypatch, curves):
+    # the first two runs report a residual, the last a real root
+    (H, gamma, kw, _), ref = CASES["two_atom"], curves["two_atom"]
+    real_limit, runs = mp._real_limit, []
+
+    def failing(H, gamma, x, v0):
+        v, resid, slope = real_limit(H, gamma, x, v0)
+        hit = np.isin(x, ref.grid[FORCED])
+        if hit.any():
+            runs.append(int(hit.sum()))
+            if len(runs) < 3:
+                resid[hit] = np.inf
+            else:
+                v[hit] = v[hit].real
+        return v, resid, slope
+
+    monkeypatch.setattr(mp, "_real_limit", failing)
+    curve = sd.stieltjes_grid(H, gamma, **kw)
+    assert runs == [len(FORCED)] * 3
+    assert curve.dropped == [(float(x), "residual inf") for x in ref.grid[FORCED]]
+
+
+# the grid points of the AR(1) rho = 0.99, gamma = 1/2 curve that the
+# contraction route dropped before failed anchors were retried
+HOLES = [544, 576, 608, 672]
+
+
 @pytest.fixture(scope="module")
 def ar1_099():
-    """AR(1) rho = 0.99, p = 249, at gamma = 1/2: a curve with dropped points."""
+    """AR(1) rho = 0.99, p = 249, at gamma = 1/2, with four grid points that
+    fail every Newton run: a curve with dropped points."""
     H = sd.AtomicMeasure.uniform(sd.ar1_eigenvalues(0.99, 249))
-    return H, sd.stieltjes_grid(H, 0.5)
+    failing, _ = failing_real_limit(sd.stieltjes_grid(H, 0.5).grid[HOLES])
+    with mock.patch.object(mp, "_real_limit", failing):
+        return H, sd.stieltjes_grid(H, 0.5)
 
 
-def test_real_roots_of_the_inverse_map_are_not_kept(ar1_099):
+def test_real_roots_of_the_inverse_map_are_not_kept(monkeypatch):
     # on AR(1) rho = 0.99 the support has 15 narrow intervals, and a few
     # Newton runs at eta = 0 end on a real root of x(v) = x, with an Im v
-    # of round-off.  Kept, such a point reads as zero density
-    H, curve = ar1_099
-    assert curve.n_intervals == 15 and curve.edge_failures == []
-    assert 0 < len(curve.dropped) <= 10
-    assert all(reason.startswith("real root of x(v) = x: Im v ") for _, reason in curve.dropped)
+    # of round-off.  Kept, such a point reads as zero density; each is
+    # retried from the solved grid instead
+    H = sd.AtomicMeasure.uniform(sd.ar1_eigenvalues(0.99, 249))
+    reasons = []
+    real_points = mp._real_points
+
+    def spy(*args):
+        out = real_points(*args)
+        reasons.extend(out[2].values())
+        return out
+
+    monkeypatch.setattr(mp, "_real_points", spy)
+    curve = sd.stieltjes_grid(H, 0.5)
+    assert curve.n_intervals == 15 and curve.edge_failures == [] and curve.dropped == []
+    assert 0 < len(reasons) <= 10
+    assert all(reason.startswith("real root of x(v) = x: Im v ") for reason in reasons)
     near, failed = mp._solve(H, 0.5, curve.grid + 1e-10j, None, 1e-10)
     assert failed == {}
     assert complex_rel_err(curve.v, near) <= 1e-6
@@ -340,14 +401,36 @@ def test_real_roots_of_the_inverse_map_are_not_kept(ar1_099):
     (0.9, 0.1, [(0.409732418040529, "real root")]),
     (0.99, 1.5, [(1.252560677053537, "residual"), (1.391550186926132, "real root")]),
 ])
-def test_only_anchors_failing_the_contraction_route_are_dropped(rho, gamma, dropped):
-    # with the contraction start on every 16th point, 3 and 3 points were
-    # dropped here; the points between anchors start from Hermite
-    # predictions, and each dropped point is an anchor (index 256, 576, 640)
-    curve = sd.stieltjes_grid(sd.AtomicMeasure.uniform(sd.ar1_eigenvalues(rho, 249)), gamma)
-    assert curve.edge_failures == []
-    assert [x for x, _ in curve.dropped] == pytest.approx([x for x, _ in dropped], rel=1e-12)
-    assert all(reason.startswith(cause) for (_, reason), (_, cause) in zip(curve.dropped, dropped))
+def test_only_anchors_failing_the_contraction_route_are_dropped(monkeypatch, rho, gamma,
+                                                                dropped):
+    # ``dropped``: the anchors (index 256, 576, 640) whose contraction route
+    # fails, the only points that fail a route here.  With the contraction
+    # start on every 16th point, 3 and 3 points failed.  Each anchor is then
+    # retried from the solved grid points and recovered: it is kept, on the
+    # right root, with v between its neighbours'
+    routes = {}
+    contraction_points = mp._contraction_points
+
+    def spy(H, gamma, x, z):
+        out = contraction_points(H, gamma, x, z)
+        routes.update({float(x[i]): reason for i, reason in out[2].items()})
+        return out
+
+    monkeypatch.setattr(mp, "_contraction_points", spy)
+    H = sd.AtomicMeasure.uniform(sd.ar1_eigenvalues(rho, 249))
+    curve = sd.stieltjes_grid(H, gamma)
+    assert curve.dropped == [] and curve.edge_failures == []
+    assert sorted(routes) == pytest.approx([x for x, _ in dropped], rel=1e-12)
+    assert all(routes[x].startswith(cause) for x, (_, cause) in zip(sorted(routes), dropped))
+    near, _ = mp._solve(H, gamma, curve.grid + 1e-10j, None, 1e-10)
+    for x, _ in dropped:
+        i = int(np.argmin(np.abs(curve.grid - x)))
+        assert curve.grid[i] == pytest.approx(x, rel=1e-12)
+        assert curve.interval_id[i - 1] == curve.interval_id[i + 1]
+        for part in (np.real, np.imag):
+            lo, hi = sorted(part(curve.v[[i - 1, i + 1]]))
+            assert lo <= part(curve.v[i]) <= hi
+        assert abs(curve.v[i] - near[i]) <= 1e-6 * abs(near[i])
 
 
 @pytest.mark.parametrize("compute", [

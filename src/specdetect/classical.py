@@ -149,7 +149,7 @@ def _resolve_entry(test_id: str, params: dict) -> _CatalogEntry:
 
 def _on_curve(phi: _Phi, curve: StieltjesCurve) -> LssFunction:
     """phi on the curve's grid; evaluation extends it."""
-    return LssFunction(grid=curve.grid.copy(), values=np.array(phi(curve.grid), dtype=float),
+    return LssFunction(grid=curve.grid, values=np.array(phi(curve.grid), dtype=float),
                        segments=[SEG_SUPPORT] * curve.grid.size)
 
 
@@ -159,8 +159,10 @@ def equivalent_lss(test_id: str, H: AtomicMeasure, gamma: float, curve: Stieltje
 
     Moments m_1..m_4 of the limiting distribution are resolved exactly
     from (H, gamma) so the catalog algebra (e.g. the sphericity LRT
-    reducing to the identity LRT at unit mean) holds to round-off.
+    reducing to the identity LRT at unit mean) holds to round-off.  The
+    curve must be that of H at gamma.
     """
+    curve.require_model(H, gamma)
     entry = _resolve_entry(test_id, params)
     return _on_curve(entry.build(forward_moments(H, gamma, 4), gamma, params), curve)
 

@@ -171,7 +171,7 @@ def assemble_diagreg(curve: StieltjesCurve) -> KernelMatrix:
     entries = _weighted_kernel_matrix(curve, sq)
     ridge = _RIDGE_COEFF * float(np.trace(entries)) / entries.shape[0]
     return KernelMatrix(
-        grid=curve.grid.copy(),
+        grid=curve.grid,
         entries=entries,
         weights=w,
         ridge=ridge,
@@ -307,7 +307,7 @@ def solve_diagreg(K: KernelMatrix, delta: SignedMeasureCdf) -> SolvedDerivative:
     rhs = -sq * delta.cdf
     u = solve_regularized(K, rhs)
     resid = float(np.linalg.norm(K.entries @ u + K.ridge * u - rhs))
-    return SolvedDerivative(grid=K.grid.copy(), values=u / sq, residual_norm=resid)
+    return SolvedDerivative(grid=K.grid, values=u / sq, residual_norm=resid)
 
 
 def _hats(xs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -361,7 +361,7 @@ def solve_collocation(curve: StieltjesCurve, delta: SignedMeasureCdf) -> SolvedD
     coeffs = np.linalg.solve(A, -delta.cdf[nodes])
     resid = float(np.linalg.norm(A @ coeffs - (-delta.cdf[nodes])))
 
-    return SolvedDerivative(grid=curve.grid.copy(), values=hats @ coeffs, residual_norm=resid,
+    return SolvedDerivative(grid=curve.grid, values=hats @ coeffs, residual_norm=resid,
                             condition_number=cond)
 
 

@@ -503,18 +503,26 @@ def solve_real_outside(H: AtomicMeasure, gamma: float, support: SupportSet, x: f
 # dense evaluation on the support
 # ----------------------------------------------------------------------
 
+def _brief(m: AtomicMeasure) -> str:
+    """The atoms and weights of m, elided past six of each."""
+    fmt = dict(threshold=6, edgeitems=2, precision=17)
+    return f"atoms {np.array2string(m.atoms, **fmt)}, weights {np.array2string(m.weights, **fmt)}"
+
+
 @dataclass
 class StieltjesCurve:
-    """v and v' on a dense in-support grid, plus the support itself.
+    """v and v' on a dense in-support grid of the bulk H at gamma, plus the support itself.
 
     ``edge_samples[(j, "lo"|"hi")]`` holds (distances ascending, v, v') at
     1/64, 1/16 and 1/4 of the way from that edge of interval j to its
     nearest grid point.  An edge has all three samples or none:
     ``edge_failures`` lists (x, reason) once for each edge with a failed
     sample, at the failed sample farthest from the edge, and that edge is
-    left unrefined.
+    left unrefined.  Every array that ``stieltjes_grid`` stores is
+    read-only, so statistics built on the curve share its grid.
     """
 
+    H: AtomicMeasure
     gamma: float
     grid: np.ndarray
     v: np.ndarray
@@ -544,6 +552,17 @@ class StieltjesCurve:
     @property
     def n_intervals(self) -> int:
         return len(self.support.intervals)
+
+    def require_model(self, H: AtomicMeasure, gamma: float) -> None:
+        """Raise ValueError unless the curve is that of the bulk H at gamma.
+
+        H is compared value for value, so an equal measure made apart passes.
+        """
+        if abs(gamma - self.gamma) > 1e-12:
+            raise ValueError("gamma does not match the curve")
+        if H != self.H:
+            raise ValueError(f"the bulk H ({_brief(H)}) is not the curve's bulk "
+                             f"({_brief(self.H)})")
 
     def require_complete(self) -> None:
         """Raise ValueError naming the dropped grid points, if any.
@@ -737,17 +756,23 @@ def stieltjes_grid(H: AtomicMeasure, gamma: float, points_per_interval: int = 10
     edge_failed = {(i - xs.size) // m: (float(x[i]), failed[i]) for i in sorted(failed)
                    if i >= xs.size}
     vs, vps = v[xs.size:].reshape(dists.shape), vp[xs.size:].reshape(dists.shape)
+    # read-only, as the atoms of a measure are: a statistic keeps the grid
+    # itself, and a curve may serve several builds
+    grid, v_kept, vp_kept, ids_kept = xs[keep], v[keep], vp[keep], ids[keep]
+    for a in (grid, v_kept, vp_kept, ids_kept, dists, vs, vps):
+        a.setflags(write=False)
     # fraction of zero sample eigenvalues: population null directions plus
     # any rank deficit when the dimension exceeds the sample size
     w0 = float(np.sum(H.weights[H.atoms == 0.0]))
     atom0 = max(0.0, 1.0 - min(1.0 - w0, 1.0 / gamma))
     return StieltjesCurve(
+        H=H,
         gamma=gamma,
-        grid=xs[keep],
-        v=v[keep],
-        v_prime=vp[keep],
+        grid=grid,
+        v=v_kept,
+        v_prime=vp_kept,
         support=support,
-        interval_id=ids[keep],
+        interval_id=ids_kept,
         dropped=dropped,
         atom_at_zero=atom0,
         edge_samples={key: (dists[e], vs[e], vps[e]) for e, key in enumerate(keys)

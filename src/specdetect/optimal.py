@@ -10,6 +10,7 @@ identity-direction D(x) = x * density(x).
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections.abc import Callable
@@ -51,6 +52,11 @@ SOLVERS = ("diagreg", "collocation")
 _N_SD = 3.0  # half-width of an escaped spike's bump, in asymptotic sds
 _S_PLUS_COEFF = 0.75  # the surrogate rule's window ends at s_plus = this * (1 + sqrt(gamma)) a_pt
 _S_MINUS_COEFF = 0.99  # the surrogate spike is s_minus = this * a_pt
+# curves kept for builds given none, the least recently used going first:
+# spikes swept over one bulk, or two bulks used in turn, build each curve
+# once, while three or more bulks in a cycle never reuse one and pay
+# nothing for it; a 15-interval AR(1) rho 0.99 curve is under 1 MB
+_CURVES = 2
 
 
 # the least value of each integer setting of a model, a build or a sweep
@@ -161,12 +167,13 @@ def epanechnikov(x: np.ndarray) -> np.ndarray:
 def integrate_derivative(curve: StieltjesCurve, g: np.ndarray) -> LssFunction:
     """Cumulative trapezoid of g on the curve's grid, zero at its first point.
 
-    Refuses a curve with dropped points; evaluation extends the result.
+    Refuses a curve with dropped points; evaluation extends the result,
+    whose grid is the curve's own read-only grid.
     """
     curve.require_complete()
     grid = curve.grid
     phi = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(grid))])
-    return LssFunction(grid=grid.copy(), values=phi, segments=[SEG_SUPPORT] * grid.size,
+    return LssFunction(grid=grid, values=phi, segments=[SEG_SUPPORT] * grid.size,
                        derivative=np.asarray(g, dtype=float).copy())
 
 
@@ -264,21 +271,32 @@ def optimal_ls3(model: SpikedModel, config: AlgoConfig | None = None,
     return _build(model, config, curve, _projected_solve)
 
 
+@functools.lru_cache(maxsize=_CURVES)
+def _curve(H: AtomicMeasure, gamma: float, points_per_interval: int) -> StieltjesCurve:
+    """The curve of H at gamma on the given grid, built on a miss.
+
+    ``epsilon`` changes no number, so it is no part of the key.
+    """
+    return stieltjes_grid(H, gamma, points_per_interval=points_per_interval)
+
+
 def _build(model: SpikedModel, config: AlgoConfig, curve: StieltjesCurve | None,
            solve: Callable[[StieltjesCurve, KernelMatrix, SignedMeasureCdf, AlgoConfig],
                            np.ndarray]) -> tuple[LssFunction, EfficacyReport]:
     """The statistic path shared by ``optimal_lss`` and ``optimal_ls3``.
 
-    Builds the curve when none is given, refuses one with dropped grid
-    points, rejects a supercritical G0 and decides the regime from G1.
+    Given no curve, takes that of (H, gamma, points_per_interval) from the
+    last _CURVES built so, or builds it.  Refuses a curve of another bulk
+    or gamma, or one with dropped grid points; rejects a supercritical G0
+    and decides the regime from G1.
     Below the transition, and for the surrogate that replaces a spike just
     above it, ``solve`` returns the derivative from the kernel system and
     it is integrated; any other supercritical G1 gets the bump
     construction.
     """
     if curve is None:
-        curve = stieltjes_grid(model.H, model.gamma,
-                               points_per_interval=config.points_per_interval)
+        curve = _curve(model.H, model.gamma, config.points_per_interval)
+    curve.require_model(model.H, model.gamma)
     curve.require_complete()
     H, gamma, support = model.H, model.gamma, curve.support
     if any(r.supercritical for r in classify_spikes(H, gamma, model.G0, support)):

@@ -269,8 +269,6 @@ def _signed_cdf(minus: AtomicMeasure, plus: AtomicMeasure, gamma: float, curve: 
     pole of s, never interpolated.  ``masses`` are the exact (location,
     weight) point masses of the escaped spikes, placed analytically.
     """
-    if abs(gamma - curve.gamma) > 1e-12:
-        raise ValueError("gamma does not match the curve")
     with np.errstate(divide="ignore", invalid="ignore"):  # at a pole; zeroed below
         dens = _st_from_v(minus, plus, gamma, curve.v, curve.v_prime).imag / math.pi
     poles = _near_pole(np.concatenate([minus.atoms, plus.atoms]), curve.v, _POLE_TOL)
@@ -278,7 +276,7 @@ def _signed_cdf(minus: AtomicMeasure, plus: AtomicMeasure, gamma: float, curve: 
     gaps = [f"near-pole grid point excluded at x={x:.8g}" for x in curve.grid[poles]]
     refinements, edge_gaps = _edge_refinements(minus, plus, gamma, curve)
     cdf, right_tail = _integrate_signed_density(curve, dens, masses, refinements)
-    return SignedMeasureCdf(grid=curve.grid.copy(), density=dens, cdf=cdf,
+    return SignedMeasureCdf(grid=curve.grid, density=dens, cdf=cdf,
                             point_masses=sorted(masses), right_tail=right_tail,
                             gaps=gaps + edge_gaps)
 
@@ -296,7 +294,9 @@ def weak_derivative_cdf(H: AtomicMeasure, G: AtomicMeasure, gamma: float,
 
     Each supercritical atom s_j of G (weight u_j) contributes the point
     mass gamma*u_j at its sample location psi(s_j); the bulk H adds none.
+    The curve must be that of H at gamma.
     """
+    curve.require_model(H, gamma)
     return _signed_cdf(H, G, gamma, curve, _escaped(H, gamma, G, curve.support))
 
 
@@ -305,7 +305,9 @@ def delta_diff(H: AtomicMeasure, G0: AtomicMeasure, G1: AtomicMeasure, gamma: fl
     """Derivative toward G1 minus the derivative toward G0, as one pass over G1 - G0.
 
     H cancels from the density; the point masses are +gamma*u at each
-    supercritical atom of G1 and -gamma*u at each of G0.
+    supercritical atom of G1 and -gamma*u at each of G0.  The curve must
+    be that of H at gamma.
     """
+    curve.require_model(H, gamma)
     masses = _escaped(H, gamma, G1, curve.support) + _escaped(H, gamma, G0, curve.support, -1.0)
     return _signed_cdf(G0, G1, gamma, curve, masses)

@@ -7,6 +7,16 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import specdetect as sd
+from specdetect import optimal
+
+
+@pytest.fixture(autouse=True)
+def fresh_curve_memo():
+    """Empty the statistic builds' curve memo around every test, so that no
+    test reuses a curve another test built, under a patch or without one."""
+    optimal._curve.cache_clear()
+    yield
+    optimal._curve.cache_clear()
 
 
 @pytest.fixture(scope="session")

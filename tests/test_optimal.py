@@ -7,7 +7,7 @@ import pytest
 
 import specdetect as sd
 from oracles import mad, normalize_curve, omh_lss
-from specdetect import kernel, optimal
+from specdetect import kernel, mp, optimal
 from specdetect.kernel import power_from_efficacy
 from specdetect.optimal import surrogate_spike
 
@@ -529,3 +529,160 @@ class TestSurrogateRule:
             assert got is None
         else:
             assert got == pytest.approx(expected, rel=1e-8)
+
+
+MEMO_POINTS = 200
+
+
+@pytest.fixture
+def grid_calls(monkeypatch):
+    """Every stieltjes_grid call that a statistic build makes, as (H, gamma, points)."""
+    calls = []
+    build = optimal.stieltjes_grid
+
+    def spy(H, gamma, points_per_interval):
+        calls.append((H, gamma, points_per_interval))
+        return build(H, gamma, points_per_interval=points_per_interval)
+
+    monkeypatch.setattr(optimal, "stieltjes_grid", spy)
+    return calls
+
+
+def unit_build_model(t, H=None, gamma=GAMMA):
+    unit = sd.AtomicMeasure.point_mass(1.0)
+    return sd.SpikedModel(H=unit if H is None else H, G0=unit,
+                          G1=sd.AtomicMeasure.point_mass(t), gamma=gamma, n=500)
+
+
+class TestCurveMemo:
+    """A build given no curve reuses that of one of the last two bulks built so."""
+
+    @pytest.mark.parametrize("build, t", [(sd.optimal_lss, 1.6), (sd.optimal_ls3, 1.6),
+                                          (sd.optimal_lss, 2.0)],
+                             ids=["optimal_lss", "optimal_ls3", "surrogate"])
+    def test_second_build_reuses_the_curve_bit_for_bit(self, grid_calls, build, t):
+        cfg = sd.AlgoConfig(points_per_interval=MEMO_POINTS)
+        model = unit_build_model(t)
+        build(model, cfg)
+        assert len(grid_calls) == 1
+        phi, rep = build(model, cfg)
+        assert len(grid_calls) == 1
+        curve = sd.stieltjes_grid(model.H, GAMMA, points_per_interval=MEMO_POINTS)
+        phi_given, rep_given = build(model, cfg, curve=curve)
+        assert np.array_equal(phi.grid, phi_given.grid)
+        assert np.array_equal(phi.values, phi_given.values)
+        assert np.array_equal(phi.derivative, phi_given.derivative)
+        assert phi.segments == phi_given.segments
+        assert rep == rep_given
+        if t == 2.0:  # the surrogate rule fired: solved, no bump
+            assert rep.regime == "supercritical-full-power" and phi.derivative is not None
+
+    def test_key_is_the_bulk_gamma_and_grid_not_epsilon(self, grid_calls):
+        cfg = sd.AlgoConfig(points_per_interval=MEMO_POINTS)
+        nudged = sd.AtomicMeasure.point_mass(np.nextafter(1.0, 2.0))
+        sd.optimal_lss(unit_build_model(1.6), cfg)
+        sd.optimal_lss(unit_build_model(1.6), dataclasses.replace(cfg, epsilon=1e-9))
+        assert len(grid_calls) == 1
+        for model, c in ((unit_build_model(1.6, H=nudged), cfg),
+                         (unit_build_model(1.6, gamma=0.4), cfg),
+                         (unit_build_model(1.6),
+                          dataclasses.replace(cfg, points_per_interval=208))):
+            before = len(grid_calls)
+            sd.optimal_lss(model, c)
+            assert len(grid_calls) == before + 1
+            assert grid_calls[-1] == (model.H, model.gamma, c.points_per_interval)
+
+    def test_three_bulks_in_a_cycle_never_reuse_a_curve(self, grid_calls):
+        cfg = sd.AlgoConfig(points_per_interval=MEMO_POINTS)
+        bulks = [sd.AtomicMeasure.point_mass(a) for a in (1.0, 1.25, 1.5)]
+        for H in bulks * 2:
+            sd.optimal_lss(unit_build_model(3.0, H=H), cfg)
+        assert [H for H, _, _ in grid_calls] == bulks * 2
+        # while two bulks in turn reuse both curves
+        for H in bulks[:2] * 2:
+            sd.optimal_lss(unit_build_model(3.0, H=H), cfg)
+        assert len(grid_calls) == 8
+
+    def test_curve_arrays_are_read_only(self):
+        curve = sd.stieltjes_grid(sd.AtomicMeasure.point_mass(1.0), GAMMA,
+                                  points_per_interval=MEMO_POINTS)
+        edges = [a for sample in curve.edge_samples.values() for a in sample]
+        assert len(edges) == 6
+        for a in [curve.grid, curve.v, curve.v_prime, curve.interval_id] + edges:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[1]
+
+    def test_statistics_share_the_curve_grid(self):
+        cfg = sd.AlgoConfig(points_per_interval=MEMO_POINTS)
+        model = unit_build_model(1.6)
+        phi, _ = sd.optimal_lss(model, cfg)
+        curve = optimal._curve(model.H, GAMMA, MEMO_POINTS)
+        assert phi.grid is curve.grid
+        phi, _ = sd.optimal_lss(model, sd.AlgoConfig(solver="collocation",
+                                                     points_per_interval=MEMO_POINTS))
+        assert phi.grid is curve.grid
+        K = sd.assemble_diagreg(curve)
+        delta = sd.delta_diff(model.H, model.G0, model.G1, GAMMA, curve)
+        for shared in (K.grid, delta.grid, sd.solve_diagreg(K, delta).grid,
+                       sd.equivalent_lss("nagao", model.H, GAMMA, curve).grid):
+            assert shared is curve.grid
+
+    def test_holed_curve_from_the_memo_is_refused_every_time(self, monkeypatch, grid_calls):
+        H = sd.AtomicMeasure.point_mass(1.0)
+        ref = sd.stieltjes_grid(H, GAMMA, points_per_interval=MEMO_POINTS)
+        x_hole = float(ref.grid[MEMO_POINTS // 2 + 3])
+        real_limit = mp._real_limit
+
+        def failing(H, gamma, x, v0):
+            v, resid, slope = real_limit(H, gamma, x, v0)
+            resid[x == x_hole] = np.inf
+            return v, resid, slope
+
+        monkeypatch.setattr(mp, "_real_limit", failing)
+        cfg = sd.AlgoConfig(points_per_interval=MEMO_POINTS)
+        for build in (sd.optimal_lss, sd.optimal_ls3, sd.optimal_lss):
+            with pytest.raises(ValueError, match=rf"1 non-converged points \(x = {x_hole!r}\)"):
+                build(unit_build_model(1.6), cfg)
+        assert len(grid_calls) == 1
+
+
+class TestCurveOfAnotherBulk:
+    """Each entry that takes a bulk and a curve refuses a curve of another bulk."""
+
+    @staticmethod
+    def entries(H, curve):
+        G1 = sd.AtomicMeasure.point_mass(1.6)
+        model = sd.SpikedModel(H=H, G0=sd.AtomicMeasure.point_mass(1.0), G1=G1, gamma=GAMMA)
+        cfg = sd.AlgoConfig(points_per_interval=MEMO_POINTS)
+        return {
+            "optimal_lss": lambda: sd.optimal_lss(model, cfg, curve=curve),
+            "optimal_ls3": lambda: sd.optimal_ls3(model, cfg, curve=curve),
+            "bump": lambda: sd.optimal_lss(dataclasses.replace(
+                model, G1=sd.AtomicMeasure.point_mass(3.0), n=500), cfg, curve=curve),
+            "delta_diff": lambda: sd.delta_diff(H, model.G0, G1, GAMMA, curve),
+            "weak_derivative_cdf": lambda: sd.weak_derivative_cdf(H, G1, GAMMA, curve),
+            "equivalent_lss": lambda: sd.equivalent_lss("nagao", H, GAMMA, curve),
+        }
+
+    def test_curve_of_another_bulk_is_refused(self):
+        two = sd.AtomicMeasure(np.array([1.0, 3.0]), np.array([0.5, 0.5]))
+        curve = sd.stieltjes_grid(two, GAMMA, points_per_interval=MEMO_POINTS)
+        for name, call in self.entries(sd.AtomicMeasure.point_mass(1.0), curve).items():
+            with pytest.raises(ValueError, match=r"bulk H \(atoms \[1\.\].*curve's bulk "
+                                                 r"\(atoms \[1\. 3\.\]"):
+                call()
+
+    def test_equal_bulk_made_apart_is_accepted(self):
+        curve = sd.stieltjes_grid(sd.AtomicMeasure.point_mass(1.0), GAMMA,
+                                  points_per_interval=MEMO_POINTS)
+        twin = sd.AtomicMeasure(np.array([1.0]), np.array([1.0]))
+        assert twin is not curve.H
+        for call in self.entries(twin, curve).values():
+            call()
+
+    def test_gamma_of_another_curve_is_refused(self):
+        curve = sd.stieltjes_grid(sd.AtomicMeasure.point_mass(1.0), 0.4,
+                                  points_per_interval=MEMO_POINTS)
+        for call in self.entries(sd.AtomicMeasure.point_mass(1.0), curve).values():
+            with pytest.raises(ValueError, match="gamma does not match the curve"):
+                call()

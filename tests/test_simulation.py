@@ -174,6 +174,70 @@ class TestSampleEigenvalues:
         assert ks <= 0.05
 
 
+def three_point(rng, shape):
+    """+-sqrt(3) with probability 1/6 each, else 0: E z^2 = 1 and E z^4 = 3."""
+    u = rng.random(shape)
+    return math.sqrt(3.0) * ((u < 1 / 6).astype(float) - (u > 5 / 6))
+
+
+def rademacher(rng, shape):
+    """+-1 with probability 1/2 each: E z^4 = 1."""
+    return rng.choice([-1.0, 1.0], size=shape)
+
+
+def student_t7(rng, shape):
+    """Student t with 7 degrees of freedom scaled to unit variance: E z^4 = 5."""
+    return rng.standard_t(7, size=shape) / math.sqrt(7 / 5)
+
+
+@pytest.mark.slow
+class TestFourthMoment:
+    """The reported sd assumes real entries with E z^4 = 3 (Bai & Silverstein 2004).
+
+    Null samples X = Z diag(sqrt(pop)) of the unit bulk at p = 250,
+    n = 500, with iid entries of Z from three laws of unit variance, and
+    the solved statistic for the spike 1.6, whose report gives
+    sigma = 0.399.  Over seven sets of 400 draws the MC sd of
+    sum phi(lambda_i) read 0.948-1.035 sigma for the three-point law,
+    0.547-0.613 sigma for Rademacher and 1.270-1.396 sigma for t_7.  Each
+    law gets 400 draws here, from the same seed.  The sd of a sample sd
+    over 400 near-normal draws is about 3.5%, so the band for E z^4 = 3 is
+    12%, some three and a half of those sds.
+    """
+
+    P, N, REPS = 250, 500, 400
+
+    @pytest.fixture(scope="class")
+    def null_sd(self):
+        unit = sd.AtomicMeasure.point_mass(1.0)
+        model = sd.SpikedModel(H=unit, G0=unit, G1=sd.AtomicMeasure.point_mass(1.6),
+                               gamma=self.P / self.N)
+        phi, rep = sd.optimal_lss(model)
+        pop = np.ones(self.P)
+
+        def ratio(law):
+            rng = np.random.default_rng(4242)
+            sums = []
+            for _ in range(self.REPS):
+                x = law(rng, (self.N, self.P)) * np.sqrt(pop)
+                sums.append(float(np.sum(phi(np.linalg.eigvalsh(x.T @ x / self.N)))))
+            return float(np.std(sums, ddof=1)) / rep.sigma
+
+        assert rep.sigma == pytest.approx(0.399, abs=5e-4)
+        return ratio
+
+    def test_sd_holds_for_a_non_gaussian_law_with_e_z4_3(self, null_sd):
+        assert abs(null_sd(three_point) - 1.0) <= 0.12
+
+    def test_sd_is_low_for_rademacher(self, null_sd):
+        # E z^4 = 1: the fourth-cumulant term is negative
+        assert 0.48 <= null_sd(rademacher) <= 0.68
+
+    def test_sd_is_high_for_t7(self, null_sd):
+        # E z^4 = 5: the fourth-cumulant term is positive
+        assert 1.15 <= null_sd(student_t7) <= 1.50
+
+
 class TestApplyLss:
     def test_constant_function(self, mp_curve):
         phi = sd.integrate_derivative(mp_curve, np.zeros(mp_curve.grid.size))

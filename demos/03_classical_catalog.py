@@ -14,7 +14,7 @@ gamma = 0.5
 curve = sd.stieltjes_grid(H, gamma, points_per_interval=600)
 K = sd.assemble_diagreg(curve)
 G1 = sd.AtomicMeasure.point_mass(1.6)
-delta = sd.delta_diff(H, H, G1, gamma, curve)
+delta = sd.delta_diff(H, G1, curve)
 
 print("catalog entries:", ", ".join(sd.catalog_ids()))
 
@@ -23,13 +23,13 @@ _, best = sd.optimal_lss(model, sd.AlgoConfig(), curve=curve)
 print(f"\npredicted power against a spike at 1.6 (level 5%)")
 print(f"  {'optimal statistic':24s} {best.power:.4f}")
 for test_id in ("lrt-identity", "mauchly", "john-sphericity", "ledoit-wolf", "nagao"):
-    phi = sd.equivalent_lss(test_id, H, gamma, curve)
+    phi = sd.equivalent_lss(test_id, curve)
     rep = sd.lss_moments(curve, K, phi, delta, h=1)
     print(f"  {test_id:24s} {rep.power:.4f}")
 
 # the sphericity LRT and the identity LRT coincide at unit noise level
-lrt = sd.equivalent_lss("lrt-identity", H, gamma, curve)
-mau = sd.equivalent_lss("mauchly", H, gamma, curve)
+lrt = sd.equivalent_lss("lrt-identity", curve)
+mau = sd.equivalent_lss("mauchly", curve)
 print(f"\nsphericity LRT vs identity LRT at unit mean: "
       f"max difference {np.max(np.abs(lrt.values - mau.values)):.1e}")
 

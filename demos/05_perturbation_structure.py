@@ -18,7 +18,7 @@ print(f"bulk support {tuple(round(e, 4) for e in curve.support.intervals[0])}, "
 
 for t in (1.6, 3.0):
     G = sd.AtomicMeasure.point_mass(t)
-    cdf = sd.weak_derivative_cdf(H, G, gamma, curve)
+    cdf = sd.weak_derivative_cdf(G, curve)
     kind = "subcritical" if t < threshold else "supercritical"
     print(f"spike t = {t} ({kind})")
     print(f"  density at left edge  {cdf.density[0]:+9.3f}")
@@ -31,21 +31,21 @@ for t in (1.6, 3.0):
         # independent cross-check from the transform near the real axis:
         # the residue -Re(i*eps*s(x + i*eps)) at the point mass
         eps = 1e-7
-        residue = -(1j * eps * sd.weak_derivative_st_at(H, G, gamma, complex(loc, eps))).real
+        residue = -(1j * eps * sd.weak_derivative_st_at(G, curve, complex(loc, eps))).real
         print(f"  residue estimate      {residue:.6f}")
     print()
 
 # linearity: perturbing toward a mixture responds like the mixture of responses
 P, Q = sd.AtomicMeasure.point_mass(1.2), sd.AtomicMeasure.point_mass(1.5)
 M = sd.AtomicMeasure.mixture([(0.3, P), (0.7, Q)])
-cm = sd.weak_derivative_cdf(H, M, gamma, curve)
-cp = sd.weak_derivative_cdf(H, P, gamma, curve)
-cq = sd.weak_derivative_cdf(H, Q, gamma, curve)
+cm = sd.weak_derivative_cdf(M, curve)
+cp = sd.weak_derivative_cdf(P, curve)
+cq = sd.weak_derivative_cdf(Q, curve)
 dev = np.max(np.abs(cm.cdf - 0.3 * cp.cdf - 0.7 * cq.cdf))
 print(f"linearity in the spike distribution: max deviation {dev:.1e}")
 
 from specdetect.io import write_csv
 
-cdf16 = sd.weak_derivative_cdf(H, sd.AtomicMeasure.point_mass(1.6), gamma, curve)
+cdf16 = sd.weak_derivative_cdf(sd.AtomicMeasure.point_mass(1.6), curve)
 write_csv("perturbation_demo.csv", ["x", "density", "cdf"], cdf16.to_rows())
 print("wrote perturbation_demo.csv")

@@ -14,7 +14,6 @@ from typing import Callable
 import numpy as np
 
 from .io import reject_unknown
-from .measures import AtomicMeasure
 from .mp import StieltjesCurve, forward_moments
 from .optimal import SEG_SUPPORT, LssFunction, check_at_least
 
@@ -153,18 +152,17 @@ def _on_curve(phi: _Phi, curve: StieltjesCurve) -> LssFunction:
                        segments=[SEG_SUPPORT] * curve.grid.size)
 
 
-def equivalent_lss(test_id: str, H: AtomicMeasure, gamma: float, curve: StieltjesCurve,
-                   **params) -> LssFunction:
+def equivalent_lss(test_id: str, curve: StieltjesCurve, **params) -> LssFunction:
     """Equivalent test function of a catalog entry on the curve's grid.
 
     Moments m_1..m_4 of the limiting distribution are resolved exactly
-    from (H, gamma) so the catalog algebra (e.g. the sphericity LRT
-    reducing to the identity LRT at unit mean) holds to round-off.  The
-    curve must be that of H at gamma.
+    from the curve's bulk H and gamma so the catalog algebra (e.g. the
+    sphericity LRT reducing to the identity LRT at unit mean) holds to
+    round-off.
     """
-    curve.require_model(H, gamma)
     entry = _resolve_entry(test_id, params)
-    return _on_curve(entry.build(forward_moments(H, gamma, 4), gamma, params), curve)
+    m = forward_moments(curve.H, curve.gamma, 4)
+    return _on_curve(entry.build(m, curve.gamma, params), curve)
 
 
 def evaluate_statistic(test_id: str, eigenvalues, n: int, **params) -> float:

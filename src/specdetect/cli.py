@@ -168,7 +168,7 @@ def cmd_weak_derivative(out: OutputTracker, /, *, H: AtomicMeasure, G: AtomicMea
                         points_per_interval: int = AlgoConfig.points_per_interval) -> None:
     with _refused():
         curve = stieltjes_grid(H, gamma, points_per_interval=points_per_interval)
-    cdf = weak_derivative_cdf(H, G, gamma, curve)
+    cdf = weak_derivative_cdf(G, curve)
     write_csv(out.path("weak_derivative.csv"), ["x", "density", "cdf"], cdf.to_rows())
     write_json(out.path("point_masses.json"), {
         "point_masses": [{"location": loc, "weight": w} for loc, w in cdf.point_masses],
@@ -210,7 +210,7 @@ def cmd_classical(out: OutputTracker, /, *, test_id: str, H: AtomicMeasure, gamm
         raise ConfigError("config is missing required field 'n'")
     with _refused():  # a test that refuses its parameters or eigenvalues writes no output
         curve = stieltjes_grid(H, gamma, points_per_interval=points_per_interval)
-        phi = equivalent_lss(test_id, H, gamma, curve, **parameters)
+        phi = equivalent_lss(test_id, curve, **parameters)
         if eigenvalues is not None:
             value = evaluate_statistic(test_id, eigenvalues, n, **parameters)
     write_csv(out.path("classical_lss.csv"), ["x", "phi", "segment"], phi.to_rows())

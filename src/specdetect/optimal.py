@@ -298,18 +298,17 @@ def _build(model: SpikedModel, config: AlgoConfig, curve: StieltjesCurve | None,
         curve = _curve(model.H, model.gamma, config.points_per_interval)
     curve.require_model(model.H, model.gamma)
     curve.require_complete()
-    H, gamma, support = model.H, model.gamma, curve.support
-    if any(r.supercritical for r in classify_spikes(H, gamma, model.G0, support)):
+    if any(r.supercritical for r in classify_spikes(model.G0, curve)):
         raise ValueError("null spike distribution G0 must be fully subcritical")
-    escaped = tuple(r for r in classify_spikes(H, gamma, model.G1, support) if r.supercritical)
+    escaped = tuple(r for r in classify_spikes(model.G1, curve) if r.supercritical)
     if escaped:
         report = efficacy_report(math.inf, 0.0, config.alpha)
-        s_sur = surrogate_spike(model, escaped, support)
+        s_sur = surrogate_spike(model, escaped, curve.support)
         if s_sur is None:
             return lss_above_pt(model, escaped, curve), report
         model = replace(model, G1=AtomicMeasure.point_mass(s_sur))
 
-    delta = delta_diff(model.H, model.G0, model.G1, model.gamma, curve)
+    delta = delta_diff(model.G0, model.G1, curve)
     K = assemble_diagreg(curve)
     g = solve(curve, K, delta, config)
     if not escaped:

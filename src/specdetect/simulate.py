@@ -263,8 +263,14 @@ class SimConfig:
 
     @property
     def p(self) -> int:
-        """Full dimension: the bulk size plus the h spike slots."""
-        return self.bulk_eigenvalues().size + self.h
+        """Full dimension: the bulk size plus the h spike slots, read from the
+        description without building the bulk."""
+        population = self.population
+        if population["kind"] == "ar1":
+            size = population["p"]
+        else:
+            size = sum(population.get("multiplicities", [1] * len(population["eigenvalues"])))
+        return int(size) + self.h
 
     @property
     def gamma(self) -> float:
@@ -490,8 +496,7 @@ def power_experiment(config: SimConfig) -> PowerCurve:
     h, n, reps = config.h, config.n, config.n_reps
     algo = AlgoConfig(points_per_interval=config.points_per_interval, solver=config.solver)
     H = AtomicMeasure.uniform(bulk)
-    # SimConfig.gamma would build the bulk a second time
-    gamma = (bulk.size + h) / n
+    gamma = config.gamma
     curve = stieltjes_grid(H, gamma, points_per_interval=algo.points_per_interval)
     G0 = AtomicMeasure.point_mass(config.null_spike)
     spikes = np.asarray(config.spike_grid, dtype=float)

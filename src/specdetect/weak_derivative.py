@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import AtomicMeasure
-from .mp import (StieltjesCurve, SupportSet, _inverse_map, _near_pole, _sums, derivative_map,
+from .mp import (StieltjesCurve, _inverse_map, _near_pole, _sums, derivative_map,
                  solve_silverstein, solve_real_outside)
 
 __all__ = [
@@ -72,17 +72,17 @@ class SpikeRecord:
     asy_sd: float | None = None  # sqrt(2 s^2 psi'(s)), set when supercritical
 
 
-def classify_spikes(H: AtomicMeasure, gamma: float, G: AtomicMeasure,
-                    support: SupportSet) -> tuple[SpikeRecord, ...]:
-    """Classify each atom of G as sub- or supercritical, one record per atom.
+def classify_spikes(G: AtomicMeasure, curve: StieltjesCurve) -> tuple[SpikeRecord, ...]:
+    """Classify each atom of G as sub- or supercritical on the curve's bulk, one record per atom.
 
-    A spike is supercritical when it falls in one of the support set's
-    spike windows and psi(s) lies outside the support, with no margin:
+    A spike is supercritical when it falls in one of the spike windows of
+    the curve's support and psi(s) lies outside it, with no margin:
     psi - edge shrinks quadratically at the threshold.  The window test
     stays robust for tightly packed atoms, where psi of a spike buried in
     the bulk is meaningless; psi is still recorded for reporting wherever
     the spike is more than 1e-9 from every atom.
     """
+    H, gamma, support = curve.H, curve.gamma, curve.support
     records = []
     for s, u in zip(G.atoms.tolist(), G.weights.tolist()):
         in_window = any(s_lo < s < s_hi for s_lo, s_hi, _, _ in support.spike_windows)
@@ -108,18 +108,17 @@ def _st_from_v(minus: AtomicMeasure, plus: AtomicMeasure, gamma: float, v: np.nd
     return -gamma * vp * nu
 
 
-def weak_derivative_st_at(H: AtomicMeasure, G: AtomicMeasure, gamma: float, z: complex,
-                          support: SupportSet | None = None) -> complex:
-    """s(z) at an arbitrary point, solving for v(z) on the fly.
+def weak_derivative_st_at(G: AtomicMeasure, curve: StieltjesCurve, z: complex) -> complex:
+    """s(z) of the derivative at the curve's bulk toward G, solving for v(z) on the fly.
 
-    For real z outside the support the real-branch solve is used, giving
-    an exactly real value; for Im(z) > 0 the upper-half-plane root.
+    For real z outside the curve's support the real-branch solve is used,
+    giving an exactly real value; for Im(z) > 0 the upper-half-plane root.
+    The curve's grid is not read.
     """
+    H, gamma = curve.H, curve.gamma
     z = complex(z)
     if z.imag == 0:
-        if support is None:
-            raise ValueError("support required for real-axis evaluation")
-        v = complex(solve_real_outside(H, gamma, support, z.real), 0.0)
+        v = complex(solve_real_outside(H, gamma, curve.support, z.real), 0.0)
     else:
         v = solve_silverstein(H, gamma, z)
     vp = derivative_map(H, gamma, v)
@@ -246,7 +245,7 @@ def _integrate_signed_density(curve: StieltjesCurve, dens: np.ndarray,
     return cdf, tail_r
 
 
-def _edge_refinements(H: AtomicMeasure, G: AtomicMeasure, gamma: float,
+def _edge_refinements(H: AtomicMeasure, G: AtomicMeasure,
                       curve: StieltjesCurve) -> tuple[dict, list[str]]:
     """Density samples at sub-cell distances from each support edge.
 
@@ -255,13 +254,13 @@ def _edge_refinements(H: AtomicMeasure, G: AtomicMeasure, gamma: float,
     (``curve.edge_samples``); edges whose samples failed are recorded as
     gaps and left unrefined.
     """
-    refinements = {key: (dists, _st_from_v(H, G, gamma, v, vp).imag / math.pi)
+    refinements = {key: (dists, _st_from_v(H, G, curve.gamma, v, vp).imag / math.pi)
                    for key, (dists, v, vp) in curve.edge_samples.items()}
     gaps = [f"edge refinement failed at x={x:.6g}: {reason}" for x, reason in curve.edge_failures]
     return refinements, gaps
 
 
-def _signed_cdf(minus: AtomicMeasure, plus: AtomicMeasure, gamma: float, curve: StieltjesCurve,
+def _signed_cdf(minus: AtomicMeasure, plus: AtomicMeasure, curve: StieltjesCurve,
                 masses: list[tuple[float, float]]) -> SignedMeasureCdf:
     """Distribution function of the derivative toward the signed measure plus - minus.
 
@@ -270,44 +269,39 @@ def _signed_cdf(minus: AtomicMeasure, plus: AtomicMeasure, gamma: float, curve: 
     weight) point masses of the escaped spikes, placed analytically.
     """
     with np.errstate(divide="ignore", invalid="ignore"):  # at a pole; zeroed below
-        dens = _st_from_v(minus, plus, gamma, curve.v, curve.v_prime).imag / math.pi
+        dens = _st_from_v(minus, plus, curve.gamma, curve.v, curve.v_prime).imag / math.pi
     poles = _near_pole(np.concatenate([minus.atoms, plus.atoms]), curve.v, _POLE_TOL)
     dens[poles] = 0.0
     gaps = [f"near-pole grid point excluded at x={x:.8g}" for x in curve.grid[poles]]
-    refinements, edge_gaps = _edge_refinements(minus, plus, gamma, curve)
+    refinements, edge_gaps = _edge_refinements(minus, plus, curve)
     cdf, right_tail = _integrate_signed_density(curve, dens, masses, refinements)
     return SignedMeasureCdf(grid=curve.grid, density=dens, cdf=cdf,
                             point_masses=sorted(masses), right_tail=right_tail,
                             gaps=gaps + edge_gaps)
 
 
-def _escaped(H: AtomicMeasure, gamma: float, G: AtomicMeasure, support: SupportSet,
+def _escaped(G: AtomicMeasure, curve: StieltjesCurve,
              sign: float = 1.0) -> list[tuple[float, float]]:
     """(psi(s_j), sign * gamma * u_j) for each supercritical atom s_j of G."""
-    return [(r.psi, sign * gamma * r.weight)
-            for r in classify_spikes(H, gamma, G, support) if r.supercritical]
+    return [(r.psi, sign * curve.gamma * r.weight)
+            for r in classify_spikes(G, curve) if r.supercritical]
 
 
-def weak_derivative_cdf(H: AtomicMeasure, G: AtomicMeasure, gamma: float,
-                        curve: StieltjesCurve) -> SignedMeasureCdf:
-    """Distribution function of the derivative of the forward map at H toward G.
+def weak_derivative_cdf(G: AtomicMeasure, curve: StieltjesCurve) -> SignedMeasureCdf:
+    """Distribution function of the derivative of the forward map at the curve's bulk H toward G.
 
     Each supercritical atom s_j of G (weight u_j) contributes the point
-    mass gamma*u_j at its sample location psi(s_j); the bulk H adds none.
-    The curve must be that of H at gamma.
+    mass gamma*u_j at its sample location psi(s_j); the bulk H adds none,
+    so only the atoms of G are classified.
     """
-    curve.require_model(H, gamma)
-    return _signed_cdf(H, G, gamma, curve, _escaped(H, gamma, G, curve.support))
+    return _signed_cdf(curve.H, G, curve, _escaped(G, curve))
 
 
-def delta_diff(H: AtomicMeasure, G0: AtomicMeasure, G1: AtomicMeasure, gamma: float,
-               curve: StieltjesCurve) -> SignedMeasureCdf:
+def delta_diff(G0: AtomicMeasure, G1: AtomicMeasure, curve: StieltjesCurve) -> SignedMeasureCdf:
     """Derivative toward G1 minus the derivative toward G0, as one pass over G1 - G0.
 
-    H cancels from the density; the point masses are +gamma*u at each
-    supercritical atom of G1 and -gamma*u at each of G0.  The curve must
-    be that of H at gamma.
+    The curve's bulk H cancels from the density; the point masses are
+    +gamma*u at each supercritical atom of G1 and -gamma*u at each of G0.
     """
-    curve.require_model(H, gamma)
-    masses = _escaped(H, gamma, G1, curve.support) + _escaped(H, gamma, G0, curve.support, -1.0)
-    return _signed_cdf(G0, G1, gamma, curve, masses)
+    masses = _escaped(G1, curve) + _escaped(G0, curve, -1.0)
+    return _signed_cdf(G0, G1, curve, masses)

@@ -59,7 +59,7 @@ def main() -> None:
         data[f"{name}/intervals"] = np.array(sup.intervals, dtype=float)
         data[f"{name}/edge_v"] = np.array(sup.edge_v, dtype=float)
         data[f"{name}/spike_windows"] = np.array(sup.spike_windows, dtype=float).reshape(-1, 4)
-        refinements, gaps = _edge_refinements(H, sd.AtomicMeasure.point_mass(spike), gamma, curve)
+        refinements, gaps = _edge_refinements(H, sd.AtomicMeasure.point_mass(spike), curve)
         for (j, side), (dists, dens) in refinements.items():
             data[f"{name}/edge/{j}/{side}/dists"] = dists
             data[f"{name}/edge/{j}/{side}/density"] = dens

@@ -82,7 +82,7 @@ def test_criterion_2_near_transition(unit_bulk, unit_curve):
 def test_criterion_3_point_mass(unit_bulk):
     start = time.perf_counter()
     curve = sd.stieltjes_grid(unit_bulk, GAMMA, points_per_interval=1000)
-    cdf = sd.weak_derivative_cdf(unit_bulk, sd.AtomicMeasure.point_mass(3.0), GAMMA, curve)
+    cdf = sd.weak_derivative_cdf(sd.AtomicMeasure.point_mass(3.0), curve)
     elapsed = time.perf_counter() - start
     cell = max(hi - lo for lo, hi in curve.support.intervals) / 1000
     ok = (len(cdf.point_masses) == 1 and elapsed <= 10.0)
@@ -97,15 +97,15 @@ def test_criterion_3_point_mass(unit_bulk):
 
 
 @pytest.mark.acceptance
-def test_criterion_4_zero_total_mass(unit_bulk, unit_curve):
+def test_criterion_4_zero_total_mass(unit_curve):
     cases = []
     for t in (1.2, 1.6):
-        cdf = sd.weak_derivative_cdf(unit_bulk, sd.AtomicMeasure.point_mass(t), GAMMA, unit_curve)
+        cdf = sd.weak_derivative_cdf(sd.AtomicMeasure.point_mass(t), unit_curve)
         cases.append(abs(cdf.total_mass))
     two = sd.AtomicMeasure(np.array([1.0, 3.0]), np.array([0.5, 0.5]))
     curve2 = sd.stieltjes_grid(two, 0.1, points_per_interval=1000)
     for t in (0.8, 3.6):
-        cdf = sd.weak_derivative_cdf(two, sd.AtomicMeasure.point_mass(t), 0.1, curve2)
+        cdf = sd.weak_derivative_cdf(sd.AtomicMeasure.point_mass(t), curve2)
         cases.append(abs(cdf.total_mass))
     worst = max(cases)
     record("criterion 4 (zero total mass, subcritical)", worst <= 1e-3,
@@ -113,13 +113,13 @@ def test_criterion_4_zero_total_mass(unit_bulk, unit_curve):
 
 
 @pytest.mark.acceptance
-def test_criterion_5_linearity(unit_bulk, unit_curve):
+def test_criterion_5_linearity(unit_curve):
     P = sd.AtomicMeasure.point_mass(1.2)
     Q = sd.AtomicMeasure.point_mass(1.5)
     M = sd.AtomicMeasure.mixture([(0.4, P), (0.6, Q)])
-    cm = sd.weak_derivative_cdf(unit_bulk, M, GAMMA, unit_curve)
-    cp = sd.weak_derivative_cdf(unit_bulk, P, GAMMA, unit_curve)
-    cq = sd.weak_derivative_cdf(unit_bulk, Q, GAMMA, unit_curve)
+    cm = sd.weak_derivative_cdf(M, unit_curve)
+    cp = sd.weak_derivative_cdf(P, unit_curve)
+    cq = sd.weak_derivative_cdf(Q, unit_curve)
     sup_err = float(np.max(np.abs(cm.cdf - 0.4 * cp.cdf - 0.6 * cq.cdf)))
     record("criterion 5 (linearity of the derivative)", sup_err <= 1e-6,
            f"sup error {sup_err:.2e} (<= 1e-6)")
@@ -140,11 +140,11 @@ def test_criterion_6_moment_identities(unit_bulk):
 
 
 @pytest.mark.acceptance
-def test_criterion_7_catalog_algebra(unit_bulk, unit_curve):
-    lrt = sd.equivalent_lss("lrt-identity", unit_bulk, GAMMA, unit_curve)
-    mau = sd.equivalent_lss("mauchly", unit_bulk, GAMMA, unit_curve)
-    lw = sd.equivalent_lss("ledoit-wolf", unit_bulk, GAMMA, unit_curve)
-    js = sd.equivalent_lss("john-sphericity", unit_bulk, GAMMA, unit_curve)
+def test_criterion_7_catalog_algebra(unit_curve):
+    lrt = sd.equivalent_lss("lrt-identity", unit_curve)
+    mau = sd.equivalent_lss("mauchly", unit_curve)
+    lw = sd.equivalent_lss("ledoit-wolf", unit_curve)
+    js = sd.equivalent_lss("john-sphericity", unit_curve)
     d1 = float(np.max(np.abs(lrt.values - mau.values)))
     d2 = float(np.max(np.abs(lw.values - js.values)))
     record("criterion 7 (catalog algebra at unit mean)", max(d1, d2) <= 1e-12,
@@ -223,8 +223,7 @@ def test_criterion_10_property_suite(unit_bulk, unit_curve):
 
     cross = 0.0
     for t in (1.2, 1.6):
-        delta = sd.delta_diff(unit_bulk, unit_bulk, sd.AtomicMeasure.point_mass(t),
-                              GAMMA, unit_curve)
+        delta = sd.delta_diff(unit_bulk, sd.AtomicMeasure.point_mass(t), unit_curve)
         gd = sd.solve_diagreg(K, delta).values
         gc = sd.solve_collocation(unit_curve, delta).values
         pd_ = sd.integrate_derivative(unit_curve, gd)

@@ -20,69 +20,69 @@ class TestCatalog:
     def test_ten_entries(self):
         assert sd.catalog_ids() == ALL_IDS
 
-    def test_unknown_id_rejected(self, mp_unit, mp_curve):
+    def test_unknown_id_rejected(self, mp_curve):
         with pytest.raises(KeyError):
-            sd.equivalent_lss("no-such-test", mp_unit, GAMMA, mp_curve)
+            sd.equivalent_lss("no-such-test", mp_curve)
 
-    def test_missing_parameter_named(self, mp_unit, mp_curve):
+    def test_missing_parameter_named(self, mp_curve):
         with pytest.raises(ValueError, match="'t'"):
-            sd.equivalent_lss("omh-identity", mp_unit, GAMMA, mp_curve)
+            sd.equivalent_lss("omh-identity", mp_curve)
 
-    def test_unknown_parameters_named(self, mp_unit, mp_curve):
+    def test_unknown_parameters_named(self, mp_curve):
         with pytest.raises(ValueError, match="^test 'john-sphericity' takes no parameter 'typo'$"):
-            sd.equivalent_lss("john-sphericity", mp_unit, GAMMA, mp_curve, typo=1)
+            sd.equivalent_lss("john-sphericity", mp_curve, typo=1)
         with pytest.raises(ValueError, match="^test 'omh-identity' takes no parameter 'lam', 's'$"):
-            sd.equivalent_lss("omh-identity", mp_unit, GAMMA, mp_curve, t=1.6, s=2, lam=0.5)
+            sd.equivalent_lss("omh-identity", mp_curve, t=1.6, s=2, lam=0.5)
         with pytest.raises(ValueError, match="^test 'nagao' takes no parameter 't'$"):
             sd.evaluate_statistic("nagao", np.ones(10), n=20, t=1.6)
 
 
 class TestEquivalentLss:
-    def test_john_sphericity_under_identity_null(self, mp_unit, mp_curve):
-        phi = sd.equivalent_lss("john-sphericity", mp_unit, GAMMA, mp_curve)
+    def test_john_sphericity_under_identity_null(self, mp_curve):
+        phi = sd.equivalent_lss("john-sphericity", mp_curve)
         x = mp_curve.grid
         assert np.allclose(phi(x), x**2 - 2 * (1 + GAMMA) * x, atol=1e-12)
 
-    def test_fisher_under_identity_null(self, mp_unit, mp_curve):
+    def test_fisher_under_identity_null(self, mp_curve):
         # catalog form is m2*x^4 - 2*m4*x^2; the published identity-null
         # version divides out the common factor (1 + gamma)
-        phi = sd.equivalent_lss("fisher-2010", mp_unit, GAMMA, mp_curve)
+        phi = sd.equivalent_lss("fisher-2010", mp_curve)
         x = mp_curve.grid
         expect = (1 + GAMMA) * (x**4 - 2 * (GAMMA**2 + 5 * GAMMA + 1) * x**2)
         assert np.allclose(phi(x), expect, atol=1e-9)
 
-    def test_mauchly_equals_identity_lrt_at_unit_mean(self, mp_unit, mp_curve):
-        lrt = sd.equivalent_lss("lrt-identity", mp_unit, GAMMA, mp_curve)
-        mau = sd.equivalent_lss("mauchly", mp_unit, GAMMA, mp_curve)
+    def test_mauchly_equals_identity_lrt_at_unit_mean(self, mp_curve):
+        lrt = sd.equivalent_lss("lrt-identity", mp_curve)
+        mau = sd.equivalent_lss("mauchly", mp_curve)
         assert np.max(np.abs(lrt.values - mau.values)) <= 1e-12
 
-    def test_ledoit_wolf_equals_john_sphericity_at_unit_mean(self, mp_unit, mp_curve):
-        lw = sd.equivalent_lss("ledoit-wolf", mp_unit, GAMMA, mp_curve)
-        js = sd.equivalent_lss("john-sphericity", mp_unit, GAMMA, mp_curve)
+    def test_ledoit_wolf_equals_john_sphericity_at_unit_mean(self, mp_curve):
+        lw = sd.equivalent_lss("ledoit-wolf", mp_curve)
+        js = sd.equivalent_lss("john-sphericity", mp_curve)
         assert np.max(np.abs(lw.values - js.values)) <= 1e-12
 
-    def test_omh_identity_formula(self, mp_unit, mp_curve):
+    def test_omh_identity_formula(self, mp_curve):
         t = 1.6
-        phi = sd.equivalent_lss("omh-identity", mp_unit, GAMMA, mp_curve, t=t)
+        phi = sd.equivalent_lss("omh-identity", mp_curve, t=t)
         z = sd.omh_z(t, GAMMA)
         assert np.allclose(phi(mp_curve.grid), -np.log(z - mp_curve.grid), atol=1e-12)
 
-    def test_omh_guard_past_the_sample_spike(self, mp_unit, mp_curve):
+    def test_omh_guard_past_the_sample_spike(self, mp_curve):
         # the formula is undefined once z(t) - x turns nonpositive
-        phi = sd.equivalent_lss("omh-identity", mp_unit, GAMMA, mp_curve, t=1.6)
+        phi = sd.equivalent_lss("omh-identity", mp_curve, t=1.6)
         with pytest.raises(ValueError):
             sd.evaluate_statistic("omh-identity", np.array([1.0, 3.5]), n=4, t=1.6)
         assert phi(2.0) > 0 or True  # in-range evaluation stays finite
 
-    def test_omh_sphericity_linear_term(self, mp_unit, mp_curve):
+    def test_omh_sphericity_linear_term(self, mp_curve):
         t = 1.6
-        phi_s = sd.equivalent_lss("omh-sphericity", mp_unit, GAMMA, mp_curve, t=t)
-        phi_i = sd.equivalent_lss("omh-identity", mp_unit, GAMMA, mp_curve, t=t)
+        phi_s = sd.equivalent_lss("omh-sphericity", mp_curve, t=t)
+        phi_i = sd.equivalent_lss("omh-identity", mp_curve, t=t)
         x = mp_curve.grid
         assert np.allclose(phi_s(x) - phi_i(x), -((t - 1) / GAMMA) * x, atol=1e-12)
 
-    def test_regularized_lrt(self, mp_unit, mp_curve):
-        phi = sd.equivalent_lss("regularized-lrt", mp_unit, GAMMA, mp_curve, lam=0.5)
+    def test_regularized_lrt(self, mp_curve):
+        phi = sd.equivalent_lss("regularized-lrt", mp_curve, lam=0.5)
         x = mp_curve.grid
         assert np.allclose(phi(x), x - np.log(x + 0.5), atol=1e-12)
 
@@ -107,11 +107,11 @@ BY_HAND = {
 
 class TestOriginalForms:
     @pytest.mark.parametrize("test_id", sd.catalog_ids())
-    def test_value_by_hand_and_equivalent_lss_builds(self, mp_unit, mp_curve, test_id):
+    def test_value_by_hand_and_equivalent_lss_builds(self, mp_curve, test_id):
         params, expected = BY_HAND[test_id]
         value = sd.evaluate_statistic(test_id, [1.0, 2.0, 4.0], 6, **params)
         assert value == pytest.approx(expected, rel=1e-14, abs=1e-14)
-        phi = sd.equivalent_lss(test_id, mp_unit, GAMMA, mp_curve, **params)
+        phi = sd.equivalent_lss(test_id, mp_curve, **params)
         assert phi.values.shape == phi.grid.shape and np.isfinite(phi.values).all()
 
     def test_omh_z_undefined_at_one(self):
@@ -133,10 +133,10 @@ class TestOriginalForms:
         with pytest.raises(ValueError):
             sd.evaluate_statistic("lrt-identity", np.array([1.0, 0.0]), n=5)
 
-    def test_domain_refused_with_one_message(self, mp_unit, mp_curve):
+    def test_domain_refused_with_one_message(self, mp_curve):
         message = "^regularized LRT requires eigenvalues \\+ lam > 0$"
         with pytest.raises(ValueError, match=message):
-            sd.equivalent_lss("regularized-lrt", mp_unit, GAMMA, mp_curve, lam=-0.5)
+            sd.equivalent_lss("regularized-lrt", mp_curve, lam=-0.5)
         with pytest.raises(ValueError, match=message):
             sd.evaluate_statistic("regularized-lrt", [0.4, 1.0], 4, lam=-0.5)
 
@@ -187,9 +187,9 @@ class TestPowerComparison:
         G1 = sd.AtomicMeasure.point_mass(1.6)
         model = sd.SpikedModel(H=mp_unit, G0=mp_unit, G1=G1, gamma=GAMMA)
         _, rep_best = sd.optimal_lss(model, sd.AlgoConfig(), curve=mp_curve)
-        delta = sd.delta_diff(mp_unit, mp_unit, G1, GAMMA, mp_curve)
+        delta = sd.delta_diff(mp_unit, G1, mp_curve)
         for test_id in ("lrt-identity", "john-sphericity", "ledoit-wolf", "nagao"):
-            phi = sd.equivalent_lss(test_id, mp_unit, GAMMA, mp_curve)
+            phi = sd.equivalent_lss(test_id, mp_curve)
             rep = sd.lss_moments(mp_curve, mp_kernel, phi, delta, h=1)
             assert rep.power <= rep_best.power + 2e-2
 
@@ -206,7 +206,7 @@ class TestFiniteSampleConsistency:
         H = sd.AtomicMeasure.uniform(pop)
         curve = sd.stieltjes_grid(H, p / n, points_per_interval=500)
         for test_id in ("ledoit-wolf", "john-sphericity"):
-            phi = sd.equivalent_lss(test_id, H, p / n, curve)
+            phi = sd.equivalent_lss(test_id, curve)
             orig, lss = [], []
             master = np.random.SeedSequence(4242)
             for s in master.spawn(reps):

@@ -71,7 +71,7 @@ def test_kernel_variance_against_the_oracle(name):
     H, gamma = BULKS[name]
     curve = sd.stieltjes_grid(H, gamma, points_per_interval=1000)
     K = sd.assemble_diagreg(curve)
-    delta = sd.delta_diff(H, H, H, gamma, curve)
+    delta = sd.delta_diff(H, H, curve)
     for k in (1, 2, 3):
         sigma2 = sd.lss_moments(curve, K, power(k), delta, h=1).sigma ** 2
         exact = contour_cov(H, gamma, power(k), power(k))

@@ -289,15 +289,15 @@ class TestCholeskySolve:
 
 class TestSolvers:
     def test_zero_delta_gives_zero(self, mp_unit, mp_curve, mp_kernel):
-        delta = sd.delta_diff(mp_unit, mp_unit, mp_unit, GAMMA, mp_curve)
+        delta = sd.delta_diff(mp_unit, mp_unit, mp_curve)
         g = sd.solve_diagreg(mp_kernel, delta)
         assert np.max(np.abs(g.values)) == 0.0
         gc = sd.solve_collocation(mp_curve, delta)
         assert np.max(np.abs(gc.values)) == 0.0
 
     def test_diagreg_linear_in_delta(self, mp_unit, mp_curve, mp_kernel):
-        d1 = sd.delta_diff(mp_unit, mp_unit, sd.AtomicMeasure.point_mass(1.2), GAMMA, mp_curve)
-        d2 = sd.delta_diff(mp_unit, mp_unit, sd.AtomicMeasure.point_mass(1.5), GAMMA, mp_curve)
+        d1 = sd.delta_diff(mp_unit, sd.AtomicMeasure.point_mass(1.2), mp_curve)
+        d2 = sd.delta_diff(mp_unit, sd.AtomicMeasure.point_mass(1.5), mp_curve)
         g1 = sd.solve_diagreg(mp_kernel, d1).values
         g2 = sd.solve_diagreg(mp_kernel, d2).values
         mix = dataclasses.replace(d1)
@@ -307,7 +307,7 @@ class TestSolvers:
 
     @pytest.mark.parametrize("t", [1.2, 1.6])
     def test_diagreg_against_omh(self, mp_unit, mp_curve, mp_kernel, t):
-        delta = sd.delta_diff(mp_unit, mp_unit, sd.AtomicMeasure.point_mass(t), GAMMA, mp_curve)
+        delta = sd.delta_diff(mp_unit, sd.AtomicMeasure.point_mass(t), mp_curve)
         g = sd.solve_diagreg(mp_kernel, delta)
         phi = sd.integrate_derivative(mp_curve, g.values)
         mask = np.array([s == "in-support" for s in phi.segments])
@@ -317,7 +317,7 @@ class TestSolvers:
 
     @pytest.mark.parametrize("t", [1.2, 1.6])
     def test_collocation_against_omh(self, mp_unit, mp_curve, t):
-        delta = sd.delta_diff(mp_unit, mp_unit, sd.AtomicMeasure.point_mass(t), GAMMA, mp_curve)
+        delta = sd.delta_diff(mp_unit, sd.AtomicMeasure.point_mass(t), mp_curve)
         g = sd.solve_collocation(mp_curve, delta)
         assert g.condition_number is not None
         phi = sd.integrate_derivative(mp_curve, g.values)
@@ -330,7 +330,7 @@ class TestSolvers:
         # the node-row system rebuilt from the kernel formula: each node's
         # singular entry is 1.5 times the largest regular entry of its row,
         # and the dense grid carries trapezoid weights closed at the edges
-        delta = sd.delta_diff(mp_unit, mp_unit, sd.AtomicMeasure.point_mass(1.6), GAMMA, mp_curve)
+        delta = sd.delta_diff(mp_unit, sd.AtomicMeasure.point_mass(1.6), mp_curve)
         g = sd.solve_collocation(mp_curve, delta)
         xs, v = mp_curve.grid, mp_curve.v
         nodes = np.unique(np.round(np.linspace(0, xs.size - 1, 150)).astype(int))
@@ -346,7 +346,7 @@ class TestSolvers:
         assert np.max(np.abs(A @ (w * g.values) - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
     def test_collocation_hat_basis_equals_the_block_diagonal_build(
-            self, monkeypatch, two_atom, two_atom_curve_01):
+            self, monkeypatch, two_atom_curve_01):
         block_diag = pytest.importorskip("scipy.linalg").block_diag
         from specdetect import kernel
 
@@ -360,7 +360,7 @@ class TestSolvers:
 
         monkeypatch.setattr(kernel, "_hats", spy)
         G0, G1 = sd.AtomicMeasure.point_mass(1.0), sd.AtomicMeasure.point_mass(1.2)
-        delta = sd.delta_diff(two_atom, G0, G1, 0.1, curve)
+        delta = sd.delta_diff(G0, G1, curve)
         sd.solve_collocation(curve, delta)
         (nodes, basis), = seen
         blocks = []
@@ -373,13 +373,13 @@ class TestSolvers:
     def test_collocation_condition_limit(self, mp_unit, mp_curve, monkeypatch):
         from specdetect import kernel
 
-        delta = sd.delta_diff(mp_unit, mp_unit, sd.AtomicMeasure.point_mass(1.2), GAMMA, mp_curve)
+        delta = sd.delta_diff(mp_unit, sd.AtomicMeasure.point_mass(1.2), mp_curve)
         monkeypatch.setattr(kernel, "_MAX_CONDITION", 1.0)
         with pytest.raises(RuntimeError, match="condition number"):
             sd.solve_collocation(mp_curve, delta)
 
     def test_two_solver_agreement(self, mp_unit, mp_curve, mp_kernel):
-        delta = sd.delta_diff(mp_unit, mp_unit, sd.AtomicMeasure.point_mass(1.2), GAMMA, mp_curve)
+        delta = sd.delta_diff(mp_unit, sd.AtomicMeasure.point_mass(1.2), mp_curve)
         gd = sd.solve_diagreg(mp_kernel, delta)
         gc = sd.solve_collocation(mp_curve, delta)
         pd_ = sd.integrate_derivative(mp_curve, gd.values)
@@ -391,8 +391,7 @@ class TestSolvers:
         # a nearby gamma moves the grid by about 2e-7 relative: close enough
         # for np.allclose, but the delta belongs to another curve
         other = sd.stieltjes_grid(mp_unit, GAMMA * (1 + 1e-7), points_per_interval=1000)
-        delta = sd.delta_diff(mp_unit, mp_unit, sd.AtomicMeasure.point_mass(1.2),
-                              GAMMA * (1 + 1e-7), other)
+        delta = sd.delta_diff(mp_unit, sd.AtomicMeasure.point_mass(1.2), other)
         assert np.allclose(delta.grid, mp_curve.grid)
         with pytest.raises(ValueError, match="kernel grid"):
             sd.solve_diagreg(mp_kernel, delta)
@@ -400,7 +399,7 @@ class TestSolvers:
             sd.solve_collocation(mp_curve, delta)
 
     def test_efficacy_monotone_as_ridge_relaxes(self, mp_unit, mp_curve, mp_kernel):
-        delta = sd.delta_diff(mp_unit, mp_unit, sd.AtomicMeasure.point_mass(1.2), GAMMA, mp_curve)
+        delta = sd.delta_diff(mp_unit, sd.AtomicMeasure.point_mass(1.2), mp_curve)
         thetas = []
         for scale in (100.0, 10.0, 1.0, 0.1):
             K = dataclasses.replace(mp_kernel, ridge=mp_kernel.ridge * scale)
@@ -419,7 +418,7 @@ class TestMemory:
         # test below sees it)
         n = mp_curve.grid.size
         assert n == 1000
-        delta = sd.delta_diff(mp_unit, mp_unit, sd.AtomicMeasure.point_mass(1.6), GAMMA, mp_curve)
+        delta = sd.delta_diff(mp_unit, sd.AtomicMeasure.point_mass(1.6), mp_curve)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -455,7 +454,7 @@ class TestMemory:
             curve = sd.stieltjes_grid(H, {gamma}, points_per_interval={points})
             K = sd.assemble_diagreg(curve)
             G0, G1 = sd.AtomicMeasure.point_mass(1.0), sd.AtomicMeasure.point_mass(1.6)
-            delta = sd.delta_diff(H, G0, G1, {gamma}, curve)
+            delta = sd.delta_diff(G0, G1, curve)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             sd.solve_diagreg(K, delta)
             after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -487,21 +486,21 @@ class TestMemory:
 class TestMoments:
     def test_constant_phi_is_degenerate(self, mp_unit, mp_curve, mp_kernel):
         # finite differencing a constant leaves only round-off noise
-        delta = sd.delta_diff(mp_unit, mp_unit, sd.AtomicMeasure.point_mass(1.6), GAMMA, mp_curve)
+        delta = sd.delta_diff(mp_unit, sd.AtomicMeasure.point_mass(1.6), mp_curve)
         rep = sd.lss_moments(mp_curve, mp_kernel, lambda x: np.full_like(x, 3.0), delta, h=1)
         assert abs(rep.mu) <= 1e-12
         assert rep.sigma <= 1e-12
         assert rep.power == pytest.approx(0.05, abs=1e-2)
 
     def test_scaling_phi_leaves_efficacy(self, mp_unit, mp_curve, mp_kernel):
-        delta = sd.delta_diff(mp_unit, mp_unit, sd.AtomicMeasure.point_mass(1.6), GAMMA, mp_curve)
+        delta = sd.delta_diff(mp_unit, sd.AtomicMeasure.point_mass(1.6), mp_curve)
         r1 = sd.lss_moments(mp_curve, mp_kernel, lambda x: np.log(x), delta, h=1)
         r2 = sd.lss_moments(mp_curve, mp_kernel, lambda x: 7.0 * np.log(x), delta, h=1)
         assert r2.efficacy == pytest.approx(r1.efficacy, rel=1e-9)
         assert r2.mu == pytest.approx(7.0 * r1.mu, rel=1e-9)
 
     def test_solved_g_reproduces_inner_product_theta(self, mp_unit, mp_curve, mp_kernel):
-        delta = sd.delta_diff(mp_unit, mp_unit, sd.AtomicMeasure.point_mass(1.6), GAMMA, mp_curve)
+        delta = sd.delta_diff(mp_unit, sd.AtomicMeasure.point_mass(1.6), mp_curve)
         g = sd.solve_diagreg(mp_kernel, delta).values
         h = 2
         mu = -h * mp_kernel.inner(g, delta.cdf)
@@ -513,7 +512,7 @@ class TestMoments:
         assert rep.power == pytest.approx(norm.cdf(norm.ppf(0.05) + rep.efficacy), abs=1e-12)
 
     def test_sigma_nonnegative_for_random_phi(self, mp_unit, mp_curve, mp_kernel, rng):
-        delta = sd.delta_diff(mp_unit, mp_unit, sd.AtomicMeasure.point_mass(1.6), GAMMA, mp_curve)
+        delta = sd.delta_diff(mp_unit, sd.AtomicMeasure.point_mass(1.6), mp_curve)
         for _ in range(10):
             coeffs = rng.normal(size=4)
             rep = sd.lss_moments(mp_curve, mp_kernel,
@@ -522,7 +521,7 @@ class TestMoments:
             assert 0.05 - 1e-9 <= rep.power <= 1.0
 
     def test_uniform_optimality_in_h(self, mp_unit, mp_curve, mp_kernel):
-        delta = sd.delta_diff(mp_unit, mp_unit, sd.AtomicMeasure.point_mass(1.6), GAMMA, mp_curve)
+        delta = sd.delta_diff(mp_unit, sd.AtomicMeasure.point_mass(1.6), mp_curve)
         g = sd.solve_diagreg(mp_kernel, delta).values
         # the solve does not see h at all; the efficacy scales linearly in it
         reps = [sd.lss_moments(mp_curve, mp_kernel, sd.integrate_derivative(mp_curve, g),
@@ -546,6 +545,6 @@ class TestMoments:
              "two-atom": sd.AtomicMeasure(np.array([1.0, 3.0]), np.array([0.5, 0.5]))}[bulk]
         G0, G1 = sd.AtomicMeasure.point_mass(1.0), sd.AtomicMeasure.point_mass(t1)
         curve = sd.stieltjes_grid(H, gamma, points_per_interval=1000)
-        delta = sd.delta_diff(H, G0, G1, gamma, curve)
+        delta = sd.delta_diff(G0, G1, curve)
         rep = sd.lss_moments(curve, sd.assemble_diagreg(curve), lambda x: x**k, delta, h=1)
         assert rep.mu == pytest.approx(power_mean_shift(H, G0, G1, gamma, k), rel=1e-3)

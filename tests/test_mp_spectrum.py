@@ -343,12 +343,12 @@ class TestRealAxisOutside:
     @pytest.mark.parametrize("x", [0.1, 0.0, -1.0])
     def test_below_the_bulk_when_gamma_exceeds_one(self, mp_unit, x):
         # at gamma=2 the gap (-inf, 0.1716) is the image of the v > 0 branch
-        sup = sd.support_intervals(mp_unit, 2.0)
-        v = sd.solve_real_outside(mp_unit, 2.0, sup, x)
+        curve = sd.stieltjes_grid(mp_unit, 2.0, points_per_interval=200)
+        v = sd.solve_real_outside(mp_unit, 2.0, curve.support, x)
         limit = sd.solve_silverstein(mp_unit, 2.0, complex(x, 1e-10)).real
         assert v > 0
         assert v == pytest.approx(limit, rel=1e-9)
-        s = sd.weak_derivative_st_at(mp_unit, sd.AtomicMeasure.point_mass(1.5), 2.0, x, sup)
+        s = sd.weak_derivative_st_at(sd.AtomicMeasure.point_mass(1.5), curve, x)
         assert s.imag == 0.0 and math.isfinite(s.real)
 
     def test_inside_rejected(self, mp_unit):

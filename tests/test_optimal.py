@@ -50,7 +50,7 @@ class TestConfig:
         for spike, expected in ((s_plus * (1 - 1e-9), 0.99 * a_pt), (s_plus, None)):
             G1 = sd.AtomicMeasure.point_mass(spike)
             model = sd.SpikedModel(H=mp_unit, G0=mp_unit, G1=G1, gamma=GAMMA)
-            escaped = tuple(r for r in sd.classify_spikes(mp_unit, GAMMA, G1, mp_curve.support)
+            escaped = tuple(r for r in sd.classify_spikes(G1, mp_curve)
                             if r.supercritical)
             assert surrogate_spike(model, escaped, mp_curve.support) == expected
 
@@ -163,7 +163,7 @@ class TestSubcriticalBranch:
         ref = normalize_curve(omh_lss(phi.grid[mask], 1.6, GAMMA))
         assert mad(normalize_curve(phi.values[mask]), ref) <= 1e-2
         # the derivative it integrates is the collocation solve on the same curve
-        delta = sd.delta_diff(model.H, model.G0, model.G1, GAMMA, mp_curve)
+        delta = sd.delta_diff(model.G0, model.G1, mp_curve)
         direct = sd.solve_collocation(mp_curve, delta)
         assert np.array_equal(phi.derivative, direct.values)
 
@@ -354,7 +354,7 @@ class TestAbovePtBranch:
                                G1=sd.AtomicMeasure.point_mass(1.5), gamma=0.1)
         cfg = sd.AlgoConfig(points_per_interval=600)
         support = two_atom_curve_01.support
-        (rec,) = [r for r in sd.classify_spikes(two_atom, 0.1, model.G1, support)
+        (rec,) = [r for r in sd.classify_spikes(model.G1, two_atom_curve_01)
                   if r.supercritical]
         if ulps == 0:
             phi, _ = sd.optimal_lss(model, cfg, curve=two_atom_curve_01)
@@ -416,7 +416,7 @@ class TestScaleInvariantVariant:
         _, rep_u = sd.optimal_lss(model, CFG, curve=mp_curve)
         _, rep_s = sd.optimal_ls3(model, CFG, curve=mp_curve)
         K = sd.assemble_diagreg(mp_curve)
-        delta = sd.delta_diff(model.H, model.G0, model.G1, GAMMA, mp_curve)
+        delta = sd.delta_diff(model.G0, model.G1, mp_curve)
         sq = np.sqrt(K.weights)
         A = K.entries + K.ridge * np.eye(K.size)
         d_vec = mp_curve.grid * mp_curve.density
@@ -438,7 +438,7 @@ class TestScaleInvariantVariant:
         phi, rep = sd.optimal_ls3(model, CFG, curve=curve)
         assert rep.regime == "subcritical-solvable"
         # the projected system (P K P + r I) u = -P b, solved densely
-        delta = sd.delta_diff(H, H, model.G1, 0.1, curve)
+        delta = sd.delta_diff(H, model.G1, curve)
         sq = np.sqrt(K.weights)
         d_vec = sq * curve.grid * curve.density
         P = np.eye(K.size) - np.outer(d_vec, d_vec) / (d_vec @ d_vec)
@@ -521,7 +521,7 @@ class TestSurrogateRule:
     def test_fires_only_just_above_the_upper_threshold(self, mp_unit, mp_curve, spike, expected):
         model = sd.SpikedModel(H=mp_unit, G0=mp_unit, G1=sd.AtomicMeasure.point_mass(spike),
                                gamma=0.5)
-        escaped = tuple(r for r in sd.classify_spikes(mp_unit, 0.5, model.G1, mp_curve.support)
+        escaped = tuple(r for r in sd.classify_spikes(model.G1, mp_curve)
                         if r.supercritical)
         assert escaped
         got = surrogate_spike(model, escaped, mp_curve.support)
@@ -622,9 +622,9 @@ class TestCurveMemo:
                                                      points_per_interval=MEMO_POINTS))
         assert phi.grid is curve.grid
         K = sd.assemble_diagreg(curve)
-        delta = sd.delta_diff(model.H, model.G0, model.G1, GAMMA, curve)
+        delta = sd.delta_diff(model.G0, model.G1, curve)
         for shared in (K.grid, delta.grid, sd.solve_diagreg(K, delta).grid,
-                       sd.equivalent_lss("nagao", model.H, GAMMA, curve).grid):
+                       sd.equivalent_lss("nagao", curve).grid):
             assert shared is curve.grid
 
     def test_holed_curve_from_the_memo_is_refused_every_time(self, monkeypatch, grid_calls):
@@ -659,9 +659,6 @@ class TestCurveOfAnotherBulk:
             "optimal_ls3": lambda: sd.optimal_ls3(model, cfg, curve=curve),
             "bump": lambda: sd.optimal_lss(dataclasses.replace(
                 model, G1=sd.AtomicMeasure.point_mass(3.0), n=500), cfg, curve=curve),
-            "delta_diff": lambda: sd.delta_diff(H, model.G0, G1, GAMMA, curve),
-            "weak_derivative_cdf": lambda: sd.weak_derivative_cdf(H, G1, GAMMA, curve),
-            "equivalent_lss": lambda: sd.equivalent_lss("nagao", H, GAMMA, curve),
         }
 
     def test_curve_of_another_bulk_is_refused(self):

@@ -1,6 +1,7 @@
 """The package namespace."""
 import importlib
 import importlib.util
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -64,12 +65,21 @@ def test_removed_names_stay_removed(owner, name):
     assert name not in getattr(obj, "__dataclass_fields__", {})
 
 
-def test_catalog_functions_take_a_test_id_only(mp_unit, mp_curve):
+def test_catalog_functions_take_a_test_id_only(mp_curve):
     from specdetect import classical
     with pytest.raises(KeyError, match="unknown test id"):
-        sd.equivalent_lss(classical._CATALOG["nagao"], mp_unit, 0.5, mp_curve)
+        sd.equivalent_lss(classical._CATALOG["nagao"], mp_curve)
     with pytest.raises(KeyError, match="unknown test id"):
         sd.evaluate_statistic(classical._CATALOG["nagao"], [1.0, 2.0], 5)
+
+
+@pytest.mark.parametrize("name", ["delta_diff", "weak_derivative_cdf", "weak_derivative_st_at",
+                                  "classify_spikes", "equivalent_lss"])
+def test_curve_entries_read_the_bulk_from_the_curve(name):
+    # a curve records its bulk H and gamma, so no entry that takes one takes them beside it
+    params = inspect.signature(getattr(sd, name)).parameters
+    assert "curve" in params
+    assert not {"H", "gamma", "support"} & set(params)
 
 
 def test_names_the_benchmark_wraps_resolve(monkeypatch):

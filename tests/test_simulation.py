@@ -291,17 +291,34 @@ class TestSimConfig:
             sd.SimConfig(population={"kind": "ar1", "rho": 0.5, "p": 49}, n=100,
                          n_reps=100, alpha=0.05, seed=1, spike_grid=(2.0,), solver="typo")
 
-    def test_dimension_is_bulk_size_plus_h(self):
+    def test_dimension_is_bulk_size_plus_h(self, monkeypatch):
+        calls = []
+        bulk = simulate.ar1_eigenvalues
+
+        def counted_bulk(*args):
+            calls.append(args)
+            return bulk(*args)
+
+        monkeypatch.setattr(simulate, "ar1_eigenvalues", counted_bulk)
         ar1 = sd.SimConfig(population={"kind": "ar1", "rho": 0.5, "p": 49}, n=100,
                            n_reps=100, alpha=0.05, seed=1, spike_grid=(2.0,), h=2)
         atoms = sd.SimConfig(
             population={"kind": "atoms", "eigenvalues": [1.0, 3.0], "multiplicities": [10, 12]},
             n=46, n_reps=100, alpha=0.05, seed=1, spike_grid=(2.0,), h=2)
+        zero = sd.SimConfig(
+            population={"kind": "atoms", "eigenvalues": [1.0, 2.0, 3.0],
+                        "multiplicities": [4, 0, 5]},
+            n=20, n_reps=100, alpha=0.05, seed=1, spike_grid=(2.0,))
         plain = sd.SimConfig(population={"kind": "atoms", "eigenvalues": [1.0, 2.0, 3.0]},
                              n=8, n_reps=100, alpha=0.05, seed=1, spike_grid=(2.0,))
-        for cfg, p in ((ar1, 51), (atoms, 24), (plain, 4)):
-            assert cfg.p == cfg.bulk_eigenvalues().size + cfg.h == p
-            assert cfg.gamma == p / cfg.n
+        cases = ((ar1, 51), (atoms, 24), (zero, 10), (plain, 4))
+        # p and gamma are read from the description: no read builds the bulk
+        dims = [(cfg.p, cfg.gamma) for cfg, _ in cases]
+        assert calls == []
+        for (cfg, p), (cfg_p, cfg_gamma) in zip(cases, dims):
+            assert cfg_p == cfg.bulk_eigenvalues().size + cfg.h == p
+            assert cfg_gamma == p / cfg.n
+        assert calls == [(0.5, 49)]
         # an unknown kind is rejected when the config is made, before any read
         with pytest.raises(ValueError, match="^unknown population kind 'wishart'$"):
             sd.SimConfig(population={"kind": "wishart", "p": 49}, n=100, n_reps=100,

@@ -100,9 +100,8 @@ class TestAgainstOracle:
 
 @pytest.mark.parametrize("name", ["two_atom", "ar1", "unit"])
 def test_edge_refinement_densities_unchanged(curves, name):
-    H, gamma, _, spike = CASES[name]
-    refinements, gaps = _edge_refinements(H, sd.AtomicMeasure.point_mass(spike), gamma,
-                                          curves[name])
+    H, _, _, spike = CASES[name]
+    refinements, gaps = _edge_refinements(H, sd.AtomicMeasure.point_mass(spike), curves[name])
     assert gaps == REF[f"{name}/edge_gaps"].tolist()
     recorded = {(int(key.split("/")[2]), key.split("/")[3])
                 for key in REF.files if key.startswith(f"{name}/edge/")}
@@ -435,8 +434,8 @@ def test_only_anchors_failing_the_contraction_route_are_dropped(monkeypatch, rho
 
 @pytest.mark.parametrize("compute", [
     lambda H, curve: sd.esd_expectation(curve, lambda x: x),
-    lambda H, curve: sd.weak_derivative_cdf(H, sd.AtomicMeasure.point_mass(1.5), 0.5, curve),
-    lambda H, curve: sd.delta_diff(H, H, sd.AtomicMeasure.point_mass(1.5), 0.5, curve),
+    lambda H, curve: sd.weak_derivative_cdf(sd.AtomicMeasure.point_mass(1.5), curve),
+    lambda H, curve: sd.delta_diff(H, sd.AtomicMeasure.point_mass(1.5), curve),
     lambda H, curve: sd.assemble_diagreg(curve),
     lambda H, curve: sd.integrate_derivative(curve, np.zeros(curve.grid.size)),
 ], ids=["esd_expectation", "weak_derivative_cdf", "delta_diff", "assemble_diagreg",
@@ -502,6 +501,6 @@ def test_failed_edge_sample_leaves_its_edge_unrefined():
     curve = sd.stieltjes_grid(H, 0.5, points_per_interval=100)
     assert set(curve.edge_samples) == {(0, "hi"), (1, "lo"), (1, "hi")}
     assert sd.esd_moment(curve, 1) == pytest.approx(sd.forward_moments(H, 0.5, 1)[0], rel=1e-3)
-    cdf = sd.weak_derivative_cdf(H, sd.AtomicMeasure.point_mass(2.0), 0.5, curve)
+    cdf = sd.weak_derivative_cdf(sd.AtomicMeasure.point_mass(2.0), curve)
     assert cdf.gaps == ["edge refinement failed at x=1.34516e-07: "
                         "derivative map denominator vanished (support edge)"]

@@ -59,7 +59,7 @@ def test_derivative_cdf_has_zero_total_mass(bulk):
     curve = curve_of(H, gamma)
     # a spike on a bulk atom is always subcritical
     G = sd.AtomicMeasure.point_mass(float(H.atoms[-1]))
-    cdf = sd.weak_derivative_cdf(H, G, gamma, curve)
+    cdf = sd.weak_derivative_cdf(G, curve)
     assert cdf.point_masses == []
     assert cdf.gaps == []
     assert abs(cdf.total_mass) <= 1e-2

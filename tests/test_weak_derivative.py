@@ -38,61 +38,60 @@ class TestSpikeForwardMap:
 
 
 class TestClassification:
-    def test_windows_bracket_the_threshold(self, mp_unit, mp_curve):
-        sup = mp_curve.support
-        sub = sd.classify_spikes(mp_unit, GAMMA, sd.AtomicMeasure.point_mass(1.6), sup)
-        sup_cls = sd.classify_spikes(mp_unit, GAMMA, sd.AtomicMeasure.point_mass(3.0), sup)
+    def test_windows_bracket_the_threshold(self, mp_curve):
+        sub = sd.classify_spikes(sd.AtomicMeasure.point_mass(1.6), mp_curve)
+        sup_cls = sd.classify_spikes(sd.AtomicMeasure.point_mass(3.0), mp_curve)
         assert not any(r.supercritical for r in sub)
         assert any(r.supercritical for r in sup_cls)
 
-    def test_supercritical_has_sd(self, mp_unit, mp_curve):
-        cls = sd.classify_spikes(mp_unit, GAMMA, sd.AtomicMeasure.point_mass(3.0), mp_curve.support)
+    def test_supercritical_has_sd(self, mp_curve):
+        cls = sd.classify_spikes(sd.AtomicMeasure.point_mass(3.0), mp_curve)
         rec = cls[0]
         assert rec.supercritical
         assert rec.psi == pytest.approx(3.75)
         assert rec.asy_sd == pytest.approx(math.sqrt(2 * 9 * 0.875), rel=1e-12)
 
-    def test_downward_spike_supercritical(self, mp_unit, mp_curve):
-        cls = sd.classify_spikes(mp_unit, GAMMA, sd.AtomicMeasure.point_mass(0.2), mp_curve.support)
+    def test_downward_spike_supercritical(self, mp_curve):
+        cls = sd.classify_spikes(sd.AtomicMeasure.point_mass(0.2), mp_curve)
         assert cls[0].supercritical
         assert cls[0].psi < mp_curve.support.intervals[0][0]
 
-    def test_spike_equal_to_bulk_atom_subcritical(self, mp_unit, mp_curve):
-        cls = sd.classify_spikes(mp_unit, GAMMA, sd.AtomicMeasure.point_mass(1.0), mp_curve.support)
+    def test_spike_equal_to_bulk_atom_subcritical(self, mp_curve):
+        cls = sd.classify_spikes(sd.AtomicMeasure.point_mass(1.0), mp_curve)
         assert not any(r.supercritical for r in cls)
 
 
 class TestStieltjesOfDerivative:
     def test_zero_for_equal_measures(self, mp_unit, mp_curve):
-        dens = sd.weak_derivative_cdf(mp_unit, mp_unit, GAMMA, mp_curve).density
+        dens = sd.weak_derivative_cdf(mp_unit, mp_curve).density
         assert np.max(np.abs(dens)) == 0.0
 
-    def test_linear_in_second_argument(self, mp_unit, mp_curve):
+    def test_linear_in_second_argument(self, mp_curve):
         P = sd.AtomicMeasure.point_mass(1.2)
         Q = sd.AtomicMeasure.point_mass(1.5)
         M = sd.AtomicMeasure.mixture([(0.3, P), (0.7, Q)])
-        sm = sd.weak_derivative_cdf(mp_unit, M, GAMMA, mp_curve).density
-        sp = sd.weak_derivative_cdf(mp_unit, P, GAMMA, mp_curve).density
-        sq = sd.weak_derivative_cdf(mp_unit, Q, GAMMA, mp_curve).density
+        sm = sd.weak_derivative_cdf(M, mp_curve).density
+        sp = sd.weak_derivative_cdf(P, mp_curve).density
+        sq = sd.weak_derivative_cdf(Q, mp_curve).density
         assert np.max(np.abs(sm - 0.3 * sp - 0.7 * sq)) < 1e-12
 
-    def test_edge_singularity_signs_subcritical(self, mp_unit, mp_curve):
+    def test_edge_singularity_signs_subcritical(self, mp_curve):
         # perturbation toward a larger spike drains the left edge and feeds the right
         G = sd.AtomicMeasure.point_mass(1.6)
-        dens = sd.weak_derivative_cdf(mp_unit, G, GAMMA, mp_curve).density
+        dens = sd.weak_derivative_cdf(G, mp_curve).density
         assert dens[-1] > 0
         assert dens[0] < 0
 
-    def test_real_outside_support(self, mp_unit, mp_curve):
+    def test_real_outside_support(self, mp_curve):
         G = sd.AtomicMeasure.point_mass(1.6)
         for x in (3.2, 5.0, 0.05):
-            s = sd.weak_derivative_st_at(mp_unit, G, GAMMA, x, support=mp_curve.support)
+            s = sd.weak_derivative_st_at(G, mp_curve, x)
             assert abs(s.imag) <= 1e-6
 
 
 class TestCdf:
-    def test_supercritical_point_mass_placed_analytically(self, mp_unit, mp_curve):
-        cdf = sd.weak_derivative_cdf(mp_unit, sd.AtomicMeasure.point_mass(3.0), GAMMA, mp_curve)
+    def test_supercritical_point_mass_placed_analytically(self, mp_curve):
+        cdf = sd.weak_derivative_cdf(sd.AtomicMeasure.point_mass(3.0), mp_curve)
         assert len(cdf.point_masses) == 1
         loc, w = cdf.point_masses[0]
         assert loc == pytest.approx(3.75, abs=1e-10)
@@ -100,97 +99,95 @@ class TestCdf:
         # density inside the bulk is negative throughout: mass is pushed out
         assert (cdf.density < 0).all()
 
-    def test_point_mass_cross_checked_by_residue(self, mp_unit, mp_curve):
+    def test_point_mass_cross_checked_by_residue(self, mp_curve):
         G = sd.AtomicMeasure.point_mass(3.0)
-        cdf = sd.weak_derivative_cdf(mp_unit, G, GAMMA, mp_curve)
+        cdf = sd.weak_derivative_cdf(G, mp_curve)
         loc, w = cdf.point_masses[0]
         eps = 1e-7
-        residue = -(1j * eps * sd.weak_derivative_st_at(mp_unit, G, GAMMA, complex(loc, eps))).real
+        residue = -(1j * eps * sd.weak_derivative_st_at(G, mp_curve, complex(loc, eps))).real
         assert abs(residue - w) <= 2e-2
 
-    def test_cdf_jumps_by_point_mass(self, mp_unit, mp_curve):
-        cdf = sd.weak_derivative_cdf(mp_unit, sd.AtomicMeasure.point_mass(3.0), GAMMA, mp_curve)
+    def test_cdf_jumps_by_point_mass(self, mp_curve):
+        cdf = sd.weak_derivative_cdf(sd.AtomicMeasure.point_mass(3.0), mp_curve)
         loc, w = cdf.point_masses[0]
         assert cdf.cdf_at(loc + 1e-9) - cdf.cdf_at(loc - 1e-9) == pytest.approx(w, abs=1e-12)
 
-    def test_subcritical_zero_total_mass(self, mp_unit, mp_curve):
-        cdf = sd.weak_derivative_cdf(mp_unit, sd.AtomicMeasure.point_mass(1.6), GAMMA, mp_curve)
+    def test_subcritical_zero_total_mass(self, mp_curve):
+        cdf = sd.weak_derivative_cdf(sd.AtomicMeasure.point_mass(1.6), mp_curve)
         assert cdf.point_masses == []
         assert abs(cdf.total_mass) <= 1e-3
 
     def test_equal_measures_zero_cdf(self, mp_unit, mp_curve):
-        cdf = sd.weak_derivative_cdf(mp_unit, mp_unit, GAMMA, mp_curve)
+        cdf = sd.weak_derivative_cdf(mp_unit, mp_curve)
         assert np.max(np.abs(cdf.cdf)) == 0.0
 
-    def test_linearity_of_cdf(self, mp_unit, mp_curve):
+    def test_linearity_of_cdf(self, mp_curve):
         P = sd.AtomicMeasure.point_mass(1.2)
         Q = sd.AtomicMeasure.point_mass(1.5)
         M = sd.AtomicMeasure.mixture([(0.4, P), (0.6, Q)])
-        cm = sd.weak_derivative_cdf(mp_unit, M, GAMMA, mp_curve)
-        cp = sd.weak_derivative_cdf(mp_unit, P, GAMMA, mp_curve)
-        cq = sd.weak_derivative_cdf(mp_unit, Q, GAMMA, mp_curve)
+        cm = sd.weak_derivative_cdf(M, mp_curve)
+        cp = sd.weak_derivative_cdf(P, mp_curve)
+        cq = sd.weak_derivative_cdf(Q, mp_curve)
         assert np.max(np.abs(cm.cdf - 0.4 * cp.cdf - 0.6 * cq.cdf)) <= 1e-6
 
-    def test_cdf_bounded_by_total_variation_proxy(self, mp_unit, mp_curve):
-        cdf = sd.weak_derivative_cdf(mp_unit, sd.AtomicMeasure.point_mass(1.6), GAMMA, mp_curve)
+    def test_cdf_bounded_by_total_variation_proxy(self, mp_curve):
+        cdf = sd.weak_derivative_cdf(sd.AtomicMeasure.point_mass(1.6), mp_curve)
         # |F(x)| is at most the total variation: |density| dx summed, plus each |point mass|
         dx = np.diff(cdf.grid, prepend=cdf.grid[0])
         variation = np.sum(np.abs(cdf.density) * dx) + sum(abs(w) for _, w in cdf.point_masses)
         assert np.max(np.abs(cdf.cdf)) <= variation
 
-    def test_cdf_at_inside_the_grid(self, two_atom, two_atom_curve_01):
+    def test_cdf_at_inside_the_grid(self, two_atom_curve_01):
         # the point mass gamma*u = 0.1 of the escaped spike sits at psi(1.5) = 1.5,
         # in the gap between the two grid intervals
-        cdf = sd.weak_derivative_cdf(two_atom, sd.AtomicMeasure.point_mass(1.5), 0.1,
-                                     two_atom_curve_01)
+        cdf = sd.weak_derivative_cdf(sd.AtomicMeasure.point_mass(1.5), two_atom_curve_01)
         (loc, w), = cdf.point_masses
         assert loc == pytest.approx(1.5, abs=1e-12) and w == pytest.approx(0.1, abs=1e-15)
         assert cdf.grid[0] < loc < cdf.grid[-1]
         assert cdf.cdf_at(loc + 1e-9) - cdf.cdf_at(loc - 1e-9) == pytest.approx(w, abs=1e-12)
         assert [cdf.cdf_at(x) for x in cdf.grid] == cdf.cdf.tolist()
 
-    def test_cdf_at_below_the_grid(self, mp_unit, mp_curve):
+    def test_cdf_at_below_the_grid(self, mp_curve):
         # a downward escaped spike puts its mass below the lowest grid point
-        cdf = sd.weak_derivative_cdf(mp_unit, sd.AtomicMeasure.point_mass(0.2), GAMMA, mp_curve)
+        cdf = sd.weak_derivative_cdf(sd.AtomicMeasure.point_mass(0.2), mp_curve)
         (loc, w), = cdf.point_masses
         assert loc < mp_curve.support.intervals[0][0]
         assert cdf.cdf_at(loc - 1e-9) == 0.0
         assert cdf.cdf_at(loc) == cdf.cdf_at(0.5 * (loc + cdf.grid[0])) == w
 
-    def test_two_component_bulk_subcritical_cases(self, two_atom, two_atom_curve_01):
+    def test_two_component_bulk_subcritical_cases(self, two_atom_curve_01):
         for t in (0.8, 3.6):
-            cdf = sd.weak_derivative_cdf(two_atom, sd.AtomicMeasure.point_mass(t), 0.1,
-                                         two_atom_curve_01)
+            cdf = sd.weak_derivative_cdf(sd.AtomicMeasure.point_mass(t), two_atom_curve_01)
             assert cdf.point_masses == []
             assert abs(cdf.total_mass) <= 1e-3
 
 
 class TestDeltaDiff:
-    def test_equal_alternatives_give_zero(self, mp_unit, mp_curve):
+    def test_equal_alternatives_give_zero(self, mp_curve):
         G = sd.AtomicMeasure.point_mass(1.5)
-        d = sd.delta_diff(mp_unit, G, G, GAMMA, mp_curve)
+        d = sd.delta_diff(G, G, mp_curve)
         assert np.max(np.abs(d.cdf)) == 0.0
 
     def test_null_equal_to_bulk_reduces_to_single_cdf(self, mp_unit, mp_curve):
         G1 = sd.AtomicMeasure.point_mass(1.6)
-        d = sd.delta_diff(mp_unit, mp_unit, G1, GAMMA, mp_curve)
-        ref = sd.weak_derivative_cdf(mp_unit, G1, GAMMA, mp_curve)
+        d = sd.delta_diff(mp_unit, G1, mp_curve)
+        ref = sd.weak_derivative_cdf(G1, mp_curve)
         assert np.max(np.abs(d.cdf - ref.cdf)) == 0.0
 
-    def test_antisymmetry(self, mp_unit, mp_curve):
+    def test_antisymmetry(self, mp_curve):
         G0 = sd.AtomicMeasure.point_mass(1.2)
         G1 = sd.AtomicMeasure.point_mass(1.6)
-        d01 = sd.delta_diff(mp_unit, G0, G1, GAMMA, mp_curve)
-        d10 = sd.delta_diff(mp_unit, G1, G0, GAMMA, mp_curve)
+        d01 = sd.delta_diff(G0, G1, mp_curve)
+        d10 = sd.delta_diff(G1, G0, mp_curve)
         assert np.max(np.abs(d01.cdf + d10.cdf)) < 1e-14
 
-    def test_one_pass_equals_the_difference_of_two_cdfs(self, two_atom, two_atom_curve_01):
+    def test_one_pass_equals_the_difference_of_two_cdfs(self, two_atom_curve_01):
         # G0 in the gap window and G1 above the bulk: both escape, so the
         # merged point masses carry both signs
         G0, G1 = sd.AtomicMeasure.point_mass(1.5), sd.AtomicMeasure.point_mass(5.0)
-        d = sd.delta_diff(two_atom, G0, G1, 0.1, two_atom_curve_01)
-        c0 = sd.weak_derivative_cdf(two_atom, G0, 0.1, two_atom_curve_01)
-        c1 = sd.weak_derivative_cdf(two_atom, G1, 0.1, two_atom_curve_01)
+        d = sd.delta_diff(G0, G1, two_atom_curve_01)
+        c0 = sd.weak_derivative_cdf(G0, two_atom_curve_01)
+        c1 = sd.weak_derivative_cdf(G1, two_atom_curve_01)
         scale = np.max(np.abs(d.cdf))
         assert np.max(np.abs(d.cdf - (c1.cdf - c0.cdf))) <= 1e-13 * scale
         assert abs(d.right_tail - (c1.right_tail - c0.right_tail)) <= 1e-13 * scale
@@ -214,9 +211,9 @@ class TestDeltaDiff:
         H = sd.AtomicMeasure.uniform(np.array(atoms))
         curve = sd.stieltjes_grid(H, gamma, points_per_interval=400)
         G1 = sd.AtomicMeasure.point_mass(t)
-        (record,) = sd.classify_spikes(H, gamma, G1, curve.support)
+        (record,) = sd.classify_spikes(G1, curve)
         assert record.supercritical == supercritical
-        d = sd.delta_diff(H, sd.AtomicMeasure.point_mass(1.0), G1, gamma, curve)
+        d = sd.delta_diff(sd.AtomicMeasure.point_mass(1.0), G1, curve)
         assert abs(d.total_mass) <= 1e-3
 
     @pytest.mark.parametrize("atoms, gamma, t, region", [
@@ -229,13 +226,12 @@ class TestDeltaDiff:
         # carries the point mass gamma
         H = sd.AtomicMeasure.uniform(np.array(atoms))
         curve = sd.stieltjes_grid(H, gamma, points_per_interval=400)
-        (record,) = sd.classify_spikes(H, gamma, sd.AtomicMeasure.point_mass(t), curve.support)
+        (record,) = sd.classify_spikes(sd.AtomicMeasure.point_mass(t), curve)
         psi = t * (1.0 + gamma * sum(w * a / (t - a) for a, w in zip(H.atoms, H.weights)))
         assert record.psi == pytest.approx(psi, rel=1e-15)
         lo, hi = region
         assert lo < record.psi < hi and not curve.support.contains(record.psi)
-        d = sd.delta_diff(H, sd.AtomicMeasure.point_mass(1.0), sd.AtomicMeasure.point_mass(t),
-                          gamma, curve)
+        d = sd.delta_diff(sd.AtomicMeasure.point_mass(1.0), sd.AtomicMeasure.point_mass(t), curve)
         assert d.point_masses == [(record.psi, gamma)]
 
 
@@ -289,8 +285,8 @@ class TestNearPole:
         curve = dataclasses.replace(mp_curve, v=mp_curve.v.copy())
         curve.v[m] = -(1.0 + offset) / s
         G = sd.AtomicMeasure.point_mass(s)
-        cdf = sd.weak_derivative_cdf(mp_unit, G, GAMMA, curve)
+        cdf = sd.weak_derivative_cdf(G, curve)
         assert cdf.density[m] == 0.0
         assert np.all(np.isfinite(cdf.cdf))
         assert cdf.gaps == [f"near-pole grid point excluded at x={curve.grid[m]:.8g}"]
-        assert sd.delta_diff(mp_unit, mp_unit, G, GAMMA, curve).gaps == cdf.gaps
+        assert sd.delta_diff(mp_unit, G, curve).gaps == cdf.gaps

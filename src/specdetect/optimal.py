@@ -3,10 +3,10 @@
 The driver decides the regime from the alternative spikes: when every
 sample spike stays inside the bulk, the test function solves the
 first-kind equation and is recovered by integrating its derivative; when
-a spike escapes, power is asymptotically full and the statistic is a
-narrow Epanechnikov bump at each escaped sample location.  A
-scale-invariant variant projects the equation onto the complement of the
-identity-direction D(x) = x * density(x).
+a spike escapes, power is asymptotically full and the statistic is the
+distance from the null support, on the side of it where the escaped
+sample eigenvalue lies.  A scale-invariant variant projects the equation
+onto the complement of the identity-direction D(x) = x * density(x).
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import functools
 import math
 import numbers
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .kernel import (
     solve_regularized,
 )
 from .measures import AtomicMeasure
-from .mp import MIN_POINTS_PER_INTERVAL, StieltjesCurve, SupportSet, stieltjes_grid
+from .mp import MIN_POINTS_PER_INTERVAL, StieltjesCurve, stieltjes_grid
 from .weak_derivative import SignedMeasureCdf, SpikeRecord, classify_spikes, delta_diff
 
 __all__ = [
@@ -40,18 +40,14 @@ __all__ = [
     "optimal_ls3",
     "lss_above_pt",
     "integrate_derivative",
-    "epanechnikov",
 ]
 
 SEG_SUPPORT = "in-support"
-SEG_OUTSIDE = "outside-constant"
-SEG_BUMP = "epanechnikov-bump"
+# the nodes an escaped spike's statistic adds outside the support and at its edges
+SEG_BUMP = "outside-distance"
 
 SOLVERS = ("diagreg", "collocation")
 
-_N_SD = 3.0  # half-width of an escaped spike's bump, in asymptotic sds
-_S_PLUS_COEFF = 0.75  # the surrogate rule's window ends at s_plus = this * (1 + sqrt(gamma)) a_pt
-_S_MINUS_COEFF = 0.99  # the surrogate spike is s_minus = this * a_pt
 # curves kept for builds given none, the least recently used going first:
 # spikes swept over one bulk, or two bulks used in turn, build each curve
 # once, while three or more bulks in a cycle never reuse one and pay
@@ -83,9 +79,8 @@ def check_at_least(**values) -> None:
 class SpikedModel:
     """Null bulk H with spike distributions under null (G0) and alternative (G1).
 
-    Give the sample size ``n`` whenever a spike may escape: it sets a
-    bump's half-width _N_SD * sd / sqrt(n).  The default (d + h)/gamma is
-    4 on the unit bulk at gamma = 0.5, where the bump covers the support.
+    The sample size ``n`` is checked and kept, but no statistic or report
+    reads it: every number is that of the limit at ``gamma``.
     """
 
     H: AtomicMeasure
@@ -101,12 +96,6 @@ class SpikedModel:
         check_at_least(h=self.h)
         if self.n is not None:
             check_at_least(n=self.n)
-
-    def resolved_n(self) -> int:
-        """Sample size; defaults to (d + h)/gamma when not supplied."""
-        if self.n is not None:
-            return self.n
-        return max(1, round((self.H.n_atoms + self.h) / self.gamma))
 
 
 @dataclass(frozen=True)
@@ -158,12 +147,6 @@ class LssFunction:
             yield (self.grid[i], self.values[i], self.segments[i])
 
 
-def epanechnikov(x: np.ndarray) -> np.ndarray:
-    """Bump shape max(0, 1 - x^2)."""
-    x = np.asarray(x, dtype=float)
-    return np.maximum(0.0, 1.0 - x**2)
-
-
 def integrate_derivative(curve: StieltjesCurve, g: np.ndarray) -> LssFunction:
     """Cumulative trapezoid of g on the curve's grid, zero at its first point.
 
@@ -177,68 +160,43 @@ def integrate_derivative(curve: StieltjesCurve, g: np.ndarray) -> LssFunction:
                        derivative=np.asarray(g, dtype=float).copy())
 
 
-def surrogate_spike(model: SpikedModel, escaped: tuple[SpikeRecord, ...],
-                    support: SupportSet) -> float | None:
-    """Location s_minus of the subcritical surrogate that replaces G1, or None.
+def lss_above_pt(escaped: tuple[SpikeRecord, ...], curve: StieltjesCurve) -> LssFunction:
+    """Distance from the null support, for spikes whose sample location escapes it.
 
-    ``escaped`` holds the supercritical records of G1.  The rule fires for
-    a single supercritical spike (h = 1) whose sample location lies above
-    the top edge and whose location is below s_plus: just past the
-    uppermost threshold the n^-1/2 bump width badly overstates the actual
-    fluctuation of the escaping eigenvalue.  A spike escaping below the
-    bulk keeps its bump.
-    """
-    if model.h != 1 or model.G1.n_atoms != 1 or not escaped:
-        return None
-    a_pt = support.upper_pt_threshold
-    rec = escaped[0]
-    s_plus = _S_PLUS_COEFF * (1.0 + math.sqrt(model.gamma)) * a_pt
-    if rec.psi > support.intervals[-1][1] and rec.location < s_plus:
-        return _S_MINUS_COEFF * a_pt
-    return None
-
-
-def lss_above_pt(model: SpikedModel, escaped: tuple[SpikeRecord, ...],
-                 curve: StieltjesCurve) -> LssFunction:
-    """Bump statistic for spikes whose sample location escapes the bulk.
-
-    Each record in ``escaped`` (the supercritical spikes of G1) gets an
-    Epanechnikov bump of half-width _N_SD * n^-1/2 * sd centered at its
-    sample location; spikes beyond the outermost bulk edge continue as the
-    constant one away from the bulk.
+    No null eigenvalue lies outside the support in the limit (Bai &
+    Silverstein 1999), and an escaped spike's sample eigenvalue sits at psi
+    (Baik, Ben Arous & Peche 2005).  Each record in ``escaped`` (the
+    supercritical spikes of G1) takes the distance from the support in the
+    part of its complement that holds psi: x - b above the top edge b, up
+    to a last node at 2 psi and constant beyond it; a - x on [0, a] below
+    the lower edge a; the tent min(x - c, d - x) in a gap (c, d).  phi is
+    zero on the support and is stored at the curve's grid plus those
+    nodes, which are labelled SEG_BUMP; no sample size enters it.
     """
     if not escaped:
         raise ValueError("no supercritical spike; below-transition route applies")
-    n = model.resolved_n()
-    support = curve.support
-    s_min = support.intervals[0][0]
-    s_max = support.intervals[-1][1]
-
-    bump_specs = []
+    intervals = np.array(curve.support.intervals)
+    lo, hi = intervals[0, 0], intervals[-1, 1]
+    nodes = []
     for rec in escaped:
-        w = _N_SD * rec.asy_sd / math.sqrt(n)
-        bump_specs.append((rec.psi, w, rec.psi > s_max, rec.psi < s_min))
-
-    xs = list(curve.grid)
-    for psi, w, _, _ in bump_specs:
-        xs.extend(np.linspace(psi - w, psi + w, 201).tolist())
-    grid = np.unique(np.array(xs))
-
-    values = np.zeros_like(grid)
-    bump_mask = np.zeros(grid.size, dtype=bool)
-    for psi, w, above, below in bump_specs:
-        # zero from the end nodes psi -/+ w outward, whatever (x - psi)/w rounds to there
-        inside = (grid > psi - w) & (grid < psi + w)
-        contribution = np.where(inside, epanechnikov((grid - psi) / w), 0.0)
-        if above:  # constant one pointing away from the bulk
-            contribution[grid >= psi] = 1.0
-        if below:
-            contribution[grid <= psi] = 1.0
-        values = np.maximum(values, contribution)
-        bump_mask |= contribution > 0
-    labels = [SEG_BUMP if bump else SEG_SUPPORT if support.contains(x) else SEG_OUTSIDE
-              for x, bump in zip(grid, bump_mask)]
-    return LssFunction(grid=grid, values=values, segments=labels)
+        if rec.psi > hi:
+            nodes += [hi, 2.0 * rec.psi]
+        elif rec.psi < lo:
+            nodes += [0.0, lo]
+        else:  # the gap (c, d) that holds psi
+            c = intervals[intervals[:, 1] < rec.psi, 1].max()
+            d = intervals[intervals[:, 0] > rec.psi, 0].min()
+            nodes += [c, 0.5 * (c + d), d]
+    nodes = np.unique(nodes)
+    # phi is linear between the nodes, with the distance at each; the curve's
+    # grid lies inside the support, so between two nodes that read zero
+    distance = np.maximum(np.maximum(intervals[:, :1] - nodes, nodes - intervals[:, 1:]), 0.0)
+    grid = np.union1d(curve.grid, nodes)
+    segments = [SEG_SUPPORT] * grid.size
+    for i in np.searchsorted(grid, nodes).tolist():
+        segments[i] = SEG_BUMP
+    return LssFunction(grid=grid, values=np.interp(grid, nodes, distance.min(axis=0)),
+                       segments=segments)
 
 
 def optimal_lss(model: SpikedModel, config: AlgoConfig | None = None,
@@ -246,11 +204,9 @@ def optimal_lss(model: SpikedModel, config: AlgoConfig | None = None,
     """Best LSS for the model, with its predicted mean shift, sd and power.
 
     Below the transition the derivative solves the regularized first-kind
-    system and is integrated; above it the bump construction applies and
-    the report's efficacy is infinite, so its power is one.  A single
-    slightly supercritical spike (h = 1, below s_plus) is replaced by the
-    subcritical surrogate s_minus to avoid the finite-sample power drop
-    right above the threshold.
+    system and is integrated; once a spike escapes, the statistic is the
+    distance from the null support (``lss_above_pt``) and the report's
+    efficacy is infinite, so its power is one.
     """
     return _build(model, config or AlgoConfig(), curve, _configured_solve)
 
@@ -261,8 +217,8 @@ def optimal_ls3(model: SpikedModel, config: AlgoConfig | None = None,
     D(x) = x * density(x), removing sensitivity to an unknown overall scale.
 
     The statistic is in the model's own units, like that of ``optimal_lss``,
-    and so are the regime and the surrogate rule; the constrained system
-    has a diagreg solve only.
+    and so is the regime; an escaped spike gets the same distance statistic
+    as there.  The constrained system has a diagreg solve only.
     """
     config = config or AlgoConfig()
     if config.solver != "diagreg":
@@ -289,10 +245,9 @@ def _build(model: SpikedModel, config: AlgoConfig, curve: StieltjesCurve | None,
     last _CURVES built so, or builds it.  Refuses a curve of another bulk
     or gamma, or one with dropped grid points; rejects a supercritical G0
     and decides the regime from G1.
-    Below the transition, and for the surrogate that replaces a spike just
-    above it, ``solve`` returns the derivative from the kernel system and
-    it is integrated; any other supercritical G1 gets the bump
-    construction.
+    Below the transition ``solve`` returns the derivative from the kernel
+    system and it is integrated; a supercritical G1 gets the distance
+    statistic of ``lss_above_pt``.
     """
     if curve is None:
         curve = _curve(model.H, model.gamma, config.points_per_interval)
@@ -302,17 +257,12 @@ def _build(model: SpikedModel, config: AlgoConfig, curve: StieltjesCurve | None,
         raise ValueError("null spike distribution G0 must be fully subcritical")
     escaped = tuple(r for r in classify_spikes(model.G1, curve) if r.supercritical)
     if escaped:
-        report = efficacy_report(math.inf, 0.0, config.alpha)
-        s_sur = surrogate_spike(model, escaped, curve.support)
-        if s_sur is None:
-            return lss_above_pt(model, escaped, curve), report
-        model = replace(model, G1=AtomicMeasure.point_mass(s_sur))
+        return lss_above_pt(escaped, curve), efficacy_report(math.inf, 0.0, config.alpha)
 
     delta = delta_diff(model.G0, model.G1, curve)
     K = assemble_diagreg(curve)
     g = solve(curve, K, delta, config)
-    if not escaped:
-        report = derivative_efficacy(K, g, delta, model.h, config.alpha)
+    report = derivative_efficacy(K, g, delta, model.h, config.alpha)
     # free the N x N matrix before the statistic's arrays are allocated:
     # made while it is live, they can land above it in the heap, and the
     # next build's matrix then takes fresh pages instead of its space

@@ -5,7 +5,8 @@ of the sample covariance is rotation invariant), null critical values are
 empirical quantiles from a calibration half of the null replicates, and
 power is the rejection fraction on alternative replicates.  Each
 alternative spike's statistic is built by ``optimal_lss`` on the one
-bulk curve that the sweep shares.
+bulk curve that the sweep shares: the solved statistic below the
+transition, the distance from the null support for a spike that escapes.
 """
 from __future__ import annotations
 
@@ -477,9 +478,10 @@ def power_experiment(config: SimConfig) -> PowerCurve:
 
     Null replicates are generated once and split into disjoint calibration
     and evaluation halves; the level reported is the rejection rate on the
-    held-out half.  Replicate seeds derive deterministically from the
-    master seed, so identical configs reproduce bit-identical curves, at
-    any worker count.
+    held-out half, averaged over the spikes' statistics: an escaped spike's
+    distance statistic is calibrated like a solved one.  Replicate seeds
+    derive deterministically from the master seed, so identical configs
+    reproduce bit-identical curves, at any worker count.
 
     The first statistic is built before any replicate is drawn, so that
     its check of the null spike fails first.  Then one :class:`_DrawPool`
@@ -502,8 +504,7 @@ def power_experiment(config: SimConfig) -> PowerCurve:
     spikes = np.asarray(config.spike_grid, dtype=float)
 
     def build(s: float):
-        model = SpikedModel(H=H, G0=G0, G1=AtomicMeasure.point_mass(float(s)), gamma=gamma,
-                            h=h, n=n)
+        model = SpikedModel(H=H, G0=G0, G1=AtomicMeasure.point_mass(float(s)), gamma=gamma, h=h)
         return optimal_lss(model, algo, curve=curve)
 
     # the first build rejects a supercritical null spike before any draw
@@ -535,18 +536,13 @@ def power_experiment(config: SimConfig) -> PowerCurve:
 
     supercrit = np.array([report.regime == REGIME_SUPERCRITICAL for _, report in built],
                          dtype=bool)
-    # bump statistics are degenerate (identically zero) under the null, so
-    # the level is meaningful only where the solve route was used; the
-    # surrogate of a spike just above the threshold is solved too
-    solved = np.array([phi.derivative is not None for phi, _ in built], dtype=bool)
-    level_lss = float(np.mean(levels[solved] if solved.any() else levels))
     return PowerCurve(
         spikes=spikes,
         power_lss=power_lss,
         power_top=power_top,
         se_lss=np.sqrt(power_lss * (1 - power_lss) / reps),
         se_top=np.sqrt(power_top * (1 - power_top) / reps),
-        realized_level_lss=level_lss,
+        realized_level_lss=float(np.mean(levels)),
         realized_level_top=level_top,
         critical_lss=crit_lss,
         critical_top=crit_top,

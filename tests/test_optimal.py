@@ -9,7 +9,7 @@ import specdetect as sd
 from oracles import mad, normalize_curve, omh_lss
 from specdetect import kernel, mp, optimal
 from specdetect.kernel import power_from_efficacy
-from specdetect.optimal import surrogate_spike
+from specdetect.optimal import SEG_BUMP, SEG_SUPPORT
 
 
 GAMMA = 0.5
@@ -38,24 +38,21 @@ class TestConfig:
         assert kernel._RIDGE_COEFF == 1e-4
         assert kernel._COLLOCATION_NODES == 150
         assert kernel._MAX_CONDITION == 1e13
-        assert optimal._N_SD == 3
-        assert optimal._S_MINUS_COEFF == 0.99
-        assert optimal._S_PLUS_COEFF == 0.75
 
-    def test_threshold_rules(self, mp_unit, mp_curve):
-        # a spike escaping above a_pt and below s_plus = 0.75 (1 + sqrt(gamma)) a_pt
-        # is replaced by the surrogate s_minus = 0.99 a_pt; from s_plus on it is not
+    def test_threshold_rules(self, unit_model_factory, mp_curve):
+        # one rule decides the statistic: a spike below the threshold a_pt,
+        # read from the support, is solved, and one above it escapes and gets
+        # the distance from the support, however close to a_pt it lies
         a_pt = mp_curve.support.upper_pt_threshold
-        s_plus = 0.75 * (1 + math.sqrt(GAMMA)) * a_pt
-        for spike, expected in ((s_plus * (1 - 1e-9), 0.99 * a_pt), (s_plus, None)):
-            G1 = sd.AtomicMeasure.point_mass(spike)
-            model = sd.SpikedModel(H=mp_unit, G0=mp_unit, G1=G1, gamma=GAMMA)
-            escaped = tuple(r for r in sd.classify_spikes(G1, mp_curve)
-                            if r.supercritical)
-            assert surrogate_spike(model, escaped, mp_curve.support) == expected
+        assert a_pt == pytest.approx(1 + math.sqrt(GAMMA), abs=1e-8)
+        for spike, solved in ((a_pt * (1 - 1e-6), True), (a_pt * (1 + 1e-6), False)):
+            phi, rep = sd.optimal_lss(unit_model_factory(spike), CFG, curve=mp_curve)
+            assert (phi.derivative is not None) == solved
+            assert math.isinf(rep.efficacy) != solved
+            assert (SEG_BUMP in phi.segments) != solved
 
     def test_unknown_solver_rejected(self):
-        # the bump route never reaches a kernel solve, so the name is checked here
+        # an escaped spike's build never reaches a kernel solve, so the name is checked here
         with pytest.raises(ValueError, match="unknown solver 'typo'"):
             sd.AlgoConfig(solver="typo")
         for solver in ("diagreg", "collocation"):
@@ -71,14 +68,17 @@ class TestConfig:
 
 class TestSpikedModel:
     def test_default_sample_size(self, mp_unit):
+        # no sample size is made up: no statistic reads one
         m = sd.SpikedModel(H=mp_unit, G0=mp_unit, G1=sd.AtomicMeasure.point_mass(2.0),
                            gamma=0.5, h=1)
-        assert m.resolved_n() == round((1 + 1) / 0.5)
+        assert m.n is None
 
     def test_explicit_sample_size_kept(self, mp_unit):
         m = sd.SpikedModel(H=mp_unit, G0=mp_unit, G1=sd.AtomicMeasure.point_mass(2.0),
                            gamma=0.5, h=1, n=700)
-        assert m.resolved_n() == 700
+        assert m.n == 700
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            dataclasses.replace(m, n=0)
 
     def test_invalid_parameters(self, mp_unit):
         G = sd.AtomicMeasure.point_mass(2.0)
@@ -251,20 +251,33 @@ class TestSubcriticalBranch:
         assert rep.regime == "subcritical-solvable"
         assert abs(rep.efficacy - tau) <= 1e-3 * tau
 
+def distance_outside(support, x, psi):
+    """The distance from the support at x, in the part of its complement
+    that holds psi (capped at 2 psi above the top edge), else zero."""
+    lo, hi = support.intervals[0][0], support.intervals[-1][1]
+    if psi > hi:
+        return np.clip(x - hi, 0.0, 2.0 * psi - hi)
+    if psi < lo:
+        return np.clip(lo - x, 0.0, lo)
+    c = max(u for _, u in support.intervals if u < psi)
+    d = min(l for l, _ in support.intervals if l > psi)
+    return np.maximum(np.minimum(x - c, d - x), 0.0)
+
+
 class TestAbovePtBranch:
-    def test_regime_and_bump_shape(self, unit_model_factory):
+    def test_regime_and_bump_shape(self, unit_model_factory, mp_curve):
+        # spike 3.0 escapes to psi = 3.75 above the top edge b = (1 + sqrt(gamma))^2:
+        # phi is x - b from b to 2 psi, and constant beyond
         model = unit_model_factory(3.0, n=500)
         phi, rep = sd.optimal_lss(model, CFG)
         assert rep.regime == "supercritical-full-power"
         assert rep.power == 1.0
         assert math.isinf(rep.efficacy)
-        w = 3.0 * math.sqrt(2 * 9.0 * 0.875) / math.sqrt(500)
-        assert phi(3.75) == pytest.approx(1.0, abs=1e-9)
-        assert phi(3.75 - w / 2) == pytest.approx(0.75, abs=1e-6)
-        assert phi(3.75 - 2 * w) == 0.0
-        # extremal spike: constant one away from the bulk
-        assert phi(3.75 + w / 2) == 1.0
-        assert phi(10.0) == 1.0
+        b = mp_curve.support.intervals[-1][1]
+        assert b == pytest.approx((1 + math.sqrt(GAMMA)) ** 2, abs=1e-9)
+        assert phi(b) == 0.0 and phi(1.5) == 0.0
+        assert phi(3.75) == pytest.approx(3.75 - b, abs=1e-12)
+        assert phi(7.5) == phi(10.0) == phi.values[-1] == pytest.approx(7.5 - b, abs=1e-12)
 
     def test_vanishes_on_bulk_outside_bump(self, unit_model_factory, mp_curve):
         phi, _ = sd.optimal_lss(unit_model_factory(3.0, n=500), CFG)
@@ -277,9 +290,9 @@ class TestAbovePtBranch:
         assert sub.regime == "subcritical-solvable"
         assert sup.regime == "supercritical-full-power"
 
-    @pytest.mark.parametrize("t, n, solved", [(1.6, None, True), (1.75, 500, True),
+    @pytest.mark.parametrize("t, n, solved", [(1.6, None, True), (1.75, 500, False),
                                               (3.0, 500, False)],
-                             ids=["subcritical", "surrogate", "bump"])
+                             ids=["subcritical", "just-above", "bump"])
     def test_regime_follows_efficacy(self, unit_model_factory, mp_curve, t, n, solved):
         # full power is an infinite efficacy; the regime is read from it
         phi, rep = sd.optimal_lss(unit_model_factory(t, n=n), CFG, curve=mp_curve)
@@ -290,90 +303,120 @@ class TestAbovePtBranch:
         assert rep.to_dict()["regime"] == expected
         assert (rep.power == 1.0) == math.isinf(rep.efficacy)
 
-    def test_near_pt_substitution(self, unit_model_factory):
-        # just above the threshold 1.7071, below s_plus: surrogate spike is
-        # solved on the smooth branch but the regime stays supercritical
-        phi, rep = sd.optimal_lss(unit_model_factory(1.75, n=500), CFG)
-        assert rep.regime == "supercritical-full-power"
-        assert rep.power == 1.0
-        assert phi.derivative is not None  # solve route, not bumps
-
     def test_no_substitution_for_large_spike(self, unit_model_factory):
         phi, rep = sd.optimal_lss(unit_model_factory(3.0, n=500), CFG)
         assert phi.derivative is None  # bump route
 
-    def test_downward_spike_gets_bump_not_surrogate(self, unit_model_factory, mp_unit):
-        # a spike escaping below the bulk is supercritical but must not
-        # trigger the upper-threshold surrogate rule
+    def test_downward_spike_gets_bump_not_surrogate(self, unit_model_factory, mp_unit,
+                                                    mp_curve):
+        # a spike escaping below the bulk gets a - x on [0, a], a the lower
+        # edge, the same rule as above it; nothing is solved
         phi, rep = sd.optimal_lss(unit_model_factory(0.15, n=500), CFG)
         assert rep.regime == "supercritical-full-power"
         assert phi.derivative is None
+        a = mp_curve.support.intervals[0][0]
         psi = sd.spike_forward_map(mp_unit, GAMMA, 0.15)
-        assert phi(psi) == pytest.approx(1.0)
-        assert phi(psi / 10) == 1.0  # constant-one extension away from the bulk
+        assert 0.0 < psi < a
+        assert phi(psi) == pytest.approx(a - psi, abs=1e-12)
+        assert phi(0.0) == phi(-1.0) == phi.values[0] == a
+        assert phi(a) == phi(1.5) == phi(10.0) == 0.0
 
-    def test_two_escaped_spikes_bump_both_directions(self, mp_unit):
+    def test_two_escaped_spikes_bump_both_directions(self, mp_unit, mp_curve):
         G = sd.AtomicMeasure(np.array([0.15, 3.0]), np.array([0.5, 0.5]))
         model = sd.SpikedModel(H=mp_unit, G0=mp_unit, G1=G, gamma=GAMMA, h=2, n=500)
         phi, rep = sd.optimal_lss(model, CFG)
         assert rep.regime == "supercritical-full-power"
+        (a, b), = mp_curve.support.intervals
         psi_lo = sd.spike_forward_map(mp_unit, GAMMA, 0.15)
         psi_hi = sd.spike_forward_map(mp_unit, GAMMA, 3.0)
-        assert phi(psi_lo) == pytest.approx(1.0)
-        assert phi(psi_hi) == pytest.approx(1.0)
+        assert phi(psi_lo) == pytest.approx(a - psi_lo, abs=1e-12)
+        assert phi(psi_hi) == pytest.approx(psi_hi - b, abs=1e-12)
         assert phi(1.5) == 0.0
-        assert phi(psi_lo / 100) == 1.0  # extremal extensions on both sides
-        assert phi(10.0) == 1.0
+        assert phi(psi_lo / 100) == pytest.approx(a - psi_lo / 100, abs=1e-12)
+        assert phi(10.0) == pytest.approx(2 * psi_hi - b, abs=1e-12)
 
     def test_mid_gap_spike_gets_symmetric_bump(self, two_atom, two_atom_curve_01):
-        # spike escaping into the gap between the two bulk components: a
-        # full symmetric bump, no constant extension anywhere
+        # spike escaping into the gap (c, d) between the two bulk components:
+        # the tent min(x - c, d - x), zero on both components and beyond them
         model = sd.SpikedModel(H=two_atom, G0=two_atom,
                                G1=sd.AtomicMeasure.point_mass(1.65), gamma=0.1, n=500)
         phi, rep = sd.optimal_lss(model, CFG, curve=two_atom_curve_01)
         assert rep.regime == "supercritical-full-power"
         psi = sd.spike_forward_map(two_atom, 0.1, 1.65)
-        lo_gap = two_atom_curve_01.support.intervals[0][1]
-        hi_gap = two_atom_curve_01.support.intervals[1][0]
-        assert lo_gap < psi < hi_gap
-        w = 3.0 * math.sqrt(2 * 1.65**2 * sd.spike_forward_map_prime(two_atom, 0.1, 1.65)) \
-            / math.sqrt(500)
-        assert phi(psi) == pytest.approx(1.0)
-        assert phi(psi + w / 2) == pytest.approx(phi(psi - w / 2), abs=1e-9)
-        assert phi(psi + w / 2) == pytest.approx(0.75, abs=1e-6)
-        assert phi(3.5) == 0.0   # second bulk component untouched
-        assert phi(10.0) == 0.0  # no extremal spike, no constant-one tail
+        c = two_atom_curve_01.support.intervals[0][1]
+        d = two_atom_curve_01.support.intervals[1][0]
+        assert c < psi < d
+        mid, w = 0.5 * (c + d), 0.25 * (d - c)
+        assert phi(mid) == pytest.approx(0.5 * (d - c), abs=1e-12)
+        assert phi(mid + w) == pytest.approx(phi(mid - w), abs=1e-12)
+        assert phi(mid + w) == pytest.approx(w, abs=1e-12)
+        assert phi(psi) == pytest.approx(min(psi - c, d - psi), abs=1e-12)
+        assert phi(c) == phi(d) == phi(0.5) == phi(3.5) == phi(10.0) == 0.0
 
     @pytest.mark.parametrize("ulps", [-1, 0, 1])
     def test_bump_end_nodes_are_exactly_zero(self, two_atom, two_atom_curve_01, ulps):
-        # spike 1.5 in the gap of the {1, 3} bulk at gamma = 0.1, n = 30: the
-        # bump spans psi -/+ w = 0.6, 2.4, both inside the support, where
-        # (x - psi)/w rounds to 1 +- 1 ulp.  phi and the label at both end
-        # nodes must follow neither that rounding nor a 1-ulp change of the sd
+        # spike 1.5 in the gap (c, d) of the {1, 3} bulk at gamma = 0.1: the
+        # tent's end nodes are the gap's edges, where phi is exactly zero,
+        # and its nodes come from the support alone, so a 1-ulp change of psi
+        # or of the sd changes no bit of phi
         model = sd.SpikedModel(H=two_atom, G0=sd.AtomicMeasure.point_mass(1.0),
                                G1=sd.AtomicMeasure.point_mass(1.5), gamma=0.1)
         cfg = sd.AlgoConfig(points_per_interval=600)
-        support = two_atom_curve_01.support
         (rec,) = [r for r in sd.classify_spikes(model.G1, two_atom_curve_01)
                   if r.supercritical]
-        if ulps == 0:
-            phi, _ = sd.optimal_lss(model, cfg, curve=two_atom_curve_01)
-        else:
-            rec = dataclasses.replace(rec, asy_sd=float(np.nextafter(rec.asy_sd, ulps * np.inf)))
-            phi = sd.lss_above_pt(model, (rec,), two_atom_curve_01)
-        w = 3.0 * rec.asy_sd / math.sqrt(model.resolved_n())
-        for end, inward in ((rec.psi - w, 1), (rec.psi + w, -1)):
+        built, _ = sd.optimal_lss(model, cfg, curve=two_atom_curve_01)
+        def nudge(x):
+            return float(np.nextafter(x, ulps * np.inf)) if ulps else x
+
+        nudged = dataclasses.replace(rec, psi=nudge(rec.psi), asy_sd=nudge(rec.asy_sd))
+        phi = sd.lss_above_pt((nudged,), two_atom_curve_01)
+        assert np.array_equal(phi.grid, built.grid)
+        assert np.array_equal(phi.values, built.values)
+        assert phi.segments == built.segments
+        (_, c), (d, _) = two_atom_curve_01.support.intervals
+        for end, inward in ((c, 1), (d, -1)):
             i = int(np.searchsorted(phi.grid, end))
             assert phi.grid[i] == end
-            assert phi.values[i] == 0.0
-            assert support.contains(end) and phi.segments[i] == "in-support"
-            assert phi.values[i + inward] > 0.0 and phi.segments[i + inward] == "epanechnikov-bump"
+            assert phi.values[i] == 0.0 and phi.segments[i] == SEG_BUMP
+            assert phi.values[i + inward] > 0.0 and phi.segments[i + inward] == SEG_BUMP
+            assert phi.values[i - inward] == 0.0 and phi.segments[i - inward] == SEG_SUPPORT
 
-    def test_substitution_thresholds_from_support(self, mp_unit, mp_curve):
-        a_pt = mp_curve.support.upper_pt_threshold
-        assert a_pt == pytest.approx(1 + math.sqrt(GAMMA), abs=1e-8)
-        assert optimal._S_PLUS_COEFF * (1 + math.sqrt(GAMMA)) * a_pt > 1.75
-        assert optimal._S_MINUS_COEFF * a_pt < a_pt
+    @pytest.mark.parametrize("case", ["above", "below", "gap", "both"])
+    def test_distance_outside_the_support(self, case, mp_unit, two_atom, mp_curve,
+                                          two_atom_curve_01):
+        # the curve's grid plus 2 nodes above or below the bulk, 3 in a gap;
+        # zero on the support, the distance from it beyond, and no sample size
+        H, gamma, curve, spikes = {
+            "above": (mp_unit, GAMMA, mp_curve, [3.0]),
+            "below": (mp_unit, GAMMA, mp_curve, [0.15]),
+            "gap": (two_atom, 0.1, two_atom_curve_01, [1.5]),
+            "both": (mp_unit, GAMMA, mp_curve, [0.15, 3.0]),
+        }[case]
+        G1 = sd.AtomicMeasure.uniform(np.array(spikes))
+        edges = [e for interval in curve.support.intervals for e in interval]
+        psis = [sd.spike_forward_map(H, gamma, s) for s in spikes]
+        nodes = {"above": lambda: [edges[-1], 2 * psis[0]],
+                 "below": lambda: [0.0, edges[0]],
+                 "gap": lambda: [edges[1], 0.5 * (edges[1] + edges[2]), edges[2]],
+                 "both": lambda: [0.0, edges[0], edges[-1], 2 * psis[1]]}[case]()
+        built = []
+        for n in (None, 10, 10**4):
+            model = sd.SpikedModel(H=H, G0=sd.AtomicMeasure.point_mass(1.0), G1=G1,
+                                   gamma=gamma, h=len(spikes), n=n)
+            phi, rep = sd.optimal_lss(model, CFG, curve=curve)
+            assert rep.regime == "supercritical-full-power"
+            built.append(phi)
+        phi = built[0]
+        for other in built[1:]:
+            assert np.array_equal(other.grid, phi.grid)
+            assert np.array_equal(other.values, phi.values)
+            assert other.segments == phi.segments
+        assert np.array_equal(phi.grid, np.union1d(curve.grid, nodes))
+        assert [x for x, s in zip(phi.grid, phi.segments) if s == SEG_BUMP] == nodes
+        assert np.all(phi(curve.grid) == 0.0)
+        xs = np.concatenate([phi.grid, np.linspace(-1.0, 12.0, 2601)])
+        expected = np.max([distance_outside(curve.support, xs, psi) for psi in psis], axis=0)
+        assert np.max(np.abs(phi(xs) - expected)) <= 1e-12
 
 
 @pytest.mark.slow
@@ -462,9 +505,11 @@ class TestScaleInvariantVariant:
         phi_unit, rep_unit = build(0.5)
         assert rep.regime == rep_unit.regime
         assert rep.efficacy == pytest.approx(rep_unit.efficacy, rel=1e-12)
+        # an escaped spike's statistic is a distance, so it scales with the bulk
+        c = 2.0 if math.isinf(rep.efficacy) else 1.0
         xs = np.concatenate([phi.grid, np.linspace(-1.0, 20.0, 2001)])
         scale = np.max(np.abs(phi.values))
-        assert np.max(np.abs(phi(xs) - phi_unit(xs / 2))) <= 1e-12 * scale
+        assert np.max(np.abs(phi(xs) - c * phi_unit(xs / 2))) <= 1e-12 * scale
 
     def test_passed_curve_is_used(self, two_atom, two_atom_curve_01):
         # a mean-2 bulk is built on the caller's curve, holes and all
@@ -498,37 +543,16 @@ class TestScaleInvariantVariant:
             sd.optimal_ls3(unit_model_factory(1.6), sd.AlgoConfig(solver="collocation"),
                            curve=mp_curve)
 
-    def test_surrogate_rule_as_in_optimal_lss(self, unit_model_factory, mp_curve):
-        # 1.8 lies between the threshold 1.707 and s_plus 2.19: the
-        # surrogate is solved under the constraint instead of a bump
+    def test_escaped_statistic_as_in_optimal_lss(self, unit_model_factory, mp_curve):
+        # 1.8 lies just above the threshold 1.707: both entries build the
+        # same distance statistic, which needs no constraint
         model = unit_model_factory(1.8)
         phi, rep = sd.optimal_ls3(model, CFG, curve=mp_curve)
-        _, rep_u = sd.optimal_lss(model, CFG, curve=mp_curve)
-        assert rep.regime == rep_u.regime == "supercritical-full-power"
-        assert "epanechnikov-bump" not in phi.segments
-        K = sd.assemble_diagreg(mp_curve)
-        d_vec = mp_curve.grid * mp_curve.density
-        inner = float(np.sum(K.weights * phi.derivative * d_vec))
-        scale = float(np.linalg.norm(phi.derivative) * np.linalg.norm(d_vec))
-        assert abs(inner) <= 1e-8 * max(scale, 1.0)
-
-
-class TestSurrogateRule:
-    """The one rule that optimal_lss and power_experiment share."""
-
-    @pytest.mark.parametrize("spike, expected", [(1.8, 0.99 * (1 + math.sqrt(0.5))),
-                                                 (3.0, None), (0.2, None)])
-    def test_fires_only_just_above_the_upper_threshold(self, mp_unit, mp_curve, spike, expected):
-        model = sd.SpikedModel(H=mp_unit, G0=mp_unit, G1=sd.AtomicMeasure.point_mass(spike),
-                               gamma=0.5)
-        escaped = tuple(r for r in sd.classify_spikes(model.G1, mp_curve)
-                        if r.supercritical)
-        assert escaped
-        got = surrogate_spike(model, escaped, mp_curve.support)
-        if expected is None:
-            assert got is None
-        else:
-            assert got == pytest.approx(expected, rel=1e-8)
+        phi_u, rep_u = sd.optimal_lss(model, CFG, curve=mp_curve)
+        assert rep == rep_u and rep.regime == "supercritical-full-power"
+        assert phi.derivative is None and SEG_BUMP in phi.segments
+        assert np.array_equal(phi.grid, phi_u.grid)
+        assert np.array_equal(phi.values, phi_u.values)
 
 
 MEMO_POINTS = 200
@@ -559,7 +583,7 @@ class TestCurveMemo:
 
     @pytest.mark.parametrize("build, t", [(sd.optimal_lss, 1.6), (sd.optimal_ls3, 1.6),
                                           (sd.optimal_lss, 2.0)],
-                             ids=["optimal_lss", "optimal_ls3", "surrogate"])
+                             ids=["optimal_lss", "optimal_ls3", "escaped"])
     def test_second_build_reuses_the_curve_bit_for_bit(self, grid_calls, build, t):
         cfg = sd.AlgoConfig(points_per_interval=MEMO_POINTS)
         model = unit_build_model(t)
@@ -574,8 +598,8 @@ class TestCurveMemo:
         assert np.array_equal(phi.derivative, phi_given.derivative)
         assert phi.segments == phi_given.segments
         assert rep == rep_given
-        if t == 2.0:  # the surrogate rule fired: solved, no bump
-            assert rep.regime == "supercritical-full-power" and phi.derivative is not None
+        if t == 2.0:  # the spike escapes: the distance statistic, nothing solved
+            assert rep.regime == "supercritical-full-power" and phi.derivative is None
 
     def test_key_is_the_bulk_gamma_and_grid_not_epsilon(self, grid_calls):
         cfg = sd.AlgoConfig(points_per_interval=MEMO_POINTS)

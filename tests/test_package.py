@@ -52,6 +52,15 @@ def test_every_submodule_export_is_a_package_export():
     ("optimal", "SEG_BETWEEN"),
     # a normalized copy is written out as grid, values and segments alone
     ("optimal.LssFunction", "normalization"),
+    # an escaped spike's statistic is the distance from the null support,
+    # with no width, no surrogate and no sample size
+    ("optimal", "surrogate_spike"),
+    ("optimal", "epanechnikov"),
+    ("optimal", "_N_SD"),
+    ("optimal", "_S_PLUS_COEFF"),
+    ("optimal", "_S_MINUS_COEFF"),
+    ("optimal", "SEG_OUTSIDE"),
+    ("optimal.SpikedModel", "resolved_n"),
 ])
 def test_removed_names_stay_removed(owner, name):
     # README lists what replaces each of these

@@ -11,6 +11,7 @@ import pytest
 import specdetect as sd
 from oracles import direct_sample_eigenvalues
 from specdetect import simulate
+from specdetect.optimal import SEG_BUMP
 
 
 class TestAr1Eigenvalues:
@@ -413,10 +414,8 @@ class TestPowerExperiment:
 
     def test_downward_spike_gets_the_bump_optimal_lss_builds(self):
         # spike 0.2 escapes below the unit bulk (psi = 0.075 < 0.0858): the
-        # surrogate rule is for spikes past the upper edge only, so the
-        # sweep must build the same bump as optimal_lss.  The upward
-        # surrogate has no power here (0.0); the bump, whose half-width
-        # reaches into the bulk edge, detects the spike most of the time
+        # sweep builds the same statistic as optimal_lss, the distance
+        # below the lower edge, which detects the spike most of the time
         cfg = sd.SimConfig(
             population={"kind": "atoms", "eigenvalues": [1.0], "multiplicities": [249]},
             n=500, n_reps=100, alpha=0.05, seed=31, spike_grid=(0.2,),
@@ -426,38 +425,54 @@ class TestPowerExperiment:
                                G1=sd.AtomicMeasure.point_mass(0.2), gamma=cfg.gamma, n=cfg.n)
         phi, report = sd.optimal_lss(model)
         assert report.regime == "supercritical-full-power"
-        assert "epanechnikov-bump" in phi.segments
+        assert SEG_BUMP in phi.segments and phi(0.075) > 0.0
         curve = sd.power_experiment(cfg)
         assert curve.supercritical[0]
         assert curve.power_lss[0] >= 0.5
 
     def test_downward_escape_power_at_300_replicates(self):
-        # the bump below the unit bulk (psi = 0.075, half-width about 0.018,
-        # lower edge 0.0858) takes in null eigenvalues at the edge, so the
-        # promised full power is not reached: 0.890, 0.907, 0.930 and 0.883
-        # at seeds 7, 11, 31 and 59, while the top eigenvalue reads 0.02-0.05
+        # the distance below the unit bulk's lower edge 0.0858 (psi = 0.075)
+        # does not reach the promised full power at n = 500, where the
+        # smallest eigenvalue fluctuates by about 0.005: 0.917, 0.913, 0.937
+        # and 0.903 at seeds 7, 11, 31 and 59, while the top eigenvalue
+        # reads 0.02-0.05
         cfg = sd.SimConfig(
             population={"kind": "atoms", "eigenvalues": [1.0], "multiplicities": [249]},
             n=500, n_reps=300, alpha=0.05, seed=31, spike_grid=(0.2,),
         )
         curve = sd.power_experiment(cfg)
         assert curve.supercritical[0]
-        assert curve.power_lss[0] >= 0.85
+        assert curve.power_lss[0] >= 0.90
         assert curve.power_top[0] <= 0.15
 
-    def test_held_out_level_counts_the_solved_surrogate(self):
-        # spike 2.0 escapes the unit bulk but is replaced by the solved
-        # surrogate, 3.0 gets a bump: both are supercritical, and the level
-        # is the surrogate statistic's alone, not halved by the bump's zero
+    def test_held_out_level_is_the_mean_over_every_spike(self):
+        # 1.5 is solved and 3.0 escapes the unit bulk; the distance above the
+        # top edge is no constant under the null, so its level counts as
+        # much as the solved statistic's (0.02 and 0.05 at this seed)
         cfg = sd.SimConfig(
             population={"kind": "atoms", "eigenvalues": [1.0], "multiplicities": [199]},
-            n=400, n_reps=100, alpha=0.05, seed=3, spike_grid=(2.0, 3.0),
+            n=400, n_reps=100, alpha=0.05, seed=3, spike_grid=(1.5, 3.0),
             points_per_interval=300,
         )
         curve = sd.power_experiment(cfg)
-        assert curve.supercritical.tolist() == [True, True]
-        assert curve.level_lss_per_spike[0] > 0.0
-        assert curve.realized_level_lss == curve.level_lss_per_spike[0]
+        assert curve.supercritical.tolist() == [False, True]
+        assert curve.level_lss_per_spike[1] > 0.0
+        assert curve.level_lss_per_spike[0] != curve.level_lss_per_spike[1]
+        assert curve.realized_level_lss == np.mean(curve.level_lss_per_spike)
+
+    def test_escaped_spikes_match_the_extreme_eigenvalue(self):
+        # above the unit bulk (p = 250, n = 500) the distance from the null
+        # support is as powerful as the top eigenvalue, to MC error (0.703 and
+        # 0.940 for the top eigenvalue at 2.0 and 2.2); below it, at 0.2, the
+        # top eigenvalue has no power, and the downward test pins the power
+        cfg = sd.SimConfig(
+            population={"kind": "atoms", "eigenvalues": [1.0], "multiplicities": [249]},
+            n=500, n_reps=300, alpha=0.05, seed=31, spike_grid=(0.2, 2.0, 2.2),
+        )
+        curve = sd.power_experiment(cfg)
+        assert curve.supercritical.all()
+        slack = 2 * np.hypot(curve.se_lss, curve.se_top)
+        assert np.all(curve.power_lss >= curve.power_top - slack), curve.power_lss
 
     def test_split_support_sweep(self):
         # the two-interval bulk's kernel matrix is indefinite (smallest

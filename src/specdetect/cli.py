@@ -33,8 +33,7 @@ from .io import read_json, reject_unknown, write_csv, write_json
 from .measures import AtomicMeasure
 from .mp import stieltjes_grid
 from .optimal import AlgoConfig, SpikedModel, check_at_least, optimal_lss, optimal_ls3
-from .simulate import (SimConfig, _draw, _draw_workers, _population_eigenvalues,
-                       power_experiment)
+from .simulate import SimConfig, _draw, _draw_workers, power_experiment
 from .weak_derivative import weak_derivative_cdf
 
 log = logging.getLogger("specdetect")
@@ -104,17 +103,17 @@ def _read(kind, name: str, value):
         raise ConfigError(f"config field '{name}' must be true or false, not {value!r}")
     if kind is str and not isinstance(value, str):
         raise ConfigError(f"config field '{name}' must be a string, not {type(value).__name__}")
-    if kind in (AtomicMeasure, dict[str, float]) and not isinstance(value, dict):
+    if kind in (AtomicMeasure, dict, dict[str, float]) and not isinstance(value, dict):
         raise ConfigError(f"config field '{name}' must be an object, not {type(value).__name__}")
     if kind is AtomicMeasure:
-        with _refused(f"invalid measure '{name}': "):
+        with _refused(f"invalid bulk '{name}': "):
             return AtomicMeasure.from_dict(value)
     if kind == dict[str, float]:
         return {key: _number(key, v, float) for key, v in value.items()}
     if kind is AlgoConfig:
         with _refused("invalid algorithm config: "):
             return AlgoConfig(**_record(AlgoConfig, value, "config has no field"))
-    return value  # a bool, a str, or a population, which its reader checks
+    return value  # a bool, a str, or a dict
 
 
 def _record(target, payload, unknown: str) -> dict:
@@ -220,16 +219,16 @@ def cmd_classical(out: OutputTracker, /, *, test_id: str, H: AtomicMeasure, gamm
 
 def cmd_simulate(out: OutputTracker, /, *, population: dict, n: int, seed: int,
                  n_reps: int = 1) -> None:
-    """Draw "n_reps" replicates (default 1, at least 1) of the population's
-    sample eigenvalues.  A `power` config's "n_reps" has the higher least
-    value LEAST["n_reps"], which its calibration half needs; a plain draw
-    has no calibration."""
+    """Draw "n_reps" replicates (default 1, at least 1) of the sample
+    eigenvalues of the population, a bulk that names its "p".  A `power`
+    config's "n_reps" has the higher least value LEAST["n_reps"], which its
+    calibration half needs; a plain draw has no calibration."""
     with _refused():
-        pop = _population_eigenvalues(population)
+        pop = AtomicMeasure.eigenvalues_from_dict(population)
         check_at_least(n=n, seed=seed)
     if n_reps < 1:
         raise ConfigError(f"n_reps must be at least 1, not {n_reps!r}")
-    draws = _draw(np.sort(pop), n, np.random.SeedSequence(seed).spawn(n_reps), _draw_workers())
+    draws = _draw(pop, n, np.random.SeedSequence(seed).spawn(n_reps), _draw_workers())
     rows = [(rep, i, val) for rep, eigs in enumerate(draws) for i, val in enumerate(eigs)]
     write_csv(out.path("sample_eigenvalues.csv"), ["replicate", "index", "eigenvalue"], rows)
 

@@ -5,13 +5,39 @@ distributions under null and alternative, and any mixture of them.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["AtomicMeasure"]
+from .io import reject_unknown
+
+__all__ = ["AtomicMeasure", "ar1_eigenvalues"]
 
 _WEIGHT_TOL = 1e-12
+
+# what each key of a bulk description holds: its name in messages, whether
+# it is a list, and the type of the value or of each item
+_BULK_VALUES = {
+    "rho": ("a number", False, numbers.Real),
+    "p": ("an integer", False, numbers.Integral),
+    "atoms": ("a list of numbers", True, numbers.Real),
+    "weights": ("a list of numbers", True, numbers.Real),
+}
+
+
+def ar1_eigenvalues(rho: float, p: int) -> np.ndarray:
+    """Descending eigenvalues of the p x p first-order autoregressive matrix
+    with entries rho^|i-j|; rho = 0 degenerates to the identity."""
+    if p < 2:
+        raise ValueError(f"p must be at least 2, not {p!r}")
+    if rho == 0.0:
+        return np.ones(p)
+    if not 0.0 < rho < 1.0:
+        raise ValueError(f"rho must lie in [0, 1), not {rho!r}")
+    i = np.arange(p)
+    sigma = rho ** np.abs(i[:, None] - i)
+    return np.sort(np.linalg.eigvalsh(sigma))[::-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +138,51 @@ class AtomicMeasure:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "AtomicMeasure":
-        for key in ("atoms", "weights"):
+        """The bulk a config field describes, in one of two forms:
+
+        - a measure, {"atoms": [..], "weights": [..]} with an optional "p",
+          the dimension of a matrix with this spectrum, for which each
+          weight times p must be a positive integer;
+        - the AR(1) shorthand {"kind": "ar1", "rho": rho, "p": p}, the
+          spectrum of the p x p matrix rho^|i-j| (``ar1_eigenvalues``).
+
+        A missing key raises ``KeyError``; an unknown kind or key, a value of
+        the wrong type or out of range, and a payload that is no object raise
+        ``ValueError``.  Each message names the key.
+        """
+        if not isinstance(payload, dict):
+            raise ValueError(f"bulk must be an object, not {type(payload).__name__}")
+        if "kind" in payload and payload["kind"] != "ar1":
+            raise ValueError(f"unknown bulk kind {payload['kind']!r}")
+        name, required = (("bulk 'ar1'", ("kind", "rho", "p")) if "kind" in payload
+                          else ("measure", ("atoms", "weights")))
+        for key in required:
             if key not in payload:
-                raise KeyError(f"measure is missing required field '{key}'")
-        return cls(np.asarray(payload["atoms"], float), np.asarray(payload["weights"], float))
+                raise KeyError(f"{name} is missing required key '{key}'")
+        reject_unknown(payload, (*required, "p"), f"{name} has no key")
+        for key, (what, listed, kind) in _BULK_VALUES.items():
+            value = payload.get(key, [] if listed else 0)
+            items = value if listed and isinstance(value, list) else [value]
+            if listed != isinstance(value, list) or not all(
+                    isinstance(v, kind) and not isinstance(v, bool) for v in items):
+                raise ValueError(f"{name} key '{key}' must be {what}, not {value!r}")
+        if "kind" in payload:
+            return cls.uniform(ar1_eigenvalues(payload["rho"], payload["p"]))
+        measure = cls(np.asarray(payload["atoms"], float), np.asarray(payload["weights"], float))
+        if "p" in payload:
+            scaled = measure.weights * payload["p"]
+            counts = np.rint(scaled)
+            if np.any(counts < 1) or np.any(np.abs(scaled - counts) > _WEIGHT_TOL * payload["p"]):
+                raise ValueError(f"measure weights times p = {payload['p']} must be positive "
+                                 f"integers, not {scaled.tolist()}")
+        return measure
+
+    @classmethod
+    def eigenvalues_from_dict(cls, payload: dict) -> np.ndarray:
+        """The p ascending eigenvalues of the bulk ``payload`` describes (see
+        ``from_dict``), which must name its dimension "p": atom t_i repeated
+        w_i p times."""
+        bulk = cls.from_dict(payload)
+        if "p" not in payload:
+            raise KeyError("measure is missing required key 'p'")
+        return np.repeat(bulk.atoms, np.rint(bulk.weights * payload["p"]).astype(int))

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import reject_unknown
 from .kernel import REGIME_SUPERCRITICAL
 from .measures import AtomicMeasure
 from .mp import stieltjes_grid
@@ -30,25 +29,10 @@ from .optimal import (AlgoConfig, LssFunction, SpikedModel, check_at_least, chec
 __all__ = [
     "SimConfig",
     "PowerCurve",
-    "ar1_eigenvalues",
     "sample_eigenvalues",
     "apply_lss",
     "power_experiment",
 ]
-
-
-def ar1_eigenvalues(rho: float, p: int) -> np.ndarray:
-    """Descending eigenvalues of the p x p first-order autoregressive matrix
-    with entries rho^|i-j|; rho = 0 degenerates to the identity."""
-    if p < 2:
-        raise ValueError("dimension must be at least 2")
-    if rho == 0.0:
-        return np.ones(p)
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must lie in [0, 1)")
-    i = np.arange(p)
-    sigma = rho ** np.abs(i[:, None] - i)
-    return np.sort(np.linalg.eigvalsh(sigma))[::-1]
 
 
 # Nothing in the package calls these two.  perfbench/spans.py looks both
@@ -162,76 +146,15 @@ def apply_lss(phi: LssFunction, eigenvalues) -> float | np.ndarray:
     return np.sum(phi(np.asarray(eigenvalues, dtype=float)), axis=-1)
 
 
-# each population kind with its required keys and its optional ones
-_POPULATION_KEYS = {"ar1": (("rho", "p"), ()), "atoms": (("eigenvalues",), ("multiplicities",))}
-# what each population value must be: a name for messages, the type of the
-# value (or of each item of a list), whether it is a list, and the range of
-# the value (or of each item) with its name
-_POPULATION_VALUES = {
-    "rho": ("a number", numbers.Real, False, "in [0, 1)", lambda x: 0 <= x < 1),
-    "p": ("an integer", numbers.Integral, False, "at least 2", lambda x: x >= 2),
-    "eigenvalues": ("a list of numbers", numbers.Real, True, "finite and nonnegative",
-                    lambda x: 0 <= x < math.inf),
-    "multiplicities": ("a list of integers", numbers.Integral, True, "nonnegative",
-                       lambda x: x >= 0),
-}
-
-
-def _check_population(population: dict) -> None:
-    """Reject a population that is not a dict, is of unknown kind, misses a key
-    or has an extra one, holds a value of the wrong type or out of range, or
-    has multiplicities that do not fit its eigenvalues or an empty bulk."""
-    if not isinstance(population, dict):
-        raise ValueError(f"population must be an object, not {type(population).__name__}")
-    kind = population.get("kind")
-    if kind not in _POPULATION_KEYS:
-        raise ValueError(f"unknown population kind '{kind}'")
-    required, optional = _POPULATION_KEYS[kind]
-    for name in required:
-        if name not in population:
-            raise ValueError(f"population '{kind}' is missing required key '{name}'")
-    reject_unknown(population, ("kind", *required, *optional), f"population '{kind}' has no key")
-    for name in (*required, *optional):
-        what, cls, listed, within, fits = _POPULATION_VALUES[name]
-        value = population.get(name, [])
-        items = value if isinstance(value, list) else [value]
-        if listed != isinstance(value, list) or not all(isinstance(v, cls) for v in items):
-            shown = repr(value) if listed else type(value).__name__
-            raise ValueError(f"population '{kind}' key '{name}' must be {what}, not {shown}")
-        if not all(fits(v) for v in items):
-            raise ValueError(f"population '{kind}' key '{name}' must be {within}, not {value!r}")
-    if kind == "atoms":
-        eigs = population["eigenvalues"]
-        mult = population.get("multiplicities", [1] * len(eigs))
-        if not eigs:
-            raise ValueError(f"population 'atoms' key 'eigenvalues' must be nonempty, not {eigs!r}")
-        if len(mult) != len(eigs):
-            raise ValueError(f"population 'atoms' key 'multiplicities' must have one entry per "
-                             f"eigenvalue ({len(eigs)}), not {mult!r}")
-        if not any(mult):
-            raise ValueError(f"population 'atoms' key 'multiplicities' must not all be zero, "
-                             f"not {mult!r}")
-
-
-def _population_eigenvalues(population: dict) -> np.ndarray:
-    """Bulk eigenvalues of a ``population`` description (see :class:`SimConfig`)."""
-    _check_population(population)
-    if population["kind"] == "ar1":
-        return ar1_eigenvalues(population["rho"], population["p"])
-    eigs = np.asarray(population["eigenvalues"], dtype=float)
-    return np.repeat(eigs, np.asarray(population.get("multiplicities", 1)))
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """One Monte-Carlo power experiment.
 
-    ``population`` describes the noise bulk: {"kind": "ar1", "rho": ..,
-    "p": ..} or {"kind": "atoms", "eigenvalues": [..]} with optional
-    "multiplicities": [..], one per eigenvalue; any other key, and an empty
-    bulk, is rejected.  The full dimension is the bulk size plus h spike
-    slots holding ``null_spike`` under the null and the swept value under
-    the alternative.
+    ``population`` describes the noise bulk in either form that
+    ``AtomicMeasure.from_dict`` reads, naming its dimension "p": {"atoms":
+    [..], "weights": [..], "p": ..} or {"kind": "ar1", "rho": .., "p": ..}.
+    The full dimension is p plus h spike slots holding ``null_spike`` under
+    the null and the swept value under the alternative.
     """
 
     population: dict
@@ -257,21 +180,16 @@ class SimConfig:
         if self.null_spike <= 0.0:
             raise ValueError(f"null_spike must be positive, not {self.null_spike!r}")
         check_solver(self.solver)
-        _check_population(self.population)
+        self.bulk_eigenvalues()  # refuses a malformed bulk, or one with no "p"
 
     def bulk_eigenvalues(self) -> np.ndarray:
-        return _population_eigenvalues(self.population)
+        """The population's p ascending eigenvalues."""
+        return AtomicMeasure.eigenvalues_from_dict(self.population)
 
     @property
     def p(self) -> int:
-        """Full dimension: the bulk size plus the h spike slots, read from the
-        description without building the bulk."""
-        population = self.population
-        if population["kind"] == "ar1":
-            size = population["p"]
-        else:
-            size = sum(population.get("multiplicities", [1] * len(population["eigenvalues"])))
-        return int(size) + self.h
+        """Full dimension: the bulk's "p" plus the h spike slots."""
+        return self.population["p"] + self.h
 
     @property
     def gamma(self) -> float:
@@ -494,9 +412,12 @@ def power_experiment(config: SimConfig) -> PowerCurve:
     11, 59 and 101 of the criterion-8 sweep every power and level was
     equal, and the critical values moved by at most 3.4e-13 relative.
     """
-    bulk = np.sort(config.bulk_eigenvalues())
+    bulk = config.bulk_eigenvalues()
     h, n, reps = config.h, config.n, config.n_reps
     algo = AlgoConfig(points_per_interval=config.points_per_interval, solver=config.solver)
+    # H is built from the eigenvalues, not read from the population: the
+    # curve then stays bit for bit, as uniform(np.ones(39)) sums 39 weights
+    # of 1/39 to 1.0000000000000004 where {"weights": [1.0], "p": 39} holds 1.0
     H = AtomicMeasure.uniform(bulk)
     gamma = config.gamma
     curve = stieltjes_grid(H, gamma, points_per_interval=algo.points_per_interval)

@@ -184,3 +184,17 @@ def power_mean_shift(H, G0, G1, gamma: float, k: int) -> float:
     d1, d2, d3 = (moment(G1, j) - moment(G0, j) for j in (1, 2, 3))
     return (d1, d2 + 2 * gamma * h1 * d1,
             d3 + 3 * gamma * (h1 * d2 + h2 * d1) + 3 * gamma**2 * h1**2 * d1)[k - 1]
+
+
+def lan_efficacy(thetas, gamma: float, scale_known: bool) -> float:
+    """Efficacy tau of the likelihood ratio test for h spikes 1 + theta_i on
+    the unit bulk, each below the transition (theta_i^2 < gamma), in the
+    real case (Onatski, Moreira & Hallin: one spike 2013, several 2014):
+
+        tau^2 = -1/2 sum_ij log(1 - theta_i theta_j / gamma)
+
+    when the noise scale is known; when it is not, each term of the sum
+    gains + theta_i theta_j / gamma."""
+    prod = np.outer(thetas, thetas) / gamma
+    terms = np.log1p(-prod) + (0.0 if scale_known else prod)
+    return math.sqrt(-0.5 * float(np.sum(terms)))

@@ -55,6 +55,18 @@ class TestSpectrum:
         assert run_cli(["spectrum", "--config", cfg, "--out", str(out)]) == 0
         assert len(read_json(out / "support.json")["intervals"]) == 2
 
+    def test_ar1_shorthand_is_the_measure_on_its_eigenvalues(self, tmp_path):
+        measure = sd.AtomicMeasure.uniform(ar1_eigenvalues(0.5, 40)).to_dict()
+        outs = []
+        for name, H in (("ar1", {"kind": "ar1", "rho": 0.5, "p": 40}), ("measure", measure)):
+            outs.append(tmp_path / name)
+            cfg = write_config(tmp_path / f"{name}.json",
+                               {"H": H, "gamma": 0.5, "points_per_interval": 120})
+            assert run_cli(["spectrum", "--config", cfg, "--out", str(outs[-1])]) == 0
+        for output in ("stieltjes_curve.csv", "support.json"):
+            a, b = ((out / output).read_bytes() for out in outs)
+            assert a == b
+
     def test_missing_weights_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "bad.json", {"H": {"atoms": [1.0]}, "gamma": 0.5})
         out = tmp_path / "out"
@@ -380,10 +392,10 @@ def test_removed_flags_exit_2(tmp_path, command, flag, value):
     ("power", {"population": {"kind": "ar1", "rho": 0.5, "p": 19}, "n": 40, "n_reps": 100,
                "alpha": 0.05, "seed": 1, "spike_grid": [3.0], "points_per_interval": 100},
      "two_side"),
-    ("simulate", {"population": {"kind": "atoms", "eigenvalues": [1.0] * 5}, "n": 10,
+    ("simulate", {"population": {"atoms": [1.0], "weights": [1.0], "p": 5}, "n": 10,
                   "seed": 5}, "n_rep"),
     # simulate reads its bulk from "population" alone
-    ("simulate", {"population": {"kind": "atoms", "eigenvalues": [1.0] * 5}, "n": 10,
+    ("simulate", {"population": {"atoms": [1.0], "weights": [1.0], "p": 5}, "n": 10,
                   "seed": 5}, "eigenvalues"),
     # the sweep's tests are one-sided, so there is no two-sided switch
     ("power", {"population": {"kind": "ar1", "rho": 0.5, "p": 19}, "n": 40, "n_reps": 100,
@@ -411,39 +423,43 @@ def test_power_missing_field_message(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("population, message", [
-    ({"kind": "ar1", "p": 6}, "population 'ar1' is missing required key 'rho'"),
-    ({"kind": "ar1", "rho": 0.5, "p": 6, "typo": 3}, "population 'ar1' has no key 'typo'"),
-    ({"kind": "atoms", "multiplicities": [6]},
-     "population 'atoms' is missing required key 'eigenvalues'"),
-    ({"kind": "atoms", "eigenvalues": [1.0] * 6, "rho": 0.5, "p": 6},
-     "population 'atoms' has no key 'p', 'rho'"),
-    ({"kind": "ar1", "rho": "0.5", "p": 6}, "population 'ar1' key 'rho' must be a number, not str"),
-    ({"kind": "atoms", "eigenvalues": "abc"},
-     "population 'atoms' key 'eigenvalues' must be a list of numbers, not 'abc'"),
-    ({"kind": "atoms", "eigenvalues": [1.0, 2.0], "multiplicities": [3, 2.5]},
-     "population 'atoms' key 'multiplicities' must be a list of integers, not [3, 2.5]"),
+    ({"kind": "ar1", "p": 6}, "bulk 'ar1' is missing required key 'rho'"),
+    ({"kind": "ar1", "rho": 0.5, "p": 6, "typo": 3}, "bulk 'ar1' has no key 'typo'"),
+    ({"weights": [1.0], "p": 6}, "measure is missing required key 'atoms'"),
+    ({"atoms": [1.0], "weights": [1.0], "p": 6, "rho": 0.5, "typo": 3},
+     "measure has no key 'rho', 'typo'"),
+    ({"kind": "ar1", "rho": "0.5", "p": 6}, "bulk 'ar1' key 'rho' must be a number, not '0.5'"),
+    ({"atoms": "abc", "weights": [1.0], "p": 6},
+     "measure key 'atoms' must be a list of numbers, not 'abc'"),
+    # the multiplicities are the weights times p
+    ({"atoms": [1.0, 2.0], "weights": [0.5, 0.5], "p": 5},
+     "measure weights times p = 5 must be positive integers, not [2.5, 2.5]"),
     # a value of the right type but out of range is refused by both commands alike
-    ({"kind": "ar1", "rho": 1.5, "p": 6}, "population 'ar1' key 'rho' must be in [0, 1), not 1.5"),
-    ({"kind": "ar1", "rho": 0.5, "p": 1}, "population 'ar1' key 'p' must be at least 2, not 1"),
-    ({"kind": "atoms", "eigenvalues": [-1.0, 2.0]},
-     "population 'atoms' key 'eigenvalues' must be finite and nonnegative, not [-1.0, 2.0]"),
-    ({"kind": "atoms", "eigenvalues": [1.0, 2.0], "multiplicities": [3, -1]},
-     "population 'atoms' key 'multiplicities' must be nonnegative, not [3, -1]"),
-    # multiplicities that do not fit the eigenvalues, and an empty bulk
-    ({"kind": "atoms", "eigenvalues": [1.0, 2.0], "multiplicities": [3, 2, 1]},
-     "population 'atoms' key 'multiplicities' must have one entry per eigenvalue (2), "
-     "not [3, 2, 1]"),
-    ({"kind": "atoms", "eigenvalues": [1.0, 2.0], "multiplicities": [3]},
-     "population 'atoms' key 'multiplicities' must have one entry per eigenvalue (2), not [3]"),
-    ({"kind": "atoms", "eigenvalues": []},
-     "population 'atoms' key 'eigenvalues' must be nonempty, not []"),
-    ({"kind": "atoms", "eigenvalues": [1.0, 2.0], "multiplicities": [0, 0]},
-     "population 'atoms' key 'multiplicities' must not all be zero, not [0, 0]"),
+    ({"kind": "ar1", "rho": 1.5, "p": 6}, "rho must lie in [0, 1), not 1.5"),
+    ({"kind": "ar1", "rho": 0.5, "p": 1}, "p must be at least 2, not 1"),
+    ({"atoms": [-1.0, 2.0], "weights": [0.5, 0.5], "p": 6},
+     "atoms must be finite and nonnegative"),
+    ({"atoms": [1.0, 2.0], "weights": [1.5, -0.5], "p": 6}, "weights must be finite and positive"),
+    # weights that do not fit the atoms, and an empty bulk
+    ({"atoms": [1.0, 2.0], "weights": [0.5, 0.25, 0.25], "p": 4},
+     "atoms and weights must be 1-d arrays of equal length"),
+    ({"atoms": [1.0, 2.0], "weights": [1.0], "p": 6},
+     "atoms and weights must be 1-d arrays of equal length"),
+    ({"atoms": [], "weights": [], "p": 6}, "measure needs at least one atom"),
+    # a zero weight was a zero multiplicity of the old "atoms" form
+    ({"atoms": [1.0, 2.0], "weights": [0.0, 1.0], "p": 6}, "weights must be finite and positive"),
+    # the old form is refused, and a measure must name its dimension here
+    ({"kind": "atoms", "eigenvalues": [1.0, 2.0], "multiplicities": [3, 3]},
+     "unknown bulk kind 'atoms'"),
+    ({"atoms": [1.0], "weights": [1.0]}, "measure is missing required key 'p'"),
+    ({"atoms": [1.0], "weights": [1.0], "p": True},
+     "measure key 'p' must be an integer, not True"),
 ], ids=["ar1-missing", "ar1-extra", "atoms-missing", "atoms-extra", "ar1-rho-string",
         "atoms-eigenvalues-string", "atoms-multiplicities-fraction", "ar1-rho-out-of-range",
         "ar1-p-below-2", "atoms-eigenvalue-negative", "atoms-multiplicity-negative",
         "atoms-multiplicities-too-long", "atoms-multiplicities-one-entry",
-        "atoms-eigenvalues-empty", "atoms-multiplicities-all-zero"])
+        "atoms-eigenvalues-empty", "atoms-multiplicities-all-zero", "old-atoms-form",
+        "measure-without-p", "measure-p-true"])
 @pytest.mark.parametrize("command, payload", [
     ("simulate", {"n": 12, "seed": 3}),
     ("power", {"n": 12, "n_reps": 100, "alpha": 0.05, "seed": 3, "spike_grid": [3.0]}),
@@ -462,16 +478,18 @@ UNIT = {"atoms": [1.0], "weights": [1.0]}
 SPECTRUM = {"H": UNIT, "gamma": 0.5, "points_per_interval": 120}
 OPTIMAL = {"H": UNIT, "G0": UNIT, "G1": {"atoms": [1.6], "weights": [1.0]}, "gamma": 0.5,
            "config": {"points_per_interval": 120}}
-ATOMS = {"kind": "atoms", "eigenvalues": [1.0, 2.0]}
+ATOMS = {"atoms": [1.0, 2.0], "weights": [0.5, 0.5], "p": 2}
 
 
 @pytest.mark.parametrize("command, payload, message", [
-    ("simulate", {**SIMULATE, "population": [1.0, 2.0]}, "population must be an object, not list"),
-    ("power", {**POWER, "population": [1.0, 2.0]}, "population must be an object, not list"),
+    ("simulate", {**SIMULATE, "population": [1.0, 2.0]},
+     "config field 'population' must be an object, not list"),
+    ("power", {**POWER, "population": [1.0, 2.0]},
+     "config field 'population' must be an object, not list"),
     ("simulate", {**SIMULATE, "population": {"kind": "ar1", "rho": 0.5, "p": "6"}},
-     "population 'ar1' key 'p' must be an integer, not str"),
+     "bulk 'ar1' key 'p' must be an integer, not '6'"),
     ("power", {**POWER, "population": {"kind": "ar1", "rho": 0.5, "p": "6"}},
-     "population 'ar1' key 'p' must be an integer, not str"),
+     "bulk 'ar1' key 'p' must be an integer, not '6'"),
     ("classical-lss", {"test_id": "omh-identity", "H": {"atoms": [1.0], "weights": [1.0]},
                        "gamma": 0.5, "points_per_interval": 120, "parameters": [1.6]},
      "config field 'parameters' must be an object, not list"),
@@ -606,8 +624,21 @@ def test_value_out_of_range_exits_2(tmp_path, capsys, command, payload, message)
      "config field 'n' must be an integer, not 'many'"),
     ("classical-lss", {**CLASSICAL, "eigenvalues": [1.0, 2.0]},
      "config is missing required field 'n'"),
+    # a measure's key that is not "atoms", "weights" or "p" ran unread
+    ("spectrum", {**SPECTRUM, "H": {**UNIT, "p": 40, "typo": 1}},
+     "invalid bulk 'H': measure has no key 'typo'"),
+    ("weak-derivative", {**WEAK, "G": {**UNIT, "typo": 1}},
+     "invalid bulk 'G': measure has no key 'typo'"),
+    ("optimal-lss", {**OPTIMAL, "G0": {**UNIT, "typo": 1}},
+     "invalid bulk 'G0': measure has no key 'typo'"),
+    ("classical-lss", {**CLASSICAL, "H": {**UNIT, "typo": 1}},
+     "invalid bulk 'H': measure has no key 'typo'"),
+    ("spectrum", {**SPECTRUM, "H": {"kind": "ar1", "rho": 0.5, "p": 40, "typo": 1}},
+     "invalid bulk 'H': bulk 'ar1' has no key 'typo'"),
 ], ids=["measure-number", "measure-list", "integer-true", "number-true", "list-entry-true",
-        "solver-number", "config-solver-number", "classical-n-string", "classical-n-missing"])
+        "solver-number", "config-solver-number", "classical-n-string", "classical-n-missing",
+        "spectrum-measure-typo", "weak-derivative-measure-typo", "optimal-measure-typo",
+        "classical-measure-typo", "spectrum-ar1-typo"])
 def test_each_type_is_read_by_one_rule(tmp_path, capsys, command, payload, message):
     cfg = write_config(tmp_path / "c.json", payload)
     out = tmp_path / "out"
@@ -684,7 +715,7 @@ def test_statistics_are_written_at_the_curve_grid(tmp_path):
 
 
 @pytest.mark.parametrize("command, payload, as_strings, output", [
-    ("power", {"population": {"kind": "atoms", "eigenvalues": [1.0], "multiplicities": [19]},
+    ("power", {"population": {"atoms": [1.0], "weights": [1.0], "p": 19},
                "n": 40, "n_reps": 100, "alpha": 0.05, "seed": 3, "h": 2, "spike_grid": [1.3],
                "points_per_interval": 100},
      {"alpha": "0.05", "h": "2"}, "power_curve.csv"),
@@ -750,7 +781,7 @@ def test_no_config_flag_exits_2(tmp_path, capsys):
 class TestSimulate:
     def test_writes_eigenvalues(self, tmp_path):
         cfg = write_config(tmp_path / "sim.json", {
-            "population": {"kind": "atoms", "eigenvalues": [1.0] * 30},
+            "population": {"atoms": [1.0], "weights": [1.0], "p": 30},
             "n": 60,
             "seed": 5,
             "n_reps": 2,
@@ -762,9 +793,10 @@ class TestSimulate:
         assert len(rows) == 1 + 2 * 30
 
     def test_population_draws_as_its_eigenvalues(self, tmp_path):
-        # a population with fewer replicates than a power sweep needs
+        # a population with fewer replicates than a power sweep needs: the
+        # AR(1) shorthand draws as the measure on its eigenvalues
         ar1 = {"kind": "ar1", "rho": 0.5, "p": 6}
-        atoms = {"kind": "atoms", "eigenvalues": ar1_eigenvalues(0.5, 6).tolist()}
+        atoms = {"atoms": ar1_eigenvalues(0.5, 6).tolist(), "weights": [1 / 6] * 6, "p": 6}
         outs = []
         for name, pop in (("ar1", ar1), ("atoms", atoms)):
             cfg = write_config(tmp_path / f"{name}.json",
@@ -778,7 +810,7 @@ class TestSimulate:
         outputs = []
         for name, seed in (("a", 5), ("b", 99), ("c", 5)):
             cfg = write_config(tmp_path / f"{name}.json", {
-                "population": {"kind": "atoms", "eigenvalues": [1.0] * 10}, "n": 20,
+                "population": {"atoms": [1.0], "weights": [1.0], "p": 10}, "n": 20,
                 "seed": seed,
             })
             assert run_cli(["simulate", "--config", cfg, "--out", str(tmp_path / name)]) == 0

@@ -173,7 +173,7 @@ def ar1_dip_kernel():
     k(x_87, x_88) = 0.176, so the start-corrected matrix has a negative
     adjacent minor there (ROADMAP known defect "The diagonal taken across a
     support gap")."""
-    from specdetect.simulate import ar1_eigenvalues
+    from specdetect.measures import ar1_eigenvalues
 
     H = sd.AtomicMeasure.uniform(ar1_eigenvalues(0.95, 249))
     return sd.assemble_diagreg(sd.stieltjes_grid(H, 0.5, points_per_interval=100))

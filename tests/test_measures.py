@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import specdetect as sd
-from specdetect import AtomicMeasure
+from specdetect import AtomicMeasure, ar1_eigenvalues
 
 
 def test_atoms_sorted_and_weights_normalized():
@@ -85,6 +85,17 @@ def test_json_round_trip():
 def test_from_dict_names_missing_field():
     with pytest.raises(KeyError, match="weights"):
         AtomicMeasure.from_dict({"atoms": [1.0]})
+
+
+def test_eigenvalues_repeat_each_atom_weight_times_p():
+    payload = {"atoms": [3.0, 1.0], "weights": [0.25, 0.75], "p": 8}
+    assert AtomicMeasure.eigenvalues_from_dict(payload).tolist() == [1.0] * 6 + [3.0] * 2
+    # the AR(1) shorthand is the uniform measure on the matrix's eigenvalues,
+    # and reads them back bit for bit
+    ar1 = {"kind": "ar1", "rho": 0.7, "p": 249}
+    eigs = np.sort(ar1_eigenvalues(0.7, 249))
+    assert AtomicMeasure.from_dict(ar1) == AtomicMeasure.uniform(eigs)
+    assert np.array_equal(AtomicMeasure.eigenvalues_from_dict(ar1), eigs)
 
 
 def test_uniform_constructor():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import specdetect as sd
-from oracles import mad, normalize_curve, omh_lss
+from oracles import lan_efficacy, mad, normalize_curve, omh_lss
 from specdetect import kernel, mp, optimal
 from specdetect.kernel import power_from_efficacy
 from specdetect.optimal import SEG_BUMP, SEG_SUPPORT
@@ -250,6 +250,33 @@ class TestSubcriticalBranch:
         tau = math.sqrt(-0.5 * math.log(1.0 - (t - 1.0) ** 2 / gamma))
         assert rep.regime == "subcritical-solvable"
         assert abs(rep.efficacy - tau) <= 1e-3 * tau
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP known defect 1 'Reported efficacy is gamma times the "
+                              "true one': efficacy reads gamma * tau")
+    @pytest.mark.parametrize("build, gamma, spikes", [
+        (sd.optimal_lss, 0.5, (1.3,)),
+        (sd.optimal_lss, 2.0, (0.7,)),
+        (sd.optimal_lss, 0.5, (1.3, 1.5)),
+        (sd.optimal_lss, 2.0, (1.3, 0.7)),
+        (sd.optimal_lss, 0.5, (1.3, 0.8, 1.2)),
+        (sd.optimal_lss, 2.0, (1.3, 0.7, 1.5)),
+        (sd.optimal_ls3, 0.5, (1.3,)),
+        (sd.optimal_ls3, 2.0, (0.7,)),
+        (sd.optimal_ls3, 0.5, (1.3, 1.5)),
+    ], ids=["lss-gamma0.5-h1", "lss-gamma2-h1", "lss-gamma0.5-h2", "lss-gamma2-h2",
+            "lss-gamma0.5-h3", "lss-gamma2-h3", "ls3-gamma0.5-h1", "ls3-gamma2-h1",
+            "ls3-gamma0.5-h2"])
+    def test_efficacy_is_the_lan_tau_of_several_spikes(self, mp_unit, build, gamma, spikes):
+        # h spikes, G1 uniform on them: the best LSS attains the likelihood
+        # ratio's efficacy, with the scale known (optimal_lss) or not
+        # (optimal_ls3).  efficacy / gamma was within 1.1e-3 of tau in every case
+        model = sd.SpikedModel(H=mp_unit, G0=mp_unit, G1=sd.AtomicMeasure.uniform(spikes),
+                               gamma=gamma, h=len(spikes))
+        _, rep = build(model, CFG)
+        tau = lan_efficacy(np.array(spikes) - 1.0, gamma, scale_known=build is sd.optimal_lss)
+        assert rep.regime == "subcritical-solvable"
+        assert abs(rep.efficacy - tau) <= 2e-3 * tau
 
 def distance_outside(support, x, psi):
     """The distance from the support at x, in the part of its complement

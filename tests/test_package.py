@@ -61,6 +61,11 @@ def test_every_submodule_export_is_a_package_export():
     ("optimal", "_S_MINUS_COEFF"),
     ("optimal", "SEG_OUTSIDE"),
     ("optimal.SpikedModel", "resolved_n"),
+    # a population is a bulk, read by AtomicMeasure.from_dict
+    ("simulate", "_POPULATION_KEYS"),
+    ("simulate", "_POPULATION_VALUES"),
+    ("simulate", "_check_population"),
+    ("simulate", "_population_eigenvalues"),
 ])
 def test_removed_names_stay_removed(owner, name):
     # README lists what replaces each of these

@@ -10,7 +10,7 @@ import pytest
 
 import specdetect as sd
 from oracles import direct_sample_eigenvalues
-from specdetect import simulate
+from specdetect import measures, simulate
 from specdetect.optimal import SEG_BUMP
 
 
@@ -294,66 +294,56 @@ class TestSimConfig:
 
     def test_dimension_is_bulk_size_plus_h(self, monkeypatch):
         calls = []
-        bulk = simulate.ar1_eigenvalues
+        bulk = measures.ar1_eigenvalues
 
         def counted_bulk(*args):
             calls.append(args)
             return bulk(*args)
 
-        monkeypatch.setattr(simulate, "ar1_eigenvalues", counted_bulk)
+        monkeypatch.setattr(measures, "ar1_eigenvalues", counted_bulk)
         ar1 = sd.SimConfig(population={"kind": "ar1", "rho": 0.5, "p": 49}, n=100,
                            n_reps=100, alpha=0.05, seed=1, spike_grid=(2.0,), h=2)
-        atoms = sd.SimConfig(
-            population={"kind": "atoms", "eigenvalues": [1.0, 3.0], "multiplicities": [10, 12]},
-            n=46, n_reps=100, alpha=0.05, seed=1, spike_grid=(2.0,), h=2)
-        zero = sd.SimConfig(
-            population={"kind": "atoms", "eigenvalues": [1.0, 2.0, 3.0],
-                        "multiplicities": [4, 0, 5]},
-            n=20, n_reps=100, alpha=0.05, seed=1, spike_grid=(2.0,))
-        plain = sd.SimConfig(population={"kind": "atoms", "eigenvalues": [1.0, 2.0, 3.0]},
-                             n=8, n_reps=100, alpha=0.05, seed=1, spike_grid=(2.0,))
-        cases = ((ar1, 51), (atoms, 24), (zero, 10), (plain, 4))
-        # p and gamma are read from the description: no read builds the bulk
+        atoms = sd.SimConfig(population={"atoms": [1.0, 3.0], "weights": [10 / 22, 12 / 22],
+                                         "p": 22},
+                             n=46, n_reps=100, alpha=0.05, seed=1, spike_grid=(2.0,), h=2)
+        plain = sd.SimConfig(population={"atoms": [1.0, 2.0, 3.0], "weights": [0.25, 0.5, 0.25],
+                                         "p": 4},
+                             n=10, n_reps=100, alpha=0.05, seed=1, spike_grid=(2.0,))
+        cases = ((ar1, 51), (atoms, 24), (plain, 5))
+        # construction reads the bulk once; p and gamma are read from "p"
+        assert calls == [(0.5, 49)]
         dims = [(cfg.p, cfg.gamma) for cfg, _ in cases]
-        assert calls == []
+        assert calls == [(0.5, 49)]
         for (cfg, p), (cfg_p, cfg_gamma) in zip(cases, dims):
             assert cfg_p == cfg.bulk_eigenvalues().size + cfg.h == p
             assert cfg_gamma == p / cfg.n
-        assert calls == [(0.5, 49)]
+        assert calls == [(0.5, 49)] * 2
         # an unknown kind is rejected when the config is made, before any read
-        with pytest.raises(ValueError, match="^unknown population kind 'wishart'$"):
+        with pytest.raises(ValueError, match="^unknown bulk kind 'wishart'$"):
             sd.SimConfig(population={"kind": "wishart", "p": 49}, n=100, n_reps=100,
                          alpha=0.05, seed=1, spike_grid=(2.0,))
 
-    @pytest.mark.parametrize("population, message", [
-        ({"kind": "ar1", "p": 49}, "^population 'ar1' is missing required key 'rho'$"),
-        ({"kind": "ar1", "rho": 0.5, "p": 49, "typo": 3}, "^population 'ar1' has no key 'typo'$"),
-        ({"kind": "atoms", "eigenvalues": [1.0], "multiplicities": [49], "p": 49},
-         "^population 'atoms' has no key 'p'$"),
-        ({}, "^unknown population kind 'None'$"),
+    @pytest.mark.parametrize("population, error, message", [
+        ({"kind": "ar1", "p": 49}, KeyError, "bulk 'ar1' is missing required key 'rho'"),
+        ({"kind": "ar1", "rho": 0.5, "p": 49, "typo": 3}, ValueError,
+         "bulk 'ar1' has no key 'typo'"),
+        ({"atoms": [1.0], "weights": [1.0], "p": 49, "rho": 0.5}, ValueError,
+         "measure has no key 'rho'"),
+        ({}, KeyError, "measure is missing required key 'atoms'"),
     ], ids=["ar1-missing", "ar1-extra", "atoms-extra", "no-kind"])
-    def test_population_keys_checked(self, population, message):
-        with pytest.raises(ValueError, match=message):
-            sd.SimConfig(population=population, n=100, n_reps=100, alpha=0.05, seed=1,
-                         spike_grid=(2.0,))
-        with pytest.raises(ValueError, match=message):
-            simulate._population_eigenvalues(population)
-
-    def test_construction_builds_no_bulk(self, monkeypatch):
-        # the config checks the population's keys only; its eigenvalues
-        # are computed when a run reads them
-        def fail(*args):
-            raise AssertionError("bulk built at construction")
-
-        monkeypatch.setattr(simulate, "ar1_eigenvalues", fail)
-        sd.SimConfig(population={"kind": "ar1", "rho": 0.5, "p": 49}, n=100, n_reps=100,
-                     alpha=0.05, seed=1, spike_grid=(2.0,))
+    def test_population_keys_checked(self, population, error, message):
+        # the config reads its population through the one bulk reader
+        for read in (lambda: sd.SimConfig(population=population, n=100, n_reps=100, alpha=0.05,
+                                          seed=1, spike_grid=(2.0,)),
+                     lambda: sd.AtomicMeasure.from_dict(population)):
+            with pytest.raises(error) as exc:
+                read()
+            assert exc.value.args == (message,)
 
     def test_atoms_population(self):
-        cfg = sd.SimConfig(
-            population={"kind": "atoms", "eigenvalues": [1.0, 3.0], "multiplicities": [10, 10]},
-            n=42, n_reps=100, alpha=0.05, seed=1, spike_grid=(2.0,))
-        assert cfg.bulk_eigenvalues().size == 20
+        cfg = sd.SimConfig(population={"atoms": [1.0, 3.0], "weights": [0.5, 0.5], "p": 20},
+                           n=42, n_reps=100, alpha=0.05, seed=1, spike_grid=(2.0,))
+        assert cfg.bulk_eigenvalues().tolist() == [1.0] * 10 + [3.0] * 10
 
 
 @pytest.fixture(scope="module")
@@ -402,7 +392,7 @@ class TestPowerExperiment:
         # white-noise bulk: little to aggregate below the transition, while
         # the top eigenvalue rules once the spike separates
         cfg = sd.SimConfig(
-            population={"kind": "atoms", "eigenvalues": [1.0], "multiplicities": [99]},
+            population={"atoms": [1.0], "weights": [1.0], "p": 99},
             n=200, n_reps=120, alpha=0.05, seed=5150,
             spike_grid=(1.3, 2.8), points_per_interval=300,
         )
@@ -417,7 +407,7 @@ class TestPowerExperiment:
         # sweep builds the same statistic as optimal_lss, the distance
         # below the lower edge, which detects the spike most of the time
         cfg = sd.SimConfig(
-            population={"kind": "atoms", "eigenvalues": [1.0], "multiplicities": [249]},
+            population={"atoms": [1.0], "weights": [1.0], "p": 249},
             n=500, n_reps=100, alpha=0.05, seed=31, spike_grid=(0.2,),
         )
         H = sd.AtomicMeasure.uniform(cfg.bulk_eigenvalues())
@@ -437,7 +427,7 @@ class TestPowerExperiment:
         # and 0.903 at seeds 7, 11, 31 and 59, while the top eigenvalue
         # reads 0.02-0.05
         cfg = sd.SimConfig(
-            population={"kind": "atoms", "eigenvalues": [1.0], "multiplicities": [249]},
+            population={"atoms": [1.0], "weights": [1.0], "p": 249},
             n=500, n_reps=300, alpha=0.05, seed=31, spike_grid=(0.2,),
         )
         curve = sd.power_experiment(cfg)
@@ -450,7 +440,7 @@ class TestPowerExperiment:
         # top edge is no constant under the null, so its level counts as
         # much as the solved statistic's (0.02 and 0.05 at this seed)
         cfg = sd.SimConfig(
-            population={"kind": "atoms", "eigenvalues": [1.0], "multiplicities": [199]},
+            population={"atoms": [1.0], "weights": [1.0], "p": 199},
             n=400, n_reps=100, alpha=0.05, seed=3, spike_grid=(1.5, 3.0),
             points_per_interval=300,
         )
@@ -466,7 +456,7 @@ class TestPowerExperiment:
         # 0.940 for the top eigenvalue at 2.0 and 2.2); below it, at 0.2, the
         # top eigenvalue has no power, and the downward test pins the power
         cfg = sd.SimConfig(
-            population={"kind": "atoms", "eigenvalues": [1.0], "multiplicities": [249]},
+            population={"atoms": [1.0], "weights": [1.0], "p": 249},
             n=500, n_reps=300, alpha=0.05, seed=31, spike_grid=(0.2, 2.0, 2.2),
         )
         curve = sd.power_experiment(cfg)
@@ -479,7 +469,7 @@ class TestPowerExperiment:
         # eigenvalue -8.1e-4 against a ridge of 6.3e-7), which a Cholesky
         # factor rejects; 1.8 escapes into the gap, 2.5 stays inside
         cfg = sd.SimConfig(
-            population={"kind": "atoms", "eigenvalues": [1.0, 3.0], "multiplicities": [125, 124]},
+            population={"atoms": [1.0, 3.0], "weights": [125 / 249, 124 / 249], "p": 249},
             n=1250, n_reps=100, alpha=0.05, seed=7, spike_grid=(1.8, 2.5),
             points_per_interval=300,
         )
@@ -527,7 +517,7 @@ class TestPowerExperiment:
 
     def test_one_draw_per_replicate_and_one_bulk(self, small_config, monkeypatch):
         counts = {"draws": 0, "bulks": 0}
-        draw, bulk = simulate.sample_eigenvalues, simulate.ar1_eigenvalues
+        draw, bulk = simulate.sample_eigenvalues, measures.ar1_eigenvalues
 
         def counted_draw(*args, **kwargs):
             counts["draws"] += 1
@@ -538,7 +528,7 @@ class TestPowerExperiment:
             return bulk(*args, **kwargs)
 
         monkeypatch.setattr(simulate, "sample_eigenvalues", counted_draw)
-        monkeypatch.setattr(simulate, "ar1_eigenvalues", counted_bulk)
+        monkeypatch.setattr(measures, "ar1_eigenvalues", counted_bulk)
         # a forked worker's calls are not counted here; the worker-count
         # tests below check that the forked path draws the same rows
         monkeypatch.setattr(simulate, "_draw_workers", lambda: 1)
@@ -552,7 +542,7 @@ class TestPowerExperiment:
 
         monkeypatch.setattr(simulate, "sample_eigenvalues", no_draws)
         cfg = sd.SimConfig(
-            population={"kind": "atoms", "eigenvalues": [1.0], "multiplicities": [99]},
+            population={"atoms": [1.0], "weights": [1.0], "p": 99},
             n=200, n_reps=100, alpha=0.05, seed=1, spike_grid=(1.3,), null_spike=3.0,
             points_per_interval=300,
         )

@@ -24,7 +24,7 @@ print(f"\npredicted power against a spike at 1.6 (level 5%)")
 print(f"  {'optimal statistic':24s} {best.power:.4f}")
 for test_id in ("lrt-identity", "mauchly", "john-sphericity", "ledoit-wolf", "nagao"):
     phi = sd.equivalent_lss(test_id, curve)
-    rep = sd.lss_moments(curve, K, phi, delta, h=1)
+    rep = sd.lss_moments(K, phi, delta, h=1)
     print(f"  {test_id:24s} {rep.power:.4f}")
 
 # the sphericity LRT and the identity LRT coincide at unit noise level

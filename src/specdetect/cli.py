@@ -212,6 +212,8 @@ def cmd_classical(out: OutputTracker, /, *, test_id: str, H: AtomicMeasure, gamm
         phi = equivalent_lss(test_id, curve, **parameters)
         if eigenvalues is not None:
             value = evaluate_statistic(test_id, eigenvalues, n, **parameters)
+        elif n is not None:  # evaluate_statistic checks it otherwise
+            check_at_least(n=n)
     write_csv(out.path("classical_lss.csv"), ["x", "phi", "segment"], phi.to_rows())
     if eigenvalues is not None:
         write_json(out.path("statistic.json"), {"test_id": test_id, "value": value})

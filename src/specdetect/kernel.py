@@ -9,6 +9,8 @@ which vanishes off the support and is log-singular on the diagonal.  The
 best test function solves the ill-posed equation K(phi') = -Delta; two
 numerical routes are provided, a fast diagonally regularized pointwise
 discretization and a hat-function collocation scheme on a coarser grid.
+K and Delta each carry the curve whose grid they live on, and an entry
+given both refuses a Delta on another grid.
 
 The pointwise matrix is assembled by evaluating its upper triangle and
 mirroring it.  Its solve factors the ridged matrix by a blocked Cholesky in
@@ -24,7 +26,7 @@ LU solve and, with it, LAPACK's copy of the matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -72,9 +74,9 @@ class KernelMatrix:
     every support interval but the first reads a point across the gap
     (ROADMAP known defect "The diagonal taken across a support gap"), and
     makes the matrix of a split support indefinite; ``starts`` indexes
-    those points, one per interval after the first (empty for a matrix
-    built without a curve).  ``ridge`` is the Tikhonov parameter
-    _RIDGE_COEFF * tr / I derived from the assembled matrix.
+    those points of ``curve``, one per interval after the first.  ``ridge``
+    is the Tikhonov parameter _RIDGE_COEFF * tr / I derived from the
+    assembled matrix.
     The upper triangle is evaluated and mirrored into the lower one.  No
     ridged copy or factor is kept: ``solve_regularized`` works in
     ``entries`` and restores it, so every solve holds ``entries`` alone,
@@ -82,15 +84,18 @@ class KernelMatrix:
     takes LU, with LAPACK's copy of it.
     """
 
-    grid: np.ndarray
+    curve: StieltjesCurve
     entries: np.ndarray
     weights: np.ndarray
     ridge: float
-    starts: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
 
     @property
     def size(self) -> int:
-        return self.grid.size
+        return self.entries.shape[0]
+
+    @property
+    def starts(self) -> np.ndarray:
+        return np.flatnonzero(np.diff(self.curve.interval_id)) + 1
 
     def quadratic_form(self, g: np.ndarray) -> float:
         u = np.sqrt(self.weights) * g
@@ -170,20 +175,13 @@ def assemble_diagreg(curve: StieltjesCurve) -> KernelMatrix:
     sq = np.sqrt(w)
     entries = _weighted_kernel_matrix(curve, sq)
     ridge = _RIDGE_COEFF * float(np.trace(entries)) / entries.shape[0]
-    return KernelMatrix(
-        grid=curve.grid,
-        entries=entries,
-        weights=w,
-        ridge=ridge,
-        starts=np.flatnonzero(np.diff(curve.interval_id)) + 1,
-    )
+    return KernelMatrix(curve=curve, entries=entries, weights=w, ridge=ridge)
 
 
 @dataclass
 class SolvedDerivative:
     """Derivative g of a test function on the support grid, with solve diagnostics."""
 
-    grid: np.ndarray
     values: np.ndarray
     residual_norm: float
     condition_number: float | None = None
@@ -299,15 +297,19 @@ def _woodbury(A: np.ndarray, rhs: np.ndarray, s: np.ndarray, c: np.ndarray) -> n
     return (y + Z @ (c[:, None] * a)).reshape(rhs.shape)
 
 
+def _require_one_grid(K: KernelMatrix, delta: SignedMeasureCdf) -> None:
+    if not np.array_equal(delta.curve.grid, K.curve.grid):
+        raise ValueError("delta is not on the kernel grid")
+
+
 def solve_diagreg(K: KernelMatrix, delta: SignedMeasureCdf) -> SolvedDerivative:
     """Solve (K + r I) g = -Delta in function values."""
-    if not np.array_equal(delta.grid, K.grid):
-        raise ValueError("delta is not on the kernel grid")
+    _require_one_grid(K, delta)
     sq = np.sqrt(K.weights)
     rhs = -sq * delta.cdf
     u = solve_regularized(K, rhs)
     resid = float(np.linalg.norm(K.entries @ u + K.ridge * u - rhs))
-    return SolvedDerivative(grid=K.grid, values=u / sq, residual_norm=resid)
+    return SolvedDerivative(values=u / sq, residual_norm=resid)
 
 
 def _hats(xs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -324,16 +326,15 @@ def _hats(xs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return hats
 
 
-def solve_collocation(curve: StieltjesCurve, delta: SignedMeasureCdf) -> SolvedDerivative:
+def solve_collocation(delta: SignedMeasureCdf) -> SolvedDerivative:
     """Collocation solve with a hat-function basis on a coarse sub-grid.
 
-    The curve's own grid serves as the dense quadrature grid; the
+    The grid of Delta's curve serves as the dense quadrature grid; the
     collocation nodes are an every-k-th subsample of it, so the kernel
     singularity always lands on a quadrature node and is replaced by
     _C1 times the largest regular value in its row.
     """
-    if not np.array_equal(delta.grid, curve.grid):
-        raise ValueError("delta is not on the curve grid")
+    curve = delta.curve
     dense_w = _trapezoid_weights(curve)
     coarse_idx: list[np.ndarray] = []
     for j in range(curve.n_intervals):
@@ -361,8 +362,7 @@ def solve_collocation(curve: StieltjesCurve, delta: SignedMeasureCdf) -> SolvedD
     coeffs = np.linalg.solve(A, -delta.cdf[nodes])
     resid = float(np.linalg.norm(A @ coeffs - (-delta.cdf[nodes])))
 
-    return SolvedDerivative(grid=curve.grid, values=hats @ coeffs, residual_norm=resid,
-                            condition_number=cond)
+    return SolvedDerivative(values=hats @ coeffs, residual_norm=resid, condition_number=cond)
 
 
 # ----------------------------------------------------------------------
@@ -418,14 +418,16 @@ def derivative_efficacy(K: KernelMatrix, g: np.ndarray, delta: SignedMeasureCdf,
     return efficacy_report(-h * K.inner(g, delta.cdf), K.quadratic_form(g), alpha)
 
 
-def lss_moments(curve: StieltjesCurve, K: KernelMatrix, phi, delta: SignedMeasureCdf,
-                h: int, alpha: float = 0.05) -> EfficacyReport:
+def lss_moments(K: KernelMatrix, phi, delta: SignedMeasureCdf, h: int,
+                alpha: float = 0.05) -> EfficacyReport:
     """Mean shift and variance of the statistic built from phi.
 
-    phi' is taken by finite differences on each support interval, central
-    inside and one-sided at the ends; phi may be an LssFunction or any
-    callable evaluable on the grid.
+    phi' is taken by finite differences on each support interval of K's
+    curve, central inside and one-sided at the ends; phi may be an
+    LssFunction or any callable evaluable on the grid.
     """
+    _require_one_grid(K, delta)
+    curve = K.curve
     values = phi(curve.grid)
     g = np.empty_like(values)
     for j in np.unique(curve.interval_id):

@@ -62,9 +62,11 @@ class SilversteinError(RuntimeError):
     """Fixed-point solve failed to converge or hit a pole/edge."""
 
 
-def _check_bulk(H: AtomicMeasure) -> None:
+def _check_bulk(H: AtomicMeasure, gamma: float) -> None:
     if H.is_zero_mass_at_origin():
         raise ValueError("population spectrum delta_0 is degenerate and not supported")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, not {gamma!r}")
 
 
 def _blocks(n: int, n_atoms: int):
@@ -276,9 +278,7 @@ def solve_silverstein(H: AtomicMeasure, gamma: float, z: complex, v0: complex | 
     SilversteinError
         If the iteration stalls above the requested residual ``tol``.
     """
-    _check_bulk(H)
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    _check_bulk(H, gamma)
     v, errors = _solve(H, gamma, np.array([complex(z)]),
                        None if v0 is None else np.array([complex(v0)]), tol)
     if errors:
@@ -364,9 +364,7 @@ def support_intervals(H: AtomicMeasure, gamma: float) -> SupportSet:
     poles, and a second one of x' finds every edge.  Each edge lies
     strictly inside its segment, so every interval end is finite.
     """
-    _check_bulk(H)
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    _check_bulk(H, gamma)
 
     def xp_of_v(v: np.ndarray) -> np.ndarray:
         return _inverse_map(H, gamma, v, orders=(2,))[0]

@@ -29,7 +29,7 @@ from .kernel import (
     solve_regularized,
 )
 from .measures import AtomicMeasure
-from .mp import MIN_POINTS_PER_INTERVAL, StieltjesCurve, stieltjes_grid
+from .mp import MIN_POINTS_PER_INTERVAL, StieltjesCurve, _check_bulk, stieltjes_grid
 from .weak_derivative import SignedMeasureCdf, SpikeRecord, classify_spikes, delta_diff
 
 __all__ = [
@@ -91,8 +91,7 @@ class SpikedModel:
     n: int | None = None
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        _check_bulk(self.H, self.gamma)
         check_at_least(h=self.h)
         if self.n is not None:
             check_at_least(n=self.n)
@@ -237,8 +236,8 @@ def _curve(H: AtomicMeasure, gamma: float, points_per_interval: int) -> Stieltje
 
 
 def _build(model: SpikedModel, config: AlgoConfig, curve: StieltjesCurve | None,
-           solve: Callable[[StieltjesCurve, KernelMatrix, SignedMeasureCdf, AlgoConfig],
-                           np.ndarray]) -> tuple[LssFunction, EfficacyReport]:
+           solve: Callable[[KernelMatrix, SignedMeasureCdf, AlgoConfig], np.ndarray]
+           ) -> tuple[LssFunction, EfficacyReport]:
     """The statistic path shared by ``optimal_lss`` and ``optimal_ls3``.
 
     Given no curve, takes that of (H, gamma, points_per_interval) from the
@@ -261,7 +260,7 @@ def _build(model: SpikedModel, config: AlgoConfig, curve: StieltjesCurve | None,
 
     delta = delta_diff(model.G0, model.G1, curve)
     K = assemble_diagreg(curve)
-    g = solve(curve, K, delta, config)
+    g = solve(K, delta, config)
     report = derivative_efficacy(K, g, delta, model.h, config.alpha)
     # free the N x N matrix before the statistic's arrays are allocated:
     # made while it is live, they can land above it in the heap, and the
@@ -270,18 +269,16 @@ def _build(model: SpikedModel, config: AlgoConfig, curve: StieltjesCurve | None,
     return integrate_derivative(curve, g), report
 
 
-def _configured_solve(curve: StieltjesCurve, K: KernelMatrix, delta: SignedMeasureCdf,
-                      config: AlgoConfig) -> np.ndarray:
+def _configured_solve(K: KernelMatrix, delta: SignedMeasureCdf, config: AlgoConfig) -> np.ndarray:
     if config.solver == "collocation":
-        return solve_collocation(curve, delta).values
+        return solve_collocation(delta).values
     return solve_diagreg(K, delta).values
 
 
-def _projected_solve(curve: StieltjesCurve, K: KernelMatrix, delta: SignedMeasureCdf,
-                     config: AlgoConfig) -> np.ndarray:
+def _projected_solve(K: KernelMatrix, delta: SignedMeasureCdf, config: AlgoConfig) -> np.ndarray:
     """Derivative of the equation projected off the identity direction D."""
     sq = np.sqrt(K.weights)
-    d_vec = sq * curve.grid * curve.density
+    d_vec = sq * K.curve.grid * K.curve.density
     d_norm2 = float(d_vec @ d_vec)
     if d_norm2 <= 0.0:
         raise AssertionError("identity direction has zero norm; degenerate bulk")

@@ -175,10 +175,11 @@ class SimConfig:
                        points_per_interval=self.points_per_interval)
         if not self.spike_grid:
             raise ValueError("spike_grid must not be empty")
-        if min(self.spike_grid) <= 0.0:
-            raise ValueError(f"spike_grid must hold positive spikes, not {list(self.spike_grid)!r}")
-        if self.null_spike <= 0.0:
-            raise ValueError(f"null_spike must be positive, not {self.null_spike!r}")
+        if not all(0.0 < s < math.inf for s in self.spike_grid):
+            raise ValueError(
+                f"spike_grid must hold positive finite spikes, not {list(self.spike_grid)!r}")
+        if not 0.0 < self.null_spike < math.inf:
+            raise ValueError(f"null_spike must be positive and finite, not {self.null_spike!r}")
         check_solver(self.solver)
         self.bulk_eigenvalues()  # refuses a malformed bulk, or one with no "p"
 

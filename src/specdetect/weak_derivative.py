@@ -133,14 +133,14 @@ def weak_derivative_st_at(G: AtomicMeasure, curve: StieltjesCurve, z: complex) -
 class SignedMeasureCdf:
     """Distribution function of a compactly supported signed measure.
 
-    ``cdf[m]`` is the measure of (-inf, x_m]; point masses are kept as an
-    explicit list and already folded into the stored values for grid
-    points beyond their location.  ``right_tail`` is the estimated mass
-    between the last grid point and the top support edge, so
-    ``cdf_at(x)`` for x past the support returns the total mass.
+    ``cdf[m]`` is the measure of (-inf, x_m], x_m the grid of ``curve``;
+    point masses are kept as an explicit list and already folded into the
+    stored values for grid points beyond their location.  ``right_tail`` is
+    the estimated mass between the last grid point and the top support
+    edge, so ``cdf_at(x)`` for x past the support returns the total mass.
     """
 
-    grid: np.ndarray
+    curve: StieltjesCurve
     density: np.ndarray
     cdf: np.ndarray
     point_masses: list[tuple[float, float]] = field(default_factory=list)
@@ -149,13 +149,14 @@ class SignedMeasureCdf:
 
     def cdf_at(self, x: float) -> float:
         """Evaluate the distribution function at an arbitrary point."""
-        if x > self.grid[-1]:
-            jumps = sum(w for loc, w in self.point_masses if self.grid[-1] < loc <= x)
+        grid = self.curve.grid
+        if x > grid[-1]:
+            jumps = sum(w for loc, w in self.point_masses if grid[-1] < loc <= x)
             return float(self.cdf[-1] + self.right_tail + jumps)
-        if x < self.grid[0]:
+        if x < grid[0]:
             return float(sum(w for loc, w in self.point_masses if loc <= x))
-        i = int(np.searchsorted(self.grid, x, side="right")) - 1
-        jumps = sum(w for loc, w in self.point_masses if self.grid[i] < loc <= x)
+        i = int(np.searchsorted(grid, x, side="right")) - 1
+        jumps = sum(w for loc, w in self.point_masses if grid[i] < loc <= x)
         return float(self.cdf[i] + jumps)
 
     @property
@@ -163,8 +164,7 @@ class SignedMeasureCdf:
         return self.cdf_at(math.inf)
 
     def to_rows(self):
-        for i in range(self.grid.size):
-            yield (self.grid[i], self.density[i], self.cdf[i])
+        yield from zip(self.curve.grid, self.density, self.cdf)
 
 
 def _edge_region_masses(xs: np.ndarray, fs: np.ndarray, edge: float, inward: int,
@@ -275,7 +275,7 @@ def _signed_cdf(minus: AtomicMeasure, plus: AtomicMeasure, curve: StieltjesCurve
     gaps = [f"near-pole grid point excluded at x={x:.8g}" for x in curve.grid[poles]]
     refinements, edge_gaps = _edge_refinements(minus, plus, curve)
     cdf, right_tail = _integrate_signed_density(curve, dens, masses, refinements)
-    return SignedMeasureCdf(grid=curve.grid, density=dens, cdf=cdf,
+    return SignedMeasureCdf(curve=curve, density=dens, cdf=cdf,
                             point_masses=sorted(masses), right_tail=right_tail,
                             gaps=gaps + edge_gaps)
 

@@ -225,7 +225,7 @@ def test_criterion_10_property_suite(unit_bulk, unit_curve):
     for t in (1.2, 1.6):
         delta = sd.delta_diff(unit_bulk, sd.AtomicMeasure.point_mass(t), unit_curve)
         gd = sd.solve_diagreg(K, delta).values
-        gc = sd.solve_collocation(unit_curve, delta).values
+        gc = sd.solve_collocation(delta).values
         pd_ = sd.integrate_derivative(unit_curve, gd)
         pc = sd.integrate_derivative(unit_curve, gc)
         mask = np.array([s == "in-support" for s in pd_.segments])

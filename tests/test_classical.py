@@ -190,7 +190,7 @@ class TestPowerComparison:
         delta = sd.delta_diff(mp_unit, G1, mp_curve)
         for test_id in ("lrt-identity", "john-sphericity", "ledoit-wolf", "nagao"):
             phi = sd.equivalent_lss(test_id, mp_curve)
-            rep = sd.lss_moments(mp_curve, mp_kernel, phi, delta, h=1)
+            rep = sd.lss_moments(mp_kernel, phi, delta, h=1)
             assert rep.power <= rep_best.power + 2e-2
 
 

@@ -572,30 +572,54 @@ AT_LEAST_16 = "points_per_interval must be at least 16, not 5"
     ("power", {**POWER_ATOMS, "h": 0}, "h must be at least 1, not 0"),
     ("power", {**POWER_ATOMS, "seed": -3}, "seed must be at least 0, not -3"),
     ("power", {**POWER_ATOMS, "spike_grid": [-2.0]},
-     "spike_grid must hold positive spikes, not [-2.0]"),
-    ("power", {**POWER_ATOMS, "null_spike": -1}, "null_spike must be positive, not -1.0"),
+     "spike_grid must hold positive finite spikes, not [-2.0]"),
+    ("power", {**POWER_ATOMS, "null_spike": -1},
+     "null_spike must be positive and finite, not -1.0"),
     ("power", {**POWER_ATOMS, "points_per_interval": 5}, AT_LEAST_16),
     ("optimal-lss", {**OPTIMAL, "h": 0}, "h must be at least 1, not 0"),
-    ("optimal-lss", {**OPTIMAL, "gamma": -0.5}, "gamma must be positive"),
+    ("optimal-lss", {**OPTIMAL, "gamma": -0.5}, "gamma must be positive and finite, not -0.5"),
     ("optimal-lss", {**OPTIMAL, "n": 0}, "n must be at least 1, not 0"),
     ("optimal-lss", {**OPTIMAL, "config": {"points_per_interval": 5}},
      f"invalid algorithm config: {AT_LEAST_16}"),
-    ("spectrum", {**SPECTRUM, "gamma": -0.5}, "gamma must be positive"),
+    ("spectrum", {**SPECTRUM, "gamma": -0.5}, "gamma must be positive and finite, not -0.5"),
     ("spectrum", {**SPECTRUM, "points_per_interval": 5}, AT_LEAST_16),
-    ("weak-derivative", {**WEAK, "gamma": -0.5}, "gamma must be positive"),
+    ("weak-derivative", {**WEAK, "gamma": -0.5}, "gamma must be positive and finite, not -0.5"),
     ("weak-derivative", {**WEAK, "points_per_interval": 5}, AT_LEAST_16),
-    ("classical-lss", {**CLASSICAL, "gamma": -0.5}, "gamma must be positive"),
+    ("classical-lss", {**CLASSICAL, "gamma": -0.5}, "gamma must be positive and finite, not -0.5"),
     ("classical-lss", {**CLASSICAL, "points_per_interval": 5}, AT_LEAST_16),
     ("simulate", {**SIMULATE_ATOMS, "n": 0}, "n must be at least 1, not 0"),
     ("simulate", {**SIMULATE_ATOMS, "seed": -1}, "seed must be at least 0, not -1"),
     # "n_reps": 0 wrote a header-only CSV, and -1 failed in numpy's seed spawn
     ("simulate", {**SIMULATE_ATOMS, "n_reps": 0}, "n_reps must be at least 1, not 0"),
     ("simulate", {**SIMULATE_ATOMS, "n_reps": -1}, "n_reps must be at least 1, not -1"),
+    # NaN and Infinity, which JSON reading takes as numbers, failed with exit
+    # code 1 in support detection, or in the power sweep's spike measures
+    ("spectrum", {**SPECTRUM, "gamma": math.nan}, "gamma must be positive and finite, not nan"),
+    ("spectrum", {**SPECTRUM, "gamma": math.inf}, "gamma must be positive and finite, not inf"),
+    ("weak-derivative", {**WEAK, "gamma": math.nan},
+     "gamma must be positive and finite, not nan"),
+    ("optimal-lss", {**OPTIMAL, "gamma": math.nan}, "gamma must be positive and finite, not nan"),
+    ("optimal-lss", {**OPTIMAL, "gamma": math.inf}, "gamma must be positive and finite, not inf"),
+    ("classical-lss", {**CLASSICAL, "gamma": math.inf},
+     "gamma must be positive and finite, not inf"),
+    ("power", {**POWER_ATOMS, "spike_grid": [3.0, math.nan]},
+     "spike_grid must hold positive finite spikes, not [3.0, nan]"),
+    ("power", {**POWER_ATOMS, "spike_grid": [math.inf]},
+     "spike_grid must hold positive finite spikes, not [inf]"),
+    ("power", {**POWER_ATOMS, "null_spike": math.nan},
+     "null_spike must be positive and finite, not nan"),
+    ("power", {**POWER_ATOMS, "null_spike": math.inf},
+     "null_spike must be positive and finite, not inf"),
+    # "n" is checked without "eigenvalues" too; it went unread
+    ("classical-lss", {**CLASSICAL, "n": -5}, "n must be at least 1, not -5"),
 ], ids=["power-n", "power-empty-spike-grid", "power-h", "power-seed", "power-negative-spike",
         "power-null-spike", "power-points", "optimal-h", "optimal-gamma", "optimal-n",
         "optimal-config-points", "spectrum-gamma", "spectrum-points", "weak-derivative-gamma",
         "weak-derivative-points", "classical-gamma", "classical-points", "simulate-n",
-        "simulate-seed", "simulate-no-reps", "simulate-negative-reps"])
+        "simulate-seed", "simulate-no-reps", "simulate-negative-reps", "spectrum-gamma-nan",
+        "spectrum-gamma-inf", "weak-derivative-gamma-nan", "optimal-gamma-nan",
+        "optimal-gamma-inf", "classical-gamma-inf", "power-spike-grid-nan",
+        "power-spike-grid-inf", "power-null-spike-nan", "power-null-spike-inf", "classical-n"])
 def test_value_out_of_range_exits_2(tmp_path, capsys, command, payload, message):
     # a value outside its range is a config error named by its field, not a
     # runtime failure or a run that writes nan

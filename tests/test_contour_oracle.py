@@ -73,6 +73,6 @@ def test_kernel_variance_against_the_oracle(name):
     K = sd.assemble_diagreg(curve)
     delta = sd.delta_diff(H, H, curve)
     for k in (1, 2, 3):
-        sigma2 = sd.lss_moments(curve, K, power(k), delta, h=1).sigma ** 2
+        sigma2 = sd.lss_moments(K, power(k), delta, h=1).sigma ** 2
         exact = contour_cov(H, gamma, power(k), power(k))
         assert abs(sigma2 / exact - 1) <= 3e-3, (k, sigma2, exact)

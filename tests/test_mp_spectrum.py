@@ -39,6 +39,15 @@ class TestSolveSilverstein:
         with pytest.raises(ValueError):
             sd.solve_silverstein(dirac0, 0.5, 1 + 1j)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, 0.0])
+    def test_gamma_outside_the_positive_reals_refused(self, mp_unit, gamma):
+        # NaN passed the old test gamma <= 0, and support detection then found no interval
+        for build in (lambda: sd.solve_silverstein(mp_unit, gamma, 1 + 1j),
+                      lambda: sd.support_intervals(mp_unit, gamma),
+                      lambda: sd.SpikedModel(H=mp_unit, G0=mp_unit, G1=mp_unit, gamma=gamma)):
+            with pytest.raises(ValueError, match="gamma must be positive and finite"):
+                build()
+
 
 class TestSolveFallbacks:
     """The retry, the half-plane damping and the failure messages of the array solve."""

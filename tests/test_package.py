@@ -66,6 +66,10 @@ def test_every_submodule_export_is_a_package_export():
     ("simulate", "_POPULATION_VALUES"),
     ("simulate", "_check_population"),
     ("simulate", "_population_eigenvalues"),
+    # a kernel matrix and a Delta carry their curve, and with it its grid
+    ("kernel.KernelMatrix", "grid"),
+    ("kernel.SolvedDerivative", "grid"),
+    ("weak_derivative.SignedMeasureCdf", "grid"),
 ])
 def test_removed_names_stay_removed(owner, name):
     # README lists what replaces each of these
@@ -94,6 +98,14 @@ def test_curve_entries_read_the_bulk_from_the_curve(name):
     params = inspect.signature(getattr(sd, name)).parameters
     assert "curve" in params
     assert not {"H", "gamma", "support"} & set(params)
+
+
+@pytest.mark.parametrize("name", ["solve_collocation", "lss_moments"])
+def test_kernel_entries_read_the_curve_from_delta_or_the_kernel(name):
+    # a kernel matrix and a Delta each carry their curve, so no entry takes one beside them
+    params = inspect.signature(getattr(sd, name)).parameters
+    assert "delta" in params
+    assert "curve" not in params
 
 
 def test_names_the_benchmark_wraps_resolve(monkeypatch):

@@ -8,6 +8,8 @@ that normalize by sample sums keep their own original statistic.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -15,7 +17,7 @@ import numpy as np
 
 from .io import reject_unknown
 from .mp import StieltjesCurve, forward_moments
-from .optimal import SEG_SUPPORT, LssFunction, check_at_least
+from .optimal import LssFunction, check_at_least
 
 __all__ = [
     "catalog_ids",
@@ -134,7 +136,8 @@ def catalog_ids() -> list[str]:
 
 
 def _resolve_entry(test_id: str, params: dict) -> _CatalogEntry:
-    """The catalog entry named ``test_id``, given exactly the parameters it needs."""
+    """The catalog entry named ``test_id``, given exactly the parameters it
+    needs, each a finite number."""
     try:
         entry = _CATALOG[test_id]
     except KeyError:
@@ -142,14 +145,17 @@ def _resolve_entry(test_id: str, params: dict) -> _CatalogEntry:
     for name in entry.needs:
         if name not in params:
             raise ValueError(f"test '{entry.test_id}' requires parameter '{name}'")
+        value = params[name]
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise ValueError(f"test '{entry.test_id}' parameter '{name}' must be a finite "
+                             f"number, not {value!r}")
     reject_unknown(params, entry.needs, f"test '{entry.test_id}' takes no parameter")
     return entry
 
 
 def _on_curve(phi: _Phi, curve: StieltjesCurve) -> LssFunction:
     """phi on the curve's grid; evaluation extends it."""
-    return LssFunction(grid=curve.grid, values=np.array(phi(curve.grid), dtype=float),
-                       segments=[SEG_SUPPORT] * curve.grid.size)
+    return LssFunction(grid=curve.grid, values=np.array(phi(curve.grid), dtype=float))
 
 
 def equivalent_lss(test_id: str, curve: StieltjesCurve, **params) -> LssFunction:

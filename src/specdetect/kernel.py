@@ -13,20 +13,24 @@ K and Delta each carry the curve whose grid they live on, and an entry
 given both refuses a Delta on another grid.
 
 The pointwise matrix is assembled by evaluating its upper triangle and
-mirroring it.  Its solve factors the ridged matrix by a blocked Cholesky in
-the matrix's own lower triangle and mirrors the untouched upper triangle
-back afterwards, so a solve holds one N x N array (8 MB at N = 1000).  On a
+mirroring it, into one N x N array (8 MB at N = 1000).  Its first solve
+factors the ridged matrix by a blocked Cholesky in the array's own lower
+triangle and keeps the factor there, so every later solve with the same
+ridge is two blocked substitutions.  The strict upper triangle is never
+written and the diagonal is saved beside it, so the products with K read
+those, and a kernel still holds one N x N array.  On a
 split support the diagonal at each interval start is taken across the gap
 (ROADMAP known defect "The diagonal taken across a support gap"); the
 solve factors the matrix with those entries taken from inside the interval
 and corrects for them by a rank-m Woodbury term, m the number of starts
 (none on one interval).  Only a matrix whose factorization fails takes an
-LU solve and, with it, LAPACK's copy of the matrix.
+LU solve and, with it, LAPACK's copy of the matrix; it keeps no factor.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+import threading
+from dataclasses import asdict, dataclass, field
 from statistics import NormalDist
 
 import numpy as np
@@ -63,6 +67,25 @@ _COLLOCATION_NODES = 150  # collocation nodes per support interval, at most
 _MAX_CONDITION = 1e13  # a collocation matrix above this condition number is refused
 
 
+class _Storage:
+    """K in one N x N array, and what its lower triangle holds.
+
+    The array's strict upper triangle is K's and is never written, and
+    ``diagonal`` is a copy of K's diagonal.  The lower triangle and the
+    diagonal hold K's mirror until a solve factors a matrix there;
+    ``factored`` is then that matrix's diagonal, which with the upper
+    triangle names it.  ``lock`` is held by each solve.
+    """
+
+    __slots__ = ("array", "diagonal", "factored", "lock")
+
+    def __init__(self, entries: np.ndarray) -> None:
+        self.array = entries
+        self.diagonal = entries.diagonal().copy()
+        self.factored: np.ndarray | None = None
+        self.lock = threading.Lock()
+
+
 @dataclass
 class KernelMatrix:
     """Symmetric discretization of the kernel operator on the support grid.
@@ -77,32 +100,59 @@ class KernelMatrix:
     those points of ``curve``, one per interval after the first.  ``ridge``
     is the Tikhonov parameter _RIDGE_COEFF * tr / I derived from the
     assembled matrix.
-    The upper triangle is evaluated and mirrored into the lower one.  No
-    ridged copy or factor is kept: ``solve_regularized`` works in
-    ``entries`` and restores it, so every solve holds ``entries`` alone,
-    except where the start-corrected matrix fails to factor and the solve
-    takes LU, with LAPACK's copy of it.
+    The matrix is one N x N array (``storage``): the first solve factors
+    the ridged matrix in its lower triangle and keeps the factor for the
+    solves after it, and the products with K read the untouched strict
+    upper triangle and the saved diagonal.  ``entries`` is K as a fresh
+    symmetric array.  A copy made by ``dataclasses.replace`` shares the
+    array; one with another ridge factors it again.
     """
 
     curve: StieltjesCurve
-    entries: np.ndarray
+    storage: _Storage = field(repr=False)
     weights: np.ndarray
     ridge: float
 
     @property
     def size(self) -> int:
-        return self.entries.shape[0]
+        return self.storage.diagonal.size
 
     @property
     def starts(self) -> np.ndarray:
         return np.flatnonzero(np.diff(self.curve.interval_id)) + 1
 
+    @property
+    def entries(self) -> np.ndarray:
+        """K as a fresh symmetric array, read from the strict upper triangle and the diagonal."""
+        A = np.triu(self.storage.array, 1)
+        A += A.T
+        np.fill_diagonal(A, self.storage.diagonal)
+        return A
+
     def quadratic_form(self, g: np.ndarray) -> float:
         u = np.sqrt(self.weights) * g
-        return float(u @ self.entries @ u)
+        return float(u @ _product(self.storage, u))
 
     def inner(self, g: np.ndarray, j: np.ndarray) -> float:
         return float(np.sum(self.weights * g * j))
+
+
+def _product(storage: _Storage, u: np.ndarray) -> np.ndarray:
+    """K u from K's strict upper triangle and saved diagonal, by blocks of _ROWS rows.
+
+    Each block row's strict upper part serves as its rows and, transposed,
+    as the columns below it, so no step reads the lower triangle.
+    """
+    A = storage.array
+    n = A.shape[0]
+    out = storage.diagonal * u
+    for r0 in range(0, n, _ROWS):
+        r1 = min(r0 + _ROWS, n)
+        tile = np.triu(A[r0:r1, r0:r1], 1)
+        right = A[r0:r1, r1:]
+        out[r0:r1] += tile @ u[r0:r1] + tile.T @ u[r0:r1] + right @ u[r1:]
+        out[r1:] += right.T @ u[r0:r1]
+    return out
 
 
 def _kernel_rows(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -175,7 +225,7 @@ def assemble_diagreg(curve: StieltjesCurve) -> KernelMatrix:
     sq = np.sqrt(w)
     entries = _weighted_kernel_matrix(curve, sq)
     ridge = _RIDGE_COEFF * float(np.trace(entries)) / entries.shape[0]
-    return KernelMatrix(curve=curve, entries=entries, weights=w, ridge=ridge)
+    return KernelMatrix(curve=curve, storage=_Storage(entries), weights=w, ridge=ridge)
 
 
 @dataclass
@@ -249,40 +299,63 @@ def solve_regularized(K: KernelMatrix, rhs: np.ndarray) -> np.ndarray:
     interval starts s (``K.starts``) and P equal to K + r I except that
     each start's diagonal takes the in-interval right neighbour, as row 0
     does: P_ss = _C1 K_s,s+1 sqrt(w_s / w_s+1) + r, and c = P_ss - (K_ss + r).
-    P is factored by a blocked Cholesky in ``K.entries``' own lower
-    triangle (``_factor``), one blocked substitution gives y = P^-1 rhs and
-    Z = P^-1 U, and the m x m system (I - Z_s diag(c)) a = y_s gives
-    u = y + Z diag(c) a; no step divides by c.  With no starts P is K + r I,
-    Z is empty and u = y.  The exactly symmetric upper triangle is left
-    untouched, and it and the saved diagonal are put back afterwards, so K
-    comes back bit for bit, also when anything raises.  A solve holds one
-    N x N array, K itself, except where P is not positive definite: its
-    factorization fails, and the solve is an LU solve of K + r I with the
-    ridge added to K's own diagonal, which holds LAPACK's copy of K as well.
-    A solve must not run concurrently with another use of the same K.
+    P is factored once, by a blocked Cholesky in the lower triangle of K's
+    array (``_factor_once``), and the factor is kept there.  One blocked
+    substitution gives y = P^-1 rhs and Z = P^-1 U, and the m x m system
+    (I - Z_s diag(c)) a = y_s gives u = y + Z diag(c) a; no step divides
+    by c.  With no starts P is K + r I, Z is empty and u = y.  A solve
+    holds one N x N array, K's own, except where P is not positive
+    definite: its factorization fails, and the solve is an LU solve of
+    K + r I with the ridge added to the array's diagonal, which holds
+    LAPACK's copy as well and keeps nothing.  Each solve holds K's lock,
+    so solves with one K may run on several threads.
     """
-    A = K.entries
+    storage = K.storage
+    A = storage.array
     n = A.shape[0]
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[:1] != (n,):
         raise ValueError(f"a right-hand side of shape {rhs.shape} does not fit a {n} x {n} kernel")
-    saved = A.diagonal().copy()
-    ridged = saved + K.ridge
+    ridged = storage.diagonal + K.ridge
     s = K.starts
     corrected = ridged.copy()
     corrected[s] = _C1 * A[s, s + 1] * np.sqrt(K.weights[s] / K.weights[s + 1]) + K.ridge
-    try:
-        np.fill_diagonal(A, corrected)
+    with storage.lock:
+        if _factor_once(storage, corrected):
+            return _woodbury(A, rhs, s, corrected[s] - ridged[s])
+        # P is not positive definite: LU on K + r I
+        np.fill_diagonal(A, ridged)
         try:
-            _factor(A)
-        except np.linalg.LinAlgError:  # P is not positive definite: LU on K + r I
-            _mirror(A)
-            np.fill_diagonal(A, ridged)
             return np.linalg.solve(A, rhs)
-        return _woodbury(A, rhs, s, corrected[s] - ridged[s])
-    finally:
+        finally:
+            np.fill_diagonal(A, storage.diagonal)
+
+
+def _factor_once(storage: _Storage, diagonal: np.ndarray) -> bool:
+    """Leave in the array's lower triangle the factor of the matrix with K's
+    off-diagonal entries and ``diagonal``, unless it holds that factor already.
+
+    A factor of another diagonal, such as another ridge's, is first replaced
+    by K's mirror.  Returns False where the matrix is not positive definite,
+    with K's mirror and diagonal put back, as on any other exception.
+    """
+    A = storage.array
+    if storage.factored is not None and np.array_equal(storage.factored, diagonal):
+        return True
+    held, storage.factored = storage.factored, None
+    try:
+        if held is not None:
+            _mirror(A)
+        np.fill_diagonal(A, diagonal)
+        _factor(A)
+    except BaseException as exc:
         _mirror(A)
-        np.fill_diagonal(A, saved)
+        np.fill_diagonal(A, storage.diagonal)
+        if isinstance(exc, np.linalg.LinAlgError):
+            return False
+        raise
+    storage.factored = diagonal
+    return True
 
 
 def _woodbury(A: np.ndarray, rhs: np.ndarray, s: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -308,7 +381,7 @@ def solve_diagreg(K: KernelMatrix, delta: SignedMeasureCdf) -> SolvedDerivative:
     sq = np.sqrt(K.weights)
     rhs = -sq * delta.cdf
     u = solve_regularized(K, rhs)
-    resid = float(np.linalg.norm(K.entries @ u + K.ridge * u - rhs))
+    resid = float(np.linalg.norm(_product(K.storage, u) + K.ridge * u - rhs))
     return SolvedDerivative(values=u / sq, residual_norm=resid)
 
 
@@ -369,7 +442,7 @@ def solve_collocation(delta: SignedMeasureCdf) -> SolvedDerivative:
 # moments, efficacy and predicted power
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EfficacyReport:
     """Mean shift, standard deviation, efficacy and asymptotic power of an LSS.
 

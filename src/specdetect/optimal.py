@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -114,36 +115,44 @@ class AlgoConfig:
         check_at_least(points_per_interval=self.points_per_interval)
 
 
-@dataclass
+@dataclass(slots=True)
 class LssFunction:
-    """Test function stored at its grid points; ``segments`` labels each
-    point with the construction it came from.
+    """Test function stored at its grid points.
 
     Evaluation is the one extension rule: linear between stored points and
-    constant beyond the outermost ones.  The derivative on the support grid
-    is kept when the function came from the integral-equation route.
+    constant beyond the outermost ones.  ``distance_nodes`` indexes the
+    grid points that an escaped spike's distance statistic adds, and is
+    None for a statistic on the curve's grid alone; ``segments`` reads a
+    label per point from it.
     """
 
     grid: np.ndarray
     values: np.ndarray
-    segments: list[str]
-    derivative: np.ndarray | None = None
+    distance_nodes: np.ndarray | None = None
+
+    @property
+    def segments(self) -> list[str]:
+        """SEG_BUMP at each distance node and SEG_SUPPORT at every other point."""
+        labels = [SEG_SUPPORT] * self.grid.size
+        if self.distance_nodes is not None:
+            for i in self.distance_nodes.tolist():
+                labels[i] = SEG_BUMP
+        return labels
 
     def __call__(self, x) -> np.ndarray:
         return np.interp(np.asarray(x, dtype=float), self.grid, self.values)
 
     def normalized(self) -> "LssFunction":
-        """Copy anchored to zero at the left and scaled to max-abs one, without a derivative."""
+        """Copy anchored to zero at the left and scaled to max-abs one."""
         vals = self.values - self.values[0]
         scale = float(np.max(np.abs(vals)))
         if scale == 0.0:
             scale = 1.0
         return LssFunction(grid=self.grid.copy(), values=vals / scale,
-                           segments=list(self.segments))
+                           distance_nodes=self.distance_nodes)
 
     def to_rows(self):
-        for i in range(self.grid.size):
-            yield (self.grid[i], self.values[i], self.segments[i])
+        return zip(self.grid, self.values, self.segments)
 
 
 def integrate_derivative(curve: StieltjesCurve, g: np.ndarray) -> LssFunction:
@@ -155,8 +164,7 @@ def integrate_derivative(curve: StieltjesCurve, g: np.ndarray) -> LssFunction:
     curve.require_complete()
     grid = curve.grid
     phi = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(grid))])
-    return LssFunction(grid=grid, values=phi, segments=[SEG_SUPPORT] * grid.size,
-                       derivative=np.asarray(g, dtype=float).copy())
+    return LssFunction(grid=grid, values=phi)
 
 
 def lss_above_pt(escaped: tuple[SpikeRecord, ...], curve: StieltjesCurve) -> LssFunction:
@@ -170,7 +178,7 @@ def lss_above_pt(escaped: tuple[SpikeRecord, ...], curve: StieltjesCurve) -> Lss
     to a last node at 2 psi and constant beyond it; a - x on [0, a] below
     the lower edge a; the tent min(x - c, d - x) in a gap (c, d).  phi is
     zero on the support and is stored at the curve's grid plus those
-    nodes, which are labelled SEG_BUMP; no sample size enters it.
+    nodes, its ``distance_nodes``; no sample size enters it.
     """
     if not escaped:
         raise ValueError("no supercritical spike; below-transition route applies")
@@ -191,11 +199,8 @@ def lss_above_pt(escaped: tuple[SpikeRecord, ...], curve: StieltjesCurve) -> Lss
     # grid lies inside the support, so between two nodes that read zero
     distance = np.maximum(np.maximum(intervals[:, :1] - nodes, nodes - intervals[:, 1:]), 0.0)
     grid = np.union1d(curve.grid, nodes)
-    segments = [SEG_SUPPORT] * grid.size
-    for i in np.searchsorted(grid, nodes).tolist():
-        segments[i] = SEG_BUMP
     return LssFunction(grid=grid, values=np.interp(grid, nodes, distance.min(axis=0)),
-                       segments=segments)
+                       distance_nodes=np.searchsorted(grid, nodes))
 
 
 def optimal_lss(model: SpikedModel, config: AlgoConfig | None = None,
@@ -235,6 +240,26 @@ def _curve(H: AtomicMeasure, gamma: float, points_per_interval: int) -> Stieltje
     return stieltjes_grid(H, gamma, points_per_interval=points_per_interval)
 
 
+_KERNEL_LOCK = threading.Lock()
+# the kernel of the curve of the last subcritical build, at most one
+_kernel_slot: list[KernelMatrix] = []
+
+
+def _kernel(curve: StieltjesCurve) -> KernelMatrix:
+    """The kernel matrix of the curve, assembled on a miss.
+
+    K depends on the bulk and gamma alone, so every build on one curve
+    solves with one K, factored by its first solve.  The one slot is keyed
+    by the curve object and emptied before another curve's K is assembled,
+    so it never holds two N x N arrays.
+    """
+    with _KERNEL_LOCK:
+        if not (_kernel_slot and _kernel_slot[0].curve is curve):
+            _kernel_slot.clear()
+            _kernel_slot.append(assemble_diagreg(curve))
+        return _kernel_slot[0]
+
+
 def _build(model: SpikedModel, config: AlgoConfig, curve: StieltjesCurve | None,
            solve: Callable[[KernelMatrix, SignedMeasureCdf, AlgoConfig], np.ndarray]
            ) -> tuple[LssFunction, EfficacyReport]:
@@ -245,8 +270,8 @@ def _build(model: SpikedModel, config: AlgoConfig, curve: StieltjesCurve | None,
     or gamma, or one with dropped grid points; rejects a supercritical G0
     and decides the regime from G1.
     Below the transition ``solve`` returns the derivative from the kernel
-    system and it is integrated; a supercritical G1 gets the distance
-    statistic of ``lss_above_pt``.
+    system of the curve (``_kernel``) and it is integrated; a supercritical
+    G1 gets the distance statistic of ``lss_above_pt``.
     """
     if curve is None:
         curve = _curve(model.H, model.gamma, config.points_per_interval)
@@ -259,13 +284,10 @@ def _build(model: SpikedModel, config: AlgoConfig, curve: StieltjesCurve | None,
         return lss_above_pt(escaped, curve), efficacy_report(math.inf, 0.0, config.alpha)
 
     delta = delta_diff(model.G0, model.G1, curve)
-    K = assemble_diagreg(curve)
+    # the slot keeps K, and its factor, for the next build on this curve
+    K = _kernel(curve)
     g = solve(K, delta, config)
     report = derivative_efficacy(K, g, delta, model.h, config.alpha)
-    # free the N x N matrix before the statistic's arrays are allocated:
-    # made while it is live, they can land above it in the heap, and the
-    # next build's matrix then takes fresh pages instead of its space
-    del K
     return integrate_derivative(curve, g), report
 
 

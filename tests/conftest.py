@@ -11,12 +11,15 @@ from specdetect import optimal
 
 
 @pytest.fixture(autouse=True)
-def fresh_curve_memo():
-    """Empty the statistic builds' curve memo around every test, so that no
-    test reuses a curve another test built, under a patch or without one."""
+def fresh_build_memos():
+    """Empty the statistic builds' curve memo and kernel slot around every
+    test, so that no test reuses a curve or a kernel another test built,
+    under a patch or without one."""
     optimal._curve.cache_clear()
+    optimal._kernel_slot.clear()
     yield
     optimal._curve.cache_clear()
+    optimal._kernel_slot.clear()
 
 
 @pytest.fixture(scope="session")

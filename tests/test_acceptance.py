@@ -12,7 +12,7 @@ import pytest
 
 import specdetect as sd
 from oracles import mad, normalize_curve, omh_lss
-from specdetect import mp
+from specdetect import mp, optimal
 
 GAMMA = 0.5
 _LINES: list[str] = []
@@ -238,10 +238,13 @@ def test_criterion_10_property_suite(unit_bulk, unit_curve):
     cfg = sd.AlgoConfig()
     phi_s, rep_s = sd.optimal_ls3(model, cfg, curve=unit_curve)
     _, rep_u = sd.optimal_lss(model, cfg, curve=unit_curve)
+    # the derivative of phi_s, from the solve itself
+    g_s = optimal._projected_solve(K, sd.delta_diff(unit_bulk, model.G1, unit_curve), cfg)
     d_vec = unit_curve.grid * unit_curve.density
-    inner = float(np.sum(K.weights * phi_s.derivative * d_vec))
-    scale = float(np.linalg.norm(phi_s.derivative) * np.linalg.norm(d_vec))
-    ls3_ok = abs(inner) <= 1e-8 * max(scale, 1.0) and rep_s.efficacy <= rep_u.efficacy
+    inner = float(np.sum(K.weights * g_s * d_vec))
+    scale = float(np.linalg.norm(g_s) * np.linalg.norm(d_vec))
+    ls3_ok = (np.array_equal(phi_s.values, sd.integrate_derivative(unit_curve, g_s).values)
+              and abs(inner) <= 1e-8 * max(scale, 1.0) and rep_s.efficacy <= rep_u.efficacy)
 
     ok = resid_ok and sym_ok and psd_ok and cross_ok and ls3_ok
     record(

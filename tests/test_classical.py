@@ -37,6 +37,24 @@ class TestCatalog:
             sd.evaluate_statistic("nagao", np.ones(10), n=20, t=1.6)
 
 
+    @pytest.mark.parametrize("test_id, params, shown", [
+        ("omh-identity", {"t": math.inf}, "inf"),
+        ("omh-identity", {"t": math.nan}, "nan"),
+        ("omh-sphericity", {"t": -math.inf}, "-inf"),
+        ("regularized-lrt", {"lam": math.inf}, "inf"),
+    ], ids=["omh-identity-inf", "omh-identity-nan", "omh-sphericity-minus-inf",
+            "regularized-lrt-inf"])
+    def test_non_finite_parameter_named(self, mp_curve, test_id, params, shown):
+        # t = inf gave phi = -inf at every grid point, and t = nan the
+        # message of a supercritical spike
+        (name,) = params
+        message = f"^test '{test_id}' parameter '{name}' must be a finite number, not {shown}$"
+        with pytest.raises(ValueError, match=message):
+            sd.equivalent_lss(test_id, mp_curve, **params)
+        with pytest.raises(ValueError, match=message):
+            sd.evaluate_statistic(test_id, [1.0, 2.0], 4, **params)
+
+
 class TestEquivalentLss:
     def test_john_sphericity_under_identity_null(self, mp_curve):
         phi = sd.equivalent_lss("john-sphericity", mp_curve)

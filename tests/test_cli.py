@@ -612,6 +612,15 @@ AT_LEAST_16 = "points_per_interval must be at least 16, not 5"
      "null_spike must be positive and finite, not inf"),
     # "n" is checked without "eigenvalues" too; it went unread
     ("classical-lss", {**CLASSICAL, "n": -5}, "n must be at least 1, not -5"),
+    # t = Infinity wrote phi = -inf on every row, and NaN exited with the
+    # message of a supercritical spike
+    ("classical-lss", {**SPECTRUM, "test_id": "omh-identity", "parameters": {"t": math.inf}},
+     "test 'omh-identity' parameter 't' must be a finite number, not inf"),
+    ("classical-lss", {**SPECTRUM, "test_id": "omh-identity", "parameters": {"t": math.nan}},
+     "test 'omh-identity' parameter 't' must be a finite number, not nan"),
+    ("classical-lss", {**SPECTRUM, "test_id": "regularized-lrt",
+                       "parameters": {"lam": math.inf}},
+     "test 'regularized-lrt' parameter 'lam' must be a finite number, not inf"),
 ], ids=["power-n", "power-empty-spike-grid", "power-h", "power-seed", "power-negative-spike",
         "power-null-spike", "power-points", "optimal-h", "optimal-gamma", "optimal-n",
         "optimal-config-points", "spectrum-gamma", "spectrum-points", "weak-derivative-gamma",
@@ -619,7 +628,8 @@ AT_LEAST_16 = "points_per_interval must be at least 16, not 5"
         "simulate-seed", "simulate-no-reps", "simulate-negative-reps", "spectrum-gamma-nan",
         "spectrum-gamma-inf", "weak-derivative-gamma-nan", "optimal-gamma-nan",
         "optimal-gamma-inf", "classical-gamma-inf", "power-spike-grid-nan",
-        "power-spike-grid-inf", "power-null-spike-nan", "power-null-spike-inf", "classical-n"])
+        "power-spike-grid-inf", "power-null-spike-nan", "power-null-spike-inf", "classical-n",
+        "classical-parameter-inf", "classical-parameter-nan", "classical-lam-inf"])
 def test_value_out_of_range_exits_2(tmp_path, capsys, command, payload, message):
     # a value outside its range is a config error named by its field, not a
     # runtime failure or a run that writes nan

@@ -13,7 +13,13 @@ import pytest
 import specdetect as sd
 from data.record_reference_curves import cases
 from oracles import mad, mp_companion_transform, normalize_curve, omh_lss, power_mean_shift
+from specdetect import kernel
 from specdetect.kernel import solve_regularized
+
+
+def _unfactored(K):
+    """A copy of K in an array of its own, which no solve has factored."""
+    return dataclasses.replace(K, storage=kernel._Storage(K.entries))
 
 
 GAMMA = 0.5
@@ -73,6 +79,7 @@ class TestAssembly:
         before = K.entries.copy()
         rhs = np.random.default_rng(3).standard_normal((K.size, 2))
         u = solve_regularized(K, rhs)
+        # the symmetric matrix reads the same after a solve
         assert np.array_equal(K.entries, before)
         dense = np.linalg.solve(before + K.ridge * np.eye(K.size), rhs)
         assert np.max(np.abs(u - dense)) <= 1e-10 * np.max(np.abs(dense))
@@ -85,6 +92,7 @@ class TestAssembly:
         before = K.entries.copy()
         rhs = np.random.default_rng(3).standard_normal((K.size, 2))
         u = solve_regularized(K, rhs)
+        # the symmetric matrix reads the same after a solve
         assert np.array_equal(K.entries, before)
         ref = solve(K.entries + K.ridge * np.eye(K.size), rhs, assume_a="sym")
         # observed 6.0e-15
@@ -103,11 +111,14 @@ class TestAssembly:
         entries = K.entries.copy()
         entries[0, :] = entries[:, 0] = 0.0
         entries[0, 0] = -K.ridge
-        singular = dataclasses.replace(K, entries=entries)
+        singular = dataclasses.replace(K, storage=kernel._Storage(entries.copy()))
         before = entries.tobytes()
         with pytest.raises(np.linalg.LinAlgError):
             solve_regularized(singular, np.ones(K.size))
+        # the symmetric matrix reads the same, and its array keeps no factor
         assert singular.entries.tobytes() == before
+        assert singular.storage.array.tobytes() == before
+        assert singular.storage.factored is None
 
     @pytest.mark.parametrize("name", ["two_atom", "ar1", "unit"])
     def test_mirrored_assembly_equals_the_full_evaluation(self, name):
@@ -194,7 +205,7 @@ def _indefinite_kernel(n=200):
     entries = np.eye(n)
     entries[150, 190] = entries[190, 150] = 2.0
     unit = sd.stieltjes_grid(sd.AtomicMeasure.point_mass(1.0), GAMMA, points_per_interval=n)
-    return dataclasses.replace(sd.assemble_diagreg(unit), entries=entries,
+    return dataclasses.replace(sd.assemble_diagreg(unit), storage=kernel._Storage(entries),
                                weights=np.ones(n), ridge=1e-4)
 
 
@@ -204,11 +215,11 @@ class TestCholeskySolve:
     def test_matches_the_dense_solve(self, request, monkeypatch, cholesky_calls, bulk, columns):
         # the split supports {1, 3} and {0.5, 1.5} at gamma = 0.1 and
         # {1, 4, 12} at gamma = 0.05 are factored too, with a Woodbury term
-        K = {"unit": lambda: request.getfixturevalue("mp_kernel"),
-             "ar1": lambda: request.getfixturevalue("ar1_kernel"),
-             "1-3": lambda: _split_kernel([1.0, 3.0], 0.1, 300),
-             "0.5-1.5": lambda: _split_kernel([0.5, 1.5], 0.1, 300),
-             "1-4-12": lambda: _split_kernel([1.0, 4.0, 12.0], 0.05, 300)}[bulk]()
+        K = _unfactored({"unit": lambda: request.getfixturevalue("mp_kernel"),
+                         "ar1": lambda: request.getfixturevalue("ar1_kernel"),
+                         "1-3": lambda: _split_kernel([1.0, 3.0], 0.1, 300),
+                         "0.5-1.5": lambda: _split_kernel([0.5, 1.5], 0.1, 300),
+                         "1-4-12": lambda: _split_kernel([1.0, 4.0, 12.0], 0.05, 300)}[bulk]())
         assert K.starts.size == bulk.count("-")
         lu_sizes = []
         lu = np.linalg.solve
@@ -235,11 +246,14 @@ class TestCholeskySolve:
                                        "factorization-fails"])
     def test_entries_come_back_bit_for_bit(self, request, monkeypatch, cholesky_calls,
                                            mp_kernel, two_atom_curve_01, route):
-        K = {"factored": lambda: mp_kernel,
-             "split-support": lambda: sd.assemble_diagreg(two_atom_curve_01),
-             "adjacent-minor": lambda: request.getfixturevalue("ar1_dip_kernel"),
-             "factorization-fails": _indefinite_kernel}[route]()
+        # the symmetric matrix reads the same after a solve; a factored
+        # array keeps the factor, and one whose factorization fails keeps none
+        K = _unfactored({"factored": lambda: mp_kernel,
+                         "split-support": lambda: sd.assemble_diagreg(two_atom_curve_01),
+                         "adjacent-minor": lambda: request.getfixturevalue("ar1_dip_kernel"),
+                         "factorization-fails": _indefinite_kernel}[route]())
         before = K.entries.tobytes()
+        upper = np.triu(K.storage.array, 1).tobytes()
         d = np.diag(K.entries) + K.ridge
         minors = d[:-1] * d[1:] - np.diag(K.entries, 1) ** 2
         rhs = np.random.default_rng(7).standard_normal((K.size, 2))
@@ -254,6 +268,10 @@ class TestCholeskySolve:
         u = solve_regularized(K, rhs)
         monkeypatch.setattr(np.linalg, "solve", lu)
         assert K.entries.tobytes() == before
+        assert np.triu(K.storage.array, 1).tobytes() == upper
+        kept = route in ("factored", "split-support")
+        assert (K.storage.factored is not None) == kept
+        assert (K.storage.array.tobytes() == before) != kept
         raised = [i for i, (_, r) in enumerate(cholesky_calls) if r]
         if route == "split-support":
             # the first point past the gap has a nonpositive adjacent minor
@@ -279,6 +297,40 @@ class TestCholeskySolve:
             assert cholesky_calls and raised == []
         dense = np.linalg.solve(K.entries + K.ridge * np.eye(K.size), rhs)
         assert np.max(np.abs(u - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("bulk", ["unit", "1-3"])
+    def test_a_second_solve_reuses_the_factor_and_writes_nothing(
+            self, monkeypatch, mp_curve, two_atom_curve_01, bulk):
+        K = sd.assemble_diagreg({"unit": mp_curve, "1-3": two_atom_curve_01}[bulk])
+        rng = np.random.default_rng(11)
+        first = solve_regularized(K, rng.standard_normal(K.size))
+        assert K.storage.factored is not None and np.all(np.isfinite(first))
+        factored = K.storage.array.tobytes()
+        calls = []
+        factor = kernel._factor
+        monkeypatch.setattr(kernel, "_factor", lambda A: calls.append(A) or factor(A))
+        rhs = rng.standard_normal((K.size, 2))
+        u = solve_regularized(K, rhs)
+        # no factorization, and no byte of the array written: neither K's
+        # upper triangle and diagonal nor the factor kept below them
+        assert calls == []
+        assert K.storage.array.tobytes() == factored
+        dense = np.linalg.solve(K.entries + K.ridge * np.eye(K.size), rhs)
+        # observed 1.2e-15 (unit) and 5.2e-16 (1-3)
+        assert np.max(np.abs(u - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    def test_a_copy_with_another_ridge_factors_its_own_system(self, two_atom_curve_01):
+        K = sd.assemble_diagreg(two_atom_curve_01)
+        rhs = np.random.default_rng(13).standard_normal(K.size)
+        solve_regularized(K, rhs)
+        doubled = dataclasses.replace(K, ridge=2 * K.ridge)
+        # the copy shares K's array, and so the factor of the ridge r system
+        assert doubled.storage is K.storage
+        for ridge, M in ((2 * K.ridge, doubled), (K.ridge, K), (2 * K.ridge, doubled)):
+            u = solve_regularized(M, rhs)
+            dense = np.linalg.solve(K.entries + ridge * np.eye(K.size), rhs)
+            # observed 7.6e-16
+            assert np.max(np.abs(u - dense)) <= 1e-12 * np.max(np.abs(dense))
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="ROADMAP known defect 'The diagonal taken across a support gap': "

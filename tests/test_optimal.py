@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 import weakref
 
 import numpy as np
@@ -47,7 +48,7 @@ class TestConfig:
         assert a_pt == pytest.approx(1 + math.sqrt(GAMMA), abs=1e-8)
         for spike, solved in ((a_pt * (1 - 1e-6), True), (a_pt * (1 + 1e-6), False)):
             phi, rep = sd.optimal_lss(unit_model_factory(spike), CFG, curve=mp_curve)
-            assert (phi.derivative is not None) == solved
+            assert (phi.distance_nodes is None) == solved
             assert math.isinf(rep.efficacy) != solved
             assert (SEG_BUMP in phi.segments) != solved
 
@@ -132,28 +133,6 @@ class TestSubcriticalBranch:
         ref = normalize_curve(omh_lss(phi.grid[mask], t, GAMMA))
         assert mad(ours, ref) <= 1e-2
 
-    @pytest.mark.parametrize("build", [sd.optimal_lss, sd.optimal_ls3])
-    def test_kernel_matrix_is_freed_before_the_statistic_is_made(
-            self, monkeypatch, unit_model_factory, mp_curve, build):
-        # arrays allocated while the N x N matrix is live can land above it
-        # in the heap and keep its pages from the next build
-        entries = []
-        assemble, integrate = optimal.assemble_diagreg, optimal.integrate_derivative
-
-        def assemble_spy(curve):
-            K = assemble(curve)
-            entries.append(weakref.ref(K.entries))
-            return K
-
-        def integrate_spy(curve, g):
-            assert entries and all(ref() is None for ref in entries)
-            return integrate(curve, g)
-
-        monkeypatch.setattr(optimal, "assemble_diagreg", assemble_spy)
-        monkeypatch.setattr(optimal, "integrate_derivative", integrate_spy)
-        _, rep = build(unit_model_factory(1.6), CFG, curve=mp_curve)
-        assert rep.regime == "subcritical-solvable" and len(entries) == 1
-
     def test_collocation_solver(self, unit_model_factory, mp_curve):
         cfg = sd.AlgoConfig(solver="collocation")
         model = unit_model_factory(1.6)
@@ -162,18 +141,18 @@ class TestSubcriticalBranch:
         mask = in_support_mask(phi)
         ref = normalize_curve(omh_lss(phi.grid[mask], 1.6, GAMMA))
         assert mad(normalize_curve(phi.values[mask]), ref) <= 1e-2
-        # the derivative it integrates is the collocation solve on the same curve
+        # phi integrates the collocation solve on the same curve
         delta = sd.delta_diff(model.G0, model.G1, mp_curve)
         direct = sd.solve_collocation(delta)
-        assert np.array_equal(phi.derivative, direct.values)
+        assert np.array_equal(phi.values, sd.integrate_derivative(mp_curve, direct.values).values)
 
     def test_normalized_phi_independent_of_h(self, unit_model_factory):
         phis = []
         for h in (1, 2, 5):
             phi, _ = sd.optimal_lss(unit_model_factory(1.6, h=h), CFG)
             phis.append(phi)
-        assert np.array_equal(phis[0].derivative, phis[1].derivative)
-        assert np.array_equal(phis[0].derivative, phis[2].derivative)
+        assert np.array_equal(phis[0].values, phis[1].values)
+        assert np.array_equal(phis[0].values, phis[2].values)
 
     def test_report_power_formula(self, unit_model_factory):
         norm = pytest.importorskip("scipy.stats").norm
@@ -323,7 +302,7 @@ class TestAbovePtBranch:
     def test_regime_follows_efficacy(self, unit_model_factory, mp_curve, t, n, solved):
         # full power is an infinite efficacy; the regime is read from it
         phi, rep = sd.optimal_lss(unit_model_factory(t, n=n), CFG, curve=mp_curve)
-        assert (phi.derivative is not None) == solved
+        assert (phi.distance_nodes is None) == solved
         expected = ("supercritical-full-power" if math.isinf(rep.efficacy)
                     else "subcritical-solvable")
         assert rep.regime == expected
@@ -332,7 +311,7 @@ class TestAbovePtBranch:
 
     def test_no_substitution_for_large_spike(self, unit_model_factory):
         phi, rep = sd.optimal_lss(unit_model_factory(3.0, n=500), CFG)
-        assert phi.derivative is None  # bump route
+        assert phi.distance_nodes is not None  # bump route
 
     def test_downward_spike_gets_bump_not_surrogate(self, unit_model_factory, mp_unit,
                                                     mp_curve):
@@ -340,7 +319,7 @@ class TestAbovePtBranch:
         # edge, the same rule as above it; nothing is solved
         phi, rep = sd.optimal_lss(unit_model_factory(0.15, n=500), CFG)
         assert rep.regime == "supercritical-full-power"
-        assert phi.derivative is None
+        assert phi.distance_nodes is not None
         a = mp_curve.support.intervals[0][0]
         psi = sd.spike_forward_map(mp_unit, GAMMA, 0.15)
         assert 0.0 < psi < a
@@ -473,9 +452,12 @@ class TestScaleInvariantVariant:
         phi_u, rep_u = sd.optimal_lss(model, CFG, curve=mp_curve)
         phi_s, rep_s = sd.optimal_ls3(model, CFG, curve=mp_curve)
         K = sd.assemble_diagreg(mp_curve)
+        delta = sd.delta_diff(model.G0, model.G1, mp_curve)
+        g_s = optimal._projected_solve(K, delta, CFG)
+        assert np.array_equal(phi_s.values, sd.integrate_derivative(mp_curve, g_s).values)
         d_vec = mp_curve.grid * mp_curve.density
-        inner = float(np.sum(K.weights * phi_s.derivative * d_vec))
-        scale = float(np.linalg.norm(phi_s.derivative) * np.linalg.norm(d_vec))
+        inner = float(np.sum(K.weights * g_s * d_vec))
+        scale = float(np.linalg.norm(g_s) * np.linalg.norm(d_vec))
         assert abs(inner) <= 1e-8 * max(scale, 1.0)
         assert rep_s.efficacy <= rep_u.efficacy
 
@@ -515,7 +497,9 @@ class TestScaleInvariantVariant:
         u = P @ np.linalg.solve(P @ K.entries @ P + K.ridge * np.eye(K.size),
                                 -P @ (sq * delta.cdf))
         g = u / sq
-        assert np.max(np.abs(phi.derivative - g)) <= 1e-10 * np.max(np.abs(g))
+        ours = optimal._projected_solve(K, delta, CFG)
+        assert np.array_equal(phi.values, sd.integrate_derivative(curve, ours).values)
+        assert np.max(np.abs(ours - g)) <= 1e-10 * np.max(np.abs(g))
         mu = -model.h * K.inner(g, delta.cdf)
         assert rep.efficacy == pytest.approx(mu / math.sqrt(K.quadratic_form(g)), rel=1e-10)
 
@@ -577,7 +561,8 @@ class TestScaleInvariantVariant:
         phi, rep = sd.optimal_ls3(model, CFG, curve=mp_curve)
         phi_u, rep_u = sd.optimal_lss(model, CFG, curve=mp_curve)
         assert rep == rep_u and rep.regime == "supercritical-full-power"
-        assert phi.derivative is None and SEG_BUMP in phi.segments
+        assert phi.distance_nodes is not None and SEG_BUMP in phi.segments
+        assert np.array_equal(phi.distance_nodes, phi_u.distance_nodes)
         assert np.array_equal(phi.grid, phi_u.grid)
         assert np.array_equal(phi.values, phi_u.values)
 
@@ -622,11 +607,10 @@ class TestCurveMemo:
         phi_given, rep_given = build(model, cfg, curve=curve)
         assert np.array_equal(phi.grid, phi_given.grid)
         assert np.array_equal(phi.values, phi_given.values)
-        assert np.array_equal(phi.derivative, phi_given.derivative)
         assert phi.segments == phi_given.segments
         assert rep == rep_given
         if t == 2.0:  # the spike escapes: the distance statistic, nothing solved
-            assert rep.regime == "supercritical-full-power" and phi.derivative is None
+            assert rep.regime == "supercritical-full-power" and phi.distance_nodes is not None
 
     def test_key_is_the_bulk_gamma_and_grid_not_epsilon(self, grid_calls):
         cfg = sd.AlgoConfig(points_per_interval=MEMO_POINTS)
@@ -694,6 +678,93 @@ class TestCurveMemo:
             with pytest.raises(ValueError, match=rf"1 non-converged points \(x = {x_hole!r}\)"):
                 build(unit_build_model(1.6), cfg)
         assert len(grid_calls) == 1
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The curve of each kernel a build assembles, and the size of each factorization."""
+    calls = {"assemble": [], "factor": []}
+    assemble, factor = optimal.assemble_diagreg, kernel._factor
+
+    def assemble_spy(curve):
+        calls["assemble"].append(curve)
+        return assemble(curve)
+
+    def factor_spy(A):
+        calls["factor"].append(A.shape[0])
+        factor(A)
+
+    monkeypatch.setattr(optimal, "assemble_diagreg", assemble_spy)
+    monkeypatch.setattr(kernel, "_factor", factor_spy)
+    return calls
+
+
+class TestKernelSlot:
+    """Every build on one curve solves with one kernel, assembled and factored once."""
+
+    def test_builds_on_one_curve_assemble_and_factor_once(
+            self, kernel_calls, unit_model_factory, mp_curve):
+        builds = [(sd.optimal_lss, 1.2), (sd.optimal_lss, 1.5), (sd.optimal_ls3, 1.6)]
+        built = [build(unit_model_factory(t), CFG, curve=mp_curve) for build, t in builds]
+        assert len(kernel_calls["assemble"]) == 1 and kernel_calls["assemble"][0] is mp_curve
+        assert kernel_calls["factor"] == [mp_curve.grid.size]
+        # the kept factor gives each statistic bit for bit, as a kernel of its own does
+        for (build, t), (phi, rep) in zip(builds, built):
+            optimal._kernel_slot.clear()
+            phi_own, rep_own = build(unit_model_factory(t), CFG, curve=mp_curve)
+            assert np.array_equal(phi.values, phi_own.values) and rep == rep_own
+
+    @pytest.mark.parametrize("build", [sd.optimal_lss, sd.optimal_ls3])
+    def test_kernel_is_freed_before_another_curve_assembles(
+            self, monkeypatch, unit_model_factory, mp_curve, build):
+        # the slot holds one kernel and drops it before another curve's is
+        # assembled, so no two N x N arrays are alive at once
+        arrays, alive = [], []
+        assemble = optimal.assemble_diagreg
+
+        def assemble_spy(curve):
+            alive.append([ref() is not None for ref in arrays])
+            K = assemble(curve)
+            arrays.append(weakref.ref(K.storage.array))
+            return K
+
+        monkeypatch.setattr(optimal, "assemble_diagreg", assemble_spy)
+        other = sd.stieltjes_grid(mp_curve.H, GAMMA, points_per_interval=MEMO_POINTS)
+        for curve in (mp_curve, other, mp_curve):
+            _, rep = build(unit_model_factory(1.6), CFG, curve=curve)
+            assert rep.regime == "subcritical-solvable"
+        assert alive == [[], [False], [False, False]]
+        assert len(optimal._kernel_slot) == 1 and optimal._kernel_slot[0].curve is mp_curve
+
+    def test_threads_on_one_curve_agree_with_a_serial_run(
+            self, kernel_calls, unit_model_factory, mp_curve):
+        jobs = [(sd.optimal_lss, 1.2), (sd.optimal_ls3, 1.4), (sd.optimal_lss, 1.5),
+                (sd.optimal_ls3, 1.6)]
+
+        def run(job):
+            build, t = job
+            return build(unit_model_factory(t), CFG, curve=mp_curve)
+
+        threaded = {}
+        start = threading.Barrier(2)
+
+        def work(part):
+            start.wait()
+            for job in part:
+                threaded[job] = run(job)
+
+        threads = [threading.Thread(target=work, args=(jobs[i::2],)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        # one assembly and one factorization, whichever thread came first
+        assert len(kernel_calls["assemble"]) == 1 and len(kernel_calls["factor"]) == 1
+        optimal._kernel_slot.clear()
+        for job in jobs:
+            phi, rep = run(job)
+            assert np.array_equal(threaded[job][0].values, phi.values)
+            assert threaded[job][1] == rep
 
 
 class TestCurveOfAnotherBulk:

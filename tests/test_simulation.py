@@ -247,7 +247,7 @@ class TestApplyLss:
 
     def test_identity_function_gives_trace(self, mp_curve):
         grid = np.linspace(-1.0, 10.0, 1200)
-        phi = sd.LssFunction(grid=grid, values=grid, segments=["in-support"] * grid.size)
+        phi = sd.LssFunction(grid=grid, values=grid)
         eigs = np.array([0.2, 1.4, 2.9])
         assert sd.apply_lss(phi, eigs) == pytest.approx(np.sum(eigs), abs=1e-9)
 
